@@ -20,12 +20,6 @@ from repro.des.core import (
     Timeout,
 )
 from repro.des.resources import Mailbox, Resource, Store
-from repro.des.sched import (
-    CalendarScheduler,
-    HeapScheduler,
-    available_backends,
-    make_scheduler,
-)
 
 __all__ = [
     "Environment",
@@ -38,8 +32,4 @@ __all__ = [
     "Store",
     "Resource",
     "Mailbox",
-    "HeapScheduler",
-    "CalendarScheduler",
-    "make_scheduler",
-    "available_backends",
 ]

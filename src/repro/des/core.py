@@ -7,12 +7,12 @@ Design notes
 * A :class:`Process` wraps a generator.  The generator yields events; when
   a yielded event is processed the process resumes with the event's value,
   or has the event's exception thrown into it.
-* Time only advances in :meth:`Environment.run`; scheduling is a priority
-  queue keyed by ``(time, priority, sequence)`` so same-time events fire in
-  FIFO order — this determinism is load-bearing for tests.  The queue
-  itself is pluggable (:mod:`repro.des.sched`): a calendar-queue backend
-  for O(1) amortized scheduling at depth, with the PR-4 binary heap kept
-  as the reference backend; both pop in bit-identical order.
+* Time only advances in :meth:`Environment.run`; scheduling is one
+  binary heap (C ``heapq``) of ``(time, priority, sequence, event)``
+  tuples, so same-time events fire URGENT first and then in FIFO order —
+  this determinism is load-bearing for every golden test.  ``sequence``
+  is unique, so the trailing event is never compared.  A NaN time would
+  break the heap invariant silently; every scheduling call refuses one.
 * Failed events must be consumed.  If a failed event is processed and no
   waiter "defused" it, the exception propagates out of ``run()`` — silent
   failure of a simulated component would otherwise be invisible.
@@ -40,11 +40,10 @@ Hot-path notes (the fleet pushes millions of events through this file)
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from sys import getrefcount
-from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.des.sched import make_scheduler
 from repro.errors import SimulationError
 
 _PENDING = object()
@@ -130,8 +129,6 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._ok = True
@@ -340,25 +337,19 @@ class AllOf(Condition):
 class Environment:
     """Owner of virtual time and the event queue."""
 
-    def __init__(self, initial_time: float = 0.0, scheduler=None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self.now = float(initial_time)
-        #: pluggable event queue (:mod:`repro.des.sched`): ``scheduler``
-        #: may be a backend name, an instance, or None (consult the
-        #: ``REPRO_DES_SCHEDULER`` env var, then the default backend).
-        #: ``push``/``pop`` are bound once — the hot paths below go
-        #: through these attributes, never through a lookup per event.
-        self._sched = make_scheduler(scheduler)
-        self._push = self._sched.push
-        self._pop = self._sched.pop
+        if self.now != self.now:  # NaN: every later ``now + delay`` would be one too
+            raise SimulationError("initial_time is NaN")
+        #: the event queue: a heap of ``(time, priority, seq, event)``
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._pending_failures: deque[BaseException] = deque()
         #: retired Timeout objects awaiting reuse (see module docstring)
         self._timeout_pool: list[Timeout] = []
-        #: total events processed since construction (profiling/benching)
+        #: total events processed since construction (benching)
         self.events_processed = 0
-        #: optional :class:`repro.perf.Profiler` receiving step timings
-        self._profiler = None
         #: optional zero-arg pacing hook fired whenever an event is
         #: scheduled through :meth:`_enqueue` — process initialization,
         #: ``succeed``/``fail`` and plain :class:`Timeout` construction,
@@ -375,8 +366,10 @@ class Environment:
     # -- scheduling ----------------------------------------------------
 
     def _enqueue(self, event: Event, priority: int, delay: float = 0.0) -> None:
+        if not delay >= 0:  # also refuses NaN
+            raise SimulationError(f"scheduling delay must be >= 0, got {delay!r}")
         self._seq += 1
-        self._push((self.now + delay, priority, self._seq, event))
+        heappush(self._queue, (self.now + delay, priority, self._seq, event))
         if self.on_schedule is not None:
             self.on_schedule()
 
@@ -404,12 +397,12 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """A timeout ``delay`` from now, drawn from the recycle pool."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise SimulationError(f"negative timeout delay {delay!r}")
         ev = self._fresh_timeout(value)
         ev.delay = delay
         self._seq += 1
-        self._push((self.now + delay, NORMAL, self._seq, ev))
+        heappush(self._queue, (self.now + delay, NORMAL, self._seq, ev))
         return ev
 
     def timeout_until(self, at: float, value: Any = None) -> Timeout:
@@ -419,12 +412,12 @@ class Environment:
         not always float-identical to ``at``; processes replaying a
         skipped poll grid (see the service pumps) need the exact heap key.
         """
-        if at < self.now:
+        if not at >= self.now:  # also refuses NaN
             raise SimulationError(f"timeout_until({at}) is in the past (now={self.now})")
         ev = self._fresh_timeout(value)
         ev.delay = at - self.now
         self._seq += 1
-        self._push((at, NORMAL, self._seq, ev))
+        heappush(self._queue, (at, NORMAL, self._seq, ev))
         return ev
 
     def process(self, generator: Generator) -> Process:
@@ -440,17 +433,18 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        return self._sched.peek_time()
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     @property
     def pending(self) -> int:
         """Number of scheduled-but-unprocessed events."""
-        return len(self._sched)
+        return len(self._queue)
 
     def step(self) -> None:
         """Process exactly one event."""
         try:
-            time, _prio, _seq, event = self._pop()
+            time, _prio, _seq, event = heappop(self._queue)
         except IndexError:
             raise SimulationError("step() on an empty schedule") from None
         if time < self.now:
@@ -460,11 +454,6 @@ class Environment:
         event.callbacks = None
         for cb in callbacks:
             cb(event)
-        self._finish_step(event, callbacks)
-
-    def _finish_step(self, event: Event, callbacks: list) -> None:
-        """Post-callback tail shared by the step variants: accounting,
-        failure surfacing, and timeout recycling."""
         self.events_processed += 1
         if not event._ok and not event.defused:
             raise event._value
@@ -478,44 +467,16 @@ class Environment:
             type(event) is Timeout
             and len(callbacks) == 1
             and getattr(callbacks[0], "__func__", None) is _PROCESS_RESUME
-            and getrefcount(event) == 3
+            and getrefcount(event) == 2
         ):
-            # The refcount guard (3 = step's local + this frame's
-            # argument + getrefcount's argument) proves nothing else — a
-            # generator frame, a condition, user code — still holds the
-            # object, so a held timeout keeps its documented
-            # post-processing Event API instead of being reused under
-            # the holder's feet.
+            # The refcount guard (2 = this frame's local + getrefcount's
+            # argument) proves nothing else — a generator frame, a
+            # condition, user code — still holds the object, so a held
+            # timeout keeps its documented post-processing Event API
+            # instead of being reused under the holder's feet.
             pool = self._timeout_pool
             if len(pool) < _TIMEOUT_POOL_MAX:
                 pool.append(event)
-
-    def _step_profiled(self) -> None:
-        """Like :meth:`step`, with per-callback time attribution.
-
-        Kept separate so the unprofiled hot loop pays nothing for the
-        instrumentation.  Tolerates the profiler being detached mid-run:
-        remaining steps simply stop recording.
-        """
-        try:
-            time, _prio, _seq, event = self._pop()
-        except IndexError:
-            raise SimulationError("step() on an empty schedule") from None
-        if time < self.now:
-            raise SimulationError("event scheduled in the past")
-        self.now = time
-        callbacks = event.callbacks
-        event.callbacks = None
-        prof = self._profiler
-        if prof is None:
-            for cb in callbacks:
-                cb(event)
-        else:
-            for cb in callbacks:
-                t0 = perf_counter()
-                cb(event)
-                prof._record(cb, event, perf_counter() - t0)
-        self._finish_step(event, callbacks)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the schedule drains, a deadline, or an event triggers.
@@ -525,12 +486,12 @@ class Environment:
           * a number — run until virtual time reaches it;
           * an :class:`Event` — run until it triggers, returning its value.
         """
-        step = self.step if self._profiler is None else self._step_profiled
+        step = self.step
+        queue = self._queue
         if isinstance(until, Event):
             stop = until
-            sched = self._sched
             while stop._value is _PENDING:
-                if not len(sched):
+                if not queue:
                     raise SimulationError("schedule drained before the awaited event triggered")
                 step()
             if not stop._ok:
@@ -539,23 +500,10 @@ class Environment:
             return stop._value
 
         deadline = float("inf") if until is None else float(until)
-        if deadline != float("inf") and deadline < self.now:
+        if not deadline >= self.now:  # also refuses NaN
             raise SimulationError(f"run(until={deadline}) is in the past (now={self.now})")
-        heap = getattr(self._sched, "raw_heap", None)
-        if heap is not None:
-            # Reference backend: keep the PR-4 inline drain loop — no
-            # method call per event on the hottest loop in the repo.
-            while heap and heap[0][0] <= deadline:
-                step()
-        else:
-            peek = self._sched.peek_time
-            sched_len = self._sched.__len__
-            if deadline == float("inf"):
-                while sched_len():
-                    step()
-            else:
-                while peek() <= deadline:
-                    step()
+        while queue and queue[0][0] <= deadline:
+            step()
         if deadline != float("inf"):
             self.now = deadline
         return None

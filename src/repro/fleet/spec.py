@@ -13,6 +13,7 @@ applications (LB3D, PEPC, building climatization, crowd flow) across the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import isfinite
 from typing import Any, Optional
 
 from repro.errors import SteeringError
@@ -98,6 +99,12 @@ class ScenarioSpec:
     sim_args: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Specs arrive from JSON (``POST /sessions``, campaign files), and
+        # ``json.loads`` accepts NaN and Infinity; every range check below
+        # is false for a NaN, so refuse non-finite numbers up front.
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not isfinite(value):
+                raise SteeringError(f"spec {self.name!r}: {key} must be finite, got {value!r}")
         if self.sim not in SIM_KINDS:
             raise SteeringError(f"spec {self.name!r}: unknown sim kind {self.sim!r}")
         if self.profile not in PROFILES:
@@ -107,8 +114,10 @@ class ScenarioSpec:
             )
         if self.participants < 1:
             raise SteeringError(f"spec {self.name!r}: need >= 1 participant")
-        if self.cadence <= 0 or self.duration <= 0:
-            raise SteeringError(f"spec {self.name!r}: cadence and duration must be > 0")
+        if self.cadence <= 0 or self.duration <= 0 or self.compute_time <= 0:
+            raise SteeringError(
+                f"spec {self.name!r}: cadence, duration and compute_time must be > 0"
+            )
         if self.steps is None:
             object.__setattr__(
                 self,

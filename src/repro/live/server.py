@@ -12,7 +12,7 @@ an arrival process:
     GET    /sessions/{name}       session state + telemetry
     POST   /sessions/{name}/steer queue a live parameter override
     DELETE /sessions/{name}       cancel a running session
-    GET    /healthz               liveness probe
+    GET    /healthz               liveness probe (503 once the pacer is dead)
     GET    /statsz                counters, pacing stats, backpressure
     GET    /metricsz              Prometheus text exposition (repro.obs)
 
@@ -336,7 +336,8 @@ class LiveServer:
         if path == "/healthz":
             if method != "GET":
                 raise HttpError(405, f"{method} {path}")
-            return 200, self._healthz(), []
+            health = self._healthz()
+            return (200 if health["ok"] else 503), health, []
         if path == "/statsz":
             if method != "GET":
                 raise HttpError(405, f"{method} {path}")
@@ -367,8 +368,11 @@ class LiveServer:
     # -- endpoints -------------------------------------------------------
 
     def _healthz(self) -> dict:
+        # shutdown() stops the pacer only after it closed the socket, so
+        # a finished pacer task seen from a request means it died: sim
+        # time is frozen and no session will ever leave "running".
         return {
-            "ok": True,
+            "ok": self._run_task is not None and not self._run_task.done(),
             "sim_now": self.driver.env.now,
             "active": len(self.driver.active),
             "queued": self.controller.queue_depth,

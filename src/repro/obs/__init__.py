@@ -14,7 +14,6 @@ Three pillars (see DESIGN.md "Observability"):
 hooks; a fabric built without one runs byte-identically to pre-obs code.
 """
 
-from repro.obs.bridge import chrome_events, write_chrome_trace
 from repro.obs.fabric import Observability
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.protect import (
@@ -36,7 +35,5 @@ __all__ = [
     "Span",
     "TenantQuotas",
     "Tracer",
-    "chrome_events",
     "default_tenant",
-    "write_chrome_trace",
 ]

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ObsError
-from repro.obs.bridge import write_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.protect import STATE_CODE, CircuitBreaker, TenantQuotas
 from repro.obs.tracer import Tracer
@@ -352,8 +351,8 @@ class Observability:
             "quotas": self.quotas.snapshot() if self.quotas is not None else None,
         }
 
-    def write_trace(self, path, profiler=None) -> int:
-        """Dump the span stream (plus optional profiler lane) as JSONL."""
+    def write_trace(self, path) -> int:
+        """Dump the span stream as JSONL; returns the event count."""
         if self.tracer is None:
             raise ObsError("this Observability was built with tracing=False")
-        return write_chrome_trace(path, self.tracer, profiler=profiler)
+        return self.tracer.write_jsonl(path)

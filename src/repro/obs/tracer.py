@@ -6,9 +6,8 @@ viz-frame`` — so an operator can answer *why was this steer slow* with a
 tree, not a quantile.  Spans carry **virtual time only**: ids are
 assigned in creation order and every timestamp is ``env.now``, so two
 same-seed runs emit byte-identical span streams (the DES kernel already
-guarantees the creation order).  Wall-time attribution lives in
-:mod:`repro.perf.profiler`; :mod:`repro.obs.bridge` lays the two side by
-side in one Perfetto file.
+guarantees the creation order).  Wall-time attribution is not a span
+concern: ``python3 -m bench.run --trace 1`` reports it per layer.
 
 Export is Chrome-trace/Perfetto JSON events (``ph: "X"`` complete spans,
 ``ph: "i"`` instants, ``ph: "M"`` thread names), one event per line in
@@ -259,8 +258,7 @@ class Tracer:
 
         Pure sim-time payload, serialized with sorted keys — the
         deterministic artifact the golden tests hash.  Perfetto opens
-        JSONL directly; :func:`repro.obs.bridge.write_chrome_trace` adds
-        the wall-time profiler lane when one is wanted.
+        JSONL directly.
         """
         events = self.to_events()
         with open(path, "w", encoding="utf-8") as fh:

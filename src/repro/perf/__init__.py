@@ -1,21 +1,19 @@
-"""repro.perf — kernel profiling, unified benchmarking, regression gating.
+"""repro.perf — unified benchmarking and regression gating.
 
 The testbed's value is running *many* hostile scenarios; that is only
 practical if the DES kernel stays fast and, once fast, stays fast.  This
-package owns all three legs of that:
+package owns two legs of that (the third, where the time goes layer by
+layer, is ``python3 -m bench.run --trace 1`` at the repo root):
 
-* :class:`Profiler` — attaches to a :class:`repro.des.Environment` and
-  attributes wall time to components (process generators, event types)
-  via a dedicated profiled step path, so "where do the events go" is a
-  one-call question instead of a cProfile session;
 * :mod:`repro.perf.bench` — the unified bench runner: every
   ``benchmarks/bench_*.py`` emits its ``BENCH_*.json`` through
   :func:`~repro.perf.bench.write_bench`, which wraps the bench's own
   payload in a uniform envelope (wall seconds, events, events/sec, peak
   RSS) so the perf trajectory is recorded and comparable across PRs;
 * :mod:`repro.perf.gate` — the CI regression gate: re-runs the fleet
-  scaling scenario and fails when wall-clock regresses beyond a
-  threshold against the committed baseline.
+  scaling scenario (or, with ``--kernel``, the kernel patterns) and
+  fails when it regresses beyond a threshold against the committed
+  baseline.
 """
 
 from repro.perf.bench import (
@@ -24,11 +22,9 @@ from repro.perf.bench import (
     peak_rss_bytes,
     write_bench,
 )
-from repro.perf.profiler import Profiler
 
 __all__ = [
     "BENCH_SCHEMA",
-    "Profiler",
     "load_bench",
     "peak_rss_bytes",
     "write_bench",

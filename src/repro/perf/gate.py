@@ -9,12 +9,11 @@ give the kernel speedup back.
 Correctness is gated too: the run must complete every session with the
 baseline's op count, so a "speedup" that drops work cannot pass.
 
-``--kernel`` switches to the kernel-scheduler gate: every pattern in
-``benchmarks/bench_kernel.py`` runs once per scheduler backend, and each
-``(backend, pattern)`` cell must clear its absolute events/sec floor and
-stay within ``threshold`` of the committed ``BENCH_kernel.json``
-baseline rate.  Event counts must match the baseline exactly and agree
-across backends — a backend cannot buy throughput by dropping work.
+``--kernel`` switches to the kernel gate: every pattern in
+``benchmarks/bench_kernel.py`` must clear its absolute events/sec floor
+and stay within ``threshold`` of the committed ``BENCH_kernel.json``
+baseline rate.  Event counts must match the baseline exactly — the
+kernel cannot buy throughput by dropping work.
 
 Usage::
 
@@ -102,8 +101,8 @@ def check(
 
 def _load_kernel_bench():
     """Import ``benchmarks.bench_kernel`` — the single definition of the
-    kernel patterns and their per-backend floors — from a source or
-    installed checkout alike."""
+    kernel patterns and their floors — from a source or installed
+    checkout alike."""
     if str(_REPO_ROOT) not in sys.path:
         sys.path.insert(0, str(_REPO_ROOT))
     from benchmarks import bench_kernel
@@ -115,59 +114,40 @@ def check_kernel(
     baseline_path: pathlib.Path | str,
     threshold: float = 3.0,
 ) -> tuple[bool, str]:
-    """Run the per-backend kernel gate; returns (ok, verdict).
+    """Run the kernel gate; returns (ok, verdict).
 
     ``threshold`` is deliberately generous (CI boxes are slow and
     noisy); the absolute ``FLOORS`` in ``bench_kernel`` are the
     backstop an O(n) regression cannot hide under.
     """
-    from repro.des.sched import available_backends
-
     bench = _load_kernel_bench()
-    doc = load_bench(baseline_path)
-    baseline = doc["results"]
+    baseline = load_bench(baseline_path)["results"]
+    missing = sorted(set(bench.SCENARIOS) - set(baseline))
+    if missing:
+        # where an old two-level (per-backend) baseline lands
+        return False, (
+            f"baseline {baseline_path} has no results for {missing} "
+            f"(has {sorted(baseline)}) — regenerate BENCH_kernel.json"
+        )
     lines = []
     ok = True
-    counts: dict[str, dict[str, int]] = {}
-    for backend in available_backends():
-        base = baseline.get(backend)
-        if base is None:
-            return False, (
-                f"baseline {baseline_path} has no results for backend "
-                f"{backend!r} (has {sorted(baseline)}) — regenerate "
-                f"BENCH_kernel.json"
-            )
-        counts[backend] = {}
-        for name, fn in bench.SCENARIOS.items():
-            events, wall = fn(backend)
-            rate = events / wall
-            counts[backend][name] = events
-            base_rate = base[name]["events_per_sec"]
-            floor = bench.FLOORS[backend][name]
-            limit = max(floor, base_rate / (1 + threshold))
-            lines.append(
-                f"kernel {backend}/{name}: {rate:,.0f} events/s "
-                f"(baseline {base_rate:,.0f}, limit {limit:,.0f})"
-            )
-            if events != base[name]["events"]:
-                ok = False
-                lines.append(
-                    f"FAIL: {backend}/{name} workload drifted — "
-                    f"{events} events vs baseline {base[name]['events']}"
-                )
-            if rate < limit:
-                ok = False
-                lines.append(
-                    f"FAIL: {backend}/{name} below {limit:,.0f} events/s"
-                )
-    reference = counts["heap"]
-    for backend, per in counts.items():
-        if per != reference:
+    for name, fn in bench.SCENARIOS.items():
+        events, wall = fn()
+        rate = events / wall
+        base = baseline[name]
+        limit = max(bench.FLOORS[name], base["events_per_sec"] / (1 + threshold))
+        lines.append(
+            f"kernel {name}: {rate:,.0f} events/s "
+            f"(baseline {base['events_per_sec']:,.0f}, limit {limit:,.0f})"
+        )
+        if events != base["events"]:
             ok = False
             lines.append(
-                f"FAIL: backend {backend} event counts diverge from heap: "
-                f"{per} vs {reference}"
+                f"FAIL: {name} workload drifted — {events} events vs baseline {base['events']}"
             )
+        if rate < limit:
+            ok = False
+            lines.append(f"FAIL: {name} below {limit:,.0f} events/s")
     lines.append("OK" if ok else "kernel gate FAILED")
     return ok, "\n".join(lines)
 

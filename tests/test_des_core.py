@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, Interrupt, Mailbox, Resource, Store
+from repro.des import Environment, Interrupt, Mailbox, Resource, Store, Timeout
 from repro.errors import SimulationError
 
 
@@ -119,6 +119,29 @@ def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(SimulationError):
         env.timeout(-1)
+
+
+def test_nan_never_reaches_the_heap():
+    # A NaN key compares false against everything: the heap would accept
+    # it, lose its invariant, and fail later at an unrelated event.
+    nan = float("nan")
+    env = Environment()
+    fired = []
+    for delay in (3.0, 1.0, 2.0):
+        env.timeout(delay).callbacks.append(lambda ev: fired.append(ev.env.now))
+    for schedule in (
+        lambda: env.timeout(nan),
+        lambda: env.timeout_until(nan),
+        lambda: Timeout(env, nan),
+        lambda: env._enqueue(env.event(), 1, nan),
+        lambda: env.run(until=nan),
+        lambda: Environment(initial_time=nan),
+    ):
+        with pytest.raises(SimulationError):
+            schedule()
+    assert env.pending == 3
+    env.run()
+    assert fired == [1.0, 2.0, 3.0]
 
 
 def test_interrupt_delivers_cause():

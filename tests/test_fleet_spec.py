@@ -31,6 +31,15 @@ def test_defaults_are_valid_and_steps_computed():
         {"cadence": 0.0},
         {"duration": -1.0},
         {"steps": 0},
+        # json.loads accepts these, and every `<= 0` check is false for NaN
+        {"cadence": float("nan")},
+        {"duration": float("nan")},
+        {"compute_time": float("nan")},
+        {"duration": float("inf")},
+        {"admission_offset": float("-inf")},
+        {"participants": float("nan")},
+        {"compute_time": 0},  # used to escape as ZeroDivisionError
+        {"compute_time": -0.05},
     ],
 )
 def test_invalid_specs_rejected(kwargs):

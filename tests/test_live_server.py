@@ -80,8 +80,44 @@ def test_error_statuses():
             assert "unknown session fields" in bad.json()["error"]
             worse = await request(*args, "POST", "/sessions", {"sim": "not-a-sim"})
             assert worse.status == 400
+            # json.loads accepts the literal NaN; an admitted NaN cadence
+            # used to kill the pacer and wedge every other session, the
+            # other three to drop the connection without an answer.
+            nan = float("nan")
+            for hostile in (
+                {"cadence": nan},
+                {"duration": nan},
+                {"compute_time": nan},
+                {"compute_time": 0},
+            ):
+                resp = await request(*args, "POST", "/sessions", _session_body(**hostile))
+                assert resp.status == 400, hostile
+                assert "bad session spec" in resp.json()["error"]
+            good = await request(*args, "POST", "/sessions", _session_body())
+            assert good.status == 202
+            await _wait_state(server, good.json()["name"], {"completed"})
         finally:
             await server.shutdown(grace=1.0)
+
+    asyncio.run(go())
+
+
+def test_healthz_reports_a_dead_pacer():
+    async def go():
+        server = LiveServer(config=dict(FAST))
+        await server.start()
+        try:
+            args = (server.host, server.port)
+            assert (await request(*args, "GET", "/healthz")).status == 200
+            # A failed event nobody waits on crashes the kernel by
+            # design, and with it the pacer task that was stepping it.
+            server.driver.env.event().fail(RuntimeError("pacer down"))
+            await asyncio.wait({server._run_task}, timeout=5.0)
+            sick = await request(*args, "GET", "/healthz")
+            assert sick.status == 503 and sick.json()["ok"] is False
+        finally:
+            with pytest.raises(RuntimeError, match="pacer down"):
+                await server.shutdown(grace=0.0)
 
     asyncio.run(go())
 

@@ -12,9 +12,6 @@ recovery verdicts or invariant results.
 import json
 import pathlib
 
-import pytest
-
-from repro.des.sched import ENV_VAR, available_backends
 from repro.fleet import FleetDriver, fleet_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -56,68 +53,6 @@ def test_chaos_cell_matches_seed_golden():
     assert report.to_dict() == golden["report"]
     assert verdict == golden["verdict"]
     assert verdict["invariant_violations"] == 0
-
-
-# -- scheduler backends ------------------------------------------------------
-#
-# The calendar-queue scheduler (PR 8) is only admissible under the same
-# rule as the PR-4 work: same-seed runs must stay byte-for-byte
-# identical on *every* backend.  The goldens were generated on the heap;
-# each backend must reproduce them exactly.
-
-
-@pytest.mark.parametrize("backend", available_backends())
-def test_fleet_golden_is_byte_identical_on_every_backend(backend, monkeypatch):
-    monkeypatch.setenv(ENV_VAR, backend)
-    report, _driver = _fleet_report()
-    ours = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    golden = (GOLDEN / "fleet_report_8.json").read_text().rstrip("\n")
-    assert ours == golden
-
-
-@pytest.mark.parametrize("backend", available_backends())
-def test_chaos_golden_matches_on_every_backend(backend, monkeypatch):
-    from benchmarks.bench_chaos import _run
-
-    monkeypatch.setenv(ENV_VAR, backend)
-    report, verdict, _wall = _run("outage+vbroker")
-    golden = json.loads((GOLDEN / "chaos_outage_vbroker.json").read_text())
-    assert report.to_dict() == golden["report"]
-    assert verdict == golden["verdict"]
-
-
-def test_campaign_cell_identical_across_backends(monkeypatch):
-    # One campaign cell (arrivals + faults + placement over the full
-    # stack) rerun per backend; everything but the wall-clock `perf`
-    # envelope must agree to the byte.
-    from repro.campaign import AxisPoint, CampaignSpec, run_cell
-
-    spec = CampaignSpec(
-        name="xbackend",
-        seed=11,
-        base={"n_sites": 2, "queue_slots": 2, "queue_limit": 8,
-              "horizon": 3.0, "until": 40.0},
-        scenarios=[AxisPoint("paper", {
-            "suite": "paper", "duration": 1.0, "cadence": 0.5,
-            "participants": 1,
-        })],
-        arrivals=[AxisPoint("poisson", {"kind": "poisson", "rate": 1.5})],
-        faults=[AxisPoint("crash", {"faults": [
-            {"kind": "container-crash", "at": 1.2, "site": 0,
-             "duration": 2.0},
-        ]})],
-        policies=[AxisPoint("ll", {"placement": "least-loaded"})],
-    )
-    [cell] = spec.cells()
-    records = {}
-    for backend in available_backends():
-        monkeypatch.setenv(ENV_VAR, backend)
-        rec = run_cell(cell)
-        records[backend] = {k: v for k, v in rec.items() if k != "perf"}
-    reference = records.pop("heap")
-    for backend, rec in records.items():
-        assert json.dumps(rec, sort_keys=True) == \
-            json.dumps(reference, sort_keys=True), backend
 
 
 def test_pumps_stop_burning_events_after_sessions_end():

@@ -10,8 +10,7 @@ from repro.des import AnyOf, Environment, Event, Interrupt, Mailbox, Store, Time
 from repro.des.core import Process
 from repro.des.resources import ResourceRequest, StoreGet, StorePut
 from repro.errors import SimulationError
-from repro.perf import Profiler, load_bench, peak_rss_bytes, write_bench
-from repro.perf.profiler import _component_of
+from repro.perf import load_bench, peak_rss_bytes, write_bench
 
 
 # -- timeout recycling -------------------------------------------------------
@@ -302,90 +301,6 @@ def test_approx_size_envelope_cache_matches_reference():
         assert codec.approx_size(msg) == reference(msg)
 
 
-# -- profiler ----------------------------------------------------------------
-
-
-def test_profiler_attributes_time_to_generators():
-    env = Environment()
-
-    def worker():
-        for _ in range(50):
-            yield env.timeout(0.5)
-
-    env.process(worker())
-    prof = Profiler()
-    with prof.attach(env):
-        env.run()
-    rep = prof.report()
-    assert rep["events"] == env.events_processed
-    assert rep["events_per_sec"] > 0
-    names = {row["component"] for row in rep["components"]}
-    assert "worker" in names
-    total_calls = sum(row["calls"] for row in rep["components"])
-    assert total_calls >= 50
-    assert "worker" in prof.render()
-    # Detached: the unprofiled fast path is back.
-    assert env._profiler is None
-
-
-def test_profiler_component_naming():
-    env = Environment()
-
-    def gen():
-        yield env.timeout(1.0)
-
-    p = env.process(gen())
-    assert _component_of(p._cb, None) == "gen"
-    assert _component_of(lambda e: None, None).endswith("<lambda>")
-
-
-def test_profiler_detach_mid_run_is_safe():
-    # A process may detach the profiler during env.run() to profile only
-    # a window; the remaining steps must keep running (unrecorded).
-    env = Environment()
-    prof = Profiler().attach(env)
-    after_detach = []
-
-    def detacher():
-        yield env.timeout(1.0)
-        prof.detach()
-        yield env.timeout(1.0)
-        after_detach.append(env.now)
-
-    env.process(detacher())
-    env.run()
-    assert after_detach == [2.0]
-    assert prof.events >= 1
-    assert env._profiler is None
-
-
-def test_profiled_run_matches_unprofiled_run():
-    def world(env):
-        def ticker(store):
-            for i in range(20):
-                yield env.timeout(0.1)
-                yield store.put(i)
-
-        def drainer(store):
-            for _ in range(20):
-                yield store.get()
-
-        s = Store(env)
-        env.process(ticker(s))
-        env.process(drainer(s))
-
-    plain = Environment()
-    world(plain)
-    plain.run()
-
-    profiled = Environment()
-    world(profiled)
-    with Profiler().attach(profiled):
-        profiled.run()
-    assert profiled.now == plain.now
-    assert profiled.events_processed == plain.events_processed
-
-
 # -- unified bench emission --------------------------------------------------
 
 
@@ -455,3 +370,14 @@ def test_gate_passes_and_fails_correctly(tmp_path, monkeypatch):
     # Missing size entry is an explicit failure, not a KeyError.
     ok, verdict = gate.check(baseline, sessions=64, threshold=0.25)
     assert not ok and "no entry" in verdict
+
+
+def test_kernel_gate_answers_old_two_level_baseline_in_one_line(tmp_path):
+    from repro.perf import gate
+
+    cell = {"events": 1, "wall_seconds": 1.0, "events_per_sec": 1.0}
+    baseline = tmp_path / "BENCH_kernel.json"
+    write_bench(baseline, "kernel", {"heap": {"timer-churn": cell}, "calendar": {}})
+    ok, verdict = gate.check_kernel(baseline)
+    assert not ok
+    assert "regenerate BENCH_kernel.json" in verdict and "\n" not in verdict

@@ -6,36 +6,35 @@ the store schema), every following line is one settled cell — either a
 written by the supervisor after a cell exhausted its retry budget.  The
 invariants a long-running campaign leans on:
 
-* **atomic** — every append rewrites the file to a sibling ``.tmp`` and
-  ``os.replace``-s it over the original, so a killed run can never leave
-  a half-written record *behind* a committed one;
-* **durable** — the tmp file is fsynced before the replace and the
-  directory is fsynced after it, so a *host* crash (power loss, kernel
-  panic) cannot lose a record the runner already acknowledged.  Tests
-  and benches that churn thousands of throwaway stores can opt out with
-  ``fsync=False``;
+* **atomic** — the file is a :mod:`repro.util.journal`: the header is
+  created by tmp + ``os.replace``, every record after it is one
+  ``O_APPEND`` write of one complete line, so a killed run can never
+  leave a half-written record *behind* a committed one;
+* **durable** — the header's file and directory and then every appended
+  record are fsynced before the call returns, so a *host* crash (power
+  loss, kernel panic) cannot lose a record the runner already
+  acknowledged.  Tests and benches that churn thousands of throwaway
+  stores can opt out with ``fsync=False``;
 * **resumable** — on restart the runner asks :meth:`settled_ids` and
   re-executes only the cells that are missing (per-cell seeds make the
   reruns byte-identical, so a resumed campaign equals an uninterrupted
   one).  Quarantined cells count as settled: a cell that deterministic-
   ally crashes the worker must not be re-attempted on every resume;
-* **tolerant of its own death** — a truncated *trailing* line (the
-  window between ``write`` and ``replace`` is empty, but an older
-  non-atomic writer, a full disk, or a torn copy can still produce one)
-  is dropped on load, surfaced via :attr:`dropped_lines`, and the cell
+* **tolerant of its own death** — a truncated *trailing* line (a kill
+  mid-``write``, a full disk, a torn copy) is dropped on load, surfaced
+  via :attr:`dropped_lines`, cut off by the next append, and the cell
   simply reruns.  A corrupt line *before* intact ones is refused loudly:
   that is damage, not interruption.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 from typing import Optional
 
 from repro.campaign.spec import CampaignSpec
 from repro.errors import CampaignError
+from repro.util import journal
 
 STORE_SCHEMA = "repro.campaign/store-v1"
 
@@ -54,6 +53,9 @@ class ResultStore:
         self._header: Optional[dict] = None
         #: settled records in append order (cells and quarantines mixed)
         self._records: list[dict] = []
+        #: cell ids of :attr:`_records`, kept beside it so the duplicate
+        #: check costs the same at any store size
+        self._settled: set = set()
         #: unparsable trailing lines discarded on load (0 or 1 normally)
         self.dropped_lines = 0
         if self.path.exists():
@@ -62,79 +64,31 @@ class ResultStore:
     # -- loading -------------------------------------------------------------
 
     def _load(self) -> None:
-        text = self.path.read_text()
-        lines = text.splitlines()
-        records = []
-        bad = []
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                bad.append(i)
-        if bad:
-            # Only a *trailing* torn line is interruption; anything
-            # earlier means the file was damaged and silently skipping
-            # it would mis-report the campaign.
-            if bad != [len(lines) - 1]:
-                raise CampaignError(
-                    f"{self.path}: corrupt non-trailing record(s) at "
-                    f"line(s) {[i + 1 for i in bad]}"
-                )
-            self.dropped_lines = len(bad)
-        if not records:
+        loaded = journal.load(self.path, CampaignError)
+        self.dropped_lines = loaded.dropped_lines
+        if not loaded.records:
             return
-        head, *cells = records
+        head, *cells = loaded.records
         if head.get("kind") != "header" or head.get("schema") != STORE_SCHEMA:
-            raise CampaignError(
-                f"{self.path}: first record is not a "
-                f"{STORE_SCHEMA} header"
-            )
+            raise CampaignError(f"{self.path}: first record is not a {STORE_SCHEMA} header")
         for rec in cells:
-            if rec.get("kind") not in RECORD_KINDS or "cell_id" not in rec:
+            if rec.get("kind") not in RECORD_KINDS:
                 raise CampaignError(
-                    f"{self.path}: record after the header is neither a "
-                    "cell nor a quarantine"
+                    f"{self.path}: record after the header is neither a cell nor a quarantine"
                 )
+            self._check(rec, rec["kind"])
+            self._settled.add(rec["cell_id"])
         self._header = head
         self._records = cells
 
     # -- writing -------------------------------------------------------------
 
-    @staticmethod
-    def _dumps(record: dict) -> str:
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-    def _rewrite(self) -> None:
-        """Serialise everything we hold and atomically replace the file.
-
-        With :attr:`fsync` on (the default) the tmp file is flushed to
-        stable storage before the replace and the directory entry after
-        it — the two halves of crash consistency: the bytes survive a
-        host crash, and so does the rename that points at them.
-        """
-        lines = []
-        if self._header is not None:
-            lines.append(self._dumps(self._header))
-        lines.extend(self._dumps(rec) for rec in self._records)
-        tmp = self.path.parent / (self.path.name + ".tmp")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-            if self.fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        if self.fsync:
-            try:
-                dfd = os.open(self.path.parent, os.O_RDONLY)
-            except OSError:
-                return  # platform cannot open directories (e.g. Windows)
-            try:
-                os.fsync(dfd)
-            finally:
-                os.close(dfd)
+    def _check(self, record: dict, kind: str) -> None:
+        """Refuse a record that is not of this kind or settles a cell twice."""
+        if record.get("kind") != kind or not isinstance(record.get("cell_id"), str):
+            raise CampaignError(f"{kind} records need kind={kind!r} and a string cell_id")
+        if record["cell_id"] in self._settled:
+            raise CampaignError(f"{self.path}: duplicate record for cell {record['cell_id']!r}")
 
     def ensure_header(self, spec) -> None:
         """Write the header on first use; on resume, verify the stored
@@ -152,8 +106,8 @@ class ResultStore:
             "spec": spec.to_dict(),
         }
         if self._header is None:
+            journal.create(self.path, doc, fsync=self.fsync)
             self._header = doc
-            self._rewrite()
             return
         if self._header.get("spec") != doc["spec"]:
             raise CampaignError(
@@ -170,17 +124,10 @@ class ResultStore:
                 f"{self.path}: store has no header; call ensure_header "
                 "before appending cells"
             )
-        if record.get("kind") != kind or "cell_id" not in record:
-            raise CampaignError(
-                f"{kind} records need kind={kind!r} and cell_id"
-            )
-        if record["cell_id"] in self.settled_ids():
-            raise CampaignError(
-                f"{self.path}: duplicate record for cell "
-                f"{record['cell_id']!r}"
-            )
+        self._check(record, kind)
+        journal.append(self.path, record, fsync=self.fsync)
         self._records.append(record)
-        self._rewrite()
+        self._settled.add(record["cell_id"])
 
     def append(self, record: dict) -> None:
         """Persist one completed cell (atomically, immediately)."""
@@ -207,7 +154,9 @@ class ResultStore:
         """
         if self._header is None:
             raise CampaignError(f"{self.path}: store has no header yet")
-        doc = self._header["spec"]
+        doc = self._header.get("spec")
+        if not isinstance(doc, dict):
+            raise CampaignError(f"{self.path}: store header carries no spec")
         if doc.get("schema") == "repro.campaign/search-v1":
             # deferred import: search builds on the store, not vice versa
             from repro.campaign.search import SearchSpec
@@ -233,7 +182,7 @@ class ResultStore:
 
     def settled_ids(self) -> set:
         """Everything resume must skip: completed ∪ quarantined."""
-        return {rec["cell_id"] for rec in self._records}
+        return set(self._settled)
 
     def __len__(self) -> int:
         return sum(1 for rec in self._records if rec["kind"] == "cell")

@@ -91,7 +91,9 @@ class Request:
             return {}
         try:
             doc = json.loads(self.body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad UTF-8, bad JSON, or an integer literal past
+            # the interpreter's digit limit; RecursionError: nesting
             raise HttpError(400, f"body is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise HttpError(400, "JSON body must be an object")

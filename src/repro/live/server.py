@@ -95,6 +95,23 @@ _SESSION_FIELDS = (
 )
 
 
+def _steer_value(doc: dict):
+    """The ``value`` of a steer body: absent/``null`` (a nudge) or a
+    finite real number.  ``json.loads`` hands over strings, containers,
+    booleans and the literals ``NaN``/``Infinity`` just as readily; any
+    of them would reach the simulation's ``set_parameter`` unchecked."""
+    value = doc.get("value")
+    if value is None:
+        return None
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number / an int no float can hold
+        ok = False
+    if not ok:
+        raise HttpError(400, f"steer value must be a finite number or null, got {value!r:.80}")
+    return value
+
+
 class LiveServer:
     """Serve the steering fabric over HTTP against the wall clock."""
 
@@ -504,7 +521,7 @@ class LiveServer:
     def _steer_session(self, name: str, request: Request) -> tuple[int, dict, list]:
         if name not in self.session_states:
             raise HttpError(404, f"unknown session {name!r}")
-        value = request.json().get("value")
+        value = _steer_value(request.json())
         if not self.driver.request_steer(name, value):
             state = self.session_states[name]
             raise HttpError(409, f"session {name!r} is not running (state: {state})")

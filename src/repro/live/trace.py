@@ -18,18 +18,17 @@ under ``python -m repro.campaign run`` — same fabric, same admission
 decisions, same :class:`~repro.campaign.matrix.MatrixReport` — across
 repeated replays and across worker counts.
 
-The file discipline mirrors :class:`repro.campaign.store.ResultStore`:
-every append rewrites to a sibling ``.tmp`` and ``os.replace``-s it over
-the original, so a killed server never leaves a half-written record
-behind a committed one; a torn *trailing* line is dropped on load, a
-corrupt interior line is refused loudly.  (The quadratic rewrite cost is
-fine at control-plane arrival rates — tens per second, not thousands.)
+The file is a :mod:`repro.util.journal`, as is the campaign
+:class:`~repro.campaign.store.ResultStore`: the header is created by tmp
++ ``os.replace``, every record after it is one ``O_APPEND`` write of one
+line, so a killed server never leaves a half-written record behind a
+committed one; a torn *trailing* line is dropped on load, a corrupt
+interior line is refused loudly.  Nothing is fsynced: a trace survives
+the death of its process, not of its host.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,6 +36,7 @@ from typing import Optional
 from repro.errors import LiveError
 from repro.fleet.spec import ScenarioSpec
 from repro.load.arrivals import RecordedArrivals
+from repro.util import journal
 
 TRACE_SCHEMA = "repro.live/trace-v1"
 
@@ -83,27 +83,14 @@ class TraceRecorder:
     def __init__(self, path: pathlib.Path | str, config: dict) -> None:
         self.path = pathlib.Path(path)
         self.arrivals = 0
-        self._records: list[dict] = [
-            {"kind": "header", "schema": TRACE_SCHEMA, "config": dict(config)}
-        ]
         self._closed = False
-        self._rewrite()
-
-    @staticmethod
-    def _dumps(record: dict) -> str:
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-    def _rewrite(self) -> None:
-        tmp = self.path.parent / (self.path.name + ".tmp")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text("\n".join(self._dumps(r) for r in self._records) + "\n")
-        os.replace(tmp, self.path)
+        header = {"kind": "header", "schema": TRACE_SCHEMA, "config": dict(config)}
+        journal.create(self.path, header, fsync=False)
 
     def _append(self, record: dict) -> None:
         if self._closed:
             raise LiveError(f"{self.path}: trace already closed")
-        self._records.append(record)
-        self._rewrite()
+        journal.append(self.path, record, fsync=False)
 
     def record_arrival(
         self,
@@ -179,33 +166,23 @@ class Trace:
         return RecordedArrivals(self.entries(), horizon=self.horizon)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_trace(path: pathlib.Path | str) -> Trace:
     """Parse and validate a trace file (tolerating one torn tail line)."""
     path = pathlib.Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise LiveError(f"cannot read trace {path}: {exc}") from None
-    records: list[dict] = []
-    bad: list[int] = []
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            bad.append(i)
-    if bad:
-        if bad != [len(lines) - 1]:
-            raise LiveError(
-                f"{path}: corrupt non-trailing trace record(s) at line(s) {[i + 1 for i in bad]}"
-            )
-    if not records:
+    loaded = journal.load(path, LiveError)
+    if not loaded.records:
         raise LiveError(f"{path}: empty trace file")
-    head, *rest = records
+    head, *rest = loaded.records
     if head.get("kind") != "header" or head.get("schema") != TRACE_SCHEMA:
         raise LiveError(f"{path}: first record is not a {TRACE_SCHEMA} header")
-    trace = Trace(path=path, config=dict(head.get("config", {})), dropped_lines=len(bad))
+    config = head.get("config", {})
+    if not isinstance(config, dict):
+        raise LiveError(f"{path}: header config is not an object")
+    trace = Trace(path=path, config=dict(config), dropped_lines=loaded.dropped_lines)
     expected_index = 0
     for rec in rest:
         kind = rec.get("kind")
@@ -215,7 +192,7 @@ def load_trace(path: pathlib.Path | str) -> Trace:
                     f"{path}: arrival record out of order "
                     f"(index {rec.get('index')!r}, expected {expected_index})"
                 )
-            if "spec" not in rec or "sim" not in rec:
+            if not isinstance(rec.get("spec"), dict) or not _is_real(rec.get("sim")):
                 raise LiveError(f"{path}: arrival record {expected_index} missing sim/spec")
             expected_index += 1
             trace.arrivals.append(rec)
@@ -224,6 +201,8 @@ def load_trace(path: pathlib.Path | str) -> Trace:
         elif kind == "end":
             if trace.end is not None:
                 raise LiveError(f"{path}: duplicate end record")
+            if not _is_real(rec.get("sim")):
+                raise LiveError(f"{path}: end record missing sim")
             trace.end = rec
         else:
             raise LiveError(f"{path}: unknown trace record kind {kind!r}")

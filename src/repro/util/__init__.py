@@ -1,4 +1,5 @@
-"""Small shared utilities: id generation, statistics, event logging."""
+"""Small shared utilities: id generation, statistics, event logging,
+and the append-only JSONL journal (:mod:`repro.util.journal`)."""
 
 from repro.util.ids import IdAllocator, token_hex
 from repro.util.stats import (

@@ -72,10 +72,13 @@ def test_json_body_is_canonical_and_parse_is_strict():
     with pytest.raises(HttpError) as exc:
         bad.json()
     assert exc.value.status == 400
-    bad.body = b"[1,2]"
-    with pytest.raises(HttpError) as exc:
-        bad.json()
-    assert exc.value.status == 400
+    # not an object; bad UTF-8; an integer literal past the interpreter's
+    # digit limit (a plain ValueError); nesting past the recursion limit
+    for body in (b"[1,2]", b'{"v":"\xff"}', b'{"v":' + b"1" * 5000 + b"}", b"[" * 100_000):
+        bad.body = body
+        with pytest.raises(HttpError) as exc:
+            bad.json()
+        assert exc.value.status == 400
 
 
 @pytest.mark.parametrize(

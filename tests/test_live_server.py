@@ -1,6 +1,7 @@
 """LiveServer end-to-end: HTTP lifecycle, backpressure, replay parity."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -180,6 +181,49 @@ def test_steer_and_cancel_running_session():
             await server.shutdown(grace=60.0)
 
     asyncio.run(go())
+
+
+def test_hostile_steer_values_are_refused(tmp_path):
+    trace_path = tmp_path / "steer.jsonl"
+    inf = float("inf")
+    # json.loads hands all of these over; a string or container used to
+    # kill the session at its next set_parameter, NaN to poison the
+    # sim's fields and put the non-JSON token NaN into the trace.
+    hostile = ["abc", {"v": 1}, [1], True, False, float("nan"), inf, -inf, 10**400]
+
+    async def go():
+        server = LiveServer(config={"rate": 20.0, "seed": 1}, trace_path=trace_path)
+        await server.start()
+        try:
+            args = (server.host, server.port)
+            body = _session_body(duration=20.0, cadence=1.0)
+            name = (await request(*args, "POST", "/sessions", body)).json()["name"]
+            await _wait_state(server, name, {"running"})
+            for value in hostile:
+                resp = await request(*args, "POST", f"/sessions/{name}/steer", {"value": value})
+                assert resp.status == 400, value
+                assert "finite number or null" in resp.json()["error"]
+            assert not server.driver.steer_requests.get(name)
+            assert server.stats["steers"] == 0
+            for value in (7, 2.5, None):
+                resp = await request(*args, "POST", f"/sessions/{name}/steer", {"value": value})
+                assert resp.status == 202, value
+            assert (await request(*args, "POST", f"/sessions/{name}/steer")).status == 202
+            final = await _wait_state(server, name, {"completed", "failed"}, timeout=20.0)
+            assert final["state"] == "completed"
+            assert final["telemetry"]["errors"] == 0 and final["telemetry"]["timeouts"] == 0
+        finally:
+            await server.shutdown(grace=30.0)
+
+    asyncio.run(go())
+
+    def strict(token):
+        raise AssertionError(f"non-JSON token {token} in the trace")
+
+    for line in trace_path.read_text().splitlines():
+        json.loads(line, parse_constant=strict)
+    steers = [e for e in load_trace(trace_path).events if e["event"] == "steer"]
+    assert [e["value"] for e in steers] == [7, 2.5, None, None]
 
 
 def test_metricsz_serves_prometheus_text():

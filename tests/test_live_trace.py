@@ -124,25 +124,24 @@ def test_load_rejects_structural_damage(tmp_path):
         load_trace(noheader)
 
     path = tmp_path / "t.jsonl"
-    rec = _record(path, n=2)
+    _record(path, n=2)
     records = [json.loads(line) for line in path.read_text().splitlines()]
 
-    reordered = records[:1] + records[1:][::-1]
-    path.write_text("\n".join(json.dumps(r) for r in reordered) + "\n")
+    def damaged(recs):
+        path.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
+        return path
+
     with pytest.raises(LiveError, match="out of order"):
-        load_trace(path)
+        load_trace(damaged(records[:1] + records[1:][::-1]))
 
-    rec._records[1]["kind"] = "surprise"
-    rec._rewrite()
+    surprise = dict(records[1], kind="surprise")
     with pytest.raises(LiveError, match="unknown trace record kind"):
-        load_trace(path)
+        load_trace(damaged([records[0], surprise, records[2]]))
 
-    rec._records[1]["kind"] = "arrival"
-    rec._records.append({"kind": "end", "sim": 5.0, "wall": 5.0, "arrivals": 2})
-    rec._records.append({"kind": "end", "sim": 6.0, "wall": 6.0, "arrivals": 2})
-    rec._rewrite()
+    ends = [{"kind": "end", "sim": sim, "wall": sim, "arrivals": 2} for sim in (5.0, 6.0)]
+    assert load_trace(damaged(records + ends[:1])).sealed
     with pytest.raises(LiveError, match="duplicate end"):
-        load_trace(path)
+        load_trace(damaged(records + ends))
 
 
 def test_empty_trace_has_no_replay_horizon(tmp_path):

@@ -1,16 +1,20 @@
 """LB3D — the steered Lattice-Boltzmann workload (paper section 2.2).
 
 Regenerated series: (a) wall-time step cost vs lattice size (the compute
-budget the Grid has to supply to keep the session interactive); (b) the
-physics response that made the demo worth watching — steering the
-miscibility flips the mixture between mixed and demixed states.
+budget the Grid has to supply to keep the session interactive), from the
+fleet's 6^3 up, written with the per-step cost of all four fleet-sized
+simulations to ``BENCH_sims.json``; (b) the physics response that made
+the demo worth watching — steering the miscibility flips the mixture
+between mixed and demixed states.
 """
 
+import statistics
 import time
 
 import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_once, write_json
+from repro.fleet.spec import SIM_KINDS, make_sim
 from repro.sims import LatticeBoltzmann3D
 
 
@@ -22,29 +26,67 @@ def test_lb3d_step_kernel(benchmark):
     assert sim.total_mass() == pytest.approx(24**3, rel=1e-3)
 
 
-def _scaling(sizes=(12, 16, 24, 32)):
+def _median_seconds(fn, calls: int) -> float:
+    """Median of ``calls`` individually timed ``fn()`` calls, after one warm-up."""
+    fn()
+    samples = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples)
+
+
+def _scaling(sizes=(6, 12, 16, 24, 32)):
     rows = []
     for n in sizes:
         sim = LatticeBoltzmann3D(shape=(n, n, n), g=2.0, seed=1)
-        sim.step()  # warm
-        t0 = time.perf_counter()
-        steps = 5
-        for _ in range(steps):
-            sim.step()
-        per_step = (time.perf_counter() - t0) / steps
+        per_step = _median_seconds(sim.step, 25)
         rows.append((n, per_step, per_step / n**3))
     return rows
 
 
+def _fleet_sim_costs(calls=300):
+    """advance()/sample() cost of each simulation at the size a fleet runs."""
+    costs = {}
+    for kind in SIM_KINDS:
+        sim = make_sim(kind)
+        sim.run(3)
+        costs[kind] = {
+            "advance_us": _median_seconds(sim.advance, calls) * 1e6,
+            "sample_us": _median_seconds(sim.sample, calls) * 1e6,
+        }
+    return costs
+
+
 def test_lb3d_scaling(benchmark, reporter):
+    t0 = time.perf_counter()
+    costs = _fleet_sim_costs()  # first: the sweep leaves a fragmented heap behind
     rows = run_once(benchmark, _scaling)
+    wall = time.perf_counter() - t0
     table = [
-        [f"{n}^3", f"{t * 1e3:.1f}", f"{per_site * 1e9:.1f}"]
+        [f"{n}^3", f"{t * 1e3:.2f}", f"{per_site * 1e9:.1f}"]
         for n, t, per_site in rows
     ]
     reporter.table(
         "LB3D-a: step cost vs lattice size (wall time)",
         ["lattice", "ms/step", "ns/site/step"], table,
+    )
+    reporter.table(
+        "SIMS: per-call cost at fleet size (median)",
+        ["sim", "advance (us)", "sample (us)"],
+        [[k, f"{c['advance_us']:.1f}", f"{c['sample_us']:.1f}"] for k, c in costs.items()],
+    )
+    write_json(
+        "BENCH_sims.json",
+        {
+            "fleet_sims": costs,
+            "lb3d_scaling": {
+                f"{n}^3": {"step_ms": t * 1e3, "ns_per_site": per_site * 1e9}
+                for n, t, per_site in rows
+            },
+        },
+        wall_seconds=wall,
     )
     # Cost per site roughly constant: the kernel is O(sites).
     per_site = [r[2] for r in rows]

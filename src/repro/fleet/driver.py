@@ -31,6 +31,7 @@ Two admission modes share the same fabric:
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -129,6 +130,13 @@ class FleetDriver:
         self.resolver = HandleResolver()
         self.shards = make_shards(registry_shards)
 
+        # A finished world is a web of reference cycles (environment <->
+        # processes <-> services and their frame buffers) that only the
+        # cycle collector frees.  Whether it happens to run before the next
+        # world reaches its peak decides if a process running fleets back to
+        # back (campaign cells, bench repetitions) holds one world or two,
+        # so release the previous one here, before building.
+        gc.collect()
         env, net, ag_sites = sc03_showfloor(n_sites, env=env)
         self.env = env
         self.net = net

@@ -33,23 +33,40 @@ def slab_partition(n: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
+#: (shift, mask) steps spreading a 21-bit integer so that bit b lands at
+#: bit 3*b: each step moves the upper half of every bit group up by
+#: twice the group's width and masks off what the move smeared.
+_DILATE3 = (
+    (32, 0x001F00000000FFFF),
+    (16, 0x001F0000FF0000FF),
+    (8, 0x100F00F00F00F00F),
+    (4, 0x10C30C30C30C30C3),
+    (2, 0x1249249249249249),
+)
+
+
 def interleave_bits3(x: np.ndarray, y: np.ndarray, z: np.ndarray, bits: int) -> np.ndarray:
     """Interleave three ``bits``-bit integer arrays into Morton keys.
 
     Vectorized bit-dilation: each coordinate's bit *b* lands at position
-    ``3*b`` (x), ``3*b+1`` (y), ``3*b+2`` (z) of the key.
+    ``3*b`` (x), ``3*b+1`` (y), ``3*b+2`` (z) of the key.  A coordinate
+    that does not fit in ``bits`` bits is refused: dropping its high bits
+    would give two distinct cells one key.
     """
     if bits < 1 or bits > 21:
         raise SimulationError("bits must be in [1, 21] for 64-bit keys")
-    key = np.zeros(np.broadcast(x, y, z).shape, dtype=np.uint64)
-    x = np.asarray(x, dtype=np.uint64)
-    y = np.asarray(y, dtype=np.uint64)
-    z = np.asarray(z, dtype=np.uint64)
-    for b in range(bits):
-        bit = np.uint64(1) << np.uint64(b)
-        key |= ((x & bit) >> np.uint64(b)) << np.uint64(3 * b)
-        key |= ((y & bit) >> np.uint64(b)) << np.uint64(3 * b + 1)
-        key |= ((z & bit) >> np.uint64(b)) << np.uint64(3 * b + 2)
+    q = np.empty((3,) + np.broadcast(x, y, z).shape, dtype=np.uint64)
+    q[0], q[1], q[2] = x, y, z
+    if (q >> np.uint64(bits)).any():
+        raise SimulationError(f"coordinates must be below 2**{bits}")
+    spread = np.empty_like(q)
+    for shift, mask in _DILATE3:
+        np.left_shift(q, np.uint64(shift), out=spread)
+        np.bitwise_or(q, spread, out=q)
+        np.bitwise_and(q, np.uint64(mask), out=q)
+    key = q[0]
+    key |= q[1] << np.uint64(1)
+    key |= q[2] << np.uint64(2)
     return key
 
 

@@ -78,36 +78,44 @@ class CrowdSim(Simulation):
     def advance(self) -> None:
         targets = self.exhibits[self.goal]
         delta = targets - self.positions
-        dist = np.linalg.norm(delta, axis=1)
+        dist = np.sqrt(np.add.reduce(delta * delta, axis=1))
         arrived = dist < 1.0
 
         # Arrived agents dwell; when dwell expires they re-choose a goal.
         self.dwell[arrived] += 1
         expired = self.dwell >= self.dwell_steps
-        if np.any(expired):
-            self.goal[expired] = self._choose_goals(int(expired.sum()))
+        n_expired = np.count_nonzero(expired)
+        if n_expired:
+            self.goal[expired] = self._choose_goals(n_expired)
             self.dwell[expired] = 0
 
         moving = ~arrived
-        if np.any(moving):
+        n_moving = np.count_nonzero(moving)
+        if n_moving:
             step_dir = delta[moving] / dist[moving][:, None]
-            noise = 0.3 * self.rng.standard_normal((int(moving.sum()), 2))
+            noise = 0.3 * self.rng.standard_normal((n_moving, 2))
             self.positions[moving] += (
                 self.dt * self.speed * (step_dir + noise)
             )
         # Soft separation: agents repel within 0.5 m (grid-bucketed would
         # scale better; N is a few hundred so all-pairs is fine).
-        d = self.positions[:, None, :] - self.positions[None, :, :]
+        n = len(self.positions)
+        d = np.empty((n, n, 2))
+        for axis in range(2):
+            coord = self.positions[:, axis]
+            np.subtract(coord[:, None], coord, out=d[:, :, axis])
         r2 = np.einsum("ijk,ijk->ij", d, d)
-        np.fill_diagonal(r2, np.inf)
-        close = r2 < 0.25
-        if np.any(close):
-            push = np.where(close[..., None], d / np.maximum(r2, 1e-6)[..., None], 0.0)
-            self.positions += 0.01 * push.sum(axis=1)
+        r2.reshape(-1)[:: n + 1] = np.inf  # an agent does not repel itself
+        i, j = np.nonzero(r2 < 0.25)
+        if len(i):
+            # Only the close pairs push.  add.at accumulates them in (i, j)
+            # order from 0.0, as the dense sum over j did with its zeros for
+            # the far pairs (x + 0.0 is x), so the rounding is the same.
+            push = np.zeros((n, 2))
+            np.add.at(push, i, d[i, j] / np.maximum(r2[i, j], 1e-6)[:, None])
+            self.positions += 0.01 * push
         # Stay indoors.
-        w, h = self.floor
-        self.positions[:, 0] = np.clip(self.positions[:, 0], 0.0, w)
-        self.positions[:, 1] = np.clip(self.positions[:, 1], 0.0, h)
+        np.clip(self.positions, 0.0, self.floor, out=self.positions)
 
     # -- diagnostics -------------------------------------------------------
 

@@ -11,14 +11,23 @@ The Shan-Chen pseudo-potential coupling ``g`` between the two components
 above it they spontaneously demix and form the structures the
 visualization shows as isosurfaces of the order parameter.
 
-Implementation notes: fully vectorized over the lattice; streaming is
-``np.roll`` per velocity (periodic BCs exactly as the paper states);
-forcing uses the original Shan-Chen velocity shift.
+Implementation notes: all index arithmetic is done once per lattice
+shape (:class:`_LatticePlan`, shared by every simulation of that shape);
+a step is then a fixed sequence of whole-array calls on preallocated
+buffers.  Both components live in one ``(2, 19, N)`` block: streaming
+(periodic BCs exactly as the paper states) is one gather of the
+post-collision populations through precomputed flat indices; forcing,
+with the original Shan-Chen velocity shift, gathers the 18 shifted
+densities of the other component the same way.  Every floating-point
+operation, and the order of every order-sensitive accumulation, is that
+of the straightforward per-direction kernel kept in
+``tests/reference_numerics.py``; the results are byte-identical.
 """
 
 from __future__ import annotations
 
 from typing import Any
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -43,50 +52,72 @@ _W = np.array(
     dtype=np.float64,
 )
 _CS2 = 1.0 / 3.0
+_Q = len(_C)
 
-#: _C.T as float64, precomputed once — `_momentum` runs per step and the
-#: astype conversion is pure per-call overhead.
+#: ``_C`` as the two float64 matrices the step multiplies by: (3, 19) in
+#: Fortran order for the momentum and (19, 3) in C order for ``c_i . u``.
+#: ``np.dot`` hands BLAS the operand layouts it is given, and the bits of
+#: a product depend on them, so these layouts are part of the contract.
 _CF = _C.T.astype(np.float64)
+_CU = _C.astype(np.float64)
 
-_FULL = slice(None)
+#: (direction, axis, sign) of the 30 non-zero components of c_1..c_18, in
+#: the order the force accumulates them: direction-major, then axis.
+_FORCE_TERMS = tuple((i, a, int(_C[i, a])) for i in range(1, _Q) for a in range(3) if _C[i, a])
 
 
-def _roll_plan(shift: tuple[int, int, int]):
-    """Slice plan implementing ``np.roll(a, shift, axis=(0, 1, 2))``.
+class _LatticePlan:
+    """What stepping one lattice shape needs besides the populations:
+    gather indices and scratch buffers, shared by every simulation of
+    the shape (a fleet runs dozens on one).
 
-    ``np.roll`` spends ~10x the copy cost in per-call Python setup
-    (normalize_axis_tuple, index arithmetic) — brutal at fleet lattice
-    sizes, where a D3Q19 step issues 72 rolls of a few-KB array.  A roll
-    by ``s`` along one axis is exactly ``concatenate((a[-s:], a[:-s]))``,
-    element-identical, so the streaming/forcing results stay
-    bit-for-bit the same.
+    With ``N`` sites, populations are a raveled ``(2, 19, N)`` block and
+    densities a raveled ``(2, N)`` block.  ``stream`` (``2*19*N``) reads,
+    for component k and direction i, site ``x - c_i`` of population
+    ``(k, i)`` — the periodic ``np.roll`` by ``c_i``.  ``force``
+    (``18*2*N``, laid out ``(18, 2, N)``) reads, for direction i >= 1 and
+    component k, site ``x + c_i`` of the *other* component's density:
+    74 ``intp`` per site in all.  The scratch buffers carry nothing from
+    one step to the next, so simulations may share them as long as they
+    step one at a time — the DES kernel is single-threaded.
     """
-    plan = []
-    for ax, s in enumerate(shift):
-        if s:
-            head = (_FULL,) * ax + (slice(-s, None),)
-            tail = (_FULL,) * ax + (slice(None, -s),)
-            plan.append((ax, head, tail))
-    return tuple(plan)
+
+    __slots__ = (
+        "stream", "force", "rho", "rho_tot", "mom", "mom_b", "shifted", "acc",
+        "force_ops", "u", "usq", "cu", "feq", "__weakref__",
+    )  # fmt: skip
+
+    def __init__(self, shape: tuple[int, int, int]) -> None:
+        n = shape[0] * shape[1] * shape[2]
+        sites = np.arange(n, dtype=np.intp).reshape(shape)
+        shifts = [tuple(c) for c in _C.tolist()]
+        upstream = np.stack([np.roll(sites, c, axis=(0, 1, 2)).ravel() for c in shifts])
+        upstream += np.arange(_Q, dtype=np.intp)[:, None] * n
+        self.stream = np.concatenate((upstream, upstream + _Q * n), axis=None)
+        downstream = np.stack(
+            [np.roll(sites, tuple(-s for s in c), axis=(0, 1, 2)).ravel() for c in shifts[1:]]
+        )
+        self.force = np.stack((downstream + n, downstream), axis=1).ravel()
+
+        self.rho = np.empty((2, n))
+        self.rho_tot = np.empty(n)
+        self.mom = np.empty((3, n))
+        self.mom_b = np.empty((3, n))
+        self.shifted = np.empty((_Q - 1, 2, n))
+        self.acc = np.empty((3, 2, n))
+        # acc[a] (+|-)= shifted[i - 1], as views bound once
+        self.force_ops = tuple(
+            (np.add if sign > 0 else np.subtract, self.acc[a], self.shifted[i - 1])
+            for i, a, sign in _FORCE_TERMS
+        )
+        self.u = np.empty((2, 3, n))
+        self.usq = np.empty((2, n))
+        self.cu = np.empty((2, _Q, n))
+        self.feq = np.empty((2, _Q, n))
 
 
-#: direction index -> roll plans for streaming (+c_i) and forcing (-c_i)
-_STREAM_PLANS = tuple(_roll_plan(tuple(c)) for c in _C.tolist())
-_FORCE_PLANS = tuple(_roll_plan(tuple(-x for x in c)) for c in _C.tolist())
-
-
-def _roll(a: np.ndarray, plan) -> np.ndarray:
-    for ax, head, tail in plan:
-        a = np.concatenate((a[head], a[tail]), axis=ax)
-    return a
-
-
-def _equilibrium(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Second-order BGK equilibrium; rho (X,Y,Z), u (3,X,Y,Z) -> (19,X,Y,Z)."""
-    cu = np.tensordot(_C, u, axes=(1, 0)) / _CS2  # (19, X, Y, Z)
-    usq = np.sum(u * u, axis=0) / (2.0 * _CS2)
-    feq = rho[None] * _W[:, None, None, None] * (1.0 + cu + 0.5 * cu**2 - usq[None])
-    return feq
+#: shape -> plan, for as long as a simulation of that shape is alive
+_PLANS: WeakValueDictionary[tuple[int, int, int], _LatticePlan] = WeakValueDictionary()
 
 
 class LatticeBoltzmann3D(Simulation):
@@ -132,79 +163,108 @@ class LatticeBoltzmann3D(Simulation):
         rng = np.random.default_rng(seed)
         noise = perturbation * rng.standard_normal((2,) + self.shape)
         # Component densities start near rho0/2 each with a random perturbation.
-        rho_r = 0.5 * rho0 * (1.0 + noise[0])
-        rho_b = 0.5 * rho0 * (1.0 - noise[0] + 0.2 * noise[1])
-        zero_u = np.zeros((3,) + self.shape)
-        self.f_r = _equilibrium(rho_r, zero_u)
-        self.f_b = _equilibrium(rho_b, zero_u)
+        rho = np.empty((2,) + self.shape)
+        rho[0] = 0.5 * rho0 * (1.0 + noise[0])
+        rho[1] = 0.5 * rho0 * (1.0 - noise[0] + 0.2 * noise[1])
+        # Equilibrium at rest: with u = 0 the velocity bracket is exactly
+        # 1.0, so f_i = rho * w_i.  Populations of red (0) and blue (1) are
+        # one (2, 19, N) block; f_r / f_b are views of its halves.
+        self._pop = rho.reshape(2, 1, -1) * _W[:, None]
+        self._plan: _LatticePlan | None = None  # bound on the first step
 
     # -- physics ------------------------------------------------------------
 
-    @staticmethod
-    def _density(f: np.ndarray) -> np.ndarray:
-        return f.sum(axis=0)
+    @property
+    def f_r(self) -> np.ndarray:
+        """Red populations ``(19, X, Y, Z)`` — a view, writable in place."""
+        return self._pop[0].reshape((_Q,) + self.shape)
 
-    @staticmethod
-    def _momentum(f: np.ndarray) -> np.ndarray:
-        return np.tensordot(_CF, f, axes=(1, 0))
+    @f_r.setter
+    def f_r(self, value: np.ndarray) -> None:
+        self._pop[0] = self._as_populations(value)
 
-    def _shan_chen_force(self, rho_other: np.ndarray) -> np.ndarray:
-        """Force on one component from the other's density field.
+    @property
+    def f_b(self) -> np.ndarray:
+        """Blue populations ``(19, X, Y, Z)`` — a view, writable in place."""
+        return self._pop[1].reshape((_Q,) + self.shape)
 
-        F(x) = -g * psi(x) * sum_i w_i psi(x + c_i) c_i with psi = rho.
-        Returns the *acceleration-like* field (3, X, Y, Z) before the
-        psi(x) factor, which the caller applies per component.
+    @f_b.setter
+    def f_b(self, value: np.ndarray) -> None:
+        self._pop[1] = self._as_populations(value)
 
-        The per-axis term is ``w_i * shifted * c_ia`` with c_ia in
-        {-1, 0, 1}; multiplying by +-1.0 is exact in IEEE arithmetic, so
-        computing ``w_i * shifted`` once and adding/subtracting it keeps
-        the accumulation bit-identical while dropping two-thirds of the
-        array multiplies.
-        """
-        acc = np.zeros((3,) + self.shape)
-        for i in range(1, len(_C)):
-            shifted = _roll(rho_other, _FORCE_PLANS[i])
-            weighted = _W[i] * shifted
-            ci = _C[i]
-            for a in range(3):
-                c = ci[a]
-                if c > 0:
-                    acc[a] += weighted
-                elif c < 0:
-                    acc[a] -= weighted
-        return -self.g * acc
+    def _as_populations(self, value: Any) -> np.ndarray:
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != (_Q,) + self.shape:
+            raise SteeringError(
+                f"populations must have shape {(_Q,) + self.shape}, got {value.shape}"
+            )
+        return value.reshape(_Q, -1)
 
     def advance(self) -> None:
-        rho_r = self._density(self.f_r)
-        rho_b = self._density(self.f_b)
-        mom = self._momentum(self.f_r) + self._momentum(self.f_b)
-        rho_tot = rho_r + rho_b
-        u_common = mom / rho_tot[None]
+        w = self._plan
+        if w is None:
+            w = _PLANS.get(self.shape)
+            if w is None:
+                w = _PLANS[self.shape] = _LatticePlan(self.shape)
+            self._plan = w
+        pop, rho, mom, u, cu, feq = self._pop, w.rho, w.mom, w.u, w.cu, w.feq
+
+        np.add.reduce(pop, axis=1, out=rho)
+        np.dot(_CF, pop[0], out=mom)
+        np.dot(_CF, pop[1], out=w.mom_b)
+        np.add(mom, w.mom_b, out=mom)
+        np.add(rho[0], rho[1], out=w.rho_tot)
+        np.divide(mom, w.rho_tot, out=mom)  # common velocity u'
 
         # Shan-Chen inter-component forcing via equilibrium velocity shift:
         # u_eq_sigma = u' + tau * F_sigma / rho_sigma.  With psi = rho the
         # local-density factor of F cancels against 1/rho, so the
-        # acceleration is just -g * sum_i w_i rho_other(x + c_i) c_i.
-        acc_r = self._shan_chen_force(rho_b)  # felt by red, sourced by blue
-        acc_b = self._shan_chen_force(rho_r)
-        u_r = u_common + self.tau * acc_r
-        u_b = u_common + self.tau * acc_b
+        # acceleration is just -g * sum_i w_i rho_other(x + c_i) c_i.  The
+        # per-axis term is w_i * shifted * c_ia with c_ia in {-1, 0, 1};
+        # multiplying by +-1.0 is exact, so w_i * shifted is computed once
+        # and added or subtracted.  Floating-point addition does not
+        # associate: the 30 terms are accumulated in _FORCE_TERMS order.
+        rho.reshape(-1).take(w.force, out=w.shifted.reshape(-1), mode="clip")
+        np.multiply(w.shifted, _W[1:, None, None], out=w.shifted)
+        w.acc.fill(0.0)
+        for op, acc_axis, weighted in w.force_ops:
+            op(acc_axis, weighted, out=acc_axis)
+        np.multiply(w.acc.transpose(1, 0, 2), -self.g, out=u)
+        np.multiply(u, self.tau, out=u)
+        np.add(u, mom, out=u)
 
-        omega = 1.0 / self.tau
-        self.f_r += omega * (_equilibrium(rho_r, u_r) - self.f_r)
-        self.f_b += omega * (_equilibrium(rho_b, u_b) - self.f_b)
+        # Second-order BGK equilibrium of both components, then relaxation:
+        # feq = rho * w_i * (1 + cu + cu^2 / 2 - usq), cu = c_i.u / cs^2.
+        np.dot(_CU, u[0], out=cu[0])
+        np.dot(_CU, u[1], out=cu[1])
+        np.divide(cu, _CS2, out=cu)
+        np.multiply(u, u, out=u)
+        np.add.reduce(u, axis=1, out=w.usq)
+        np.divide(w.usq, 2.0 * _CS2, out=w.usq)
+        np.multiply(cu, cu, out=feq)
+        np.multiply(feq, 0.5, out=feq)
+        np.add(cu, 1.0, out=cu)
+        np.add(cu, feq, out=cu)
+        np.subtract(cu, w.usq[:, None, :], out=cu)
+        np.multiply(rho[:, None, :], _W[:, None], out=feq)
+        np.multiply(feq, cu, out=feq)
+        np.subtract(feq, pop, out=feq)
+        np.multiply(feq, 1.0 / self.tau, out=feq)
+        np.add(pop, feq, out=cu)  # post-collision populations
 
-        # Streaming with periodic boundary conditions.
-        f_r, f_b = self.f_r, self.f_b
-        for i in range(1, len(_C)):
-            plan = _STREAM_PLANS[i]
-            f_r[i] = _roll(f_r[i], plan)
-            f_b[i] = _roll(f_b[i], plan)
+        # Streaming with periodic boundary conditions, back into the block.
+        cu.reshape(-1).take(w.stream, out=pop.reshape(-1), mode="clip")
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A copy or pickle must not duplicate the shared plan (and would
+        # sever the views inside it): the copy binds the shared one itself.
+        return {**self.__dict__, "_plan": None}
 
     # -- fields and diagnostics ----------------------------------------------
 
     def densities(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._density(self.f_r), self._density(self.f_b)
+        rho = self._pop.sum(axis=1).reshape((2,) + self.shape)
+        return rho[0], rho[1]
 
     def order_parameter(self) -> np.ndarray:
         """phi = (rho_r - rho_b) / (rho_r + rho_b) in [-1, 1]."""
@@ -279,10 +339,12 @@ class LatticeBoltzmann3D(Simulation):
     def restore(self, state: dict[str, Any]) -> None:
         if tuple(state["shape"]) != self.shape:
             raise SteeringError("checkpoint lattice shape mismatch")
+        f_r = self._as_populations(state["f_r"])
+        f_b = self._as_populations(state["f_b"])
         self.g = state["g"]
         self.tau = state["tau"]
         self.rho0 = state["rho0"]
         self.time = state["time"]
         self.step_count = state["step_count"]
-        self.f_r = state["f_r"].copy()
-        self.f_b = state["f_b"].copy()
+        self._pop[0] = f_r
+        self._pop[1] = f_b

@@ -14,7 +14,7 @@ diagnostics.
 """
 
 from repro.sims.pepc.tree import Octree, build_octree
-from repro.sims.pepc.force import direct_field, tree_field, interaction_energy
+from repro.sims.pepc.force import direct_field, direct_force, tree_field, interaction_energy
 from repro.sims.pepc.integrator import PlasmaSim, beam_on_sphere_setup
 from repro.sims.pepc.domain import assign_domains
 from repro.sims.pepc.diagnostics import kinetic_energy, total_momentum, tree_stats
@@ -24,6 +24,7 @@ __all__ = [
     "Octree",
     "build_octree",
     "direct_field",
+    "direct_force",
     "tree_field",
     "interaction_energy",
     "PlasmaSim",

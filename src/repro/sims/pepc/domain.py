@@ -34,13 +34,15 @@ def assign_domains(
     hi = positions.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
     owner, lists = morton_partition(positions, nranks, lo, lo + span)
-    boxes = np.zeros((nranks, 2, 3))
-    centre = 0.5 * (lo + hi)
-    for r, idx in enumerate(lists):
-        if len(idx) == 0:
-            boxes[r, 0] = centre
-            boxes[r, 1] = centre
-        else:
-            boxes[r, 0] = positions[idx].min(axis=0)
-            boxes[r, 1] = positions[idx].max(axis=0)
+    # The block distribution gives earlier ranks the remainder, so the
+    # ranks that own particles come first; their bounding boxes are one
+    # segmented min/max over the particles in curve order.
+    sizes = [len(idx) for idx in lists]
+    owning = sum(1 for size in sizes if size)
+    starts = np.cumsum([0] + sizes[: owning - 1])
+    along_curve = positions[np.concatenate(lists)]
+    boxes = np.empty((nranks, 2, 3))
+    boxes[:owning, 0] = np.minimum.reduceat(along_curve, starts, axis=0)
+    boxes[:owning, 1] = np.maximum.reduceat(along_curve, starts, axis=0)
+    boxes[owning:] = 0.5 * (lo + hi)
     return owner, boxes

@@ -22,6 +22,53 @@ from repro.errors import SimulationError
 from repro.sims.pepc.tree import Octree
 
 
+def _direct_sum(
+    positions: np.ndarray,
+    charges: np.ndarray,
+    eps: float,
+    targets: np.ndarray | None,
+    exclude_self: bool,
+    chunk: int,
+    want_phi: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one pairwise kernel behind :func:`direct_field` and
+    :func:`direct_force`; ``phi`` is built only when asked for."""
+    positions = np.asarray(positions, dtype=np.float64)
+    charges = np.asarray(charges, dtype=np.float64)
+    if eps <= 0:
+        raise SimulationError("softening eps must be positive")
+    if chunk < 1:
+        raise SimulationError("chunk must be >= 1")
+    self_targets = targets is None
+    tgt = positions if self_targets else np.asarray(targets, dtype=np.float64)
+    n_t, n_s = len(tgt), len(positions)
+    skip_self = self_targets and exclude_self
+    E = np.empty((n_t, 3))
+    phi = np.empty(n_t) if want_phi else None
+    eps2 = eps * eps
+    for start in range(0, n_t, chunk):
+        stop = min(start + chunk, n_t)
+        # d[i, j] = tgt[start + i] - positions[j], one axis at a time: a
+        # single broadcast subtraction iterates over the length-3 axis.
+        d = np.empty((stop - start, n_s, 3))
+        for axis in range(3):
+            np.subtract(tgt[start:stop, axis, None], positions[:, axis], out=d[:, :, axis])
+        r2 = np.einsum("ijk,ijk->ij", d, d) + eps2
+        inv_r = 1.0 / np.sqrt(r2)
+        inv_r3 = inv_r / r2
+        w = charges * inv_r3  # (c, N)
+        if skip_self:
+            # the i == j pairs of this chunk are a strided diagonal of w
+            w.reshape(-1)[start :: n_s + 1][: stop - start] = 0.0
+        E[start:stop] = np.einsum("ij,ijk->ik", w, d)
+        if want_phi:
+            pw = charges * inv_r
+            if skip_self:
+                pw.reshape(-1)[start :: n_s + 1][: stop - start] = 0.0
+            phi[start:stop] = pw.sum(axis=1)
+    return E, phi
+
+
 def direct_field(
     positions: np.ndarray,
     charges: np.ndarray,
@@ -35,32 +82,15 @@ def direct_field(
     Chunked over targets to bound memory at ``chunk * N`` pair entries.
     ``exclude_self`` skips the i == j pair when targets are the sources.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    charges = np.asarray(charges, dtype=np.float64)
-    if eps <= 0:
-        raise SimulationError("softening eps must be positive")
-    self_targets = targets is None
-    tgt = positions if self_targets else np.asarray(targets, dtype=np.float64)
-    n_t = len(tgt)
-    E = np.zeros((n_t, 3))
-    phi = np.zeros(n_t)
-    eps2 = eps * eps
-    for start in range(0, n_t, chunk):
-        stop = min(start + chunk, n_t)
-        d = tgt[start:stop, None, :] - positions[None, :, :]  # (c, N, 3)
-        r2 = np.einsum("ijk,ijk->ij", d, d) + eps2
-        inv_r = 1.0 / np.sqrt(r2)
-        inv_r3 = inv_r / r2
-        w = charges[None, :] * inv_r3  # (c, N)
-        if self_targets and exclude_self:
-            idx = np.arange(start, stop)
-            w[np.arange(stop - start), idx] = 0.0
-        E[start:stop] = np.einsum("ij,ijk->ik", w, d)
-        pw = charges[None, :] * inv_r
-        if self_targets and exclude_self:
-            pw[np.arange(stop - start), np.arange(start, stop)] = 0.0
-        phi[start:stop] = pw.sum(axis=1)
-    return E, phi
+    return _direct_sum(positions, charges, eps, targets, exclude_self, chunk, True)
+
+
+def direct_force(
+    positions: np.ndarray, charges: np.ndarray, eps: float = 0.05, chunk: int = 256
+) -> np.ndarray:
+    """``direct_field(positions, charges, eps)[0]`` without building the
+    potential — what a time step needs."""
+    return _direct_sum(positions, charges, eps, None, True, chunk, False)[0]
 
 
 def tree_field(

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import SteeringError
 from repro.sims.base import Simulation
 from repro.sims.pepc.domain import assign_domains
-from repro.sims.pepc.force import direct_field, tree_field
+from repro.sims.pepc.force import direct_force, tree_field
 from repro.sims.pepc.tree import build_octree
 
 
@@ -149,7 +149,7 @@ class PlasmaSim(Simulation):
             E, _phi, stats = tree_field(tree, theta=self.theta, eps=self.eps)
             self.last_force_stats = stats
         else:
-            E, _phi = direct_field(self.positions, q, eps=self.eps)
+            E = direct_force(self.positions, q, eps=self.eps)
             self.last_force_stats = {"direct_interactions": len(q) * (len(q) - 1)}
         accel = (q[:, None] * E) / self.masses[:, None]
         if self.laser_intensity != 0.0:

@@ -10,6 +10,7 @@ diagnostics), an optional numeric range, and a current value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -35,8 +36,28 @@ class ParameterDef:
                 raise SteeringError(f"{self.name}: minimum exceeds maximum")
 
     def validate(self, value: Any) -> None:
-        """Range-check scalar values; arrays/vectors pass through."""
-        if isinstance(value, (int, float, np.floating, np.integer)):
+        """A steered value is a finite real number or an array of them
+        (not a bool, string, ``None`` or mapping); scalars are also
+        range-checked.
+
+        Control messages arrive off the wire, and every range check a
+        simulation makes is false for a NaN — it would be acknowledged
+        and then poison the run.
+        """
+        if type(value) is float:  # what the wire codec delivers
+            finite, scalar = isfinite(value), True
+        else:
+            try:
+                arr = np.asarray(value)
+                finite = arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
+            except ValueError:  # ragged nesting
+                finite = False
+            scalar = finite and arr.ndim == 0
+        if not finite:
+            raise SteeringError(
+                f"{self.name}={value!r:.80} is not a finite real number or an array of them"
+            )
+        if scalar:
             if self.minimum is not None and value < self.minimum:
                 raise SteeringError(
                     f"{self.name}={value} below minimum {self.minimum}"
@@ -91,7 +112,12 @@ class ParameterRegistry:
         if d.kind != "steered":
             raise SteeringError(f"parameter {name!r} is monitored (read-only)")
         d.validate(value)
-        self._setters[name](value)
+        try:
+            self._setters[name](value)
+        except (TypeError, ValueError) as exc:
+            # e.g. a list for a scalar: the application's own conversion
+            # refused the value before assigning anything
+            raise SteeringError(f"{name}: cannot apply {value!r:.80}: {exc}") from exc
 
     def snapshot(self) -> dict[str, Any]:
         """Current values of every registered parameter."""

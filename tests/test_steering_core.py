@@ -147,6 +147,74 @@ def test_bad_set_param_reports_error_not_crash():
     assert app.sim.g == 0.5  # unchanged
 
 
+NAN, INF = float("nan"), float("inf")
+
+#: sim kind -> (scalar steered parameters, array steered parameters)
+STEERED = {
+    "lb3d": (("g", "tau"), ()),
+    "pepc": (
+        ("beam_charge_scale", "laser_intensity", "damping"),
+        ("beam_direction", "laser_direction"),
+    ),
+    "building": (("vent_speed", "vent_temperature", "heat_load"), ()),
+    "crowd": ((), ("attractiveness",)),
+}
+HOSTILE_SCALARS = ("abc", None, [1.0], {"v": 1.0}, True, NAN, INF, -INF, 10**400, 1 + 2j)
+HOSTILE_ARRAYS = (
+    "abc", None, {"v": 1.0}, [NAN, 1.0, 1.0], [1.0, -INF, 1.0], [1.0, [2.0], 1.0],
+    [True, False, True], ["a", "b", "c"], [1.0, 1.0], 2.0,
+)  # fmt: skip
+
+
+@pytest.mark.parametrize("kind", sorted(STEERED))
+def test_hostile_set_param_values_are_error_acks_on_every_sim(kind):
+    from repro.fleet.spec import ScenarioSpec, make_sim
+
+    app = SteeredApplication(make_sim(kind, seed=1), name=kind)
+    pipe = SyncPipe()
+    app.attach_control(pipe.a)
+    client = SteeringClient(pipe.b)
+    scalars, arrays = STEERED[kind]
+    assert set(scalars) | set(arrays) == set(app.registry.names("steered"))
+    before = encode(app.sim.steerable_parameters())
+    attempts = [(n, v) for n in scalars for v in HOSTILE_SCALARS]
+    attempts += [(n, v) for n in arrays for v in HOSTILE_ARRAYS]
+    for name, value in attempts:
+        seq = client.set_parameter(name, value)
+        assert app.process_control() == 0, (name, value)  # and did not raise
+        client.drain()
+        ack = client.ack_for(seq)
+        assert ack is not None and not ack.ok and name in ack.error, (name, value)
+        assert encode(app.sim.steerable_parameters()) == before, (name, value)
+    # the loop is alive and the numbers are clean long after
+    for _ in range(40):
+        assert app.step_once()
+    assert all(np.isfinite(v) for v in app.sim.observables().values())
+    # a finite value is applied exactly as before
+    spec = ScenarioSpec(name="s", sim=kind)
+    seq = client.set_parameter(spec.steer_param, spec.steer_value(0))
+    assert app.process_control() == 1
+    client.drain()
+    assert client.ack_for(seq).ok
+    assert np.array_equal(app.registry.get(spec.steer_param), spec.steer_value(0))
+
+
+def test_registry_turns_a_setter_conversion_failure_into_a_steering_error():
+    store = {"x": 1.0}
+
+    def setter(value):
+        store["x"] = float(value)  # float([2.0]) is a TypeError
+
+    reg = ParameterRegistry()
+    reg.register(ParameterDef("x"), getter=lambda: store["x"], setter=setter)
+    with pytest.raises(SteeringError, match="x: cannot apply"):
+        reg.set("x", [2.0])
+    assert store["x"] == 1.0
+    reg.set("x", np.float32(2.5))  # numpy reals and plain ints are still numbers
+    reg.set("x", 3)
+    assert store["x"] == 3.0
+
+
 def test_pause_resume_stop_lifecycle():
     app = make_app()
     pipe = SyncPipe()

@@ -120,4 +120,4 @@ class VicViewer:
         link = renderer.host.network.link(self.host.name, renderer.host.name)
         deliver_at = link.reserve(128, env.now)
         ev = env.timeout(deliver_at - env.now)
-        ev.callbacks.append(lambda _e: renderer.event_mailbox.put(dict(event)))
+        ev.callbacks.append(lambda _e: renderer.event_mailbox.put_nowait(dict(event)))

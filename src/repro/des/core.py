@@ -22,13 +22,10 @@ Hot-path notes (the fleet pushes millions of events through this file)
 * Every event class carries ``__slots__``: the kernel allocates one event
   per timeout/park/resume, and instance dicts double both the allocation
   cost and the memory traffic.
-* :meth:`Environment.timeout` recycles retired :class:`Timeout` objects
-  through a small free pool.  The dominant pattern — a process yields a
-  bare timeout and is resumed by it — leaves the event unreachable the
-  moment the process resumes, so :meth:`Environment.step` returns it to
-  the pool instead of the garbage collector.  Only timeouts whose single
-  callback was a process resume are recycled; anything a condition, a
-  delivery lambda, or user code might still hold is left alone.
+* :meth:`Environment.timeout` builds its :class:`Timeout` without the
+  constructor chain (``__new__`` plus five slot stores) and pushes it
+  itself; every timeout is a fresh object, so one a caller still holds
+  keeps its post-processing Event API.
 * :meth:`Process.interrupt` does not remove the stale resume callback
   from the abandoned target (an O(n) ``list.remove``); it clears the
   process's ``_target`` and :meth:`Process._resume` drops events that are
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -52,10 +48,6 @@ _PENDING = object()
 #: (process initialization, interrupts).
 URGENT = 0
 NORMAL = 1
-
-#: Upper bound on the recycled-timeout pool; beyond this, retired
-#: timeouts go to the garbage collector like any other object.
-_TIMEOUT_POOL_MAX = 4096
 
 
 class Event:
@@ -259,11 +251,6 @@ class Process(Event):
         env._active_process = None
 
 
-#: ``Process._resume`` unbound, used by the recycler to recognise
-#: retire-on-resume timeouts without touching attribute machinery.
-_PROCESS_RESUME = Process._resume
-
-
 class Condition(Event):
     """Composite event over several sub-events (base for AnyOf/AllOf).
 
@@ -346,10 +333,12 @@ class Environment:
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._pending_failures: deque[BaseException] = deque()
-        #: retired Timeout objects awaiting reuse (see module docstring)
-        self._timeout_pool: list[Timeout] = []
         #: total events processed since construction (benching)
         self.events_processed = 0
+        #: slot for :func:`repro.steering.api.parked_tick`: the park counter
+        #: and open shared wakes of this world's parked poll loops, kept
+        #: here so that state lives and dies with the environment
+        self.parking: Any = None
         #: optional zero-arg pacing hook fired whenever an event is
         #: scheduled through :meth:`_enqueue` — process initialization,
         #: ``succeed``/``fail`` and plain :class:`Timeout` construction,
@@ -357,7 +346,7 @@ class Environment:
         #: slices) uses to inject work.  A paced wall-clock driver
         #: (:mod:`repro.live.pacing`) installs its waker here so a sleep
         #: until the *previous* next-event time is cut short when new,
-        #: earlier work arrives.  The recycled-timeout fast paths
+        #: earlier work arrives.  The timeout fast paths
         #: (:meth:`timeout` / :meth:`timeout_until`) deliberately skip
         #: the hook: they are only reachable from processes already
         #: running inside ``step()``, while the pacer is awake.
@@ -379,24 +368,17 @@ class Environment:
         return Event(self)
 
     def _fresh_timeout(self, value: Any) -> Timeout:
-        """An unscheduled Timeout from the recycle pool (or a new one)."""
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev._value = value
-            ev.defused = False
-        else:
-            ev = Timeout.__new__(Timeout)
-            ev.env = self
-            ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev.defused = False
+        """An unscheduled Timeout (``Timeout.__init__`` would schedule it)."""
+        ev = Timeout.__new__(Timeout)
+        ev.env = self
+        ev.callbacks = []
+        ev._value = value
+        ev._ok = True
+        ev.defused = False
         return ev
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A timeout ``delay`` from now, drawn from the recycle pool."""
+        """A timeout ``delay`` from now."""
         if not delay >= 0:  # also refuses NaN
             raise SimulationError(f"negative timeout delay {delay!r}")
         ev = self._fresh_timeout(value)
@@ -452,6 +434,8 @@ class Environment:
         self.now = time
         callbacks = event.callbacks
         event.callbacks = None
+        # walked live, not copied: a callback may reorder the ones behind
+        # it (the shared wake of parked poll loops, steering.api, does)
         for cb in callbacks:
             cb(event)
         self.events_processed += 1
@@ -460,23 +444,6 @@ class Environment:
         pending = self._pending_failures
         if pending:
             raise pending.popleft()
-        # Recycle the dominant delay-then-resume pattern: a timeout whose
-        # only watcher was a process resume is unreachable once that
-        # process moved on, so hand it back to the pool.
-        if (
-            type(event) is Timeout
-            and len(callbacks) == 1
-            and getattr(callbacks[0], "__func__", None) is _PROCESS_RESUME
-            and getrefcount(event) == 2
-        ):
-            # The refcount guard (2 = this frame's local + getrefcount's
-            # argument) proves nothing else — a generator frame, a
-            # condition, user code — still holds the object, so a held
-            # timeout keeps its documented post-processing Event API
-            # instead of being reused under the holder's feet.
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_MAX:
-                pool.append(event)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the schedule drains, a deadline, or an event triggers.

@@ -35,7 +35,8 @@ class Store:
 
     ``put(item)`` and ``get()`` return events; processes yield them.  With
     infinite capacity (the default) puts succeed immediately, which is the
-    common case for message mailboxes.
+    common case for message mailboxes; a sender that will not wait on the
+    put calls ``put_nowait(item)`` and schedules nothing.
     """
 
     __slots__ = ("env", "capacity", "items", "_put_waiters", "_get_waiters")
@@ -57,6 +58,23 @@ class Store:
         self._put_waiters.append(ev)
         self._dispatch()
         return ev
+
+    def put_nowait(self, item: Any) -> None:
+        """Event-free put for fire-and-forget deliveries.
+
+        Same item order and same served getter as :meth:`put`, minus the
+        :class:`StorePut` event — which a sender that never yields it
+        only pays the kernel to pop.  A bounded store that is full (or
+        already has parked putters) cannot take the item now, so it
+        queues an ordinary ``put``.
+        """
+        if self._put_waiters or len(self.items) >= self.capacity:
+            self.put(item)
+        elif self._get_waiters:
+            # a getter only waits while ``items`` is empty
+            self._get_waiters.popleft().succeed(item)
+        else:
+            self.items.append(item)
 
     def get(self) -> StoreGet:
         ev = StoreGet(self)

@@ -105,6 +105,13 @@ class ScenarioSpec:
         for key, value in vars(self).items():
             if isinstance(value, float) and not isfinite(value):
                 raise SteeringError(f"spec {self.name!r}: {key} must be finite, got {value!r}")
+        # JSON also hands 1.5 and true to the fields that reach range(), a
+        # modulus or an RNG seed long after admission: those are exact
+        # ints here, never floats or bools.
+        for key in ("participants", "steps", "sample_interval", "seed"):
+            value = getattr(self, key)
+            if type(value) is not int and not (key == "steps" and value is None):
+                raise SteeringError(f"spec {self.name!r}: {key} must be an int, got {value!r}")
         if self.sim not in SIM_KINDS:
             raise SteeringError(f"spec {self.name!r}: unknown sim kind {self.sim!r}")
         if self.profile not in PROFILES:

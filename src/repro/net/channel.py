@@ -124,7 +124,7 @@ class Connection:
         self.messages_sent += 1
         peer_inbox = self.peer.inbox
         ev = env.timeout(deliver_at - env.now)
-        ev.callbacks.append(lambda _ev: peer_inbox.put(pkt.payload))
+        ev.callbacks.append(lambda _ev: peer_inbox.put_nowait(pkt.payload))
         return deliver_at
 
     # -- receiving -----------------------------------------------------------
@@ -176,7 +176,7 @@ class Connection:
             deliver_at = link.reserve(CTRL_SIZE, env.now)
             peer_inbox = self.peer.inbox
             ev = env.timeout(deliver_at - env.now)
-            ev.callbacks.append(lambda _ev: peer_inbox.put(_CLOSED))
+            ev.callbacks.append(lambda _ev: peer_inbox.put_nowait(_CLOSED))
 
     def __repr__(self) -> str:
         return (
@@ -211,7 +211,7 @@ class Listener:
         self.host.close_port(self.port)
 
     def _enqueue(self, conn: Connection) -> None:
-        self._backlog.put(conn)
+        self._backlog.put_nowait(conn)
 
     def __repr__(self) -> str:
         return f"Listener({self.host.name}:{self.port})"

@@ -71,7 +71,7 @@ class MulticastGroup:
             link.transfers += 1
             delay = (sent_at - env.now) + link.latency
             ev = env.timeout(delay)
-            ev.callbacks.append(lambda _ev, b=box: b.put(pkt.payload))
+            ev.callbacks.append(lambda _ev, b=box: b.put_nowait(pkt.payload))
 
 
 class UnicastBridge:
@@ -128,4 +128,4 @@ class UnicastBridge:
                 link = network.link(self.bridge_host.name, name)
                 deliver_at = link.reserve(pkt.size, env.now)
                 ev = env.timeout(deliver_at - env.now)
-                ev.callbacks.append(lambda _ev, b=box: b.put(pkt.payload))
+                ev.callbacks.append(lambda _ev, b=box: b.put_nowait(pkt.payload))

@@ -18,6 +18,7 @@ from typing import Any, Optional
 
 from repro.errors import OgsaError
 from repro.ogsa.service import GridService, operation
+from repro.steering.api import parked_tick
 from repro.steering.control import (
     Ack,
     CheckpointCmd,
@@ -63,11 +64,10 @@ class SteeringService(GridService):
         # The pump's poll cadence is observable: processing an ack chains
         # straight into the service reply and its link reservation, so
         # pumps sharing a poll instant must keep their stable relative
-        # order.  It therefore polls (no event-saving parking) while the
-        # application lives — but exits once the application acked Stop,
-        # because its control loop has returned and the link is silent
-        # forever after; polling to the run deadline would only burn
-        # events.
+        # order.  An idle pump therefore parks through ``parked_tick``,
+        # which wakes it on its 0.01 s grid in polling order — and it
+        # exits once the application acked Stop, because its control
+        # loop has returned and the link is silent forever after.
         env = self.env
         link = self.app_link
         poll = link.poll
@@ -105,7 +105,7 @@ class SteeringService(GridService):
             elif app_done:
                 return
             else:
-                yield env.timeout(0.01)
+                yield from parked_tick(env, link, 0.01)
 
     def _command(self, msg, wants_status: bool = False):
         """Generator -> Ack/StatusReport: send a command, await its reply."""

@@ -55,7 +55,6 @@ class VisualizationService(GridService):
         env = self.env
         link = self.sample_link
         poll = link.poll
-        can_park = hasattr(link, "arrival")
         while True:
             progressed = False
             while True:
@@ -72,10 +71,8 @@ class VisualizationService(GridService):
             # events — virtual-time behaviour is identical (parked_tick).
             if progressed:
                 yield env.timeout(0.0)
-            elif can_park:
-                yield from parked_tick(env, link, 0.01)
             else:
-                yield env.timeout(0.01)
+                yield from parked_tick(env, link, 0.01)
 
     # -- operations ------------------------------------------------------------
 

@@ -1,10 +1,14 @@
-"""Perf regression gate: fail CI when the fleet-scaling wall regresses.
+"""Perf regression gate: fail CI when the fleet-scaling run regresses.
 
 Re-runs the canonical fleet-scaling scenario at one size through the
-unified runner and compares wall-clock against the committed
-``benchmarks/BENCH_fleet_scaling.json`` baseline.  A run slower than
-``baseline * (1 + threshold)`` exits non-zero — nothing can silently
-give the kernel speedup back.
+unified runner and compares it against the committed
+``benchmarks/BENCH_fleet_scaling.json`` baseline.  The sharp check is a
+count: the kernel's ``events_processed`` is exact and repeats on every
+machine, so a run that needs even one event more than the baseline's
+exits non-zero — an idle loop that starts polling again cannot hide in
+timing noise.  The wall check stays as a coarse backstop: one sample,
+so only a run slower than ``baseline * (1 + threshold)`` fails (wall
+claims belong to alternated ``python3 -m bench.run`` pairs).
 
 Correctness is gated too: the run must complete every session with the
 baseline's op count, so a "speedup" that drops work cannot pass.
@@ -72,14 +76,19 @@ def check(
             f"(has {sorted(results)})"
         )
     base = results[key]
+    if "events" not in base:
+        return False, (
+            f"baseline {baseline_path} has no event count for {sessions} sessions "
+            "— regenerate BENCH_fleet_scaling.json"
+        )
     base_wall = base["wall_seconds"]
     report, wall, events = run_fleet(sessions)
 
     lines = [
         f"fleet_scaling @ {sessions}: wall {wall:.2f}s vs baseline "
         f"{base_wall:.2f}s (limit {base_wall * (1 + threshold):.2f}s, "
-        f"threshold +{threshold:.0%}), {events} events "
-        f"({events / wall:,.0f}/s)"
+        f"threshold +{threshold:.0%}), {events} events vs baseline "
+        f"{base['events']} ({events / wall:,.0f}/s)"
     ]
     ok = True
     if report.completed != base["completed"] or report.ops != base["ops"]:
@@ -87,6 +96,12 @@ def check(
         lines.append(
             f"FAIL: workload drifted — completed {report.completed} vs "
             f"{base['completed']}, ops {report.ops} vs {base['ops']}"
+        )
+    if events > base["events"]:
+        ok = False
+        lines.append(
+            f"FAIL: {events - base['events']} more kernel events than the "
+            f"baseline's {base['events']} for the same work"
         )
     if wall > base_wall * (1 + threshold):
         ok = False

@@ -15,6 +15,7 @@ and gives it the RealityGrid/VISIT application surface:
 
 from __future__ import annotations
 
+from functools import cmp_to_key, partial
 from typing import Any, Optional
 
 from repro.errors import SteeringError
@@ -69,6 +70,68 @@ class LinkAdapter:
         self._conn.inbox.items.appendleft(item)
 
 
+def _poll_order(a: tuple, b: tuple, tick: float) -> float:
+    """Which of two pollers ``(park instant, ticks to the wake, park
+    ordinal)`` waking at one instant the polling loop fires first
+    (negative: ``a``).
+
+    A polling loop's wake-up is a timeout created at its previous round,
+    so two loops meeting at an instant fire in the order of their
+    previous rounds, and so on back: ``fl(x + tick)`` is monotone in
+    ``x``, so grids that meet were never ordered the other way at any
+    earlier common round.  The earliest one is the later poller's park
+    instant: step the earlier-parked grid to that round (it has the
+    larger tick count) and compare.  On an exact tie both polled at one
+    instant, the later one behind a ``timeout(0.0)`` of that instant —
+    i.e. in park order.
+    """
+    (ta, ka, oa), (tb, kb, ob) = a, b
+    for _ in range(ka - kb):
+        ta = ta + tick
+    for _ in range(kb - ka):
+        tb = tb + tick
+    return (ta - tb) or (oa - ob)
+
+
+class _Parking:
+    """One environment's parked poll loops (``Environment.parking``)."""
+
+    __slots__ = ("parks", "wakes")
+
+    def __init__(self) -> None:
+        #: park ordinals handed out so far
+        self.parks = 0
+        #: (wake instant, tick) -> (the instant's one timeout, its
+        #: callback list ``[_release, resume, resume, ...]``, one
+        #: ``_poll_order`` record per resume), until the timeout fires
+        self.wakes: dict[tuple[float, float], tuple] = {}
+
+    def wake(self, env, t: float, tick: float, record: tuple):
+        """The shared timeout at ``t`` for a poller to yield."""
+        key = (t, tick)
+        entry = self.wakes.get(key)
+        if entry is None:
+            event = env.timeout_until(t)
+            event.callbacks.append(partial(self._release, key))
+            entry = self.wakes[key] = (event, event.callbacks, [])
+        entry[2].append(record)
+        return entry[0]
+
+    def _release(self, key: tuple, _event) -> None:
+        # Pollers joined in arrival order — the kernel appended each one's
+        # resume as it yielded the timeout.  This is the timeout's first
+        # callback: put the rest into polling order before the kernel,
+        # which is walking this very list, reaches them.
+        _event, callbacks, records = self.wakes.pop(key)
+        if len(records) > 1:
+            tick = key[1]
+            pairs = sorted(
+                zip(records, callbacks[1:]),
+                key=cmp_to_key(lambda p, q: _poll_order(p[0], q[0], tick)),
+            )
+            callbacks[1:] = [resume for _record, resume in pairs]
+
+
 def parked_tick(env, link, tick: float):
     """Generator: suspend an idle poll-loop until its next useful round.
 
@@ -83,19 +146,36 @@ def parked_tick(env, link, tick: float):
     idle round (exactly the additions the polling loop would have
     performed), and the wake uses :meth:`Environment.timeout_until`, so
     the poll times — and therefore every downstream latency — are
-    bit-identical to the polling implementation.  The consumed arrival
-    is pushed back at the head of the link's queue, preserving order,
-    and any close-sentinel is re-examined by the caller's normal
+    bit-identical to the polling implementation.  Pollers that wake on
+    the same instant share one timeout and leave it in the order the
+    polling loop would have fired them (:func:`_poll_order`): a pump's
+    place among same-instant pumps is observable wherever handling a
+    message chains into a reply and a link reservation.  The consumed
+    arrival is pushed back at the head of the link's queue, preserving
+    order, and any close-sentinel is re-examined by the caller's normal
     ``poll`` path at the grid time, exactly as before.
+
+    A link that cannot signal arrivals (an in-memory
+    :class:`~repro.net.SyncPipe` end) is simply polled: one tick.
     """
-    t = env.now
-    item = yield link.arrival()
+    arrival = getattr(link, "arrival", None)
+    if arrival is None:
+        yield env.timeout(tick)
+        return
+    parking = env.parking
+    if parking is None:
+        parking = env.parking = _Parking()
+    parking.parks = ordinal = parking.parks + 1
+    t0 = env.now
+    item = yield arrival()
     now = env.now
-    t = t + tick
+    t = t0 + tick
+    k = 1
     while t < now:
         t = t + tick
+        k += 1
     if t > now:
-        yield env.timeout_until(t)
+        yield parking.wake(env, t, tick, (t0, k, ordinal))
     link.requeue(item)
 
 

@@ -214,13 +214,14 @@ def encoded_size(value: Any) -> int:
 _ENVELOPE_CACHE: dict[tuple, int] = {}
 
 
-def approx_size(value: Any) -> int:
-    """Wire-size estimate that never fails.
+def approx_size_reference(value: Any) -> int:
+    """The definition of :func:`approx_size`: one ``isinstance`` chain.
 
     Exact for codec-supported types; dataclass-like objects are costed as
     their ``__dict__`` plus a small envelope; anything else gets a nominal
-    64 bytes.  Used by the network layer to charge link time for payloads
-    that travel as Python objects.
+    64 bytes.  :func:`approx_size` answers the common exact types without
+    walking this chain and must agree with it on every value (the tests
+    hold it to that); it lands here for everything else.
     """
     if value is None or isinstance(value, bool):
         return 1
@@ -234,10 +235,11 @@ def approx_size(value: Any) -> int:
         return 16 + value.nbytes
     if isinstance(value, dict):
         return 5 + sum(
-            approx_size(str(k)) + approx_size(v) for k, v in value.items()
+            approx_size_reference(str(k)) + approx_size_reference(v)
+            for k, v in value.items()
         )
     if isinstance(value, (list, tuple, set)):
-        return 5 + sum(approx_size(v) for v in value)
+        return 5 + sum(approx_size_reference(v) for v in value)
     inner = getattr(value, "__dict__", None)
     if isinstance(inner, dict):
         # 16 (object envelope) + 5 (struct header) + per-key name costs
@@ -245,10 +247,77 @@ def approx_size(value: Any) -> int:
         key = (value.__class__, tuple(inner))
         envelope = _ENVELOPE_CACHE.get(key)
         if envelope is None:
-            envelope = 21 + sum(approx_size(str(k)) for k in inner)
+            envelope = 21 + sum(approx_size_reference(str(k)) for k in inner)
             _ENVELOPE_CACHE[key] = envelope
-        return envelope + sum(approx_size(v) for v in inner.values())
+        return envelope + sum(approx_size_reference(v) for v in inner.values())
     return 64
+
+
+#: exact type -> size, for the values whose size is their type's
+_FIXED_SIZE: dict[type, int] = {type(None): 1, bool: 1, int: 9, float: 9}
+_FIXED_SIZE.update(
+    (np.dtype(code).type, 9) for code in np.typecodes["AllInteger"] + np.typecodes["Float"]
+)
+
+#: every type the reference chain tests before it looks for a ``__dict__``
+_CHAIN_TYPES = (
+    int, float, np.integer, np.floating, str, bytes, bytearray, memoryview,
+    np.ndarray, dict, list, tuple, set,
+)  # fmt: skip
+
+
+def approx_size(value: Any) -> int:
+    """Wire-size estimate that never fails.
+
+    Used by the network layer to charge link time for payloads that
+    travel as Python objects — once per message, so a steering op pays
+    it four times.  Equal to :func:`approx_size_reference` on every
+    value, but dispatches on ``type(value)``: fixed-size scalars are one
+    dict lookup, and an exact ``str`` / ``dict`` / ``list`` / ``tuple`` /
+    ``ndarray`` or a dataclass-like message is sized in one loop over its
+    items that recurses only into nested containers.  Subclasses and
+    everything rarer take the reference chain.  Nothing is remembered
+    per object: messages are mutable.
+    """
+    tp = type(value)
+    size = _FIXED_SIZE.get(tp)
+    if size is not None:
+        return size
+    if tp is str:
+        return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+    if tp is dict:
+        total = 5
+        for k in value:
+            if type(k) is not str:
+                k = str(k)
+            total += 5 + (len(k) if k.isascii() else len(k.encode("utf-8")))
+        values = value.values()
+    elif tp is list or tp is tuple:
+        total = 5
+        values = value
+    elif tp is np.ndarray:
+        return 16 + value.nbytes
+    else:
+        inner = getattr(value, "__dict__", None)
+        if not isinstance(inner, dict) or isinstance(value, _CHAIN_TYPES):
+            return approx_size_reference(value)
+        key = (tp, tuple(inner))
+        total = _ENVELOPE_CACHE.get(key)
+        if total is None:
+            total = _ENVELOPE_CACHE[key] = 21 + sum(
+                approx_size_reference(str(k)) for k in inner
+            )
+        values = inner.values()
+    for v in values:
+        tv = type(v)
+        size = _FIXED_SIZE.get(tv)
+        if size is not None:
+            total += size
+        elif tv is str:
+            total += 5 + (len(v) if v.isascii() else len(v.encode("utf-8")))
+        else:
+            total += approx_size(v)
+    return total
 
 
 def describe(value: Any) -> str:

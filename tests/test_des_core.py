@@ -273,6 +273,65 @@ def test_store_try_get():
     assert ok and item == "a"
 
 
+def test_put_nowait_serves_parked_getters_in_fifo_order():
+    env = Environment()
+    store = Store(env)
+    got = []
+
+    def getter(tag):
+        item = yield store.get()
+        got.append((tag, item, env.now))
+
+    def sender():
+        yield env.timeout(1.0)
+        for item in "abc":
+            store.put_nowait(item)
+
+    for tag in (1, 2):
+        env.process(getter(tag))
+    env.process(sender())
+    env.run()
+    assert got == [(1, "a", 1.0), (2, "b", 1.0)]
+    assert list(store.items) == ["c"]
+
+
+def test_put_nowait_schedules_nothing_without_a_getter():
+    env = Environment()
+    store = Store(env)
+    store.put_nowait("x")
+    assert env.pending == 0 and store.try_get() == (True, "x")
+
+
+def test_put_nowait_interleaves_with_put():
+    env = Environment()
+    store = Store(env)
+    store.put_nowait(0)
+    store.put(1)
+    store.put_nowait(2)
+    store.put(3)
+    env.run()
+    assert list(store.items) == [0, 1, 2, 3]
+
+
+def test_put_nowait_on_a_full_bounded_store_waits_its_turn():
+    env = Environment()
+    store = Store(env, capacity=1)
+    store.put_nowait("a")  # room: no event
+    assert env.pending == 0
+    store.put_nowait("b")  # full: a parked put
+    store.put_nowait("c")  # behind the parked put, not past it
+    assert list(store.items) == ["a"] and len(store._put_waiters) == 2
+    out = []
+
+    def drain():
+        for _ in range(3):
+            out.append((yield store.get()))
+
+    env.process(drain())
+    env.run()
+    assert out == ["a", "b", "c"]
+
+
 def test_mailbox_recv_with_timeout_expires():
     env = Environment()
     box = Mailbox(env)

@@ -40,6 +40,15 @@ def test_defaults_are_valid_and_steps_computed():
         {"participants": float("nan")},
         {"compute_time": 0},  # used to escape as ZeroDivisionError
         {"compute_time": -0.05},
+        # whole-number fields are exact ints: JSON hands over 1.5 and true
+        {"participants": 1.5},
+        {"participants": 2.0},
+        {"participants": True},
+        {"steps": 10.5},
+        {"sample_interval": 2.5},
+        {"sample_interval": False},
+        {"seed": 1.5},
+        {"seed": "7"},
     ],
 )
 def test_invalid_specs_rejected(kwargs):

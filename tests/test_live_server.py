@@ -103,6 +103,34 @@ def test_error_statuses():
     asyncio.run(go())
 
 
+def test_fractional_whole_number_fields_are_400_and_the_pacer_lives():
+    # ``{"participants": 1.5}`` used to be answered 202 and then kill the
+    # pacer with a TypeError from ``range(1.5)`` when the session started,
+    # taking every other session with it.
+    async def go():
+        server = LiveServer(config=dict(FAST))
+        await server.start()
+        try:
+            args = (server.host, server.port)
+            for hostile in (
+                {"participants": 1.5},
+                {"participants": True},
+                {"sample_interval": 2.5},
+            ):
+                resp = await request(*args, "POST", "/sessions", _session_body(**hostile))
+                assert resp.status == 400, hostile
+                assert "must be an int" in resp.json()["error"]
+            good = await request(*args, "POST", "/sessions", _session_body())
+            assert good.status == 202
+            await _wait_state(server, good.json()["name"], {"completed"})
+            health = await request(*args, "GET", "/healthz")
+            assert health.status == 200 and health.json()["ok"] is True
+        finally:
+            await server.shutdown(grace=1.0)
+
+    asyncio.run(go())
+
+
 def test_healthz_reports_a_dead_pacer():
     async def go():
         server = LiveServer(config=dict(FAST))

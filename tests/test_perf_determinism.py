@@ -58,9 +58,10 @@ def test_chaos_cell_matches_seed_golden():
 def test_pumps_stop_burning_events_after_sessions_end():
     # The run deadline leaves ~45 virtual seconds of grace after the
     # last session; at 100 polls/sec/pump the seed kernel burned >9000
-    # events per session on silence.  The stop-exiting steering pump and
-    # the parked viz pump must keep the event count in the same order of
-    # magnitude as the actual message traffic.
+    # events per session on silence.  Both pumps park, so the count
+    # follows the message traffic — and the session's own idle stretches
+    # (the steerer between ops, the app between samples) cost nothing
+    # either: 1 299 while the steering pump still polled, ~600 now.
     report, driver = _fleet_report(1)
     assert report.completed == 1
-    assert driver.env.events_processed < 4000, driver.env.events_processed
+    assert driver.env.events_processed < 1000, driver.env.events_processed

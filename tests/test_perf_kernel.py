@@ -13,34 +13,13 @@ from repro.errors import SimulationError
 from repro.perf import load_bench, peak_rss_bytes, write_bench
 
 
-# -- timeout recycling -------------------------------------------------------
-
-
-def test_timeout_pool_recycles_resume_only_timeouts():
-    env = Environment()
-
-    def sleeper():
-        yield env.timeout(1.0)
-        yield env.timeout(1.0)
-
-    env.process(sleeper())
-    env.run()
-    # Both yielded timeouts retired through the pool (recycling happens
-    # when the event's step completes, so the second yield — issued
-    # mid-step — allocated fresh and both retired afterwards).
-    assert len(env._timeout_pool) == 2
-    recycled = env._timeout_pool[-1]
-    again = env.timeout(5.0)
-    assert again is recycled
-    # A reused timeout is a fresh event: pending callbacks, new value.
-    assert again.callbacks == []
-    assert again.delay == 5.0
+# -- timeouts ----------------------------------------------------------------
 
 
 def test_held_timeout_is_never_recycled():
-    # A timeout the generator frame still references must keep its
-    # documented post-processing Event API (.value/.ok/.processed): the
-    # recycler's refcount guard must refuse to reuse it.
+    # A timeout the generator frame still references keeps its documented
+    # post-processing Event API (.value/.ok/.processed): the kernel never
+    # hands a processed timeout out again.
     env = Environment()
     seen = {}
 
@@ -59,19 +38,6 @@ def test_held_timeout_is_never_recycled():
     assert seen == {"same_obj": False, "t_value": "x", "t_processed": True}
 
 
-def test_timeout_watched_by_condition_is_not_recycled():
-    env = Environment()
-
-    def racer():
-        yield AnyOf(env, [env.timeout(1.0), env.timeout(2.0)])
-
-    env.process(racer())
-    env.run()
-    # The two condition-watched timeouts must not enter the pool (a
-    # waiter may still hold them); only process-resume timeouts recycle.
-    assert len(env._timeout_pool) == 0
-
-
 def test_timeout_with_extra_callback_is_not_recycled():
     env = Environment()
     seen = []
@@ -79,12 +45,12 @@ def test_timeout_with_extra_callback_is_not_recycled():
     ev.callbacks.append(lambda e: seen.append(e.value))
     env.run()
     assert seen == ["x"]
-    assert len(env._timeout_pool) == 0
     # The event object stays readable after processing.
     assert ev.ok and ev.value == "x"
 
 
 def test_pool_respects_explicit_timeout_values():
+    # (named for the timeout pool this once guarded; the contract stays)
     env = Environment()
     got = []
 
@@ -192,8 +158,9 @@ def test_kernel_classes_have_no_instance_dict(cls):
 # -- parked pumps ------------------------------------------------------------
 
 
-def _pump_consumer(env, link, mode, out):
-    """A pump-shaped consumer: 0.01 poll grid, 0.0 re-round on progress."""
+def _pump_consumer(env, link, mode, out, tag=None):
+    """A pump-shaped consumer: 0.01 poll grid, 0.0 re-round on progress.
+    Logs ``(time, msg)``, or ``(time, tag, msg)`` into a shared log."""
     poll = link.poll
     while True:
         progressed = False
@@ -202,7 +169,7 @@ def _pump_consumer(env, link, mode, out):
             if not ok:
                 break
             progressed = True
-            out.append((env.now, msg))
+            out.append((env.now, msg) if tag is None else (env.now, tag, msg))
             if msg == "last":
                 return
         if progressed:
@@ -253,6 +220,60 @@ def test_parked_pump_is_virtual_time_identical_to_polling():
     park_out, park_events = _run_pump_world("parked")
     assert park_out == poll_out
     assert park_events < poll_events / 5
+
+
+def test_parked_pumps_sharing_an_instant_fire_in_polling_order():
+    # Three pumps on one poll grid log into one list, so the order in
+    # which they handle messages at a shared instant is visible.  Pump 1
+    # handles a message early; later all three get one inside one tick,
+    # arriving in yet another order.
+    from repro.net.network import Network
+    from repro.steering.api import LinkAdapter
+
+    def world(mode):
+        log = []
+        env = Environment()
+        net = Network(env)
+        net.add_host("a")
+        net.add_host("b")
+        net.add_link("a", "b", latency=0.0013, bandwidth=1e9)
+        listener = net.host("b").listen(9)
+
+        def server():
+            conns = []
+            for _ in range(3):
+                conns.append((yield from listener.accept()))
+            for pump, conn in enumerate(conns):  # one instant, one grid
+                env.process(_pump_consumer(env, LinkAdapter(conn), mode, log, tag=pump))
+
+        def client():
+            conns = []
+            for _ in range(3):
+                conns.append((yield from net.host("a").connect("b", 9)))
+            yield env.timeout(0.1)
+            conns[1].send("early")
+            yield env.timeout(0.1)
+            for i in (2, 1, 0):
+                yield env.timeout(0.001)
+                conns[i].send("burst")
+            yield env.timeout(0.1)
+            for conn in conns:
+                conn.send("last")
+
+        env.process(server())
+        env.process(client())
+        env.run()
+        return log, env.events_processed
+
+    polled, polled_events = world("poll")
+    parked, parked_events = world("parked")
+    assert parked == polled
+    # the burst reached the pumps as 2, 1, 0 but the poll grid says 0, 2, 1
+    # (pump 1 handled "early" and re-polled behind the two idle pumps)
+    burst = [pump for _t, pump, msg in polled if msg == "burst"]
+    assert burst == [0, 2, 1]
+    assert len({t for t, _p, msg in polled if msg == "burst"}) == 1
+    assert parked_events < polled_events / 2
 
 
 # -- wire-size memoization ---------------------------------------------------
@@ -344,28 +365,41 @@ def test_gate_passes_and_fails_correctly(tmp_path, monkeypatch):
         gate, "run_fleet", lambda n: (FakeReport(), 1.0, 5000)
     )
     baseline = tmp_path / "BENCH_fleet_scaling.json"
+
+    def base(**entry):
+        entry = {"wall_seconds": 0.9, "completed": 4, "ops": 40, "events": 5000, **entry}
+        write_bench(baseline, "fleet_scaling", {"4": entry})
+
+    base()
+    ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
+    assert ok, verdict
+
+    # Wall regression beyond threshold fails.
+    base(wall_seconds=0.5)
+    ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
+    assert not ok and "regressed" in verdict
+
+    # Workload drift fails even when faster.
+    base(wall_seconds=10.0, completed=5)
+    ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
+    assert not ok and "drifted" in verdict
+
+    # One event more than the baseline fails whatever the wall says;
+    # fewer events is how the baseline gets better.
+    base(wall_seconds=10.0, events=4999)
+    ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
+    assert not ok and "1 more kernel events" in verdict
+    base(events=5001)
+    ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
+    assert ok, verdict
+
+    # A baseline from before counts were recorded cannot gate them.
     write_bench(
         baseline, "fleet_scaling",
         {"4": {"wall_seconds": 0.9, "completed": 4, "ops": 40}},
     )
     ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
-    assert ok, verdict
-
-    # Wall regression beyond threshold fails.
-    write_bench(
-        baseline, "fleet_scaling",
-        {"4": {"wall_seconds": 0.5, "completed": 4, "ops": 40}},
-    )
-    ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
-    assert not ok and "regressed" in verdict
-
-    # Workload drift fails even when faster.
-    write_bench(
-        baseline, "fleet_scaling",
-        {"4": {"wall_seconds": 10.0, "completed": 5, "ops": 40}},
-    )
-    ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
-    assert not ok and "drifted" in verdict
+    assert not ok and "regenerate BENCH_fleet_scaling.json" in verdict
 
     # Missing size entry is an explicit failure, not a KeyError.
     ok, verdict = gate.check(baseline, sessions=64, threshold=0.25)

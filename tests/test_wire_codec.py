@@ -1,5 +1,7 @@
 """Codec unit + property tests: round-trips in both byte orders."""
 
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CodecError
 from repro.wire import coerce_array, decode, describe, encode, encoded_size
+from repro.wire.codec import approx_size, approx_size_reference
 
 
 @pytest.mark.parametrize("bo", ["<", ">"])
@@ -165,3 +168,81 @@ def test_property_array_roundtrip(data, dtype, bo):
     out = decode(encode(arr, bo))
     assert out.dtype == np.dtype(dtype)
     np.testing.assert_array_equal(out, arr)
+
+
+# -- approx_size: the type-dispatched walk == the isinstance chain ----------
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 70000
+
+
+class _Tagged(str):
+    """A str subclass that has a ``__dict__``: must cost as a str."""
+
+
+class _Bag(dict):
+    """A dict subclass with attributes: must cost as a dict."""
+
+
+class _Message:
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+
+class _Slotted:
+    __slots__ = ("x",)
+
+
+def _tagged(text):
+    out = _Tagged(text)
+    out.note = "ignored"
+    return out
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True)
+    | st.text(max_size=12)  # mostly non-ASCII
+    | st.text(alphabet="abcxyz_", max_size=12)
+    | st.binary(max_size=12)
+    | st.binary(max_size=12).map(bytearray)
+    | st.binary(max_size=12).map(memoryview)
+    | st.sampled_from(
+        [np.bool_(True), np.int8(-3), np.uint16(9), np.int64(2**40), np.float16(0.5),
+         np.float32(1.5), np.float64(2.5), np.longdouble(3.5), np.complex128(1j),
+         _Colour.RED, _Colour.BLUE, _Slotted(), object(), _Message, 3 + 4j]
+    )
+    | st.text(max_size=6).map(_tagged)
+    | st.lists(st.floats(allow_nan=False, width=32), max_size=6).map(np.array)
+    | st.lists(st.integers(-9, 9), max_size=6).map(lambda x: np.array(x, dtype=np.int32))
+)
+_keys = st.text(max_size=6) | st.integers(-5, 5) | st.booleans() | st.text(max_size=4).map(_tagged)
+_any_value = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_keys, children, max_size=4)
+    | st.dictionaries(_keys, children, max_size=3).map(_Bag)
+    | st.dictionaries(st.text(alphabet="abcdef", min_size=1, max_size=5), children,
+                      max_size=4).map(lambda d: _Message(**d))
+    | st.frozensets(st.integers(-9, 9) | st.text(max_size=4), max_size=4).map(set),
+    max_leaves=14,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_any_value)
+def test_property_approx_size_equals_reference_chain(value):
+    assert approx_size(value) == approx_size_reference(value)
+
+
+def test_approx_size_sees_a_message_mutate():
+    # no per-object memo: the same object re-sized after a field changed
+    msg = _Message(name="g", value=1.5)
+    before = approx_size(msg)
+    msg.value = "a considerably longer value"
+    assert approx_size(msg) == approx_size_reference(msg) > before

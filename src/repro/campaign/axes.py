@@ -162,12 +162,12 @@ def build_arrivals(
 # -- faults ------------------------------------------------------------------
 
 
-def build_schedule(point: AxisPoint, cell: CellSpec,
+def build_schedule(point: AxisPoint, cell: CellSpec, config: dict,
                    horizon: float) -> FaultSchedule:
     """params: either ``faults`` (a list of ``{"kind": ..., **kwargs}``
     declarations) or ``random`` (kwargs for :meth:`FaultSchedule.random`,
-    populations defaulted from the cell's fabric base config); an empty
-    point is the no-fault baseline.
+    populations defaulted from ``config``, the cell's effective base
+    configuration); an empty point is the no-fault baseline.
     """
     _unexpected(point, {"faults", "random"})
     params = point.params
@@ -178,9 +178,9 @@ def build_schedule(point: AxisPoint, cell: CellSpec,
         )
     if "random" in params:
         kwargs = dict(params["random"])
-        n_sites = int(cell.base.get("n_sites", 3))
+        n_sites = int(config["n_sites"])
         kwargs.setdefault("sites", n_sites)
-        kwargs.setdefault("shards", int(cell.base.get("registry_shards", 4)))
+        kwargs.setdefault("shards", int(config["registry_shards"]))
         kwargs.setdefault("brokers", n_sites)
         # Network-fault populations, from the FleetDriver fabric's
         # naming scheme: every site i is an hpc-i gateway host linked

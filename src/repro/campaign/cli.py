@@ -79,24 +79,19 @@ EXIT_INCOMPLETE = 4
 EXIT_INTERRUPTED = 130
 
 
-def _load_spec(args: argparse.Namespace) -> CampaignSpec:
-    if args.spec is not None:
+def _load_spec(args: argparse.Namespace, spec_cls, lookup):
+    """The spec ``run`` / ``search run`` was asked for: a ``--spec`` file
+    read as ``spec_cls``, else the ``--preset`` that ``lookup`` names."""
+    if args.spec is None:
+        return lookup(args.preset, seed=args.seed)
+    try:
         doc = json.loads(pathlib.Path(args.spec).read_text())
-        spec = CampaignSpec.from_dict(doc)
-        if args.seed is not None:
-            spec.seed = args.seed
-        return spec
-    return preset(args.preset, seed=args.seed)
-
-
-def _load_search_spec(args: argparse.Namespace) -> SearchSpec:
-    if args.spec is not None:
-        doc = json.loads(pathlib.Path(args.spec).read_text())
-        spec = SearchSpec.from_dict(doc)
-        if args.seed is not None:
-            spec.seed = args.seed
-        return spec
-    return search_preset(args.preset, seed=args.seed)
+    except (OSError, ValueError) as exc:
+        raise CampaignError(f"cannot read spec {args.spec}: {exc}") from None
+    spec = spec_cls.from_dict(doc)
+    if args.seed is not None:
+        spec.seed = args.seed
+    return spec
 
 
 def _default_store(spec) -> pathlib.Path:
@@ -126,18 +121,55 @@ def _progress(record: dict) -> None:
     )
 
 
-def _finish(
-    matrix: MatrixReport,
-    runner: CampaignRunner,
-    wall: float,
-    args: argparse.Namespace,
-) -> int:
-    print(matrix.render(per_cell=args.per_cell))
+def _grid_outcome(matrix: MatrixReport, runner, args) -> tuple:
+    """What a finished grid reports: its text, what it carried over, a
+    tail for the "ran" line, and its exit gates in precedence order."""
+    return (
+        matrix.render(per_cell=args.per_cell),
+        f"{matrix.totals.cells - runner.stats['completed']} resumed",
+        "",
+        (
+            (matrix.violations, EXIT_VIOLATIONS,
+             f"{matrix.violations} invariant violation(s) across the grid"),
+            (matrix.quarantined, EXIT_QUARANTINED,
+             f"{len(matrix.quarantined)} quarantined cell(s) — "
+             "the grid has known-poison holes"),
+            (not matrix.complete, EXIT_INCOMPLETE,
+             f"grid incomplete "
+             f"({matrix.totals.cells}/{matrix.expected_cells} cells)"),
+        ),
+    )
+
+
+def _search_outcome(archive: SearchArchive, runner, args) -> tuple:
+    """The same four for a finished search (no incompleteness gate: a
+    search with an unsettled proposal does not return an archive)."""
+    violations = sum(
+        rec["verdict"]["invariant_violations"]
+        for rec in runner.store.cell_records()
+    )
+    return (
+        archive.render(),
+        f"{len(archive.evaluations) - len(runner.executed)} replayed",
+        f"; archive {runner.archive_path}",
+        (
+            (violations, EXIT_VIOLATIONS,
+             f"{violations} invariant violation(s) across the "
+             "evaluated cells"),
+            (archive.quarantined, EXIT_QUARANTINED,
+             f"{archive.quarantined} proposal(s) quarantined — the search "
+             "found cells that kill workers"),
+        ),
+    )
+
+
+def _finish(result, runner, wall: float, args: argparse.Namespace, outcome) -> int:
+    text, carried, tail, gates = outcome(result, runner, args)
+    print(text)
     print(
         f"ran {len(runner.executed)} cells "
-        f"({matrix.totals.cells - runner.stats['completed']} resumed from "
-        f"{runner.store.path}), wall {wall:.1f}s, "
-        f"{runner.workers} worker(s)"
+        f"({carried} from {runner.store.path}), wall {wall:.1f}s, "
+        f"{runner.workers} worker(s){tail}"
     )
     if runner.supervise:
         s = runner.stats
@@ -146,107 +178,102 @@ def _finish(
             f"{s['cell_retries']} cell retrie(s), "
             f"{s['quarantined']} quarantined"
         )
-    if args.bench_out:
+    if getattr(args, "bench_out", None):
         events = sum(
             rec["perf"].get("events", 0)
             for rec in runner.store.cell_records()
         )
         path = write_bench(
             pathlib.Path(args.bench_out),
-            f"campaign_{matrix.campaign}",
-            matrix.to_dict(),
+            f"campaign_{result.campaign}",
+            result.to_dict(),
             wall_seconds=wall,
             events=events,
         )
         print(f"bench envelope written to {path}")
     if args.fail_on_violations:
-        if matrix.violations:
-            print(
-                f"FAIL: {matrix.violations} invariant violation(s) "
-                "across the grid",
-                file=sys.stderr,
-            )
-            return EXIT_VIOLATIONS
-        if matrix.quarantined:
-            print(
-                f"FAIL: {len(matrix.quarantined)} quarantined cell(s) — "
-                "the grid has known-poison holes",
-                file=sys.stderr,
-            )
-            return EXIT_QUARANTINED
-        if not matrix.complete:
-            print(
-                f"FAIL: grid incomplete "
-                f"({matrix.totals.cells}/{matrix.expected_cells} cells)",
-                file=sys.stderr,
-            )
-            return EXIT_INCOMPLETE
+        for failed, code, message in gates:
+            if failed:
+                print(f"FAIL: {message}", file=sys.stderr)
+                return code
     return EXIT_OK
 
 
-def _supervision(args: argparse.Namespace) -> tuple[dict, Optional[bool]]:
-    """The executor kwargs the shared supervision flags map to."""
-    kwargs = {}
-    supervise = None
-    if args.max_cell_seconds is not None:
-        kwargs["max_cell_seconds"] = args.max_cell_seconds
-        supervise = True
-    if args.max_cell_retries is not None:
-        kwargs["max_cell_retries"] = args.max_cell_retries
-        supervise = True
-    return kwargs, supervise
+def _execution(args: argparse.Namespace) -> dict:
+    """The :class:`CellExecutor` keywords the shared flags map to; a
+    flag left unset leaves the executor's own default in charge."""
+    kwargs = {"workers": args.workers, "metrics": MetricsRegistry()}
+    for flag in ("max_cell_seconds", "max_cell_retries"):
+        if getattr(args, flag) is not None:
+            kwargs[flag] = getattr(args, flag)
+            kwargs["supervise"] = True
+    return kwargs
 
 
-def _build_runner(
-    spec: CampaignSpec, store: ResultStore, args: argparse.Namespace
-) -> CampaignRunner:
-    kwargs, supervise = _supervision(args)
-    return CampaignRunner(
-        spec, store,
-        workers=args.workers,
-        supervise=supervise,
-        metrics=MetricsRegistry(),
-        **kwargs,
-    )
+#: everything that differs between executing a grid and a search: noun,
+#: spec class, preset lookup, runner class, outcome summary, resume verb
+_GRID = ("campaign", CampaignSpec, preset, CampaignRunner, _grid_outcome, "resume")
+_SEARCH = (
+    "search", SearchSpec, search_preset, SearchRunner, _search_outcome,
+    "search resume",
+)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    store_path = args.store or _default_store(spec)
-    store = ResultStore(store_path)
-    runner = _build_runner(spec, store, args)
-    pending = len(runner.pending()) if store.header else spec.n_cells
-    print(
-        f"campaign {spec.name!r} seed {spec.seed}: {spec.n_cells} cells "
-        f"({pending} to run), {args.workers} worker(s)"
-        f"{' [supervised]' if runner.supervise else ''}, store {store_path}",
-        flush=True,
-    )
-    t0 = time.perf_counter()
-    matrix = runner.run(progress=_progress)
-    return _finish(matrix, runner, time.perf_counter() - t0, args)
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    store = ResultStore(_require_store(args))
-    spec = store.spec()
-    if isinstance(spec, SearchSpec):
-        raise CampaignError(
-            f"{store.path} holds search {spec.name!r}; resume it with: "
-            f"python -m repro.campaign search resume --store {store.path}"
+def cmd_execute(args: argparse.Namespace) -> int:
+    """``run`` / ``resume`` / ``search run`` / ``search resume``: load or
+    recover the spec, refuse the other kind's store, build the runner,
+    announce, time the run, report and gate."""
+    search = args.command == "search"
+    noun, spec_cls, lookup, runner_cls, outcome, _ = _SEARCH if search else _GRID
+    if args.resuming:
+        if args.store is None:
+            raise CampaignError("resume needs --store (the interrupted run's "
+                                "results path)")
+        store = ResultStore(args.store)
+        spec = store.spec()
+        if not isinstance(spec, spec_cls):
+            held, *_, verb = _GRID if search else _SEARCH
+            raise CampaignError(
+                f"{store.path} holds {held} {spec.name!r}; resume it with: "
+                f"python -m repro.campaign {verb} --store {store.path}"
+            )
+    else:
+        spec = _load_spec(args, spec_cls, lookup)
+        if args.store is None:
+            # recorded on args so an interrupt's resume hint can name it
+            args.store = _default_store(spec)
+        store = ResultStore(args.store)
+    execution = _execution(args)
+    if search:
+        execution["archive_path"] = args.archive
+    runner = runner_cls(spec, store, **execution)
+    owed = "" if search else f"{len(runner.pending())} to run"
+    if args.resuming:
+        quarantined = len(store.quarantined_ids())
+        print(
+            f"resuming {noun} {spec.name!r} seed {spec.seed} from "
+            f"{args.store}: {len(store)} cells done"
+            + (f", {quarantined} quarantined (skipped)" if quarantined else "")
+            + (f", {owed}" if owed else ""),
+            flush=True,
         )
-    runner = _build_runner(spec, store, args)
-    quarantined = len(store.quarantined_ids())
-    print(
-        f"resuming campaign {spec.name!r} seed {spec.seed} from "
-        f"{args.store}: {len(store)} cells done"
-        + (f", {quarantined} quarantined (skipped)" if quarantined else "")
-        + f", {len(runner.pending())} to run",
-        flush=True,
-    )
+    else:
+        plan = (
+            f"{spec.generations} generation(s) x {spec.population}, "
+            f"strategy {spec.strategy.kind}, "
+            f"objective {spec.objective.goal} {spec.objective.metric}"
+            if search else f"{spec.n_cells} cells ({owed})"
+        )
+        print(
+            f"{noun} {spec.name!r} seed {spec.seed}: {plan}, "
+            f"{args.workers} worker(s)"
+            f"{' [supervised]' if runner.supervise else ''}, store {args.store}",
+            flush=True,
+        )
+    callbacks = {"on_generation": _gen_progress} if search else {}
     t0 = time.perf_counter()
-    matrix = runner.run(progress=_progress)
-    return _finish(matrix, runner, time.perf_counter() - t0, args)
+    result = runner.run(progress=_progress, **callbacks)
+    return _finish(result, runner, time.perf_counter() - t0, args, outcome)
 
 
 def _matrix_of(store: ResultStore) -> MatrixReport:
@@ -300,27 +327,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
 # -- search commands ----------------------------------------------------------
 
 
-def _require_store(args: argparse.Namespace) -> str:
-    if args.store is None:
-        raise CampaignError("resume needs --store (the interrupted run's "
-                            "results path)")
-    return args.store
-
-
-def _build_search_runner(
-    spec: SearchSpec, store: ResultStore, args: argparse.Namespace
-) -> SearchRunner:
-    kwargs, supervise = _supervision(args)
-    return SearchRunner(
-        spec, store,
-        workers=args.workers,
-        supervise=supervise,
-        metrics=MetricsRegistry(),
-        archive_path=args.archive,
-        **kwargs,
-    )
-
-
 def _gen_progress(summary: dict) -> None:
     print(
         f"generation {summary['generation']}: "
@@ -328,89 +334,6 @@ def _gen_progress(summary: dict) -> None:
         f"best {summary['best']:g} (best so far {summary['best_so_far']:g})",
         flush=True,
     )
-
-
-def _finish_search(
-    archive: SearchArchive,
-    runner: SearchRunner,
-    wall: float,
-    args: argparse.Namespace,
-) -> int:
-    print(archive.render())
-    print(
-        f"ran {len(runner.executed)} cells "
-        f"({len(archive.evaluations) - len(runner.executed)} replayed from "
-        f"{runner.store.path}), wall {wall:.1f}s, "
-        f"{runner.workers} worker(s); archive {runner.archive_path}"
-    )
-    if runner.supervise:
-        s = runner.stats
-        print(
-            f"supervisor: {s['worker_restarts']} worker restart(s), "
-            f"{s['cell_retries']} cell retrie(s), "
-            f"{s['quarantined']} quarantined"
-        )
-    if args.fail_on_violations:
-        violations = sum(
-            rec["verdict"]["invariant_violations"]
-            for rec in runner.store.cell_records()
-        )
-        if violations:
-            print(
-                f"FAIL: {violations} invariant violation(s) across the "
-                "evaluated cells",
-                file=sys.stderr,
-            )
-            return EXIT_VIOLATIONS
-        quarantined = sum(1 for ev in archive.evaluations if ev.quarantined)
-        if quarantined:
-            print(
-                f"FAIL: {quarantined} proposal(s) quarantined — the search "
-                "found cells that kill workers",
-                file=sys.stderr,
-            )
-            return EXIT_QUARANTINED
-    return EXIT_OK
-
-
-def cmd_search_run(args: argparse.Namespace) -> int:
-    spec = _load_search_spec(args)
-    store_path = args.store or _default_store(spec)
-    store = ResultStore(store_path)
-    runner = _build_search_runner(spec, store, args)
-    print(
-        f"search {spec.name!r} seed {spec.seed}: "
-        f"{spec.generations} generation(s) x {spec.population}, "
-        f"strategy {spec.strategy.kind}, "
-        f"objective {spec.objective.goal} {spec.objective.metric}, "
-        f"{args.workers} worker(s)"
-        f"{' [supervised]' if runner.supervise else ''}, store {store_path}",
-        flush=True,
-    )
-    t0 = time.perf_counter()
-    archive = runner.run(progress=_progress, on_generation=_gen_progress)
-    return _finish_search(archive, runner, time.perf_counter() - t0, args)
-
-
-def cmd_search_resume(args: argparse.Namespace) -> int:
-    store = ResultStore(_require_store(args))
-    spec = store.spec()
-    if not isinstance(spec, SearchSpec):
-        raise CampaignError(
-            f"{store.path} holds campaign {spec.name!r}; resume it with: "
-            f"python -m repro.campaign resume --store {store.path}"
-        )
-    runner = _build_search_runner(spec, store, args)
-    quarantined = len(store.quarantined_ids())
-    print(
-        f"resuming search {spec.name!r} seed {spec.seed} from "
-        f"{args.store}: {len(store)} cells done"
-        + (f", {quarantined} quarantined (skipped)" if quarantined else ""),
-        flush=True,
-    )
-    t0 = time.perf_counter()
-    archive = runner.run(progress=_progress, on_generation=_gen_progress)
-    return _finish_search(archive, runner, time.perf_counter() - t0, args)
 
 
 def _load_archive(args: argparse.Namespace) -> SearchArchive:
@@ -477,6 +400,25 @@ def _exec_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _add_executors(sub, parent, noun: str, what: str, presets: dict, default: str):
+    """One kind's ``run`` and ``resume`` subcommands, built together so
+    the grid's and the search's cannot drift apart either."""
+    run = sub.add_parser("run", parents=[parent],
+                         help=f"run (or resume) {what}")
+    run.add_argument("--preset", choices=sorted(presets), default=default)
+    run.add_argument("--spec", help=f"{noun} spec JSON file "
+                                    "(overrides --preset)")
+    run.add_argument("--seed", type=int, default=None,
+                     help=f"override the {noun} seed")
+    run.set_defaults(func=cmd_execute, resuming=False)
+    resume = sub.add_parser(
+        "resume", parents=[parent],
+        help=f"finish an interrupted {noun} from its store",
+    )
+    resume.set_defaults(func=cmd_execute, resuming=True)
+    return run, resume
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
@@ -486,22 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parent = _exec_parent()
 
-    run = sub.add_parser("run", parents=[parent],
-                         help="run (or resume) a campaign grid")
-    run.add_argument("--preset", choices=sorted(PRESETS), default="smoke")
-    run.add_argument("--spec", help="campaign spec JSON file "
-                                    "(overrides --preset)")
-    run.add_argument("--seed", type=int, default=None,
-                     help="override the campaign seed")
-    run.set_defaults(func=cmd_run)
-
-    resume = sub.add_parser(
-        "resume", parents=[parent],
-        help="finish an interrupted campaign from its store",
-    )
-    resume.set_defaults(func=cmd_resume)
-
-    for cmd in (run, resume):
+    for cmd in _add_executors(
+        sub, parent, "campaign", "a campaign grid", PRESETS, "smoke"
+    ):
         cmd.add_argument("--per-cell", action="store_true",
                          help="print the per-cell table")
         cmd.add_argument("--bench-out", default=None,
@@ -539,23 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssub = search.add_subparsers(dest="search_command", required=True)
 
-    srun = ssub.add_parser("run", parents=[parent],
-                           help="run (or resume) an adaptive search")
-    srun.add_argument("--preset", choices=sorted(SEARCH_PRESETS),
-                      default="cliff-smoke")
-    srun.add_argument("--spec", help="search spec JSON file "
-                                     "(overrides --preset)")
-    srun.add_argument("--seed", type=int, default=None,
-                      help="override the search seed")
-    srun.set_defaults(func=cmd_search_run)
-
-    sresume = ssub.add_parser(
-        "resume", parents=[parent],
-        help="finish an interrupted search from its store",
-    )
-    sresume.set_defaults(func=cmd_search_resume)
-
-    for cmd in (srun, sresume):
+    for cmd in _add_executors(
+        ssub, parent, "search", "an adaptive search", SEARCH_PRESETS, "cliff-smoke"
+    ):
         cmd.add_argument("--archive", default=None,
                          help="archive JSON path (default <store>"
                               ".archive.json)")
@@ -598,10 +513,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A signal-initiated drain: the supervisor already flushed every
         # in-flight completed record and shut its workers down.
         store = getattr(args, "store", None)
-        verb = (
-            "search resume" if getattr(args, "search_command", None)
-            else "resume"
-        )
+        verb = (_SEARCH if args.command == "search" else _GRID)[-1]
         hint = (
             f"; resume with: python -m repro.campaign {verb} "
             f"--store {store}" if store else ""

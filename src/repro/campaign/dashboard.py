@@ -48,72 +48,138 @@ svg { border: 1px solid #ccd; background: #fcfcff; }
 
 
 def _fmt(x, pct: bool = False) -> str:
-    """Table cell text: '-' for NaN, percents for fractions."""
+    """Table cell text: '-' for NaN, percents for fractions, 'inf' for
+    the drift of a latency series that appeared or vanished."""
     if isinstance(x, float):
         if math.isnan(x):
             return "-"
         if pct:
             return f"{x:.0%}"
-        return f"{x:g}" if x == int(x) else f"{x:.2f}"
+        return f"{x:g}" if math.isinf(x) or x == int(x) else f"{x:.2f}"
     return str(x)
+
+
+#: every plot is this wide with this margin; only the height varies
+_WIDTH, _PAD = 640, 45
+
+
+def _ytick(y: float, text: str) -> str:
+    """A horizontal gridline with its label left of the y axis."""
+    return (
+        f'<line x1="{_PAD}" y1="{y:.1f}" x2="{_WIDTH - _PAD}" y2="{y:.1f}" '
+        'stroke="#dde" />'
+        f'<text x="{_PAD - 6}" y="{y + 4:.1f}" text-anchor="end" '
+        f'font-size="11" fill="#667">{text}</text>'
+    )
+
+
+def _xtick(height: int, x: float, text) -> str:
+    """A label under the x axis."""
+    return (
+        f'<text x="{x:.1f}" y="{height - _PAD + 16}" text-anchor="middle" '
+        f'font-size="11" fill="#667">{text}</text>'
+    )
+
+
+def _frame(height, label, xlabel, ylabel, body, below="", above="") -> str:
+    """One inline ``<svg>`` plot: the marks painted ``below`` the axes,
+    both axes with their labels (``ylabel`` may be None), the marks
+    ``above`` them, then the ``body``."""
+    rotated = "" if ylabel is None else (
+        f'<text x="14" y="{height / 2:.0f}" text-anchor="middle" font-size="12" '
+        f'transform="rotate(-90 14 {height / 2:.0f})">{ylabel}</text>'
+    )
+    return (
+        f'<svg width="{_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {_WIDTH} {height}" role="img" aria-label="{label}">'
+        f"{below}"
+        f'<line x1="{_PAD}" y1="{height - _PAD}" x2="{_WIDTH - _PAD}" '
+        f'y2="{height - _PAD}" stroke="#99a" />'
+        f'<line x1="{_PAD}" y1="{_PAD}" x2="{_PAD}" y2="{height - _PAD}" '
+        'stroke="#99a" />'
+        f'<text x="{_WIDTH / 2:.0f}" y="{height - 8}" text-anchor="middle" '
+        f'font-size="12">{xlabel}</text>'
+        f"{rotated}{above}{body}</svg>"
+    )
+
+
+def _polyline(points, colour: str, dashed: bool) -> str:
+    """A 1.5 px line through ``(x, y)`` pixel points."""
+    path = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
+    dash = ' stroke-dasharray="4 3"' if dashed else ""
+    return (
+        f'<polyline points="{path}" fill="none" stroke="{colour}" '
+        f'stroke-width="1.5"{dash} />'
+    )
+
+
+def _table(headers, rows, names=(0,)) -> str:
+    """An HTML table.  ``rows`` are ``(css class or "", cells)``; the
+    columns in ``names`` hold free text (escaped, left-aligned), the rest
+    preformatted numbers.  A row shorter than the header ends in one
+    plain cell spanning the remaining columns."""
+    out = ["<table><tr>", *(f"<th>{h}</th>" for h in headers), "</tr>"]
+    for cls, cells in rows:
+        out.append(f'<tr class="{cls}">' if cls else "<tr>")
+        span = len(headers) - len(cells) + 1
+        for i, cell in enumerate(cells):
+            if span > 1 and i == len(cells) - 1:
+                out.append(f'<td colspan="{span}">{cell}</td>')
+            elif i in names:
+                out.append(f'<td class="name">{html.escape(cell)}</td>')
+            else:
+                out.append(f"<td>{cell}</td>")
+        out.append("</tr>")
+    out.append("</table>")
+    return "".join(out)
+
+
+def _page(title: str, sections) -> str:
+    """The self-contained document around a dashboard's sections."""
+    return (
+        "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
+        f"<title>{html.escape(title)}</title>"
+        f"<style>{_CSS}</style></head>\n<body>\n"
+        + "\n".join(s for s in [f"<h1>{html.escape(title)}</h1>", *sections] if s)
+        + "\n</body></html>\n"
+    )
+
+
+def _write(path, page: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(page)
+    return path
 
 
 def _scatter(cells: list[dict], front_ids: set) -> str:
     """Inline SVG: steer p90 (x) vs goodput (y), pareto front joined."""
-    width, height, pad = 640, 360, 45
+    height = 360
     plotted = [c for c in cells if not math.isnan(c["steer_p90_ms"])]
     if not plotted:
         return '<p class="note">no cell produced steering latencies.</p>'
     xmax = max(c["steer_p90_ms"] for c in plotted) * 1.08 or 1.0
 
     def sx(ms: float) -> float:
-        return pad + (width - 2 * pad) * ms / xmax
+        return _PAD + (_WIDTH - 2 * _PAD) * ms / xmax
 
     def sy(goodput: float) -> float:
-        return height - pad - (height - 2 * pad) * goodput
+        return height - _PAD - (height - 2 * _PAD) * goodput
 
-    parts = [
-        f'<svg width="{width}" height="{height}" viewBox="0 0 {width} {height}" '
-        'role="img" aria-label="goodput vs steer p90 per cell">'
-    ]
-    # axes + gridlines at goodput quarters and four latency ticks
-    for i in range(5):
-        frac = i / 4
-        y = sy(frac)
-        x = sx(xmax * frac / 1.08) if i else pad
-        parts.append(
-            f'<line x1="{pad}" y1="{y:.1f}" x2="{width - pad}" y2="{y:.1f}" '
-            'stroke="#dde" />'
-            f'<text x="{pad - 6}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-size="11" fill="#667">{frac:.0%}</text>'
-        )
-        tick = xmax * frac
-        parts.append(
-            f'<text x="{sx(tick):.1f}" y="{height - pad + 16}" '
-            f'text-anchor="middle" font-size="11" fill="#667">{tick:.1f}</text>'
-        )
-    parts.append(
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-        f'y2="{height - pad}" stroke="#99a" />'
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
-        'stroke="#99a" />'
-        f'<text x="{width / 2:.0f}" y="{height - 8}" text-anchor="middle" '
-        'font-size="12">steer p90 (ms)</text>'
-        f'<text x="14" y="{height / 2:.0f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {height / 2:.0f})">goodput</text>'
+    # gridlines at goodput quarters and four latency ticks
+    ticks = "".join(
+        _ytick(sy(frac), f"{frac:.0%}")
+        + _xtick(height, sx(xmax * frac), f"{xmax * frac:.1f}")
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0)
     )
+    parts = []
     front = sorted(
         (c for c in plotted if c["cell_id"] in front_ids),
         key=lambda c: c["steer_p90_ms"],
     )
     if len(front) > 1:
-        points = " ".join(
-            f"{sx(c['steer_p90_ms']):.1f},{sy(c['goodput']):.1f}" for c in front
-        )
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="#2a7" '
-            'stroke-width="1.5" stroke-dasharray="4 3" />'
-        )
+        parts.append(_polyline(
+            ((sx(c["steer_p90_ms"]), sy(c["goodput"])) for c in front), "#2a7", True
+        ))
     for cell in plotted:
         on_front = cell["cell_id"] in front_ids
         parts.append(
@@ -124,14 +190,17 @@ def _scatter(cells: list[dict], front_ids: set) -> str:
             f"goodput {cell['goodput']:.0%}, "
             f"p90 {cell['steer_p90_ms']:.2f} ms</title></circle>"
         )
-    parts.append("</svg>")
+    svg = _frame(
+        height, "goodput vs steer p90 per cell", "steer p90 (ms)", "goodput",
+        "".join(parts), below=ticks,
+    )
     skipped = len(cells) - len(plotted)
     if skipped:
-        parts.append(
+        svg += (
             f'<p class="note">{skipped} cell(s) without steering latencies '
             "are not plotted.</p>"
         )
-    return "".join(parts)
+    return svg
 
 
 def _totals_block(matrix: MatrixReport) -> str:
@@ -160,38 +229,38 @@ def _quarantine_panel(matrix: MatrixReport) -> str:
     """Grid holes, named: quarantined cells and never-run cells."""
     if not matrix.quarantined and not matrix.missing:
         return ""
-    rows = []
-    for q in matrix.quarantined:
-        rows.append(
-            f'<tr class="quarantine">'
-            f'<td class="name">{html.escape(q["cell_id"])}</td>'
-            f"<td>quarantined</td>"
-            f'<td class="name">{html.escape(q["reason"])}</td>'
-            f"<td>{q['attempts']}</td></tr>"
-        )
-    for cell_id in matrix.missing:
-        rows.append(
-            f'<tr class="quarantine">'
-            f'<td class="name">{html.escape(cell_id)}</td>'
-            f'<td>never ran</td><td class="name">-</td><td>-</td></tr>'
-        )
+    rows = [
+        (q["cell_id"], "quarantined", q["reason"], q["attempts"])
+        for q in matrix.quarantined
+    ] + [(cell_id, "never ran", "-", "-") for cell_id in matrix.missing]
     return (
         f"<h2>grid holes ({matrix.holes})</h2>"
         '<p class="note">quarantined cells exhausted the supervisor\'s '
         "retry budget and are skipped on resume; every aggregate above "
         "excludes them.</p>"
-        "<table><tr><th>cell</th><th>state</th><th>reason</th>"
-        f'<th>attempts</th></tr>{"".join(rows)}</table>'
+        + _table(
+            ("cell", "state", "reason", "attempts"),
+            [("quarantine", row) for row in rows], names=(0, 2),
+        )
     )
+
+
+#: the summary columns the marginal and per-cell tables share:
+#: (aggregate key, column header)
+_COLUMNS = (
+    ("sessions", "sess"), ("goodput", "goodput"), ("ops", "ops"),
+    ("violations", "viol"), ("steer_p90_ms", "p90 ms"),
+    ("wait_p90_s", "wait90 s"),
+)
+
+
+def _summary_cells(d: dict) -> list[str]:
+    return [_fmt(d[key], pct=(key == "goodput")) for key, _ in _COLUMNS]
 
 
 def _marginal_tables(matrix: MatrixReport) -> str:
     parts = []
-    columns = (
-        ("cells", "cells"), ("sessions", "sess"), ("goodput", "goodput"),
-        ("ops", "ops"), ("violations", "viol"),
-        ("steer_p90_ms", "p90 ms"), ("wait_p90_s", "wait90 s"),
-    )
+    labels = [label for _, label in _COLUMNS]
     for axis in AXES:
         points = matrix.marginals[axis]
         if not points:
@@ -199,38 +268,25 @@ def _marginal_tables(matrix: MatrixReport) -> str:
         rows = []
         for name, agg in points.items():
             d = agg.to_dict()
-            cells = "".join(
-                f"<td>{_fmt(d[key], pct=(key == 'goodput'))}</td>"
-                for key, _ in columns
-            )
-            rows.append(f'<tr><td class="name">{html.escape(name)}</td>{cells}</tr>')
-        header = "".join(f"<th>{label}</th>" for _, label in columns)
+            rows.append(("", [name, d["cells"], *_summary_cells(d)]))
         parts.append(
             f"<h2>by {html.escape(axis)}</h2>"
-            f'<table><tr><th>point</th>{header}</tr>{"".join(rows)}</table>'
+            + _table(("point", "cells", *labels), rows)
         )
     return "".join(parts)
 
 
 def _cells_table(matrix: MatrixReport, front_ids: set) -> str:
-    rows = []
-    for cell in matrix.cells:
-        cls = ' class="pareto"' if cell["cell_id"] in front_ids else ""
-        rows.append(
-            f'<tr{cls}><td class="name">{html.escape(cell["cell_id"])}</td>'
-            f"<td>{cell['sessions']}</td>"
-            f"<td>{_fmt(cell['goodput'], pct=True)}</td>"
-            f"<td>{cell['ops']}</td><td>{cell['violations']}</td>"
-            f"<td>{_fmt(cell['steer_p90_ms'])}</td>"
-            f"<td>{_fmt(cell['wait_p90_s'])}</td></tr>"
-        )
+    rows = [
+        ("pareto" if cell["cell_id"] in front_ids else "",
+         [cell["cell_id"], *_summary_cells(cell)])
+        for cell in matrix.cells
+    ]
     return (
         "<h2>cells</h2>"
         '<p class="note">green rows are on the goodput/latency pareto '
         "front.</p>"
-        "<table><tr><th>cell</th><th>sess</th><th>goodput</th><th>ops</th>"
-        f'<th>viol</th><th>p90 ms</th><th>wait90 s</th></tr>{"".join(rows)}'
-        "</table>"
+        + _table(("cell", *(label for _, label in _COLUMNS)), rows)
     )
 
 
@@ -238,32 +294,30 @@ def _drift_table(
     matrix: MatrixReport, baseline: MatrixReport, threshold: float
 ) -> str:
     drift = matrix.diff_marginals(baseline, threshold=threshold)
-    rows = []
-    for m in drift["missing"]:
-        side = "this run" if m["only"] == "self" else "baseline"
-        rows.append(
-            f'<tr class="drift"><td class="name">{html.escape(m["axis"])}:'
-            f'{html.escape(m["point"])}</td><td colspan="4">point only in '
-            f"{side}</td></tr>"
-        )
+    rows = [
+        ("drift", [
+            f"{m['axis']}:{m['point']}",
+            f"point only in {'this run' if m['only'] == 'self' else 'baseline'}",
+        ])
+        for m in drift["missing"]
+    ]
     for e in drift["entries"]:
         flagged = e["drift"] > threshold or math.isinf(e["drift"])
-        cls = ' class="drift"' if flagged else ""
-        rows.append(
-            f'<tr{cls}><td class="name">{html.escape(e["axis"])}:'
-            f'{html.escape(e["point"])}</td>'
-            f'<td class="name">{html.escape(e["metric"])}</td>'
-            f"<td>{_fmt(e['other'], pct=(e['metric'] == 'goodput'))}</td>"
-            f"<td>{_fmt(e['self'], pct=(e['metric'] == 'goodput'))}</td>"
-            f"<td>{_fmt(e['drift'])}</td></tr>"
-        )
+        pct = e["metric"] == "goodput"
+        rows.append(("drift" if flagged else "", [
+            f"{e['axis']}:{e['point']}", e["metric"],
+            _fmt(e["other"], pct=pct), _fmt(e["self"], pct=pct),
+            _fmt(e["drift"]),
+        ]))
     return (
         f"<h2>drift vs. baseline (threshold {threshold:g})</h2>"
         f'<p class="note">{len(drift["exceeded"])} exceeded, '
         f'{len(drift["missing"])} missing of {len(drift["entries"])} '
         "comparisons; red rows exceed the threshold.</p>"
-        "<table><tr><th>marginal</th><th>metric</th><th>baseline</th>"
-        f'<th>this run</th><th>drift</th></tr>{"".join(rows)}</table>'
+        + _table(
+            ("marginal", "metric", "baseline", "this run", "drift"), rows,
+            names=(0, 1),
+        )
     )
 
 
@@ -274,9 +328,7 @@ def render_html(
 ) -> str:
     """The dashboard page as one HTML string."""
     front_ids = {row["cell_id"] for row in matrix.pareto()}
-    title = f"campaign {matrix.campaign!r} seed {matrix.seed}"
     sections = [
-        f"<h1>{html.escape(title)}</h1>",
         _totals_block(matrix),
         _quarantine_panel(matrix),
         "<h2>goodput vs. steer p90</h2>",
@@ -286,21 +338,14 @@ def render_html(
     if baseline is not None:
         sections.append(_drift_table(matrix, baseline, drift_threshold))
     sections.append(_cells_table(matrix, front_ids))
-    return (
-        "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
-        f"<title>{html.escape(title)}</title>"
-        f"<style>{_CSS}</style></head>\n<body>\n"
-        + "\n".join(s for s in sections if s)
-        + "\n</body></html>\n"
-    )
+    return _page(f"campaign {matrix.campaign!r} seed {matrix.seed}", sections)
 
 
 def write_html(path, matrix, baseline=None, drift_threshold: float = 0.05):
     """Render and write the dashboard; returns the path."""
-    page = render_html(matrix, baseline=baseline, drift_threshold=drift_threshold)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(page)
-    return path
+    return _write(
+        path, render_html(matrix, baseline=baseline, drift_threshold=drift_threshold)
+    )
 
 
 # -- the search dashboard -----------------------------------------------------
@@ -312,11 +357,14 @@ def write_html(path, matrix, baseline=None, drift_threshold: float = 0.05):
 # Same rules as the grid page: pure function of the archive, no scripts,
 # byte-identical across same-seed runs.
 
+_SEARCH_HEIGHT = 300
 
-def _search_geometry(evaluations):
-    """Shared y-scale for the search plots: real (non-quarantined,
-    finite) scores only — :data:`WORST_SCORE` sentinels would flatten
-    every real cliff into one pixel."""
+
+def _score_scale(evaluations):
+    """Shared y-scale for the search plots: score -> pixel over the real
+    (non-quarantined, finite) scores only — :data:`WORST_SCORE`
+    sentinels would flatten every real cliff into one pixel.  Returns
+    ``(lo, hi, sy)``, or None when nothing real was scored."""
     real = [ev for ev in evaluations if not ev.quarantined]
     scores = [ev.score for ev in real if math.isfinite(ev.score)]
     if not scores:
@@ -324,56 +372,33 @@ def _search_geometry(evaluations):
     lo, hi = min(scores), max(scores)
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
-    return lo, hi
+
+    def sy(score: float) -> float:
+        score = min(max(score, lo), hi)
+        return (
+            _SEARCH_HEIGHT - _PAD
+            - (_SEARCH_HEIGHT - 2 * _PAD) * (score - lo) / (hi - lo)
+        )
+
+    return lo, hi, sy
 
 
 def _objective_curve(archive) -> str:
     """Inline SVG: best score per generation + cumulative best."""
     generations = archive.by_generation()
-    span = _search_geometry(archive.evaluations)
-    if span is None or not generations:
+    scale = _score_scale(archive.evaluations)
+    if scale is None or not generations:
         return '<p class="note">no scored evaluations to plot.</p>'
-    lo, hi = span
-    width, height, pad = 640, 300, 45
+    lo, hi, sy = scale
     n = len(generations)
 
     def sx(gen: int) -> float:
-        return pad + (width - 2 * pad) * (gen + 0.5) / n
+        return _PAD + (_WIDTH - 2 * _PAD) * (gen + 0.5) / n
 
-    def sy(score: float) -> float:
-        score = min(max(score, lo), hi)
-        return height - pad - (height - 2 * pad) * (score - lo) / (hi - lo)
-
-    parts = [
-        f'<svg width="{width}" height="{height}" viewBox="0 0 {width} {height}" '
-        'role="img" aria-label="objective vs generation">'
-    ]
-    for i in range(5):
-        frac = i / 4
-        value = lo + (hi - lo) * frac
-        y = sy(value)
-        parts.append(
-            f'<line x1="{pad}" y1="{y:.1f}" x2="{width - pad}" y2="{y:.1f}" '
-            'stroke="#dde" />'
-            f'<text x="{pad - 6}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-size="11" fill="#667">{value:.3g}</text>'
-        )
-    for gen in range(n):
-        parts.append(
-            f'<text x="{sx(gen):.1f}" y="{height - pad + 16}" '
-            f'text-anchor="middle" font-size="11" fill="#667">{gen}</text>'
-        )
-    parts.append(
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-        f'y2="{height - pad}" stroke="#99a" />'
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
-        'stroke="#99a" />'
-        f'<text x="{width / 2:.0f}" y="{height - 8}" text-anchor="middle" '
-        'font-size="12">generation</text>'
-        f'<text x="14" y="{height / 2:.0f}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 14 {height / 2:.0f})">objective (lower = '
-        "worse for the fabric)</text>"
-    )
+    ticks = "".join(
+        _ytick(sy(value), f"{value:.3g}")
+        for value in (lo + (hi - lo) * i / 4 for i in range(5))
+    ) + "".join(_xtick(_SEARCH_HEIGHT, sx(gen), gen) for gen in range(n))
     gen_best, run_best = [], []
     best = math.inf
     for gen, evs in enumerate(generations):
@@ -385,84 +410,53 @@ def _objective_curve(archive) -> str:
         best = min(best, gbest)
         gen_best.append((gen, gbest))
         run_best.append((gen, best))
-    for series, colour, dash in (
-        (gen_best, "#46c", ""), (run_best, "#2a7", ' stroke-dasharray="4 3"')
-    ):
-        if len(series) > 1:
-            points = " ".join(f"{sx(g):.1f},{sy(s):.1f}" for g, s in series)
-            parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{colour}" '
-                f'stroke-width="1.5"{dash} />'
-            )
+    parts = [
+        _polyline(((sx(g), sy(s)) for g, s in series), colour, dashed)
+        for series, colour, dashed in ((gen_best, "#46c", False), (run_best, "#2a7", True))
+        if len(series) > 1
+    ]
     for gen, score in gen_best:
         parts.append(
             f'<circle cx="{sx(gen):.1f}" cy="{sy(score):.1f}" r="4" '
             f'fill="#46c"><title>gen {gen}: best {score:.4g}</title></circle>'
         )
-    parts.append("</svg>")
-    parts.append(
+    return _frame(
+        _SEARCH_HEIGHT, "objective vs generation", "generation",
+        "objective (lower = worse for the fabric)", "".join(parts), below=ticks,
+    ) + (
         '<p class="note">solid: best of each generation; dashed: best so '
         "far.</p>"
     )
-    return "".join(parts)
 
 
 def _search_scatter(archive) -> str:
     """Inline SVG: every proposal, generation (x) vs score (y);
     quarantined proposals drawn as red crosses pinned to the top edge."""
-    evaluations = archive.evaluations
-    span = _search_geometry(evaluations)
-    if span is None:
+    scale = _score_scale(archive.evaluations)
+    if scale is None:
         return ""
-    lo, hi = span
-    n = archive.generations
-    width, height, pad = 640, 300, 45
-
-    def sx(gen: int, slot: int, slots: int) -> float:
-        lane = (width - 2 * pad) / n
-        return pad + lane * gen + lane * (slot + 1) / (slots + 1)
-
-    def sy(score: float) -> float:
-        score = min(max(score, lo), hi)
-        return height - pad - (height - 2 * pad) * (score - lo) / (hi - lo)
-
-    parts = [
-        f'<svg width="{width}" height="{height}" viewBox="0 0 {width} {height}" '
-        'role="img" aria-label="every proposal by generation and score">'
-    ]
-    parts.append(
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-        f'y2="{height - pad}" stroke="#99a" />'
-        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
-        'stroke="#99a" />'
-        f'<text x="{width / 2:.0f}" y="{height - 8}" text-anchor="middle" '
-        'font-size="12">generation</text>'
-    )
-    for gen in range(n):
-        lane = (width - 2 * pad) / n
-        x = pad + lane * (gen + 0.5)
-        parts.append(
-            f'<text x="{x:.1f}" y="{height - pad + 16}" text-anchor="middle" '
-            f'font-size="11" fill="#667">{gen}</text>'
-        )
+    sy = scale[2]
+    height = _SEARCH_HEIGHT
+    lane = (_WIDTH - 2 * _PAD) / archive.generations
+    ticks, parts = [], []
+    for gen, evs in enumerate(archive.by_generation()):
+        ticks.append(_xtick(height, _PAD + lane * (gen + 0.5), gen))
         if gen:
-            parts.append(
-                f'<line x1="{pad + lane * gen:.1f}" y1="{pad}" '
-                f'x2="{pad + lane * gen:.1f}" y2="{height - pad}" '
+            ticks.append(
+                f'<line x1="{_PAD + lane * gen:.1f}" y1="{_PAD}" '
+                f'x2="{_PAD + lane * gen:.1f}" y2="{height - _PAD}" '
                 'stroke="#eef" />'
             )
-    by_gen = archive.by_generation()
-    for gen, evs in enumerate(by_gen):
         for slot, ev in enumerate(evs):
-            x = sx(gen, slot, len(evs))
+            x = _PAD + lane * gen + lane * (slot + 1) / (len(evs) + 1)
             label = html.escape(ev.cell_id)
             if ev.quarantined:
                 parts.append(
                     f'<g stroke="#b00020" stroke-width="1.5">'
-                    f'<line x1="{x - 4:.1f}" y1="{pad - 4}" x2="{x + 4:.1f}" '
-                    f'y2="{pad + 4}" />'
-                    f'<line x1="{x - 4:.1f}" y1="{pad + 4}" x2="{x + 4:.1f}" '
-                    f'y2="{pad - 4}" />'
+                    f'<line x1="{x - 4:.1f}" y1="{_PAD - 4}" x2="{x + 4:.1f}" '
+                    f'y2="{_PAD + 4}" />'
+                    f'<line x1="{x - 4:.1f}" y1="{_PAD + 4}" x2="{x + 4:.1f}" '
+                    f'y2="{_PAD - 4}" />'
                     f"<title>{label}\nquarantined</title></g>"
                 )
             else:
@@ -471,45 +465,44 @@ def _search_scatter(archive) -> str:
                     'fill="#46c" fill-opacity="0.75">'
                     f"<title>{label}\nscore {ev.score:.4g}</title></circle>"
                 )
-    parts.append("</svg>")
-    quarantined = sum(1 for ev in evaluations if ev.quarantined)
-    if quarantined:
-        parts.append(
-            f'<p class="note">{quarantined} quarantined proposal(s) drawn '
+    svg = _frame(
+        height, "every proposal by generation and score", "generation", None,
+        "".join(parts), above="".join(ticks),
+    )
+    if archive.quarantined:
+        svg += (
+            f'<p class="note">{archive.quarantined} quarantined proposal(s) drawn '
             "as red crosses at the top edge (scored worst-case, excluded "
             "from the scale).</p>"
         )
-    return "".join(parts)
+    return svg
 
 
 def _search_table(archive, top: int = 12) -> str:
-    rows = []
-    for rank, ev in enumerate(archive.best(top), start=1):
-        knobs = "; ".join(
-            f"{path}={_fmt(value)}"
-            for path, value in sorted(ev.assignment.items())
-        )
-        rows.append(
-            f'<tr><td>{rank}</td><td class="name">{html.escape(ev.cell_id)}'
-            f"</td><td>{ev.generation}</td><td>{_fmt(ev.score)}</td>"
-            f'<td class="name">{html.escape(knobs)}</td></tr>'
-        )
+    rows = [
+        ("", [
+            rank, ev.cell_id, ev.generation, _fmt(ev.score),
+            "; ".join(
+                f"{path}={_fmt(value)}"
+                for path, value in sorted(ev.assignment.items())
+            ),
+        ])
+        for rank, ev in enumerate(archive.best(top), start=1)
+    ]
     if not rows:
         return ""
     return (
         "<h2>top cells</h2>"
         '<p class="note">lowest loss first; export them as frozen grid '
         "specs with <code>search export</code>.</p>"
-        "<table><tr><th>#</th><th>cell</th><th>gen</th><th>score</th>"
-        f'<th>assignment</th></tr>{"".join(rows)}</table>'
+        + _table(("#", "cell", "gen", "score", "assignment"), rows, names=(1, 4))
     )
 
 
 def render_search_html(archive) -> str:
     """The search dashboard page as one HTML string."""
     spec = archive.spec
-    quarantined = sum(1 for ev in archive.evaluations if ev.quarantined)
-    title = f"search {spec.name!r} seed {spec.seed}"
+    quarantined = archive.quarantined
     bests = archive.best(1)
     best_txt = _fmt(bests[0].score) if bests else "-"
     bad = ' class="bad"' if quarantined else ""
@@ -523,26 +516,16 @@ def render_search_html(archive) -> str:
         f"{html.escape(spec.objective.metric)}</span>"
         f"<span><b>{html.escape(spec.strategy.kind)}</b> strategy</span></p>"
     )
-    sections = [
-        f"<h1>{html.escape(title)}</h1>",
+    return _page(f"search {spec.name!r} seed {spec.seed}", [
         totals,
         "<h2>objective vs. generation</h2>",
         _objective_curve(archive),
         "<h2>all proposals</h2>",
         _search_scatter(archive),
         _search_table(archive),
-    ]
-    return (
-        "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">"
-        f"<title>{html.escape(title)}</title>"
-        f"<style>{_CSS}</style></head>\n<body>\n"
-        + "\n".join(s for s in sections if s)
-        + "\n</body></html>\n"
-    )
+    ])
 
 
 def write_search_html(path, archive):
     """Render and write the search dashboard; returns the path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_search_html(archive))
-    return path
+    return _write(path, render_search_html(archive))

@@ -111,15 +111,19 @@ def nightly(seed: int = 2003) -> CampaignSpec:
 PRESETS = {"smoke": smoke, "nightly": nightly}
 
 
-def preset(name: str, seed: int | None = None) -> CampaignSpec:
+def _build(table: dict, noun: str, name: str, seed: int | None):
+    """A fresh spec from a preset table, at its own seed or the caller's."""
     try:
-        build = PRESETS[name]
+        build = table[name]
     except KeyError:
         raise CampaignError(
-            f"unknown campaign preset {name!r}; "
-            f"expected one of {sorted(PRESETS)}"
+            f"unknown {noun} preset {name!r}; expected one of {sorted(table)}"
         ) from None
     return build() if seed is None else build(seed=seed)
+
+
+def preset(name: str, seed: int | None = None) -> CampaignSpec:
+    return _build(PRESETS, "campaign", name, seed)
 
 
 # -- adaptive searches --------------------------------------------------------
@@ -196,11 +200,4 @@ SEARCH_PRESETS = {"cliff-smoke": cliff_smoke, "cliff-hunt": cliff_hunt}
 
 
 def search_preset(name: str, seed: int | None = None) -> SearchSpec:
-    try:
-        build = SEARCH_PRESETS[name]
-    except KeyError:
-        raise CampaignError(
-            f"unknown search preset {name!r}; "
-            f"expected one of {sorted(SEARCH_PRESETS)}"
-        ) from None
-    return build() if seed is None else build(seed=seed)
+    return _build(SEARCH_PRESETS, "search", name, seed)

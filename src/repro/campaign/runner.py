@@ -49,21 +49,28 @@ from repro.campaign.axes import (
 from repro.campaign.matrix import MatrixReport
 from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.campaign.store import ResultStore
-from repro.campaign.supervise import Supervisor
+from repro.campaign.supervise import Supervisor, zero_stats
 from repro.chaos import ChaosHarness
 from repro.errors import CampaignError
 from repro.fleet import BrokerPool, FleetDriver
 from repro.load import AdmissionController, ReactiveAutoscaler
 from repro.perf.bench import bench_envelope
 
-#: fabric/run knobs every cell inherits unless its campaign or axis
-#: points override them (CampaignSpec.base / AxisPoint params["base"])
-DEFAULT_BASE = {
+#: the fabric a cell is built on.  The live server's defaults and the
+#: trace -> campaign lowering are built from this dict, so a recorded
+#: trace replays on the fabric it was captured on
+FABRIC_DEFAULTS = {
     "n_sites": 3,
     "queue_slots": 2,
     "queue_limit": 12,
     "registry_shards": 4,
     "broker_port": 7100,
+}
+
+#: fabric/run knobs every cell inherits unless its campaign or axis
+#: points override them (CampaignSpec.base / AxisPoint params["base"])
+DEFAULT_BASE = {
+    **FABRIC_DEFAULTS,
     "horizon": 10.0,
     #: drain budget after the last arrival; None = run to quiescence cap
     "grace": 60.0,
@@ -176,7 +183,7 @@ def run_cell(cell: CellSpec) -> dict:
         seed=cell.subseed("arrival"),
         horizon=float(config["horizon"]),
     )
-    world.install(build_schedule(cell.faults, cell, arrivals.horizon))
+    world.install(build_schedule(cell.faults, cell, config, arrivals.horizon))
     if autoscale_kwargs is not None:
         ReactiveAutoscaler(controller, **autoscale_kwargs)
 
@@ -198,48 +205,34 @@ def run_cell(cell: CellSpec) -> dict:
         cell.cell_id, None,
         wall_seconds=wall, events=driver.env.events_processed,
     )
-    return {
-        "kind": "cell",
-        "cell_id": cell.cell_id,
-        "index": cell.index,
-        "seed": cell.seed,
-        "coords": cell.coords,
-        "report": report.to_dict(),
-        "verdict": verdict,
-        "mergeable": driver.telemetry.export_mergeable(),
-        "perf": envelope["perf"],
-    }
-
-
-def _zero_stats() -> dict:
-    return {
-        "completed": 0, "worker_restarts": 0,
-        "cell_retries": 0, "quarantined": 0,
-    }
+    return cell.record(
+        "cell",
+        report=report.to_dict(),
+        verdict=verdict,
+        mergeable=driver.telemetry.export_mergeable(),
+        perf=envelope["perf"],
+    )
 
 
 class CellExecutor:
     """Settle an explicit list of cells into the store.
 
-    The execution engine shared by :class:`CampaignRunner` (which feeds
-    it a grid's pending cells once) and
+    The execution engine under :class:`CampaignRunner` (which feeds it a
+    grid's pending cells once) and
     :class:`~repro.campaign.search.SearchRunner` (which feeds it one
-    generation of proposed cells at a time).  ``workers=1``
-    (unsupervised) runs cells inline — no processes, no pickling — the
-    byte-identical reference execution every other mode must match.
-    ``workers>1``, a ``max_cell_seconds`` deadline, or
-    ``supervise=True`` routes execution through the
-    :class:`~repro.campaign.supervise.Supervisor`.  ``mp_context``
-    defaults to ``"spawn"`` so worker state is a function of the
-    CellSpec alone, never of what the parent happened to import or
-    mutate first.
+    generation of proposed cells at a time) — both *are* executors, so
+    this signature is the one place the execution keywords and their
+    defaults are declared.  ``workers=1`` (unsupervised) runs cells
+    inline — no processes, no pickling — the byte-identical reference
+    execution every other mode must match.  ``workers>1``, a
+    ``max_cell_seconds`` deadline, or ``supervise=True`` routes
+    execution through the :class:`~repro.campaign.supervise.Supervisor`.
     """
 
     def __init__(
         self,
         store: ResultStore,
         workers: int = 1,
-        mp_context: str = "spawn",
         max_cell_seconds: Optional[float] = None,
         max_cell_retries: int = 2,
         retry_backoff: float = 0.05,
@@ -250,16 +243,24 @@ class CellExecutor:
             raise CampaignError("campaign needs >= 1 worker")
         self.store = store
         self.workers = workers
-        self.mp_context = mp_context
-        self.max_cell_seconds = max_cell_seconds
-        self.max_cell_retries = max_cell_retries
-        self.retry_backoff = retry_backoff
         if supervise is None:
             supervise = workers > 1 or max_cell_seconds is not None
         self.supervise = supervise
         self.metrics = metrics
+        #: what every Supervisor this executor builds is given
+        self._supervision = {
+            "workers": workers,
+            "max_cell_seconds": max_cell_seconds,
+            "max_cell_retries": max_cell_retries,
+            "retry_backoff": retry_backoff,
+            "metrics": metrics,
+        }
         #: the Supervisor of the last execute() call (None when inline)
         self.supervisor: Optional[Supervisor] = None
+        #: outcome counters of the owning runner's last run() call
+        self.stats = zero_stats()
+        #: cell ids that run() attempted (not resumed over or replayed)
+        self.executed: list[str] = []
 
     def execute(
         self,
@@ -272,23 +273,14 @@ class CellExecutor:
         drain — by then every record that finished in time is flushed
         and the store is consistent, so the caller can simply resume.
         """
-        stats = _zero_stats()
+        stats = zero_stats()
         if not todo:
             return stats
         if self.supervise:
-            supervisor = Supervisor(
-                self.store,
-                workers=self.workers,
-                mp_context=self.mp_context,
-                max_cell_seconds=self.max_cell_seconds,
-                max_cell_retries=self.max_cell_retries,
-                retry_backoff=self.retry_backoff,
-                metrics=self.metrics,
-            )
-            self.supervisor = supervisor
-            stats = supervisor.run(todo, progress=progress)
-            if supervisor.interrupted is not None:
-                raise KeyboardInterrupt(supervisor.interrupted)
+            self.supervisor = Supervisor(self.store, **self._supervision)
+            stats = self.supervisor.run(todo, progress=progress)
+            if self.supervisor.interrupted is not None:
+                raise KeyboardInterrupt(self.supervisor.interrupted)
         else:
             for cell in todo:
                 record = run_cell(cell)
@@ -299,56 +291,20 @@ class CellExecutor:
         return stats
 
 
-class CampaignRunner:
+class CampaignRunner(CellExecutor):
     """Drive a campaign grid's unsettled cells to completion.
 
-    A thin orchestration shell over :class:`CellExecutor`: compute the
-    pending cells, execute them, aggregate the full grid.  All
-    execution semantics (inline reference mode, supervision, retry,
-    quarantine) live in the executor.
+    A :class:`CellExecutor` bound to one grid: compute the pending
+    cells, execute them, aggregate the full grid.  All execution
+    semantics (inline reference mode, supervision, retry, quarantine)
+    and every execution keyword are the executor's.
     """
 
     def __init__(
-        self,
-        spec: CampaignSpec,
-        store: ResultStore,
-        workers: int = 1,
-        mp_context: str = "spawn",
-        max_cell_seconds: Optional[float] = None,
-        max_cell_retries: int = 2,
-        retry_backoff: float = 0.05,
-        supervise: Optional[bool] = None,
-        metrics=None,
+        self, spec: CampaignSpec, store: ResultStore, **execution
     ) -> None:
+        super().__init__(store, **execution)
         self.spec = spec
-        self.store = store
-        self.executor = CellExecutor(
-            store,
-            workers=workers,
-            mp_context=mp_context,
-            max_cell_seconds=max_cell_seconds,
-            max_cell_retries=max_cell_retries,
-            retry_backoff=retry_backoff,
-            supervise=supervise,
-            metrics=metrics,
-        )
-        #: supervision outcome counters of the last run() call
-        self.stats = _zero_stats()
-        #: cell ids attempted (not resumed-over) by the last run() call
-        self.executed: list[str] = []
-
-    @property
-    def workers(self) -> int:
-        return self.executor.workers
-
-    @property
-    def supervise(self) -> bool:
-        return self.executor.supervise
-
-    @property
-    def supervisor(self) -> Optional[Supervisor]:
-        """The Supervisor of the last run() call (None when inline)."""
-        return self.executor.supervisor
 
     def pending(self) -> list[CellSpec]:
         """Cells neither completed nor quarantined yet."""
@@ -363,13 +319,12 @@ class CampaignRunner:
         """Settle every incomplete cell, then aggregate the full grid.
 
         Raises :class:`KeyboardInterrupt` after a signal-initiated
-        drain — by then every record that finished in time is flushed
-        and the store is consistent, so the caller can simply resume.
+        drain, as :meth:`execute` does.
         """
         self.store.ensure_header(self.spec)
         todo = self.pending()
         self.executed = [c.cell_id for c in todo]
-        self.stats = self.executor.execute(todo, progress=progress)
+        self.stats = self.execute(todo, progress=progress)
         return MatrixReport.from_records(
             self.store.cell_records(),
             spec=self.spec,

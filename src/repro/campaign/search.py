@@ -41,13 +41,22 @@ import math
 import os
 import pathlib
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.campaign.matrix import cell_row
 from repro.campaign.runner import CellExecutor
+from repro.campaign.supervise import zero_stats
 from repro.campaign.space import ParamSpace, assignment_digest, validate_path
-from repro.campaign.spec import SPEC_VERSION, CellSpec, check_spec_version, derive_seed
+from repro.campaign.spec import (
+    SPEC_VERSION,
+    CellSpec,
+    check_document,
+    derive_seed,
+    exact_int,
+    from_fields,
+    to_fields,
+)
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
 
@@ -89,6 +98,8 @@ class Constraint:
             raise CampaignError(
                 f"constraint on {self.metric!r}: weight must be > 0"
             )
+        # to_dict() is byte-stable however the weight was spelled
+        object.__setattr__(self, "weight", float(self.weight))
 
     def penalty(self, row: dict) -> float:
         value = row.get(self.metric)
@@ -101,18 +112,8 @@ class Constraint:
             excess = value - self.hi
         return self.weight * excess
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric, "lo": self.lo, "hi": self.hi,
-            "weight": self.weight,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Constraint":
-        return cls(
-            metric=doc["metric"], lo=doc.get("lo"), hi=doc.get("hi"),
-            weight=float(doc.get("weight", 100.0)),
-        )
+    to_dict = to_fields
+    from_dict = classmethod(from_fields)
 
 
 @dataclass(frozen=True)
@@ -163,20 +164,8 @@ class Objective:
         """The pessimal loss, assigned to quarantined proposals."""
         return WORST_SCORE
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "goal": self.goal,
-            "constraints": [c.to_dict() for c in self.constraints],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Objective":
-        return cls(
-            metric=doc.get("metric", "goodput"),
-            goal=doc.get("goal", "min"),
-            constraints=tuple(doc.get("constraints", ())),
-        )
+    to_dict = to_fields
+    from_dict = classmethod(from_fields)
 
 
 # -- evaluations -------------------------------------------------------------
@@ -193,26 +182,8 @@ class Evaluation:
     score: float
     quarantined: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "assignment": dict(self.assignment),
-            "cell_id": self.cell_id,
-            "seed": self.seed,
-            "score": self.score,
-            "quarantined": self.quarantined,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Evaluation":
-        return cls(
-            generation=int(doc["generation"]),
-            assignment=dict(doc["assignment"]),
-            cell_id=doc["cell_id"],
-            seed=int(doc["seed"]),
-            score=float(doc["score"]),
-            quarantined=bool(doc.get("quarantined", False)),
-        )
+    to_dict = to_fields
+    from_dict = classmethod(from_fields)
 
 
 # -- strategies --------------------------------------------------------------
@@ -241,10 +212,13 @@ class SearchStrategy(Protocol):
     def to_dict(self) -> dict: ...
 
 
-def _quarantined_digests(history: Sequence[Evaluation]) -> set:
-    return {
-        assignment_digest(ev.assignment) for ev in history if ev.quarantined
-    }
+def _ranked(evaluations) -> list[Evaluation]:
+    """The non-quarantined evaluations, lowest loss first (ties broken
+    by cell id, so every selection built on this is deterministic)."""
+    return sorted(
+        (ev for ev in evaluations if not ev.quarantined),
+        key=lambda ev: (ev.score, ev.cell_id),
+    )
 
 
 def _avoid_quarantined(
@@ -260,7 +234,9 @@ def _avoid_quarantined(
     space; the retry bound keeps a pathological all-poison space from
     looping forever).
     """
-    poison = _quarantined_digests(history)
+    poison = {
+        assignment_digest(ev.assignment) for ev in history if ev.quarantined
+    }
     if not poison:
         return proposals
     out = []
@@ -283,16 +259,15 @@ class RandomStrategy:
         proposals = [space.sample(rng) for _ in range(count)]
         return _avoid_quarantined(space, history, rng, proposals)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
+    to_dict = to_fields
 
 
 @dataclass(frozen=True)
 class EvolutionaryStrategy:
     """Elite selection + per-dimension crossover + gaussian mutation.
 
-    Parents are the ``elites`` best non-quarantined evaluations so far
-    (ties broken by cell id, so selection is deterministic).  Each child
+    Parents are the ``elites`` best non-quarantined evaluations so far.
+    Each child
     inherits every dimension from one of two parents (crossover) and
     takes a gaussian step sized to the range span (mutation); a
     ``immigrant_rate`` fraction of each generation is fresh uniform
@@ -316,10 +291,7 @@ class EvolutionaryStrategy:
             raise CampaignError("immigrant_rate must be in [0, 1]")
 
     def propose(self, space, history, rng, count) -> list[dict]:
-        parents = sorted(
-            (ev for ev in history if not ev.quarantined),
-            key=lambda ev: (ev.score, ev.cell_id),
-        )[: self.elites]
+        parents = _ranked(history)[: self.elites]
         proposals = []
         for _ in range(count):
             if not parents or rng.random() < self.immigrant_rate:
@@ -338,14 +310,7 @@ class EvolutionaryStrategy:
             proposals.append(child)
         return _avoid_quarantined(space, history, rng, proposals)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "elites": self.elites,
-            "mutation_scale": self.mutation_scale,
-            "crossover_rate": self.crossover_rate,
-            "immigrant_rate": self.immigrant_rate,
-        }
+    to_dict = to_fields
 
 
 @dataclass(frozen=True)
@@ -385,12 +350,8 @@ class SuccessiveHalvingStrategy:
         generation = history[-1].generation + 1 if history else 0
         rung = generation % self.rungs
         if rung:
-            survivors = sorted(
-                (
-                    ev for ev in history
-                    if ev.generation == generation - 1 and not ev.quarantined
-                ),
-                key=lambda ev: (ev.score, ev.cell_id),
+            survivors = _ranked(
+                ev for ev in history if ev.generation == generation - 1
             )
             keep = max(1, count // self.eta**rung)
             budget = min(self.budget_lo * self.eta**rung, self.budget_hi)
@@ -409,15 +370,7 @@ class SuccessiveHalvingStrategy:
             proposals.append(assignment)
         return _avoid_quarantined(space, history, rng, proposals)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "budget_path": self.budget_path,
-            "budget_lo": self.budget_lo,
-            "budget_hi": self.budget_hi,
-            "eta": self.eta,
-            "rungs": self.rungs,
-        }
+    to_dict = to_fields
 
 
 #: strategy kind -> class, the wire-format registry
@@ -431,6 +384,8 @@ def make_strategy(doc) -> SearchStrategy:
     """Build a strategy from its wire form (``{"kind": ..., **params}``)."""
     if isinstance(doc, SearchStrategy):
         return doc
+    if not isinstance(doc, dict):
+        raise CampaignError(f"strategy must be a JSON object, got {doc!r}")
     doc = dict(doc)
     kind = doc.pop("kind", None)
     cls = STRATEGIES.get(kind)
@@ -439,13 +394,7 @@ def make_strategy(doc) -> SearchStrategy:
             f"unknown search strategy {kind!r} "
             f"(expected one of {sorted(STRATEGIES)})"
         )
-    allowed = {f.name for f in fields(cls)}
-    extra = set(doc) - allowed
-    if extra:
-        raise CampaignError(
-            f"strategy {kind!r}: unexpected params {sorted(extra)}"
-        )
-    return cls(**doc)
+    return from_fields(cls, doc, what=f"strategy {kind!r}")
 
 
 # -- the search spec ---------------------------------------------------------
@@ -472,6 +421,8 @@ class SearchSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise CampaignError("search needs a name")
+        for budget in ("seed", "generations", "population"):
+            exact_int(getattr(self, budget), f"search {budget}")
         if not isinstance(self.space, ParamSpace):
             self.space = ParamSpace.from_dict(self.space)
         self.strategy = make_strategy(self.strategy)
@@ -491,41 +442,11 @@ class SearchSpec:
         return self.space.lower_spec(assignment, seed=self.seed, name=name)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SEARCH_SCHEMA,
-            "version": SPEC_VERSION,
-            "name": self.name,
-            "seed": self.seed,
-            "generations": self.generations,
-            "population": self.population,
-            "space": self.space.to_dict(),
-            "strategy": self.strategy.to_dict(),
-            "objective": self.objective.to_dict(),
-        }
+        return to_fields(self, SEARCH_SCHEMA)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SearchSpec":
-        schema = doc.get("schema", SEARCH_SCHEMA)
-        if schema != SEARCH_SCHEMA:
-            raise CampaignError(
-                f"unsupported search spec schema {schema!r} "
-                f"(expected {SEARCH_SCHEMA})"
-            )
-        check_spec_version(doc, what="search spec")
-        try:
-            return cls(
-                name=doc["name"],
-                seed=int(doc.get("seed", 0)),
-                generations=int(doc.get("generations", 4)),
-                population=int(doc.get("population", 8)),
-                space=ParamSpace.from_dict(doc["space"]),
-                strategy=doc.get("strategy", {"kind": "random"}),
-                objective=Objective.from_dict(doc.get("objective", {})),
-            )
-        except KeyError as exc:
-            raise CampaignError(
-                f"search spec is missing required key {exc}"
-            ) from None
+        return from_fields(cls, doc, "search spec", SEARCH_SCHEMA)
 
 
 # -- the archive -------------------------------------------------------------
@@ -565,10 +486,7 @@ class SearchArchive:
         by cell (a halving survivor appears once, at its best rung)."""
         seen = set()
         out = []
-        for ev in sorted(
-            (ev for ev in self.evaluations if not ev.quarantined),
-            key=lambda ev: (ev.score, ev.cell_id),
-        ):
+        for ev in _ranked(self.evaluations):
             if ev.cell_id in seen:
                 continue
             seen.add(ev.cell_id)
@@ -576,6 +494,11 @@ class SearchArchive:
             if len(out) >= top:
                 break
         return out
+
+    @property
+    def quarantined(self) -> int:
+        """How many proposals the supervisor gave up on."""
+        return sum(1 for ev in self.evaluations if ev.quarantined)
 
     def by_generation(self) -> list[list[Evaluation]]:
         gens: list[list[Evaluation]] = [[] for _ in range(self.generations)]
@@ -612,11 +535,9 @@ class SearchArchive:
             doc = json.loads(pathlib.Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CampaignError(f"cannot read search archive {path}: {exc}") from None
-        if doc.get("schema") != ARCHIVE_SCHEMA:
-            raise CampaignError(
-                f"{path}: not a {ARCHIVE_SCHEMA} document"
-            )
-        check_spec_version(doc, what="search archive")
+        if not isinstance(doc, dict) or doc.get("schema") != ARCHIVE_SCHEMA:
+            raise CampaignError(f"{path}: not a {ARCHIVE_SCHEMA} document")
+        check_document(doc, ARCHIVE_SCHEMA, "search archive")
         return cls(
             SearchSpec.from_dict(doc["search"]),
             [Evaluation.from_dict(ev) for ev in doc.get("evaluations", ())],
@@ -664,8 +585,7 @@ class SearchArchive:
             f"search {self.spec.name!r} seed {self.spec.seed}: "
             f"{self.generations}/{self.spec.generations} generations, "
             f"{len(self.evaluations)} evaluations "
-            f"({sum(1 for ev in self.evaluations if ev.quarantined)} "
-            f"quarantined), strategy {self.spec.strategy.kind}, "
+            f"({self.quarantined} quarantined), strategy {self.spec.strategy.kind}, "
             f"objective {self.spec.objective.goal} "
             f"{self.spec.objective.metric}"
         ]
@@ -695,12 +615,13 @@ class SearchArchive:
 # -- the runner --------------------------------------------------------------
 
 
-class SearchRunner:
+class SearchRunner(CellExecutor):
     """Drive a search to its generation budget, resumably.
 
     The loop per generation: derive the generation RNG, ask the
     strategy for proposals, lower them to cells, execute the not-yet-
-    settled ones through the :class:`CellExecutor`, score everything in
+    settled ones (it is a :class:`CellExecutor`, inline or supervised
+    as its keywords say), score everything in
     **proposal order** from the store, append to the history, rewrite
     the archive.  Because every step is a pure function of (seed,
     store), calling :meth:`run` on a half-finished store *is* resume —
@@ -709,35 +630,15 @@ class SearchRunner:
     """
 
     def __init__(
-        self,
-        spec: SearchSpec,
-        store: ResultStore,
-        workers: int = 1,
-        mp_context: str = "spawn",
-        max_cell_seconds: Optional[float] = None,
-        max_cell_retries: int = 2,
-        retry_backoff: float = 0.05,
-        supervise: Optional[bool] = None,
-        metrics=None,
-        archive_path=None,
+        self, spec: SearchSpec, store: ResultStore, archive_path=None, **execution
     ) -> None:
+        super().__init__(store, **execution)
         self.spec = spec
-        self.store = store
-        self.executor = CellExecutor(
-            store,
-            workers=workers,
-            mp_context=mp_context,
-            max_cell_seconds=max_cell_seconds,
-            max_cell_retries=max_cell_retries,
-            retry_backoff=retry_backoff,
-            supervise=supervise,
-            metrics=metrics,
-        )
         self.archive_path = pathlib.Path(
             archive_path if archive_path is not None
             else default_archive_path(store.path)
         )
-        self.metrics = metrics
+        metrics = self.metrics
         if metrics is not None:
             self._m_generations = metrics.counter(
                 "campaign_search_generations_total",
@@ -751,21 +652,6 @@ class SearchRunner:
                 "campaign_search_best_objective",
                 "lowest loss seen so far",
             )
-        #: aggregate supervision counters of the last run() call
-        self.stats = {
-            "completed": 0, "worker_restarts": 0,
-            "cell_retries": 0, "quarantined": 0,
-        }
-        #: cell ids actually executed (not replayed) by the last run()
-        self.executed: list[str] = []
-
-    @property
-    def workers(self) -> int:
-        return self.executor.workers
-
-    @property
-    def supervise(self) -> bool:
-        return self.executor.supervise
 
     def run(
         self,
@@ -783,10 +669,7 @@ class SearchRunner:
         spec = self.spec
         space, strategy, objective = spec.space, spec.strategy, spec.objective
         history: list[Evaluation] = []
-        self.stats = {
-            "completed": 0, "worker_restarts": 0,
-            "cell_retries": 0, "quarantined": 0,
-        }
+        self.stats = zero_stats()
         self.executed = []
         best = math.inf
         for generation in range(spec.generations):
@@ -811,7 +694,7 @@ class SearchRunner:
                 seen.add(cell.cell_id)
                 todo.append(cell)
             if todo:
-                stats = self.executor.execute(todo, progress=progress)
+                stats = self.execute(todo, progress=progress)
                 for key, value in stats.items():
                     self.stats[key] += value
                 self.executed.extend(cell.cell_id for cell in todo)

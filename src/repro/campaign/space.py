@@ -35,11 +35,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.campaign.spec import (
-    SPEC_VERSION,
+    AXES,
+    AXIS_FIELDS,
     AxisPoint,
     CampaignSpec,
     CellSpec,
-    check_spec_version,
+    from_fields,
+    own_dict,
+    to_fields,
 )
 from repro.errors import CampaignError
 
@@ -148,23 +151,8 @@ class ParamRange:
             )
         return self.coerce(float(value) + rng.gauss(0.0, scale * (self.hi - self.lo)))
 
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path, "lo": self.lo, "hi": self.hi,
-            "kind": self.kind, "log": self.log,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ParamRange":
-        try:
-            return cls(
-                path=doc["path"], lo=float(doc["lo"]), hi=float(doc["hi"]),
-                kind=doc.get("kind", "float"), log=bool(doc.get("log", False)),
-            )
-        except KeyError as exc:
-            raise CampaignError(
-                f"param range is missing required key {exc}"
-            ) from None
+    to_dict = to_fields
+    from_dict = classmethod(from_fields)
 
 
 @dataclass
@@ -189,14 +177,16 @@ class ParamSpace:
     def __post_init__(self) -> None:
         if not self.name:
             raise CampaignError("parameter space needs a name")
-
-        def point(p) -> AxisPoint:
-            return p if isinstance(p, AxisPoint) else AxisPoint.from_dict(p)
-
-        self.scenario = point(self.scenario)
-        self.arrival = point(self.arrival)
-        self.faults = point(self.faults)
-        self.policy = point(self.policy)
+        self.base = own_dict(self.base, "parameter space base")
+        for axis in AXES:
+            point = getattr(self, axis)
+            if not isinstance(point, AxisPoint):
+                setattr(self, axis, AxisPoint.from_dict(point))
+        if not isinstance(self.ranges, (list, tuple)):
+            raise CampaignError(
+                f"parameter space {self.name!r}: ranges must be a list, "
+                f"got {self.ranges!r}"
+            )
         self.ranges = [
             r if isinstance(r, ParamRange) else ParamRange.from_dict(r)
             for r in self.ranges
@@ -256,12 +246,7 @@ class ParamSpace:
         """
         assignment = self.clamp(assignment)
         digest = assignment_digest(assignment)
-        params = {
-            "scenario": dict(self.scenario.params),
-            "arrival": dict(self.arrival.params),
-            "faults": dict(self.faults.params),
-            "policy": dict(self.policy.params),
-        }
+        params = {axis: dict(getattr(self, axis).params) for axis in AXES}
         # copy the nested dicts an assignment may write into
         params["faults"]["random"] = dict(params["faults"].get("random", {}))
         base_over: dict = {}
@@ -283,10 +268,10 @@ class ParamSpace:
             name=name or self.name,
             seed=seed,
             base=dict(self.base),
-            scenarios=[AxisPoint(f"{self.scenario.name}@{digest}", params["scenario"])],
-            arrivals=[AxisPoint(f"{self.arrival.name}@{digest}", params["arrival"])],
-            faults=[AxisPoint(f"{self.faults.name}@{digest}", params["faults"])],
-            policies=[AxisPoint(f"{self.policy.name}@{digest}", params["policy"])],
+            **{
+                attr: [AxisPoint(f"{getattr(self, axis).name}@{digest}", params[axis])]
+                for axis, attr in AXIS_FIELDS.items()
+            },
         )
 
     def lower(
@@ -298,38 +283,8 @@ class ParamSpace:
     # -- (de)serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SPACE_SCHEMA,
-            "version": SPEC_VERSION,
-            "name": self.name,
-            "scenario": self.scenario.to_dict(),
-            "arrival": self.arrival.to_dict(),
-            "faults": self.faults.to_dict(),
-            "policy": self.policy.to_dict(),
-            "ranges": [r.to_dict() for r in self.ranges],
-            "base": dict(self.base),
-        }
+        return to_fields(self, SPACE_SCHEMA)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ParamSpace":
-        schema = doc.get("schema", SPACE_SCHEMA)
-        if schema != SPACE_SCHEMA:
-            raise CampaignError(
-                f"unsupported parameter space schema {schema!r} "
-                f"(expected {SPACE_SCHEMA})"
-            )
-        check_spec_version(doc, what="parameter space")
-        try:
-            return cls(
-                name=doc["name"],
-                scenario=AxisPoint.from_dict(doc["scenario"]),
-                arrival=AxisPoint.from_dict(doc["arrival"]),
-                faults=AxisPoint.from_dict(doc["faults"]),
-                policy=AxisPoint.from_dict(doc["policy"]),
-                ranges=[ParamRange.from_dict(r) for r in doc["ranges"]],
-                base=dict(doc.get("base", {})),
-            )
-        except KeyError as exc:
-            raise CampaignError(
-                f"parameter space is missing required key {exc}"
-            ) from None
+        return from_fields(cls, doc, "parameter space", SPACE_SCHEMA)

@@ -28,13 +28,16 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterator, Sequence
 
 from repro.errors import CampaignError
 
 #: axis order — also the order of coordinates inside a cell id
 AXES = ("scenario", "arrival", "faults", "policy")
+
+#: axis -> the CampaignSpec field (and wire key) holding its points
+AXIS_FIELDS = dict(zip(AXES, ("scenarios", "arrivals", "faults", "policies")))
 
 SPEC_SCHEMA = "repro.campaign/spec-v1"
 
@@ -44,19 +47,90 @@ SPEC_SCHEMA = "repro.campaign/spec-v1"
 SPEC_VERSION = 1
 
 
-def check_spec_version(doc: dict, what: str = "campaign spec") -> None:
-    """Refuse documents written by an unknown wire-format version.
+def check_document(doc, schema: str, what: str) -> None:
+    """What every loader checks first: ``doc`` is a JSON object, of this
+    schema (when it names one), written by a known wire-format version.
 
     Documents predating the version field (PR 5–9 store headers) carry
     no ``"version"`` key and are read as version 1 — the formats are
     identical.
     """
+    if not isinstance(doc, dict):
+        raise CampaignError(f"{what} must be a JSON object, got {doc!r}")
+    if doc.get("schema", schema) != schema:
+        raise CampaignError(
+            f"unsupported {what} schema {doc['schema']!r} (expected {schema})"
+        )
     version = doc.get("version", 1)
     if version != SPEC_VERSION:
         raise CampaignError(
             f"unsupported {what} version {version!r} (this build reads "
             f"version {SPEC_VERSION}; upgrade to read newer documents)"
         )
+
+
+def exact_int(value, what: str) -> None:
+    """Refuse a seed or budget that is not already an integer: 1.7,
+    ``true`` or "3" would otherwise be rounded or coerced silently."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CampaignError(f"{what} must be an integer, got {value!r}")
+
+
+def own_dict(value, what: str) -> dict:
+    """A dict-valued field's private copy (so the document it was read
+    from, a store header say, cannot be edited through the object that
+    was built from it), refusing anything that is not a dict."""
+    if not isinstance(value, dict):
+        raise CampaignError(f"{what} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+# Every wire form in this package is its dataclass's fields — the specs
+# behind a schema/version envelope, the strategies beside their registry
+# ``kind`` — so one writer and one validating reader serve them all: a
+# field added to a class is on the wire without a second edit.
+
+
+def _wire(value):
+    """A field value as JSON-able data: nested wire forms through their
+    own ``to_dict``, sequences as lists, dicts copied."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value  # most fields; an archive writes thousands of them
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_wire(v) for v in value]
+    return dict(value) if isinstance(value, dict) else value
+
+
+def to_fields(self, schema: str | None = None) -> dict:
+    """``to_dict``: the fields, inside the ``schema`` envelope when one
+    is given, beside ``kind`` when the class carries one as a ClassVar."""
+    doc = {} if schema is None else {"schema": schema, "version": SPEC_VERSION}
+    doc.update((f.name, _wire(getattr(self, f.name))) for f in fields(self))
+    if hasattr(self, "kind"):
+        doc.setdefault("kind", self.kind)
+    return doc
+
+
+def from_fields(cls, doc, what: str | None = None, schema: str | None = None):
+    """``from_dict``: ``cls(**doc)``, refusing a document that is not an
+    object (of this ``schema`` and a known version, when one is given),
+    names an unknown field or omits a required one."""
+    what = what or cls.__name__.lower()
+    if schema is not None:
+        check_document(doc, schema, what)
+        doc = {k: v for k, v in doc.items() if k not in ("schema", "version")}
+    elif not isinstance(doc, dict):
+        raise CampaignError(f"{what} must be a JSON object, got {doc!r}")
+    known = fields(cls)
+    extra = set(doc) - {f.name for f in known}
+    if extra:
+        raise CampaignError(f"{what}: unexpected params {sorted(extra)}")
+    for f in known:
+        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise CampaignError(f"{what} is missing required key {f.name!r}")
+    return cls(**doc)
 
 
 def derive_seed(seed: int, *parts: object) -> int:
@@ -87,24 +161,20 @@ class AxisPoint:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.name or "/" in self.name:
+        if not isinstance(self.name, str) or not self.name or "/" in self.name:
             raise CampaignError(
-                f"axis point name {self.name!r} must be non-empty and "
-                "must not contain '/'"
+                f"axis point name {self.name!r} must be a non-empty string "
+                "and must not contain '/'"
             )
-        if not isinstance(self.params, dict):
-            raise CampaignError(
-                f"axis point {self.name!r}: params must be a dict"
-            )
+        params = own_dict(self.params, f"axis point {self.name!r}: params")
+        object.__setattr__(self, "params", params)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
+    to_dict = to_fields
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "AxisPoint":
-        if isinstance(doc, str):
-            return cls(doc)
-        return cls(doc["name"], dict(doc.get("params", {})))
+    def from_dict(cls, doc) -> "AxisPoint":
+        """A point from its wire form, or from just its name."""
+        return cls(doc) if isinstance(doc, str) else from_fields(cls, doc, "axis point")
 
 
 @dataclass(frozen=True)
@@ -125,11 +195,18 @@ class CellSpec:
 
     @property
     def coords(self) -> dict:
+        return {axis: getattr(self, axis).name for axis in AXES}
+
+    def record(self, kind: str, **body) -> dict:
+        """A store record about this cell: the identifying head every
+        record kind shares, then the kind's own ``body``."""
         return {
-            "scenario": self.scenario.name,
-            "arrival": self.arrival.name,
-            "faults": self.faults.name,
-            "policy": self.policy.name,
+            "kind": kind,
+            "cell_id": self.cell_id,
+            "index": self.index,
+            "seed": self.seed,
+            "coords": self.coords,
+            **body,
         }
 
     def subseed(self, salt: str) -> int:
@@ -158,34 +235,31 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise CampaignError("campaign needs a name")
-
-        def points(seq) -> list[AxisPoint]:
-            return [
+        exact_int(self.seed, "campaign seed")
+        self.base = own_dict(self.base, "campaign base")
+        for axis, attr in AXIS_FIELDS.items():
+            points = getattr(self, attr)
+            # a string would otherwise iterate into one point per letter
+            if not isinstance(points, (list, tuple)) or not points:
+                raise CampaignError(
+                    f"axis {axis!r} needs a list of at least one point, got {points!r}"
+                )
+            points = [
                 p if isinstance(p, AxisPoint) else AxisPoint.from_dict(p)
-                for p in seq
+                for p in points
             ]
-
-        self.scenarios = points(self.scenarios)
-        self.arrivals = points(self.arrivals)
-        self.faults = points(self.faults)
-        self.policies = points(self.policies)
-        for axis, points in self.axis_points().items():
-            if not points:
-                raise CampaignError(f"axis {axis!r} needs at least one point")
             names = [p.name for p in points]
             if len(set(names)) != len(names):
                 raise CampaignError(
                     f"axis {axis!r} has duplicate point names: {names}"
                 )
+            setattr(self, attr, points)
 
     # -- the grid ------------------------------------------------------------
 
     def axis_points(self) -> dict:
         return {
-            "scenario": list(self.scenarios),
-            "arrival": list(self.arrivals),
-            "faults": list(self.faults),
-            "policy": list(self.policies),
+            axis: list(getattr(self, attr)) for axis, attr in AXIS_FIELDS.items()
         }
 
     @property
@@ -195,74 +269,34 @@ class CampaignSpec:
             n *= len(points)
         return n
 
-    @staticmethod
-    def cell_id_of(scenario: AxisPoint, arrival: AxisPoint,
-                   faults: AxisPoint, policy: AxisPoint) -> str:
-        return "/".join((scenario.name, arrival.name, faults.name,
-                         policy.name))
-
     def cells(self) -> list[CellSpec]:
         """Enumerate the grid, deterministically: itertools.product in
         declared axis-point order, seeds derived from coordinates."""
         return list(self.iter_cells())
 
     def iter_cells(self) -> Iterator[CellSpec]:
-        for index, (sc, ar, fa, po) in enumerate(
-            itertools.product(self.scenarios, self.arrivals, self.faults,
-                              self.policies)
+        for index, points in enumerate(
+            itertools.product(*self.axis_points().values())
         ):
-            cell_id = self.cell_id_of(sc, ar, fa, po)
+            cell_id = "/".join(p.name for p in points)
             base = dict(self.base)
             # Per-axis base overrides, later axes win.
-            for point in (sc, ar, fa, po):
+            for point in points:
                 base.update(point.params.get("base", {}))
             yield CellSpec(
                 campaign=self.name,
                 cell_id=cell_id,
                 index=index,
                 seed=derive_seed(self.seed, cell_id),
-                scenario=sc,
-                arrival=ar,
-                faults=fa,
-                policy=po,
                 base=base,
+                **dict(zip(AXES, points)),
             )
 
     # -- (de)serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SPEC_SCHEMA,
-            "version": SPEC_VERSION,
-            "name": self.name,
-            "seed": self.seed,
-            "base": dict(self.base),
-            "scenarios": [p.to_dict() for p in self.scenarios],
-            "arrivals": [p.to_dict() for p in self.arrivals],
-            "faults": [p.to_dict() for p in self.faults],
-            "policies": [p.to_dict() for p in self.policies],
-        }
+        return to_fields(self, SPEC_SCHEMA)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CampaignSpec":
-        schema = doc.get("schema", SPEC_SCHEMA)
-        if schema != SPEC_SCHEMA:
-            raise CampaignError(
-                f"unsupported campaign spec schema {schema!r} "
-                f"(expected {SPEC_SCHEMA})"
-            )
-        check_spec_version(doc)
-        try:
-            return cls(
-                name=doc["name"],
-                seed=int(doc.get("seed", 0)),
-                base=dict(doc.get("base", {})),
-                scenarios=[AxisPoint.from_dict(p) for p in doc["scenarios"]],
-                arrivals=[AxisPoint.from_dict(p) for p in doc["arrivals"]],
-                faults=[AxisPoint.from_dict(p) for p in doc["faults"]],
-                policies=[AxisPoint.from_dict(p) for p in doc["policies"]],
-            )
-        except KeyError as exc:
-            raise CampaignError(
-                f"campaign spec is missing required key {exc}"
-            ) from None
+        return from_fields(cls, doc, "campaign spec", SPEC_SCHEMA)

@@ -51,8 +51,9 @@ class ResultStore:
         #: test/bench stores (fsync per append costs ~a few ms on disk)
         self.fsync = bool(fsync)
         self._header: Optional[dict] = None
-        #: settled records in append order (cells and quarantines mixed)
-        self._records: list[dict] = []
+        #: settled records by kind, each in append order — split as they
+        #: arrive so no reader scans the other kind
+        self._records: dict[str, list[dict]] = {kind: [] for kind in RECORD_KINDS}
         #: cell ids of :attr:`_records`, kept beside it so the duplicate
         #: check costs the same at any store size
         self._settled: set = set()
@@ -77,9 +78,8 @@ class ResultStore:
                     f"{self.path}: record after the header is neither a cell nor a quarantine"
                 )
             self._check(rec, rec["kind"])
-            self._settled.add(rec["cell_id"])
+            self._settle(rec)
         self._header = head
-        self._records = cells
 
     # -- writing -------------------------------------------------------------
 
@@ -89,6 +89,10 @@ class ResultStore:
             raise CampaignError(f"{kind} records need kind={kind!r} and a string cell_id")
         if record["cell_id"] in self._settled:
             raise CampaignError(f"{self.path}: duplicate record for cell {record['cell_id']!r}")
+
+    def _settle(self, record: dict) -> None:
+        self._records[record["kind"]].append(record)
+        self._settled.add(record["cell_id"])
 
     def ensure_header(self, spec) -> None:
         """Write the header on first use; on resume, verify the stored
@@ -126,8 +130,7 @@ class ResultStore:
             )
         self._check(record, kind)
         journal.append(self.path, record, fsync=self.fsync)
-        self._records.append(record)
-        self._settled.add(record["cell_id"])
+        self._settle(record)
 
     def append(self, record: dict) -> None:
         """Persist one completed cell (atomically, immediately)."""
@@ -165,24 +168,22 @@ class ResultStore:
         return CampaignSpec.from_dict(doc)
 
     def cell_records(self) -> list[dict]:
-        return [rec for rec in self._records if rec["kind"] == "cell"]
+        return list(self._records["cell"])
 
     def quarantine_records(self) -> list[dict]:
-        return [rec for rec in self._records if rec["kind"] == "quarantine"]
+        return list(self._records["quarantine"])
 
     def completed_ids(self) -> set:
         """Ids of cells that finished and produced a result record."""
-        return {rec["cell_id"] for rec in self._records
-                if rec["kind"] == "cell"}
+        return {rec["cell_id"] for rec in self._records["cell"]}
 
     def quarantined_ids(self) -> set:
         """Ids of cells the supervisor gave up on (known poison)."""
-        return {rec["cell_id"] for rec in self._records
-                if rec["kind"] == "quarantine"}
+        return {rec["cell_id"] for rec in self._records["quarantine"]}
 
     def settled_ids(self) -> set:
         """Everything resume must skip: completed ∪ quarantined."""
         return set(self._settled)
 
     def __len__(self) -> int:
-        return sum(1 for rec in self._records if rec["kind"] == "cell")
+        return len(self._records["cell"])

@@ -57,8 +57,45 @@ from repro.campaign.spec import CellSpec, derive_seed
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
 
-#: attempt-failure reasons, in the order the nightly cares about them
-FAILURE_REASONS = ("crash", "timeout", "error")
+#: workers are spawn-context processes, so a worker's state is a function
+#: of the CellSpec alone, never of what the parent imported or mutated
+_MP = get_context("spawn")
+
+#: ceiling on the wait before any one retry, seconds
+BACKOFF_CAP = 5.0
+
+#: longest the supervision loop blocks with nothing due, seconds — how
+#: late a drain requested from another thread can be noticed
+POLL_INTERVAL = 0.05
+
+#: the obs metric mirroring each outcome counter, plus the in-flight
+#: gauge: key -> (registry factory, metric name, help text)
+_METRICS = {
+    "worker_restarts": (
+        "counter", "campaign_worker_restarts_total",
+        "supervised workers respawned after a crash or timeout kill",
+    ),
+    "cell_retries": (
+        "counter", "campaign_cell_retries_total",
+        "cell attempts retried after a transient failure",
+    ),
+    "quarantined": (
+        "counter", "campaign_cells_quarantined_total",
+        "cells quarantined after exhausting the retry budget",
+    ),
+    "inflight": (
+        "gauge", "campaign_cells_inflight",
+        "cells currently dispatched to supervised workers",
+    ),
+}
+
+
+def zero_stats() -> dict:
+    """The outcome counters every execution reports, all at zero."""
+    return {
+        "completed": 0, "worker_restarts": 0,
+        "cell_retries": 0, "quarantined": 0,
+    }
 
 
 def _worker_main(conn) -> None:
@@ -112,17 +149,12 @@ class _Task:
         self.not_before = 0.0
 
     def quarantine_record(self) -> dict:
-        cell = self.cell
-        return {
-            "kind": "quarantine",
-            "cell_id": cell.cell_id,
-            "index": cell.index,
-            "seed": cell.seed,
-            "coords": cell.coords,
-            "reason": self.failures[-1]["reason"],
-            "attempts": self.attempts,
-            "failures": list(self.failures),
-        }
+        return self.cell.record(
+            "quarantine",
+            reason=self.failures[-1]["reason"],
+            attempts=self.attempts,
+            failures=list(self.failures),
+        )
 
 
 class _Slot:
@@ -153,10 +185,11 @@ class Supervisor:
     max_cell_retries:
         retries granted after the first failed attempt — a cell is
         quarantined on failure ``max_cell_retries + 1``.
-    retry_backoff / backoff_cap:
+    retry_backoff:
         seeded exponential backoff between attempts:
-        ``min(cap, backoff * 2**(attempt-1) * jitter)`` with jitter
-        drawn from ``derive_seed(cell.seed, "retry-backoff", attempt)``.
+        ``min(BACKOFF_CAP, backoff * 2**(attempt-1) * jitter)`` with
+        jitter drawn from ``derive_seed(cell.seed, "retry-backoff",
+        attempt)``.
     metrics:
         optional :class:`repro.obs.MetricsRegistry`; when given, the
         supervisor exports ``campaign_worker_restarts_total``,
@@ -169,13 +202,10 @@ class Supervisor:
         self,
         store: ResultStore,
         workers: int = 2,
-        mp_context: str = "spawn",
         max_cell_seconds: Optional[float] = None,
         max_cell_retries: int = 2,
         retry_backoff: float = 0.05,
-        backoff_cap: float = 5.0,
         metrics=None,
-        poll_interval: float = 0.05,
     ) -> None:
         if workers < 1:
             raise CampaignError("supervisor needs >= 1 worker")
@@ -188,39 +218,18 @@ class Supervisor:
         self.max_cell_seconds = max_cell_seconds
         self.max_cell_retries = max_cell_retries
         self.retry_backoff = retry_backoff
-        self.backoff_cap = backoff_cap
-        self.poll_interval = poll_interval
-        self._ctx = get_context(mp_context)
         self._slots: list[_Slot] = []
         self._progress: Optional[Callable[[dict], None]] = None
         #: drain reason once set ("SIGTERM", "SIGINT", "request"), else None
         self.draining: Optional[str] = None
         #: set when the drain came from a signal (CLI exits 130)
         self.interrupted: Optional[str] = None
-        self.stats = {
-            "completed": 0,
-            "worker_restarts": 0,
-            "cell_retries": 0,
-            "quarantined": 0,
+        self.stats = zero_stats()
+        #: :data:`_METRICS` registered with the caller's registry, by key
+        self._metrics = None if metrics is None else {
+            key: getattr(metrics, factory)(name, text)
+            for key, (factory, name, text) in _METRICS.items()
         }
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_restarts = metrics.counter(
-                "campaign_worker_restarts_total",
-                "supervised workers respawned after a crash or timeout kill",
-            )
-            self._m_retries = metrics.counter(
-                "campaign_cell_retries_total",
-                "cell attempts retried after a transient failure",
-            )
-            self._m_quarantined = metrics.counter(
-                "campaign_cells_quarantined_total",
-                "cells quarantined after exhausting the retry budget",
-            )
-            self._m_inflight = metrics.gauge(
-                "campaign_cells_inflight",
-                "cells currently dispatched to supervised workers",
-            )
 
     # -- public entry points -------------------------------------------------
 
@@ -249,7 +258,7 @@ class Supervisor:
         pending = deque(_Task(cell) for cell in cells)
         if not pending:
             return dict(self.stats)
-        handlers_installed = self._install_signal_handlers()
+        self._install_signal_handlers()
         try:
             self._slots = [
                 self._spawn() for _ in range(min(self.workers, len(pending)))
@@ -259,15 +268,14 @@ class Supervisor:
                 self._flush_inflight()
         finally:
             self._shutdown()
-            if handlers_installed:
-                self._restore_signal_handlers()
+            self._restore_signal_handlers()
         return dict(self.stats)
 
     # -- worker lifecycle ----------------------------------------------------
 
     def _spawn(self) -> _Slot:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
+        parent_conn, child_conn = _MP.Pipe()
+        proc = _MP.Process(
             target=_worker_main, args=(child_conn,), daemon=True
         )
         proc.start()
@@ -284,9 +292,7 @@ class Supervisor:
         fresh = self._spawn()
         slot.proc, slot.conn = fresh.proc, fresh.conn
         slot.task, slot.deadline = None, None
-        self.stats["worker_restarts"] += 1
-        if self._metrics is not None:
-            self._m_restarts.inc()
+        self._count("worker_restarts")
 
     def _shutdown(self) -> None:
         """Stop every worker: politely when idle, firmly otherwise."""
@@ -309,10 +315,12 @@ class Supervisor:
 
     # -- signals -------------------------------------------------------------
 
-    def _install_signal_handlers(self) -> bool:
-        if threading.current_thread() is not threading.main_thread():
-            return False
+    def _install_signal_handlers(self) -> None:
+        """Route SIGTERM/SIGINT to the drain (main thread only: nobody
+        else may set handlers, and nobody else receives signals)."""
         self._old_handlers = {}
+        if threading.current_thread() is not threading.main_thread():
+            return
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
                 self._old_handlers[sig] = signal.signal(
@@ -320,10 +328,9 @@ class Supervisor:
                 )
             except (ValueError, OSError):  # pragma: no cover
                 pass
-        return True
 
     def _restore_signal_handlers(self) -> None:
-        for sig, old in getattr(self, "_old_handlers", {}).items():
+        for sig, old in self._old_handlers.items():
             try:
                 signal.signal(sig, old)
             except (ValueError, OSError):  # pragma: no cover
@@ -349,7 +356,7 @@ class Supervisor:
                 _conn_wait(waitables, timeout)
             elif pending:
                 # Everything is backing off; sleep to the nearest
-                # not_before (bounded by the poll interval).
+                # not_before (bounded by POLL_INTERVAL).
                 time.sleep(timeout)
             self._harvest(pending)
 
@@ -376,8 +383,7 @@ class Supervisor:
                 pending.appendleft(task)
                 self._respawn(slot)
                 continue
-            if self._metrics is not None:
-                self._m_inflight.inc()
+            self._mirror("inflight")
 
     @staticmethod
     def _next_ready(pending: deque, now: float) -> Optional[_Task]:
@@ -392,7 +398,7 @@ class Supervisor:
     def _wait_timeout(self, pending: deque, now: float) -> float:
         """How long the loop may block: the nearest deadline, backoff
         expiry, or the poll interval — whichever comes first."""
-        horizon = self.poll_interval
+        horizon = POLL_INTERVAL
         for slot in self._busy():
             if slot.deadline is not None:
                 horizon = min(horizon, slot.deadline - now)
@@ -405,14 +411,13 @@ class Supervisor:
         now = time.monotonic()
         for slot in self._busy():
             if slot.conn.poll():
-                try:
-                    status, payload = slot.conn.recv()
-                except Exception:
-                    # A torn message: the worker died mid-send.  Its
-                    # pipe is poisoned; treat as a crash.
+                status, payload = self._receive(slot)
+                if status == "ok":
+                    self._on_ok(slot, payload)
+                elif status == "torn":
                     self._on_crash(slot, pending)
-                    continue
-                self._on_message(slot, status, payload, pending)
+                else:
+                    self._fail(self._settle_slot(slot), "error", payload, pending)
             elif not slot.proc.is_alive():
                 self._on_crash(slot, pending)
             elif slot.deadline is not None and now >= slot.deadline:
@@ -420,24 +425,39 @@ class Supervisor:
 
     # -- outcome handling ----------------------------------------------------
 
+    def _mirror(self, key: str, by: int = 1) -> None:
+        """Move the obs metric behind ``key`` — nothing to move when the
+        caller gave no registry."""
+        if self._metrics is not None:
+            self._metrics[key].inc(by)
+
+    def _count(self, key: str) -> None:
+        """Bump one outcome counter: in ``stats`` and in its obs mirror."""
+        self.stats[key] += 1
+        self._mirror(key)
+
+    @staticmethod
+    def _receive(slot: _Slot) -> tuple:
+        """The ``(status, payload)`` waiting in a worker's pipe."""
+        try:
+            return slot.conn.recv()
+        except Exception:
+            # A torn message: the worker died mid-send.  Its pipe is
+            # poisoned; the loop treats it as a crash.
+            return "torn", None
+
     def _settle_slot(self, slot: _Slot) -> _Task:
         task = slot.task
         slot.task, slot.deadline = None, None
-        if self._metrics is not None:
-            self._m_inflight.dec()
+        self._mirror("inflight", -1)
         return task
 
-    def _on_message(
-        self, slot: _Slot, status: str, payload, pending: deque
-    ) -> None:
-        task = self._settle_slot(slot)
-        if status == "ok":
-            self.store.append(payload)
-            self.stats["completed"] += 1
-            if self._progress is not None:
-                self._progress(payload)
-        else:
-            self._fail(task, "error", payload, pending)
+    def _on_ok(self, slot: _Slot, record: dict) -> None:
+        self._settle_slot(slot)
+        self.store.append(record)
+        self.stats["completed"] += 1
+        if self._progress is not None:
+            self._progress(record)
 
     def _on_crash(self, slot: _Slot, pending: deque) -> None:
         task = self._settle_slot(slot)
@@ -464,15 +484,11 @@ class Supervisor:
         if task.attempts > self.max_cell_retries:
             record = task.quarantine_record()
             self.store.append_quarantine(record)
-            self.stats["quarantined"] += 1
-            if self._metrics is not None:
-                self._m_quarantined.inc()
+            self._count("quarantined")
             if self._progress is not None:
                 self._progress(record)
         else:
-            self.stats["cell_retries"] += 1
-            if self._metrics is not None:
-                self._m_retries.inc()
+            self._count("cell_retries")
             task.not_before = time.monotonic() + self._backoff(task)
             pending.append(task)
 
@@ -482,7 +498,7 @@ class Supervisor:
             derive_seed(task.cell.seed, "retry-backoff", task.attempts)
         )
         base = self.retry_backoff * (2 ** (task.attempts - 1))
-        return min(self.backoff_cap, base * rng.uniform(1.0, 1.5))
+        return min(BACKOFF_CAP, base * rng.uniform(1.0, 1.5))
 
     # -- drain ---------------------------------------------------------------
 
@@ -500,17 +516,9 @@ class Supervisor:
             for slot in self._busy():
                 if not slot.conn.poll():
                     continue
-                try:
-                    status, payload = slot.conn.recv()
-                except Exception:
-                    self._settle_slot(slot)
-                    continue
+                status, payload = self._receive(slot)
                 if status == "ok":
-                    self._settle_slot(slot)
-                    self.store.append(payload)
-                    self.stats["completed"] += 1
-                    if self._progress is not None:
-                        self._progress(payload)
+                    self._on_ok(slot, payload)
                 else:
                     # A failure mid-drain is not retried (we are
                     # exiting); the cell stays unsettled and reruns.

@@ -33,6 +33,7 @@ import math
 import time
 from typing import Optional
 
+from repro.campaign.runner import FABRIC_DEFAULTS
 from repro.campaign.spec import derive_seed
 from repro.errors import LiveError, ReproError, SteeringError
 from repro.fleet import BrokerPool, FleetDriver
@@ -51,14 +52,10 @@ from repro.load import AdmissionController, ReactiveAutoscaler, make_policy
 from repro.obs import Observability
 from repro.obs.protect import BackpressureSignal
 
-#: fabric/pacing knobs; mirrors repro.campaign.runner.DEFAULT_BASE so a
+#: fabric/pacing knobs; the fabric half *is* the campaign cell's, so a
 #: recorded trace replays on the fabric it was captured on
 DEFAULT_CONFIG = {
-    "n_sites": 3,
-    "queue_slots": 2,
-    "queue_limit": 12,
-    "registry_shards": 4,
-    "broker_port": 7100,
+    **FABRIC_DEFAULTS,
     "placement": "least-loaded",
     #: ReactiveAutoscaler kwargs, True for defaults, or None/False = off
     "autoscale": None,

@@ -209,10 +209,6 @@ def load_trace(path: pathlib.Path | str) -> Trace:
     return trace
 
 
-#: server-config keys that map straight onto campaign base config
-_BASE_KEYS = ("n_sites", "queue_slots", "queue_limit", "registry_shards", "broker_port")
-
-
 def trace_campaign(path: pathlib.Path | str, name: Optional[str] = None):
     """A one-cell :class:`~repro.campaign.spec.CampaignSpec` replaying a
     recorded trace under the fabric configuration it was captured on.
@@ -221,11 +217,13 @@ def trace_campaign(path: pathlib.Path | str, name: Optional[str] = None):
     ``trace-file`` builder kind, so the cell re-reads the trace at run
     time — in any worker process, at any later date.
     """
+    from repro.campaign.runner import FABRIC_DEFAULTS
     from repro.campaign.spec import AxisPoint, CampaignSpec
 
     trace = load_trace(path)
     config = trace.config
-    base = {key: config[key] for key in _BASE_KEYS if key in config}
+    # the server-config keys that map straight onto campaign base config
+    base = {key: config[key] for key in FABRIC_DEFAULTS if key in config}
     base["horizon"] = trace.horizon
     policy_params: dict = {"placement": config.get("placement", "least-loaded")}
     if config.get("autoscale"):

@@ -92,10 +92,52 @@ def test_spec_round_trip_preserves_grid_and_seeds():
 
 
 def test_from_dict_rejects_bad_documents():
-    with pytest.raises(CampaignError):
-        CampaignSpec.from_dict({"schema": "nope", "name": "x"})
-    with pytest.raises(CampaignError):
-        CampaignSpec.from_dict({"name": "x"})  # missing axes
+    from repro.campaign import ParamSpace, SearchSpec, search_preset
+
+    good = grid().to_dict()
+    search = search_preset("cliff-smoke").to_dict()
+    space = search["space"]
+    # every case used to load silently wrong (a string axis became one
+    # point per letter, seed 1.7 became 1, true became 1) or died with
+    # an AttributeError / TypeError instead of a CampaignError
+    cases = [
+        (CampaignSpec, {"schema": "nope", "name": "x"}),
+        (CampaignSpec, {"name": "x"}),  # missing axes
+        (CampaignSpec, [good]),
+        (CampaignSpec, "spec.json"),
+        (CampaignSpec, {**good, "scenarios": "abc"}),
+        (CampaignSpec, {**good, "faults": {"name": "baseline"}}),
+        (CampaignSpec, {**good, "arrivals": [3]}),
+        (CampaignSpec, {**good, "arrivals": [{"name": 3}]}),
+        (CampaignSpec, {**good, "arrivals": [{"nane": "a", "params": {}}]}),
+        (CampaignSpec, {**good, "base": 3}),
+        (CampaignSpec, {**good, "sed": 5}),  # a typo is not a default
+        (CampaignSpec, {**good, "policies": [{"name": "p", "params": "x"}]}),
+        (CampaignSpec, {**good, "seed": 1.7}),
+        (CampaignSpec, {**good, "seed": True}),
+        (CampaignSpec, {**good, "seed": "7"}),
+        (AxisPoint, 3),
+        (AxisPoint, None),
+        (SearchSpec, None),
+        (SearchSpec, {**search, "seed": 2.5}),
+        (SearchSpec, {**search, "generations": True}),
+        (SearchSpec, {**search, "population": 3.0}),
+        (SearchSpec, {**search, "space": "cliff-smoke"}),
+        (SearchSpec, {**search, "strategy": "random"}),
+        (SearchSpec, {**search, "objective": ["goodput"]}),
+        (ParamSpace, 7),
+        (ParamSpace, {**space, "arrival": 3}),
+        (ParamSpace, {**space, "ranges": "arrival.rate"}),
+        (ParamSpace, {**space, "ranges": [3]}),
+        (ParamSpace, {**space, "ranges": [{"path": "arrival.rate"}]}),
+    ]
+    for loader, doc in cases:
+        with pytest.raises(CampaignError):
+            loader.from_dict(doc)
+            pytest.fail(f"{loader.__name__}.from_dict accepted {doc!r}")
+    # the documents the bad ones were cut from do load
+    assert CampaignSpec.from_dict(good).to_dict() == good
+    assert SearchSpec.from_dict(search).to_dict() == search
 
 
 def test_wire_format_is_versioned():

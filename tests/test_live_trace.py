@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.campaign.runner import DEFAULT_BASE, FABRIC_DEFAULTS, cell_config
 from repro.errors import LiveError
 from repro.fleet.spec import ScenarioSpec
+from repro.live.server import DEFAULT_CONFIG
 from repro.live.trace import (
     TRACE_SCHEMA,
     TraceRecorder,
@@ -181,3 +183,8 @@ def test_trace_campaign_lifts_config_and_horizon(tmp_path):
     (policy,) = spec.policies
     assert policy.name == "p2c" and policy.params["placement"] == "p2c"
     assert trace_campaign(path, name="custom").name == "custom"
+    # one definition of the fabric: a default-config server's trace lowers
+    # to a cell on exactly the fabric an unconfigured campaign cell gets
+    _record(path, config=dict(DEFAULT_CONFIG)).close(sim=1.0, wall=1.0)
+    config = cell_config(trace_campaign(path).cells()[0])
+    assert {k: config[k] for k in FABRIC_DEFAULTS} == {k: DEFAULT_BASE[k] for k in FABRIC_DEFAULTS}

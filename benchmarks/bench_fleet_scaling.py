@@ -2,7 +2,7 @@
 
 The paper runs one collaborative session across UCL/Manchester/ANL; the
 fleet engine asks the production question: how do admission and steering
-latency hold up when 1 -> 128 sessions share the sc03 showfloor fabric?
+latency hold up when 1 -> 1 024 sessions share the sc03 showfloor fabric?
 Each session is the full workflow (UNICORE consignment through a
 firewalled gateway, OGSA service deployment, registry publication,
 find -> bind -> steer), so the series measures the middleware fabric,
@@ -17,11 +17,14 @@ import time
 
 from benchmarks.conftest import run_once, write_json
 from repro.ogsa import RegistryService
-from repro.perf.gate import run_fleet
+from repro.perf.bench import peak_rss_bytes
+from repro.perf.gate import FLEET_STAGGER, run_fleet
 
-#: fleet sizes of the scaling series (override for smoke runs)
+#: fleet sizes of the scaling series (override for smoke runs), run
+#: ascending in one process so that the peak RSS read after a size — a
+#: high-water mark — belongs to that size
 FLEET_SIZES = tuple(
-    int(s) for s in os.environ.get("FLEET_SIZES", "1,8,32,128").split(",")
+    sorted(int(s) for s in os.environ.get("FLEET_SIZES", "1,8,32,128,512,1024").split(","))
 )
 
 
@@ -35,25 +38,30 @@ def _run_fleet(n_sessions: int):
 
 def test_fleet_scaling(benchmark, reporter):
     def sweep():
-        return {n: _run_fleet(n) for n in FLEET_SIZES}
+        return {n: _run_fleet(n) + (peak_rss_bytes(),) for n in FLEET_SIZES}
 
     raw = run_once(benchmark, sweep)
-    results = {n: rep for n, (rep, _ev) in raw.items()}
-    events = sum(ev for _rep, ev in raw.values())
+    results = {n: rep for n, (rep, _ev, _rss) in raw.items()}
+    events = sum(ev for _rep, ev, _rss in raw.values())
     rows = []
-    for n, rep in sorted(results.items()):
-        rows.append(rep.summary_row() + [f"{rep.wall_seconds:.2f}"])
+    for n, (rep, _ev, rss) in raw.items():
+        rows.append(rep.summary_row() + [f"{rep.wall_seconds:.2f}", f"{rss / 1e6:.0f}"])
     reporter.table(
         "FLEET: N concurrent sessions on the sc03 showfloor fabric "
         "(full UNICORE+OGSA workflow each)",
         ["sessions", "completed", "steer ops", "p50 (ms)", "p90 (ms)",
-         "p99 (ms)", "admit p90 (ms)", "makespan (s)", "wall (s)"],
+         "p99 (ms)", "admit p90 (ms)", "makespan (s)", "wall (s)",
+         "peak RSS (MB)"],
         rows,
     )
     write_json(
         "BENCH_fleet_scaling.json",
-        # ``events`` per size is what repro.perf.gate compares exactly
-        {str(n): dict(rep.to_dict(), events=ev) for n, (rep, ev) in sorted(raw.items())},
+        # ``events`` per size is what repro.perf.gate compares exactly,
+        # ``peak_rss_bytes`` what it allows 25 % over
+        {
+            str(n): dict(rep.to_dict(), events=ev, peak_rss_bytes=rss)
+            for n, (rep, ev, rss) in raw.items()
+        },
         wall_seconds=sum(rep.wall_seconds for rep in results.values()),
         events=events,
     )
@@ -61,9 +69,10 @@ def test_fleet_scaling(benchmark, reporter):
         # Every admitted session must complete with zero steering timeouts.
         assert rep.completed == n, (n, rep.render(per_session=True))
         assert rep.timeouts == 0, (n, rep.render())
-        # Bounded wall-clock: the whole fleet stays far under a minute
-        # of virtual time and the engine keeps up in real time.
-        assert rep.makespan < 60.0
+        # No backlog builds: admissions are staggered FLEET_STAGGER
+        # apart and a session lives ~7 s, so the last one finishes a
+        # bounded time after it was admitted, whatever the fleet size.
+        assert rep.makespan < FLEET_STAGGER * n + 15.0
     # Steering latency is a property of the link classes, not the fleet
     # size: the p50 may not blow up as sessions multiply.
     p50s = [rep.steer_p50 for rep in results.values()]

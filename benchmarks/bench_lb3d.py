@@ -46,16 +46,43 @@ def _scaling(sizes=(6, 12, 16, 24, 32)):
     return rows
 
 
-def _fleet_sim_costs(calls=300):
-    """advance()/sample() cost of each simulation at the size a fleet runs."""
-    costs = {}
-    for kind in SIM_KINDS:
-        sim = make_sim(kind)
+def _fleet_sim_costs(rounds=30):
+    """advance()/sample() cost of each simulation at the size a fleet runs.
+
+    ``advance`` three ways: in a tight loop on one sim (``advance_us``),
+    and among 32 sims (8 of each kind) taking turns — what a step costs
+    when other sessions' numerics ran since this sim's last turn — one
+    step per turn (``round_robin_us``) and four (``burst4_us``, the burst
+    a ``sample_interval=4`` session settles on read).  The three patterns
+    alternate within every round, so a slow spell of the machine falls
+    on all of them and their ordering survives it.
+    """
+    tight = {kind: make_sim(kind) for kind in SIM_KINDS}
+    fleet = [(kind, make_sim(kind, seed=i)) for i in range(8) for kind in SIM_KINDS]
+    for sim in [*tight.values(), *(sim for _kind, sim in fleet)]:
         sim.run(3)
-        costs[kind] = {
-            "advance_us": _median_seconds(sim.advance, calls) * 1e6,
-            "sample_us": _median_seconds(sim.sample, calls) * 1e6,
-        }
+    columns = ("advance_us", "round_robin_us", "burst4_us")
+    samples = {kind: {column: [] for column in columns} for kind in SIM_KINDS}
+
+    def timed(kind, column, advance, steps):
+        t0 = time.perf_counter()
+        for _ in range(steps):
+            advance()
+        samples[kind][column].append((time.perf_counter() - t0) / steps)
+
+    for _ in range(rounds):
+        for kind, sim in tight.items():
+            for _ in range(10):  # the first is cold; the median is not
+                timed(kind, "advance_us", sim.advance, 1)
+        for column, steps in (("round_robin_us", 1),) * 4 + (("burst4_us", 4),):
+            for kind, sim in fleet:
+                timed(kind, column, sim.advance, steps)
+    costs = {
+        kind: {column: statistics.median(ts) * 1e6 for column, ts in by_column.items()}
+        for kind, by_column in samples.items()
+    }
+    for kind, sim in tight.items():
+        costs[kind]["sample_us"] = _median_seconds(sim.sample, 300) * 1e6
     return costs
 
 
@@ -72,10 +99,12 @@ def test_lb3d_scaling(benchmark, reporter):
         "LB3D-a: step cost vs lattice size (wall time)",
         ["lattice", "ms/step", "ns/site/step"], table,
     )
+    columns = ("advance_us", "burst4_us", "round_robin_us", "sample_us")
     reporter.table(
-        "SIMS: per-call cost at fleet size (median)",
-        ["sim", "advance (us)", "sample (us)"],
-        [[k, f"{c['advance_us']:.1f}", f"{c['sample_us']:.1f}"] for k, c in costs.items()],
+        "SIMS: per-call cost at fleet size (median us; burst4 / round-robin = "
+        "advance among 32 interleaved sims, 4 steps / 1 step per turn)",
+        ["sim", "advance", "burst4", "round-robin", "sample"],
+        [[k] + [f"{c[col]:.1f}" for col in columns] for k, c in costs.items()],
     )
     write_json(
         "BENCH_sims.json",
@@ -88,6 +117,13 @@ def test_lb3d_scaling(benchmark, reporter):
         },
         wall_seconds=wall,
     )
+    # A step is cheapest on a warm sim, dearest when every other
+    # session stepped in between; a burst of four pays the cold start
+    # once.  Only the ordering is asserted (5 % of slack a side for a
+    # noisy neighbour) — the figures are evidence.
+    for kind, c in costs.items():
+        assert c["advance_us"] <= c["burst4_us"] * 1.05, (kind, c)
+        assert c["burst4_us"] <= c["round_robin_us"] * 1.05, (kind, c)
     # Cost per site roughly constant: the kernel is O(sites).
     per_site = [r[2] for r in rows]
     assert max(per_site) < 6 * min(per_site)

@@ -28,6 +28,9 @@ The laws, stated precisely:
    front-end — including mid-rebalance and after shard loss/rebuild.
 6. Fleet-merged telemetry is lossless: merged sample counts equal the
    sum of per-session counts (the mergeable-accumulator contract).
+   Every sweep folds the Welford moments, which is all a count needs;
+   :meth:`final_check` also unions the reservoirs and holds their
+   count to the same sum.
 
 Violations accumulate as strings; :meth:`assert_ok` raises
 :class:`~repro.errors.ChaosError` listing every one.  A monitor on a
@@ -39,6 +42,10 @@ from __future__ import annotations
 
 from repro.errors import ChaosError, OgsaError
 from repro.fleet.registry_fed import shard_index
+
+
+#: the per-session latency series law 6 audits
+_PROBES = ("steer_latency", "find_latency", "admit_latency")
 
 
 class InvariantMonitor:
@@ -237,21 +244,35 @@ class InvariantMonitor:
                     )
 
     def _check_telemetry(self) -> None:
+        # Moments only: ``n`` comes from the Welford fold, and a sweep
+        # runs hundreds of times per world.  A *merge* against a *sum* —
+        # comparing the sum with itself would check nothing.
         telemetry = self.driver.telemetry
-        for attr in ("steer_latency", "find_latency", "admit_latency"):
-            merged = telemetry._merged(attr).n
-            total = sum(getattr(t, attr).n for t in telemetry.sessions.values())
-            if merged != total:
-                self._violate(
-                    "telemetry-lossless",
-                    f"merged {attr} n={merged} != per-session sum {total}",
-                )
+        for attr in _PROBES:
+            self._lossless(attr, telemetry.merged_stats(attr).n, "n")
+
+    def _check_reservoirs(self) -> None:
+        # The other half of the merge, once per world (final_check).
+        telemetry = self.driver.telemetry
+        for attr in _PROBES:
+            merged = getattr(telemetry, f"merged_{attr}")()
+            self._lossless(attr, merged.sample.n, "reservoir n")
+
+    def _lossless(self, attr: str, merged: int, what: str) -> None:
+        sessions = self.driver.telemetry.sessions.values()
+        total = sum(getattr(t, attr).n for t in sessions)
+        if merged != total:
+            self._violate(
+                "telemetry-lossless",
+                f"merged {attr} {what}={merged} != per-session sum {total}",
+            )
 
     # -- end of run --------------------------------------------------------
 
     def final_check(self, report=None) -> None:
         """Quiescence + one last sweep, after the world has drained."""
         self.sweep()
+        self._check_reservoirs()
         if self.driver.active:
             self._violate(
                 "quiescence",

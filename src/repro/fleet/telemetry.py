@@ -263,7 +263,13 @@ class QueueTelemetry:
 class FleetTelemetry:
     """The fleet-wide ledger: one SessionTelemetry per session plus
     merged aggregates computed on demand.  Open-loop runs additionally
-    attach a :class:`QueueTelemetry` via :meth:`ensure_queue`."""
+    attach a :class:`QueueTelemetry` via :meth:`ensure_queue`.
+
+    Two aggregates, priced by what their reader needs: the
+    ``merged_*_latency`` probes (moments *and* the reservoir union, for
+    percentiles — a report reads them once per world) and
+    :meth:`merged_stats` (the moments alone — what a periodic audit
+    reads hundreds of times per world)."""
 
     def __init__(self, reservoir: int = 128) -> None:
         self.reservoir = reservoir
@@ -288,6 +294,16 @@ class FleetTelemetry:
         out = LatencyProbe(self.reservoir, seed=10_007)
         for tel in self.sessions.values():
             out.merge(getattr(tel, attr))
+        return out
+
+    def merged_stats(self, attr: str) -> RunningStats:
+        """The moments half of the merged probe ``attr``
+        (``"steer_latency"`` / ``"find_latency"`` / ``"admit_latency"``):
+        the same :meth:`RunningStats.merge` fold over the sessions, in
+        session order, without the reservoir union."""
+        out = RunningStats()
+        for tel in self.sessions.values():
+            out.merge(getattr(tel, attr).stats)
         return out
 
     def merged_steer_latency(self) -> LatencyProbe:

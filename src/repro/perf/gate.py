@@ -6,9 +6,14 @@ unified runner and compares it against the committed
 count: the kernel's ``events_processed`` is exact and repeats on every
 machine, so a run that needs even one event more than the baseline's
 exits non-zero — an idle loop that starts polling again cannot hide in
-timing noise.  The wall check stays as a coarse backstop: one sample,
-so only a run slower than ``baseline * (1 + threshold)`` fails (wall
-claims belong to alternated ``python3 -m bench.run`` pairs).
+timing noise.  Memory is gated beside it: the process's peak RSS after
+the run may exceed the row's recorded ``peak_rss_bytes`` by at most
+25 % — a fleet's footprint is linear in its sessions, so an allocation
+made per session and read by nobody (the 845 KB framebuffer of every
+session's renderer was one) fails here instead of showing up as a slope
+at the next re-profile.  The wall check stays as a coarse backstop: one
+sample, so only a run slower than ``baseline * (1 + threshold)`` fails
+(wall claims belong to alternated ``python3 -m bench.run`` pairs).
 
 Correctness is gated too: the run must complete every session with the
 baseline's op count, so a "speedup" that drops work cannot pass.
@@ -34,7 +39,7 @@ import pathlib
 import sys
 import time
 
-from repro.perf.bench import load_bench
+from repro.perf.bench import load_bench, peak_rss_bytes
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 
@@ -44,6 +49,11 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 #: measured scenario can never drift from the committed baseline's
 FLEET_STAGGER = 0.2
 FLEET_N_SITES = 4
+
+#: how far the gated run's peak RSS may exceed the baseline row's: wide
+#: enough for allocator and interpreter-version noise (a few MB on a
+#: ~50 MB run), far under one stray megabyte per session at any size
+RSS_SLACK = 0.25
 
 
 def run_fleet(n_sessions: int):
@@ -76,19 +86,23 @@ def check(
             f"(has {sorted(results)})"
         )
     base = results[key]
-    if "events" not in base:
-        return False, (
-            f"baseline {baseline_path} has no event count for {sessions} sessions "
-            "— regenerate BENCH_fleet_scaling.json"
-        )
+    for field, what in (("events", "event count"), ("peak_rss_bytes", "peak RSS")):
+        if field not in base:
+            return False, (
+                f"baseline {baseline_path} has no {what} for {sessions} sessions "
+                "— regenerate BENCH_fleet_scaling.json"
+            )
     base_wall = base["wall_seconds"]
+    base_rss = base["peak_rss_bytes"]
     report, wall, events = run_fleet(sessions)
+    rss = peak_rss_bytes()
 
     lines = [
         f"fleet_scaling @ {sessions}: wall {wall:.2f}s vs baseline "
         f"{base_wall:.2f}s (limit {base_wall * (1 + threshold):.2f}s, "
         f"threshold +{threshold:.0%}), {events} events vs baseline "
-        f"{base['events']} ({events / wall:,.0f}/s)"
+        f"{base['events']} ({events / wall:,.0f}/s), peak RSS "
+        f"{rss / 1e6:.0f} MB vs baseline {base_rss / 1e6:.0f} MB"
     ]
     ok = True
     if report.completed != base["completed"] or report.ops != base["ops"]:
@@ -102,6 +116,13 @@ def check(
         lines.append(
             f"FAIL: {events - base['events']} more kernel events than the "
             f"baseline's {base['events']} for the same work"
+        )
+    if rss > base_rss * (1 + RSS_SLACK):
+        ok = False
+        lines.append(
+            f"FAIL: peak RSS {rss / base_rss - 1:+.0%} over the baseline's "
+            f"(> +{RSS_SLACK:.0%} allowed) — is something allocated per "
+            "session that no report reads?"
         )
     if wall > base_wall * (1 + threshold):
         ok = False

@@ -180,7 +180,26 @@ def parked_tick(env, link, tick: float):
 
 
 class SteeredApplication:
-    """A simulation instrumented for (collaborative) steering."""
+    """A simulation instrumented for (collaborative) steering.
+
+    The steering loop looks at its simulation at three moments only — a
+    sample is shipped, a steerer sets a parameter, someone asks for
+    status — so :func:`~repro.steering.runner.steered_app_process` does
+    not step it at every compute tick: it calls :meth:`owe_step`, and
+    :attr:`sim` is a settle-on-read property that first runs the owed
+    steps back to back (through the ordinary ``Simulation.step()``, with
+    warm caches) and then hands out exactly the simulation an eager loop
+    would have shown.  Numerics cost no virtual time, so no event,
+    timestamp or byte depends on *when* between two reads a step ran.
+
+    The one visible consequence: while a steered process is running, the
+    application owns its simulation between reads.  A reference to the
+    sim object held *outside* the app may lag by up to
+    ``sample_interval - 1`` steps until ``app.sim`` is next read; a
+    process whose loop has ended is always settled.  (And a step that
+    raises does so out of the read that settles it, with the steps it
+    cut short still owed.)
+    """
 
     def __init__(
         self,
@@ -191,7 +210,10 @@ class SteeredApplication:
     ) -> None:
         if sample_interval < 1:
             raise SteeringError("sample_interval must be >= 1")
-        self.sim = sim
+        self._sim = sim
+        #: steps the driving process has paid virtual time for but
+        #: :attr:`sim` has not run yet
+        self._owed = 0
         self.name = name
         self.sample_interval = sample_interval
         self.registry = ParameterRegistry()
@@ -222,6 +244,30 @@ class SteeredApplication:
                 ParameterDef(oname, kind="monitored"),
                 getter=lambda n=oname: self.sim.observables()[n],
             )
+
+    # -- the simulation, settled on read -----------------------------------------
+
+    @property
+    def sim(self):
+        """The simulation, with every owed step run."""
+        sim = self._sim
+        # One decrement per step *run*: a step that raises stays owed, so
+        # ``step_count + owed`` is what the eager loop would have reached.
+        while self._owed:
+            sim.step()
+            self._owed -= 1
+        return sim
+
+    @sim.setter
+    def sim(self, replacement) -> None:
+        self.sim  # the old simulation is handed back settled
+        self._sim = replacement
+
+    def owe_step(self) -> bool:
+        """Record one simulation step as owed; True when a sample is due
+        after it (the caller then emits, which settles)."""
+        self._owed += 1
+        return (self._sim.step_count + self._owed) % self.sample_interval == 0
 
     # -- wiring -----------------------------------------------------------
 
@@ -293,10 +339,11 @@ class SteeredApplication:
         return 1
 
     def status(self) -> StatusReport:
+        sim = self.sim
         return StatusReport(
-            step=self.sim.step_count,
-            time=self.sim.time,
-            observables=self.sim.observables(),
+            step=sim.step_count,
+            time=sim.time,
+            observables=sim.observables(),
             parameters={
                 n: self.registry.get(n) for n in self.registry.names("steered")
             },
@@ -308,10 +355,11 @@ class SteeredApplication:
     def emit_sample(self) -> SampleMsg:
         """Emit one sample to every sink regardless of the interval."""
         self._sample_seq += 1
+        sim = self.sim
         msg = SampleMsg(
             seq=self._sample_seq,
-            step=self.sim.step_count,
-            data=self.sim.sample(),
+            step=sim.step_count,
+            data=sim.sample(),
             source=self.name,
         )
         for sink in self._sample_sinks:

@@ -25,6 +25,14 @@ def steered_app_process(
     or a callable ``f(sim) -> seconds`` for size-dependent cost models.
     A paused application keeps polling its control links every
     ``idle_poll`` seconds — that is how it hears the Resume.
+
+    A compute tick costs virtual time; the numerics cost none.  So the
+    loop does not step the simulation at each tick: it records the step
+    as *owed* (:meth:`SteeredApplication.owe_step`) and the next reader
+    of ``app.sim`` — a due sample, a steer, a status request, a callable
+    ``compute_time`` — runs the owed steps in one hot burst.  Every step
+    the eager loop ran is still run, in the same order relative to every
+    read, and the loop settles once when it ends.
     """
     steps = 0
     while not app.stopped and (max_steps is None or steps < max_steps):
@@ -36,8 +44,8 @@ def steered_app_process(
             continue
         cost = compute_time(app.sim) if callable(compute_time) else compute_time
         yield env.timeout(cost)
-        app.sim.step()
-        if app.sim.step_count % app.sample_interval == 0:
+        if app.owe_step():
             app.emit_sample()
         steps += 1
+    app.sim  # settle: a process whose loop has ended owes nothing
     return steps

@@ -11,6 +11,7 @@ fill, fine for the isosurface sizes the benches use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,13 +104,25 @@ class Camera:
 
 
 class Renderer:
-    """Rasterizes primitives through a camera into a framebuffer."""
+    """Rasterizes primitives through a camera into a framebuffer.
+
+    The framebuffer (11 bytes a pixel: 845 KB at 320x240) is built on
+    the first access to :attr:`fb` — every steering session owns a
+    renderer, and most are never asked for a frame.  The dimensions are
+    checked at construction all the same.
+    """
 
     def __init__(self, width: int = 320, height: int = 240) -> None:
-        self.fb = FrameBuffer(width, height)
+        if width < 1 or height < 1:
+            raise ReproError("framebuffer dimensions must be positive")
+        self._size = (width, height)
         self.camera = Camera()
         #: primitives drawn since the last clear (a proxy for scene load)
         self.primitives_drawn = 0
+
+    @cached_property
+    def fb(self) -> FrameBuffer:
+        return FrameBuffer(*self._size)
 
     def clear(self, color=(0, 0, 0)) -> None:
         self.fb.clear(color)

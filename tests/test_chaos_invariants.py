@@ -9,6 +9,7 @@ from repro.errors import ChaosError
 from repro.fleet import FleetDriver
 from repro.fleet.spec import ScenarioSpec
 from repro.load import AdmissionController, TraceArrivals
+from repro.util.stats import RunningStats
 
 
 def _proto(**kw):
@@ -110,6 +111,42 @@ def test_monitor_catches_front_end_shard_divergence():
     driver.sites[1].registry.shards = driver.shards[:1]
     monitor.sweep()
     assert any("front-end-shards" in v for v in monitor.violations)
+
+
+def _lossless(monitor):
+    return [v for v in monitor.violations if "telemetry-lossless" in v]
+
+
+def test_monitor_catches_a_lossy_moments_merge(monkeypatch):
+    driver, ctl, monitor = _ran_world()
+    assert monitor.ok
+    assert driver.telemetry.merged_stats("steer_latency").n > 0
+
+    def forgetful(self, other):
+        # Corrupt: a merge that folds nothing in.  A law reduced to
+        # comparing the per-session sum with itself never sees this.
+        return self
+
+    monkeypatch.setattr(RunningStats, "merge", forgetful)
+    monitor.sweep()
+    assert any("merged steer_latency n=0 !=" in v for v in _lossless(monitor))
+    monitor.violations.clear()
+    monitor.final_check()
+    assert _lossless(monitor)
+
+
+def test_final_check_catches_a_lossy_reservoir_merge():
+    driver, ctl, monitor = _ran_world()
+    # Corrupt one session's reservoir count only: the moments still
+    # balance, so the periodic sweep — which folds moments — stays
+    # silent, and the once-per-world reservoir union speaks up.
+    probe = next(iter(driver.telemetry.sessions.values())).steer_latency
+    probe.sample.n += 5
+    monitor.sweep()
+    assert monitor.ok
+    monitor.final_check()
+    assert [v for v in _lossless(monitor) if "steer_latency reservoir n=" in v]
+    assert not [v for v in _lossless(monitor) if "find_latency" in v]
 
 
 def test_monitor_final_check_flags_non_quiescence():

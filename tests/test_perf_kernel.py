@@ -364,10 +364,12 @@ def test_gate_passes_and_fails_correctly(tmp_path, monkeypatch):
     monkeypatch.setattr(
         gate, "run_fleet", lambda n: (FakeReport(), 1.0, 5000)
     )
+    monkeypatch.setattr(gate, "peak_rss_bytes", lambda: 50_000_000)
     baseline = tmp_path / "BENCH_fleet_scaling.json"
 
     def base(**entry):
-        entry = {"wall_seconds": 0.9, "completed": 4, "ops": 40, "events": 5000, **entry}
+        entry = {"wall_seconds": 0.9, "completed": 4, "ops": 40, "events": 5000,
+                 "peak_rss_bytes": 50_000_000, **entry}
         write_bench(baseline, "fleet_scaling", {"4": entry})
 
     base()
@@ -393,13 +395,23 @@ def test_gate_passes_and_fails_correctly(tmp_path, monkeypatch):
     ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
     assert ok, verdict
 
-    # A baseline from before counts were recorded cannot gate them.
-    write_bench(
-        baseline, "fleet_scaling",
-        {"4": {"wall_seconds": 0.9, "completed": 4, "ops": 40}},
-    )
+    # Peak RSS may sit up to 25 % over the row's; a per-session
+    # allocation nobody reads (here +30 %) fails whatever the wall says.
+    base(wall_seconds=10.0, peak_rss_bytes=40_000_000)
     ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
-    assert not ok and "regenerate BENCH_fleet_scaling.json" in verdict
+    assert ok, verdict
+    base(wall_seconds=10.0, peak_rss_bytes=38_000_000)
+    ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
+    assert not ok and "peak RSS +32%" in verdict
+
+    # A baseline from before counts were recorded cannot gate them.
+    for missing in ("events", "peak_rss_bytes"):
+        base()
+        doc = load_bench(baseline)["results"]
+        del doc["4"][missing]
+        write_bench(baseline, "fleet_scaling", doc)
+        ok, verdict = gate.check(baseline, sessions=4, threshold=0.25)
+        assert not ok and "regenerate BENCH_fleet_scaling.json" in verdict
 
     # Missing size entry is an explicit failure, not a KeyError.
     ok, verdict = gate.check(baseline, sessions=64, threshold=0.25)

@@ -47,7 +47,8 @@ def _scaling(sizes=(6, 12, 16, 24, 32)):
 
 
 def _fleet_sim_costs(rounds=30):
-    """advance()/sample() cost of each simulation at the size a fleet runs.
+    """advance()/sample()/observables() cost of each simulation at the
+    size a fleet runs.
 
     ``advance`` three ways: in a tight loop on one sim (``advance_us``),
     and among 32 sims (8 of each kind) taking turns — what a step costs
@@ -83,6 +84,7 @@ def _fleet_sim_costs(rounds=30):
     }
     for kind, sim in tight.items():
         costs[kind]["sample_us"] = _median_seconds(sim.sample, 300) * 1e6
+        costs[kind]["observables_us"] = _median_seconds(sim.observables, 300) * 1e6
     return costs
 
 
@@ -99,11 +101,11 @@ def test_lb3d_scaling(benchmark, reporter):
         "LB3D-a: step cost vs lattice size (wall time)",
         ["lattice", "ms/step", "ns/site/step"], table,
     )
-    columns = ("advance_us", "burst4_us", "round_robin_us", "sample_us")
+    columns = ("advance_us", "burst4_us", "round_robin_us", "sample_us", "observables_us")
     reporter.table(
         "SIMS: per-call cost at fleet size (median us; burst4 / round-robin = "
         "advance among 32 interleaved sims, 4 steps / 1 step per turn)",
-        ["sim", "advance", "burst4", "round-robin", "sample"],
+        ["sim", "advance", "burst4", "round-robin", "sample", "observables"],
         [[k] + [f"{c[col]:.1f}" for col in columns] for k, c in costs.items()],
     )
     write_json(

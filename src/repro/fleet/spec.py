@@ -126,11 +126,15 @@ class ScenarioSpec:
                 f"spec {self.name!r}: cadence, duration and compute_time must be > 0"
             )
         if self.steps is None:
-            object.__setattr__(
-                self,
-                "steps",
-                max(1, int((self.duration + 10.0) / self.compute_time)),
-            )
+            # The app must outlive the steering loop, which ends it with
+            # Stop.  An op costs at most its cadence, a round trip of the
+            # link and one step of the app's compute; a loop that needs
+            # longer than the usual 10 s of slack gets that slack on top.
+            per_op = self.cadence + 2 * PROFILES[self.profile].latency + self.compute_time
+            horizon = self.duration + 10.0
+            if self.n_ops * per_op > horizon:
+                horizon = self.n_ops * per_op + 10.0
+            object.__setattr__(self, "steps", max(1, int(horizon / self.compute_time)))
         if self.steps < 1:
             raise SteeringError(f"spec {self.name!r}: steps must be >= 1")
 

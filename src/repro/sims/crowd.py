@@ -61,6 +61,9 @@ class CrowdSim(Simulation):
             raise SteeringError("exhibits must be (K, 2)")
         k = len(self.exhibits)
         self.attractiveness = np.ones(k)
+        #: the goal CDF and the attractiveness bytes it was built from
+        self._cdf: np.ndarray | None = None
+        self._cdf_key: bytes | None = None
         self.speed = float(speed)
         self.dwell_steps = int(dwell_steps)
         self.dt = float(dt)
@@ -71,9 +74,27 @@ class CrowdSim(Simulation):
         self.dwell = np.zeros(n_agents, dtype=np.int64)
 
     def _choose_goals(self, n: int) -> np.ndarray:
-        weights = np.maximum(self.attractiveness, 1e-12)
-        p = weights / weights.sum()
-        return self.rng.choice(len(self.exhibits), size=n, p=p)
+        """``n`` exhibit indices drawn with probability proportional to the
+        attractiveness (zero weights clamped to 1e-12).
+
+        This is ``Generator.choice(k, size=n, p=p)``'s own algorithm —
+        ``random(n)`` looked up in ``p.cumsum()`` renormalised by its
+        last entry — without its per-call validation and accumulation:
+        the CDF is built once per attractiveness *value* (keyed by its
+        bytes, so an in-place write or an assignment is seen by the next
+        draw), and the values are validated when steered
+        (:meth:`set_parameter`).  Draws and generator state are
+        ``choice``'s, bit for bit.
+        """
+        key = self.attractiveness.tobytes()
+        if key != self._cdf_key:
+            weights = np.maximum(self.attractiveness, 1e-12)
+            cdf = (weights / weights.sum()).cumsum()
+            cdf /= cdf[-1]
+            if not np.isfinite(cdf).all():
+                raise SteeringError(f"attractiveness {self.attractiveness} is not finite")
+            self._cdf, self._cdf_key = cdf, key
+        return self._cdf.searchsorted(self.rng.random(n), side="right")
 
     def advance(self) -> None:
         targets = self.exhibits[self.goal]
@@ -135,9 +156,16 @@ class CrowdSim(Simulation):
         if name != "attractiveness":
             raise SteeringError(f"CrowdSim has no steerable parameter {name!r}")
         v = np.asarray(value, dtype=np.float64)
-        if v.shape != self.attractiveness.shape or np.any(v < 0) or v.sum() == 0:
+        # NaN passes both the sign and the zero-sum test; the goal draw
+        # trusts what is accepted here.
+        if (
+            v.shape != self.attractiveness.shape
+            or not np.isfinite(v).all()
+            or np.any(v < 0)
+            or v.sum() == 0
+        ):
             raise SteeringError(
-                f"attractiveness must be {self.attractiveness.shape} non-negative"
+                f"attractiveness must be {self.attractiveness.shape} finite non-negative"
             )
         self.attractiveness = v
 

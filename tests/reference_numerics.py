@@ -1,5 +1,7 @@
 """Reference numerics: the straightforward kernels ``src/`` used before
-the plan-once rewrite (PR 20), kept verbatim as the test-side oracle.
+the plan-once rewrites (PR 20 for LB3D, PEPC and the crowd's separation;
+later the building stepper, its diagnostics and the crowd's goal draw),
+kept verbatim as the test-side oracle.
 
 ``tests/test_numerics_bitexact.py`` requires the optimized kernels in
 ``repro.sims`` / ``repro.parallel`` to reproduce these **byte for byte**
@@ -222,6 +224,85 @@ def plasma_advance(sim):
     sim.velocities += 0.5 * dt * sim._accel
     if sim.damping > 0.0:
         sim.velocities *= max(0.0, 1.0 - sim.damping * dt)
+
+
+# -- building: six rolls and an upwind ``where`` per step --------------------
+
+
+def _roll1(a, s, axis):
+    """``np.roll(a, s, axis)`` for 0 < |s| < a.shape[axis], bit-identical.
+
+    A roll is exactly ``concatenate((a[-s:], a[:-s]))`` along the axis;
+    skipping np.roll's generic index arithmetic matters because the
+    explicit stepper issues a dozen rolls per step on a small grid.
+    """
+    head = (_FULL,) * axis + (slice(-s, None),)
+    tail = (_FULL,) * axis + (slice(None, -s),)
+    return np.concatenate((a[head], a[tail]), axis=axis)
+
+
+def building_flow_field(sim):
+    nx, ny, nz = sim.shape
+    x = np.linspace(0.0, 1.0, nx)[:, None, None]
+    z = np.linspace(0.0, 1.0, nz)[None, None, :]
+    u = np.zeros((3,) + sim.shape)
+    u[0] = sim.vent_speed * (1.0 - 0.6 * x) * (0.4 + 0.6 * z)
+    u[2] = -0.2 * sim.vent_speed * np.sin(np.pi * x) * z
+    return u
+
+
+def building_advance(sim):
+    """The parent's ``BuildingClimate.advance``."""
+    T = sim.temperature
+    u = building_flow_field(sim)
+    dt = sim.dt
+
+    # First-order upwind advection (flow is predominantly +x, -z).
+    dT = np.zeros_like(T)
+    for axis in range(3):
+        vel = u[axis]
+        fwd = _roll1(T, -1, axis)
+        back = _roll1(T, 1, axis)
+        dT -= dt * np.where(vel > 0, vel * (T - back), vel * (fwd - T))
+        # Diffusion neighbours reuse the advection shifts below; the
+        # grouping mirrors the original `lap += back + fwd` loop so
+        # the floating-point accumulation stays bit-identical.
+        if axis == 0:
+            lap = -6.0 * T + (back + fwd)
+        else:
+            lap += back + fwd
+
+    # Diffusion (FTCS 7-point Laplacian), insulated walls handled by
+    # the boundary overwrite below.
+    dT += dt * sim.diffusivity * lap
+
+    # Internal heat load.
+    dT += dt * sim.heat_load * sim.sources
+
+    sim.temperature = T + dT
+    # Boundary conditions: inlet wall held at vent temperature over the
+    # duct area; outlet wall is outflow (zero-gradient); other walls
+    # relax slowly toward ambient (imperfect insulation).
+    nz = sim.shape[2]
+    sim.temperature[0, :, nz // 2 :] = sim.vent_temperature
+    sim.temperature[-1] = sim.temperature[-2]
+    alpha = 0.02
+    for sl in (
+        (slice(None), 0),
+        (slice(None), -1),
+    ):
+        sim.temperature[sl] += alpha * (sim.ambient - sim.temperature[sl])
+    sim.temperature[:, :, -1] += alpha * (sim.ambient - sim.temperature[:, :, -1])
+
+
+def building_mean_temperature(sim):
+    return float(sim.temperature.mean())
+
+
+def building_comfort_fraction(sim, lo=20.0, hi=24.0):
+    occupied = sim.temperature[:, :, : sim.shape[2] // 2]
+    ok = (occupied >= lo) & (occupied <= hi)
+    return float(ok.mean())
 
 
 # -- crowd: the parent's ``CrowdSim.advance`` ---------------------------------

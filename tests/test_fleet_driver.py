@@ -99,3 +99,27 @@ def test_report_round_trips_to_dict():
     assert "2/2 sessions completed" in text
     for spec_row in report.per_session:
         assert spec_row.name in text
+
+
+def _transatlantic_storm(**overrides):
+    spec = ScenarioSpec(
+        name="ta", sim="building", profile="transatlantic", cadence=0.05, compute_time=0.1,
+        **overrides,
+    )  # fmt: skip
+    driver = FleetDriver(fleet_of(4, suite=[spec], stagger=0.2), n_sites=4)
+    return driver.specs[0], driver.run()
+
+
+def test_an_overloaded_steering_loop_is_budgeted_not_starved():
+    """120 ops at cadence 0.05 over a 90 ms round trip outlast the usual
+    (duration + 10) / compute_time = 160 steps: the app used to end before
+    its loop, and every later command died on the service's reply timeout."""
+    spec, starved = _transatlantic_storm(steps=160)  # the old derivation
+    assert (starved.completed, starved.errors, starved.timeouts) == (0, 12, 0)
+    assert starved.makespan == pytest.approx(51.7, abs=0.05)
+    spec, report = _transatlantic_storm()
+    assert spec.steps == 387  # 120 x (0.05 + 2 x 0.045 + 0.1) + 10 s, in steps
+    assert (report.completed, report.errors, report.timeouts) == (4, 0, 0)
+    assert report.makespan == pytest.approx(25.35, abs=0.05)
+    _, generous = _transatlantic_storm(steps=1000)
+    assert generous.to_dict() == report.to_dict()  # a larger budget changes nothing

@@ -23,6 +23,25 @@ def test_defaults_are_valid_and_steps_computed():
 
 
 @pytest.mark.parametrize(
+    "kwargs, steps",
+    [
+        # a loop that fits in duration + 10 s keeps that budget
+        ({}, 320),
+        ({"profile": "transatlantic"}, 320),
+        ({"cadence": 0.5, "duration": 4.0}, 280),
+        ({"profile": "transatlantic", "cadence": 0.2, "compute_time": 0.1}, 160),
+        # one that does not gets its own worst-case length plus the slack:
+        # n_ops x (cadence + link round trip + one step) + 10 s
+        ({"profile": "transatlantic", "cadence": 0.05, "compute_time": 0.1}, 387),
+        ({"profile": "transatlantic", "cadence": 0.1, "compute_time": 0.1}, 274),
+        ({"profile": "campus", "cadence": 0.05, "compute_time": 0.1}, 282),
+    ],
+)
+def test_step_budget_outlives_the_steering_loop(kwargs, steps):
+    assert ScenarioSpec(name="b", **kwargs).steps == steps
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"sim": "weather"},

@@ -1,11 +1,11 @@
 """LB3D — the steered Lattice-Boltzmann workload (paper section 2.2).
 
-Regenerated series: (a) wall-time step cost vs lattice size (the compute
+Regenerated series: wall-time step cost vs lattice size (the compute
 budget the Grid has to supply to keep the session interactive), from the
 fleet's 6^3 up, written with the per-step cost of all four fleet-sized
-simulations to ``BENCH_sims.json``; (b) the physics response that made
-the demo worth watching — steering the miscibility flips the mixture
-between mixed and demixed states.
+simulations to ``BENCH_sims.json``.  The physics response that made the
+demo worth watching — steering the miscibility demixes the fluid — is
+row LB3D-b of ``tests/test_paper_table.py``.
 """
 
 import statistics
@@ -129,38 +129,3 @@ def test_lb3d_scaling(benchmark, reporter):
     # Cost per site roughly constant: the kernel is O(sites).
     per_site = [r[2] for r in rows]
     assert max(per_site) < 6 * min(per_site)
-
-
-def _steering_response():
-    sim = LatticeBoltzmann3D(shape=(12, 12, 12), g=0.5, seed=2)
-    series = []
-    for step in range(40):
-        sim.step()
-        series.append((step, sim.g, sim.demix_measure()))
-    sim.set_parameter("g", 3.0)  # the demo moment: slide the miscibility
-    response_step = None
-    for step in range(40, 160):
-        sim.step()
-        series.append((step, sim.g, sim.demix_measure()))
-        if response_step is None and sim.demix_measure() > 0.2:
-            response_step = step
-    return series, response_step
-
-
-def test_lb3d_miscibility_steering_response(benchmark, reporter):
-    series, response_step = run_once(benchmark, _steering_response)
-    picks = [s for s in series if s[0] % 20 == 0 or s[0] == response_step]
-    reporter.table(
-        "LB3D-b: order-parameter response to steering g: 0.5 -> 3.0 at "
-        "step 40",
-        ["step", "g", "demix measure"],
-        [[s, g, f"{d:.4f}"] for s, g, d in picks],
-    )
-    reporter.note(
-        f"structures become clearly demixed at step {response_step} "
-        f"({response_step - 40} steps after the steer)"
-    )
-    before = max(d for s, _, d in series if s < 40)
-    after = series[-1][2]
-    assert before < 0.05 and after > 0.3
-    assert response_step is not None and response_step < 150

@@ -1,8 +1,10 @@
 """Shared benchmark infrastructure.
 
-Every bench prints its paper-style table through the ``reporter`` fixture,
-which also appends to ``benchmarks/results.txt`` so the series survive
-pytest's output capture.  EXPERIMENTS.md is written from those tables.
+Every bench prints its table through the ``reporter`` fixture, which also
+appends to ``benchmarks/results.txt`` so the series survive pytest's
+output capture, and writes its ``BENCH_*.json`` envelope through
+:func:`write_json`.  The paper's own claims are not benches:
+``tests/test_paper_table.py`` asserts and pins them in tier-1.
 """
 
 from __future__ import annotations

@@ -267,7 +267,4 @@ def open_connection(src_host, dst_name: str, port: int, timeout: Optional[float]
     remote = Connection(dst_host, src_host, port)
     Connection._pair(local, remote)
     listener._enqueue(remote)
-    network.log.emit(
-        src_host.name, "connect", dst=dst_name, port=port, rtt=round(rtt_done, 6)
-    )
     return local

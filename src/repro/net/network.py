@@ -7,7 +7,6 @@ from typing import Optional
 from repro.des import Environment
 from repro.errors import NetworkError, HostUnreachable
 from repro.net.firewall import Firewall
-from repro.util.eventlog import EventLog
 
 
 class Link:
@@ -162,16 +161,12 @@ class Network:
         env: Environment,
         default_latency: float = 0.050,
         default_bandwidth: float = 10e6 / 8,
-        log: Optional[EventLog] = None,
     ) -> None:
         self.env = env
         self.hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
         self.default_latency = default_latency
         self.default_bandwidth = default_bandwidth
-        self.log = log or EventLog(lambda: env.now)
-        if log is not None:
-            log.bind_clock(lambda: env.now)
         self.connect_attempts = 0
         #: bumped whenever the link table changes; connections use it to
         #: invalidate their cached Link objects

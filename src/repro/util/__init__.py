@@ -1,15 +1,13 @@
-"""Small shared utilities: id generation, statistics, event logging,
-and the append-only JSONL journal (:mod:`repro.util.journal`)."""
+"""Small shared utilities: id generation, statistics, and the
+append-only JSONL journal (:mod:`repro.util.journal`)."""
 
 from repro.util.ids import IdAllocator, token_hex
 from repro.util.stats import (
     P2Quantile,
     ReservoirSample,
     RunningStats,
-    Timeline,
     percentile,
 )
-from repro.util.eventlog import EventLog, LogRecord
 
 __all__ = [
     "IdAllocator",
@@ -17,8 +15,5 @@ __all__ = [
     "RunningStats",
     "P2Quantile",
     "ReservoirSample",
-    "Timeline",
     "percentile",
-    "EventLog",
-    "LogRecord",
 ]

@@ -1,4 +1,4 @@
-"""Running statistics and time-series helpers used by benches and tests.
+"""Running statistics used by fleet telemetry, benches and tests.
 
 Fleet-scale telemetry (``repro.fleet.telemetry``) aggregates hundreds of
 per-session accumulators, so the streaming types here are *mergeable*:
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 
 class RunningStats:
@@ -287,30 +286,3 @@ class ReservoirSample:
     def __len__(self) -> int:
         return len(self._items)
 
-
-@dataclass
-class Timeline:
-    """A (time, value) series, e.g. order parameter vs simulation time."""
-
-    times: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-
-    def record(self, t: float, v) -> None:
-        self.times.append(t)
-        self.values.append(v)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def last(self):
-        if not self.values:
-            raise IndexError("empty timeline")
-        return self.values[-1]
-
-    def window(self, t0: float, t1: float) -> "Timeline":
-        """Sub-series with t0 <= t < t1."""
-        out = Timeline()
-        for t, v in zip(self.times, self.values):
-            if t0 <= t < t1:
-                out.record(t, v)
-        return out

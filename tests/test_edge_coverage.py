@@ -44,22 +44,21 @@ def test_visit_server_on_data_callback_fires():
     assert seen == [(9, "hello")]
 
 
-def test_network_log_records_connects():
+def test_network_counts_connects():
     env = Environment()
     net = Network(env)
     net.add_host("a")
     net.add_host("b")
     net.add_link("a", "b", latency=0.001, bandwidth=1e8)
-    net.host("b").listen(5)
+    listener = net.host("b").listen(5)
 
     def client():
         yield from net.host("a").connect("b", 5)
 
     env.process(client())
     env.run()
-    recs = net.log.select(kind="connect")
-    assert len(recs) == 1
-    assert recs[0].detail["dst"] == "b" and recs[0].detail["port"] == 5
+    ok, conn = listener.try_accept()
+    assert ok and conn.peer_host.name == "a" and conn.port == 5
     assert net.connect_attempts == 1
 
 

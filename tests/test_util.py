@@ -1,4 +1,4 @@
-"""Tests for the util package: ids, stats, eventlog."""
+"""Tests for the util package: ids and stats."""
 
 import math
 import random
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util import EventLog, IdAllocator, RunningStats, Timeline, percentile
+from repro.util import IdAllocator, RunningStats, percentile
 from repro.util.ids import token_hex
 
 
@@ -62,44 +62,3 @@ def test_percentile():
     assert percentile([7], 99) == 7
     with pytest.raises(ValueError):
         percentile([], 50)
-
-
-def test_timeline_record_window_last():
-    t = Timeline()
-    for i in range(10):
-        t.record(float(i), i * i)
-    assert len(t) == 10
-    assert t.last() == 81
-    w = t.window(2.0, 5.0)
-    assert w.times == [2.0, 3.0, 4.0]
-    assert w.values == [4, 9, 16]
-    with pytest.raises(IndexError):
-        Timeline().last()
-
-
-def test_eventlog_emit_select_first():
-    clock = {"now": 0.0}
-    log = EventLog(lambda: clock["now"])
-    log.emit("gateway", "connect", user="john")
-    clock["now"] = 5.0
-    log.emit("gateway", "relay", vsite="JUELICH")
-    log.emit("njs", "consign", job="j-1")
-    assert len(log) == 3
-    assert [r.kind for r in log.select(component="gateway")] == ["connect", "relay"]
-    assert log.select(kind="consign")[0].detail == {"job": "j-1"}
-    assert log.select(t0=1.0)[0].kind == "relay"
-    assert log.first(component="njs").time == 5.0
-    with pytest.raises(LookupError):
-        log.first(component="nobody")
-    dump = log.dump()
-    assert "gateway" in dump and "job=j-1" in dump
-
-
-def test_eventlog_bind_clock():
-    log = EventLog()
-    log.emit("x", "a")
-    assert log.select()[0].time == 0.0
-    clock = {"now": 9.0}
-    log.bind_clock(lambda: clock["now"])
-    log.emit("x", "b")
-    assert log.select(kind="b")[0].time == 9.0

@@ -54,6 +54,7 @@ from repro.chaos import ChaosHarness
 from repro.errors import CampaignError
 from repro.fleet import BrokerPool, FleetDriver
 from repro.load import AdmissionController, ReactiveAutoscaler
+from repro.obs.metrics import NULL_REGISTRY
 from repro.perf.bench import bench_envelope
 
 #: the fabric a cell is built on.  The live server's defaults and the
@@ -237,7 +238,7 @@ class CellExecutor:
         max_cell_retries: int = 2,
         retry_backoff: float = 0.05,
         supervise: Optional[bool] = None,
-        metrics=None,
+        metrics=NULL_REGISTRY,
     ) -> None:
         if workers < 1:
             raise CampaignError("campaign needs >= 1 worker")

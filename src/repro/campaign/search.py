@@ -639,19 +639,18 @@ class SearchRunner(CellExecutor):
             else default_archive_path(store.path)
         )
         metrics = self.metrics
-        if metrics is not None:
-            self._m_generations = metrics.counter(
-                "campaign_search_generations_total",
-                "search generations settled",
-            )
-            self._m_evaluations = metrics.counter(
-                "campaign_search_evaluations_total",
-                "proposals scored (fresh or replayed)",
-            )
-            self._m_best = metrics.gauge(
-                "campaign_search_best_objective",
-                "lowest loss seen so far",
-            )
+        self._m_generations = metrics.counter(
+            "campaign_search_generations_total",
+            "search generations settled",
+        )
+        self._m_evaluations = metrics.counter(
+            "campaign_search_evaluations_total",
+            "proposals scored (fresh or replayed)",
+        )
+        self._m_best = metrics.gauge(
+            "campaign_search_best_objective",
+            "lowest loss seen so far",
+        )
 
     def run(
         self,
@@ -724,10 +723,9 @@ class SearchRunner(CellExecutor):
                 ))
                 gen_best = min(gen_best, score)
             best = min(best, gen_best)
-            if self.metrics is not None:
-                self._m_generations.inc()
-                self._m_evaluations.inc(len(proposals))
-                self._m_best.set(best)
+            self._m_generations.inc()
+            self._m_evaluations.inc(len(proposals))
+            self._m_best.set(best)
             archive = SearchArchive(spec, history)
             archive.write(self.archive_path)
             if on_generation is not None:

@@ -398,7 +398,7 @@ class LiveServer:
         503 when the server was built with ``metrics: False`` — a
         scraper must see the difference between "no metrics here" and an
         empty-but-healthy registry."""
-        if self.obs.metrics is None:
+        if not self.config["metrics"]:
             raise HttpError(503, "metrics are disabled in this server's config")
         return self.obs.metrics.render().encode("utf-8")
 

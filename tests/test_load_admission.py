@@ -13,6 +13,7 @@ from repro.errors import LoadError
 from repro.fleet import FleetTelemetry
 from repro.fleet.spec import ScenarioSpec
 from repro.load import AdmissionController, CapacityLedger, SloClass, TraceArrivals
+from repro.obs import Observability
 
 
 class FakeDriver:
@@ -21,6 +22,7 @@ class FakeDriver:
     def __init__(self, env, service_time=2.0):
         self.env = env
         self.telemetry = FleetTelemetry()
+        self.obs = Observability(metrics=False)  # a FleetDriver's is never None
         self.service_time = service_time
         self.launched = []
 

@@ -15,6 +15,7 @@ from repro.load import (
     SloClass,
     TraceArrivals,
 )
+from repro.obs import Observability
 
 PATIENT = SloClass("patient", priority=0, wait_slo=30.0, patience=200.0)
 
@@ -25,6 +26,7 @@ class FakeElasticDriver:
     def __init__(self, env, n_sites=1, service_time=5.0, site_slots=1):
         self.env = env
         self.telemetry = FleetTelemetry()
+        self.obs = Observability(metrics=False)  # a FleetDriver's is never None
         self.service_time = service_time
         self.site_slots = site_slots
         self.sites = [self._mk_site(i) for i in range(n_sites)]

@@ -123,3 +123,39 @@ def test_an_overloaded_steering_loop_is_budgeted_not_starved():
     assert report.makespan == pytest.approx(25.35, abs=0.05)
     _, generous = _transatlantic_storm(steps=1000)
     assert generous.to_dict() == report.to_dict()  # a larger budget changes nothing
+
+
+def test_cancel_during_the_stagger_wait_fails_the_session():
+    # A batch session is tracked (and cancellable) from t=0 but first
+    # waits out its admission offset: a cancel in that wait must fail
+    # the session and notify "cancel", not crash the world.
+    driver = FleetDriver(fleet_of(4), n_sites=2)
+    seen = []
+    driver.session_observers.append(lambda kind, name, site: seen.append((kind, name)))
+
+    def cancel_all():
+        yield driver.env.timeout(0.5)
+        for name in list(driver.active):
+            assert driver.cancel_session(name, "test")
+
+    driver.env.process(cancel_all())
+    report = driver.run()
+    assert (report.completed, report.failed) == (0, 4)
+    waiting = [s.name for s in driver.specs if s.admission_offset > 0.5]
+    assert waiting
+    for name in waiting:
+        assert ("cancel", name) in seen
+        assert driver.telemetry.sessions[name].failure == "cancelled: test"
+    assert not driver.active
+
+
+def test_site_outage_during_the_stagger_wait_is_survived():
+    from repro.chaos import ChaosHarness, FaultSchedule, SiteOutage
+
+    driver = FleetDriver(fleet_of(8, stagger=0.5), n_sites=2)
+    world = ChaosHarness(driver)
+    world.install(FaultSchedule([SiteOutage(at=1.2, duration=3.0, site=1)]))
+    report = driver.run()
+    assert world.verdict(report)["invariant_violations"] == 0
+    assert report.completed + report.failed == 8
+    assert report.failed > 0

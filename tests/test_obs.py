@@ -107,6 +107,29 @@ def test_same_seed_traced_runs_emit_identical_jsonl(tmp_path):
     assert all(e["ph"] != "X" or e["dur"] >= 0 for e in events)
 
 
+@pytest.mark.parametrize("at", [0.61, 0.8, 3.1, 5.5])
+def test_a_cancelled_session_leaves_no_span_open(at):
+    # Cancels landing mid-connect, mid-find and mid-op: every span the
+    # session began ends with the session, carrying its outcome.
+    obs = Observability(tracing=True)
+    driver = FleetDriver(fleet_of(4), n_sites=2, obs=obs)
+
+    def cancel_all():
+        yield driver.env.timeout(at)
+        for name in list(driver.active):
+            driver.cancel_session(name, "test")
+
+    driver.env.process(cancel_all())
+    report = driver.run(wall_seconds=None)
+    assert report.failed > 0
+    assert [s.name for s in obs.tracer.spans if s.end is None] == []
+    cut = [s for s in obs.tracer.spans
+           if s.name != "session" and s.attrs.get("outcome") == "cancel"]
+    assert cut
+    for span in cut:
+        assert span.end == obs.tracer.session_root(span.session).end
+
+
 def test_tracer_requires_a_bound_environment():
     tracer = Tracer()
     with pytest.raises(ObsError, match="no environment bound"):

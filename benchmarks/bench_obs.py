@@ -3,7 +3,9 @@
 Three interleaved variants of the same seed-identical fleet run
 (`fleet_of(n, stagger=0.2)` on 4 sites — the perf-gate scenario):
 
-* ``bare``     — no Observability attached: the pre-obs code paths;
+* ``bare``     — no Observability passed: the driver binds an all-off
+  one, and every hook calls a null twin that records nothing — the path
+  every unobserved fleet takes;
 * ``obs_off``  — the acceptance configuration: metrics + breakers wired,
   tracing disabled.  This is what a production fabric runs;
 * ``tracing``  — full causal span capture on top, priced separately.
@@ -14,21 +16,26 @@ observability that perturbs the simulation cannot pass.
 The < 2% tracing-off floor is gated on a *hook-cost account*, not a raw
 wall-clock ratio: shared runners jitter far more than 2% between two
 identical runs, so an A/B ratio gate would flake on noise while missing
-nothing.  Instead the bench reads the exact number of hot-path pushes
-out of the run's own counters (viz frames, steer ops, finds — the only
-per-event work ``obs_off`` adds), microbenchmarks each instrument call,
-and floors ``calls x per-call cost / bare wall``.  Both inputs are
-stable: the counts are deterministic, and a tight-loop minimum per-call
-time is repeatable where whole-run walls are not.  The end-to-end A/B
-minimum is still measured and reported, with a loose sanity bound that
-catches gross regressions (a hook growing I/O or quadratic work).
+nothing.  The account has two parts, each exact calls x tight-loop
+per-call cost.  The pushes ``obs_off`` adds (viz frames, steer ops,
+finds) are read out of the run's own counters and priced per
+instrument call; the null-twin calls the off path makes (span begin/end,
+instrument pushes, breaker guards) are counted by a profile hook over
+one untimed ``bare`` run and priced at the costliest one, a span begin
+with attributes.  Their sum over the bare wall bounds what obs costs
+either variant over code with no hooks at all.  Both inputs are stable:
+the counts are deterministic, and a tight-loop minimum per-call time is
+repeatable where whole-run walls are not.  The end-to-end A/B minimum is
+still measured and reported, with a loose sanity bound that catches
+gross regressions (a hook growing I/O or quadratic work).
 """
 
 import os
+import sys
 import time
 
 from benchmarks.conftest import run_once, write_json
-from repro.obs import Observability
+from repro.obs import Observability, metrics, protect, tracer
 from repro.perf.gate import FLEET_N_SITES, FLEET_STAGGER
 
 #: sessions / interleaved repeats of the A/B (override for smoke runs)
@@ -130,16 +137,60 @@ def _hook_cost_seconds(counts):
         "op_inc_ns": c_op * 1e9}
 
 
-def _gate(walls, obs_used):
+#: every function of the null twins the off path calls into
+_NULL_CODES = frozenset(
+    fn.__code__
+    for cls in (
+        tracer.NullTracer,
+        metrics.NullRegistry,
+        type(metrics.NULL_INSTRUMENT),
+        protect.NullBreaker,
+        protect.NullQuotas,
+    )
+    for fn in vars(cls).values()
+    if hasattr(fn, "__code__")
+)
+
+
+def _null_calls(n_sessions):
+    """Exact null-twin calls of one unobserved fleet run (untimed)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in _NULL_CODES:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        _run_fleet(n_sessions, None)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _off_path_seconds(calls):
+    """Null calls x the tight-loop cost of the costliest one."""
+    null = tracer.NULL_TRACER
+    c_null = _per_call(
+        lambda: null.begin("steer-op", cat="steer", parent=None, op=1, kind="get_status")
+    )
+    return calls * c_null, c_null * 1e9
+
+
+def _gate(walls, obs_used, n_sessions):
     counts = _hook_counts(obs_used["obs_off"])
     hook_s, per_call_ns = _hook_cost_seconds(counts)
+    null_calls = _null_calls(n_sessions)
+    off_s, per_call_ns["null_ns"] = _off_path_seconds(null_calls)
     bare = min(walls["bare"])
     return {
-        "counts": counts,
+        "counts": dict(counts, null_calls=null_calls),
         "per_call_ns": {k: round(v, 1) for k, v in per_call_ns.items()},
         "hook_cost_ms": round(hook_s * 1e3, 3),
+        "off_path_ms": round(off_s * 1e3, 3),
         "bare_wall_ms": round(bare * 1e3, 1),
-        "overhead": hook_s / bare,
+        "overhead": (hook_s + off_s) / bare,
         "ab_ratio_obs_off": min(walls["obs_off"]) / bare - 1.0,
         "ab_ratio_tracing": min(walls["tracing"]) / bare - 1.0,
     }
@@ -150,7 +201,7 @@ def test_obs_overhead(benchmark, reporter):
         benchmark, lambda: _ab(OBS_SESSIONS, OBS_REPEATS)
     )
     _assert_same_work(reports, events)
-    gate = _gate(walls, obs_used)
+    gate = _gate(walls, obs_used, OBS_SESSIONS)
     reporter.table(
         f"OBS: observability cost, {OBS_SESSIONS}-session fleet "
         f"(min of {OBS_REPEATS} interleaved repeats)",
@@ -160,9 +211,10 @@ def test_obs_overhead(benchmark, reporter):
          for name in VARIANTS],
     )
     reporter.note(
-        f"hook-cost account: {gate['counts']} pushes, "
-        f"{gate['hook_cost_ms']:.2f} ms over a {gate['bare_wall_ms']:.0f} ms "
-        f"bare run = {gate['overhead']:.3%} (floor {OBS_GATE_THRESHOLD:.0%})"
+        f"hook-cost account: {gate['counts']} calls, "
+        f"{gate['hook_cost_ms']:.2f} ms pushes + {gate['off_path_ms']:.2f} ms "
+        f"null calls over a {gate['bare_wall_ms']:.0f} ms bare run = "
+        f"{gate['overhead']:.3%} (floor {OBS_GATE_THRESHOLD:.0%})"
     )
     write_json(
         "BENCH_obs.json",
@@ -183,8 +235,9 @@ def test_obs_overhead(benchmark, reporter):
 
 
 def _assert_floor(gate):
-    # The floor the ISSUE gates on: wiring metrics + breakers with
-    # tracing off must be (near-)free on the hot paths.
+    # The floor: wiring metrics + breakers with tracing off, and the
+    # null twins every unobserved fleet calls, must be (near-)free on
+    # the hot paths.
     assert gate["overhead"] < OBS_GATE_THRESHOLD, (
         f"tracing-off hook cost {gate['overhead']:.3%} >= "
         f"{OBS_GATE_THRESHOLD:.0%} of the bare wall"
@@ -201,7 +254,7 @@ def test_obs_smoke(reporter):
     """CI smoke: tiny A/B, same-work invariant + the overhead floor."""
     walls, reports, events, obs_used = _ab(n_sessions=8, repeats=2)
     _assert_same_work(reports, events)
-    gate = _gate(walls, obs_used)
+    gate = _gate(walls, obs_used, 8)
     reporter.note(
         f"OBS smoke: hook cost {gate['overhead']:.3%} of the bare wall "
         f"(floor {OBS_GATE_THRESHOLD:.0%}), end-to-end A/B "

@@ -72,9 +72,7 @@ class ChaosHarness:
         self.controller = controller
         self.monitor = InvariantMonitor(driver, controller=controller, interval=monitor_interval)
         self.injector = FaultInjector(driver, controller=controller, pool=pool)
-        self.recovery = RecoveryOrchestrator(
-            self.injector, controller=controller, pool=pool, policy=policy
-        )
+        self.recovery = RecoveryOrchestrator(self.injector, policy=policy)
 
     def install(self, schedule: FaultSchedule) -> list:
         return self.injector.install(schedule)

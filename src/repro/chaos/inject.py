@@ -17,7 +17,7 @@ the world post-fault, exactly like a real operator).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.chaos.faults import (
     ContainerCrash,
@@ -37,14 +37,12 @@ from repro.errors import ChaosError
 class FaultInjector:
     """Applies/reverts faults against a live fleet fabric."""
 
-    def __init__(self, driver, ledger=None, controller=None, pool=None) -> None:
+    def __init__(self, driver, controller=None, pool=None) -> None:
         self.driver = driver
         self.env = driver.env
         self.net = driver.net
         self.controller = controller
-        self.ledger = ledger if ledger is not None else (
-            controller.ledger if controller is not None else None
-        )
+        self.ledger = controller.ledger if controller is not None else None
         self.pool = pool
         #: subscribers ``cb(fault, phase)`` with phase "apply" | "revert"
         self.on_fault: list[Callable[[Fault, str], None]] = []
@@ -284,8 +282,5 @@ class FaultInjector:
 
     # -- introspection -----------------------------------------------------
 
-    def applied(self, kind: Optional[str] = None) -> list[str]:
-        return [
-            desc for _, phase, desc in self.log
-            if phase == "apply" and (kind is None or desc.startswith(kind))
-        ]
+    def applied(self) -> list[str]:
+        return [desc for _, phase, desc in self.log if phase == "apply"]

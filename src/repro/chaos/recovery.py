@@ -94,21 +94,21 @@ def root_name(name: str) -> str:
 
 
 class RecoveryOrchestrator:
-    """Wires fault notifications to recovery actions and keeps score."""
+    """Wires fault notifications to recovery actions and keeps score.
+
+    Acts through the injector's own admission controller and broker
+    pool, so recovery and the faults it answers see one fabric."""
 
     def __init__(
         self,
         injector,
-        controller=None,
-        pool=None,
         policy: Optional[RecoveryPolicy] = None,
-        track_pool: bool = True,
     ) -> None:
         self.injector = injector
         self.driver = injector.driver
         self.env = injector.env
-        self.controller = controller if controller is not None else injector.controller
-        self.pool = pool if pool is not None else injector.pool
+        self.controller = injector.controller
+        self.pool = injector.pool
         self.policy = policy or RecoveryPolicy()
         injector.on_fault.append(self._on_fault)
         self.driver.session_observers.append(self._on_session)
@@ -130,7 +130,7 @@ class RecoveryOrchestrator:
         self.broker_failovers = 0
         self.registry_rebuilds = 0
         self.unplaced = 0
-        if track_pool and self.pool is not None:
+        if self.pool is not None:
             # Mirror the fleet lifecycle onto broker occupancy so vbroker
             # faults have real sessions to strand.
             self.driver.session_observers.append(self._track_brokers)

@@ -40,21 +40,13 @@ class BrokerPool:
         host_names: list[str],
         port: int = 7000,
         password: str = "fleet",
-        brokers_per_host: int = 1,
-        request_timeout: float = 2.0,
     ) -> "BrokerPool":
-        """Create and start one (or more) vbrokers per named host."""
+        """Create and start one vbroker per named host."""
         brokers = []
         for host_name in host_names:
-            for k in range(brokers_per_host):
-                broker = VBroker(
-                    net.host(host_name),
-                    port + k,
-                    password,
-                    request_timeout=request_timeout,
-                )
-                broker.start()
-                brokers.append(broker)
+            broker = VBroker(net.host(host_name), port, password)
+            broker.start()
+            brokers.append(broker)
         return cls(brokers)
 
     # -- placement ---------------------------------------------------------

@@ -105,11 +105,11 @@ class LatencyProbe:
 class SessionTelemetry:
     """Everything the fleet records about one steering session."""
 
-    def __init__(self, name: str, reservoir: int = 128, seed: int = 0) -> None:
+    def __init__(self, name: str, seed: int = 0) -> None:
         self.name = name
-        self.steer_latency = LatencyProbe(reservoir, seed=seed * 3 + 1)
-        self.find_latency = LatencyProbe(reservoir, seed=seed * 3 + 2)
-        self.admit_latency = LatencyProbe(reservoir, seed=seed * 3 + 3)
+        self.steer_latency = LatencyProbe(seed=seed * 3 + 1)
+        self.find_latency = LatencyProbe(seed=seed * 3 + 2)
+        self.admit_latency = LatencyProbe(seed=seed * 3 + 3)
         self.ops = 0
         self.timeouts = 0
         self.errors = 0
@@ -162,8 +162,8 @@ class QueueTelemetry:
     :class:`repro.load.slo.SloClass`.
     """
 
-    def __init__(self, reservoir: int = 256) -> None:
-        self.wait = LatencyProbe(reservoir, seed=20_011)
+    def __init__(self) -> None:
+        self.wait = LatencyProbe(256, seed=20_011)
         self.offered = 0
         self.admitted = 0
         self.rejected = 0
@@ -271,8 +271,7 @@ class FleetTelemetry:
     :meth:`merged_stats` (the moments alone — what a periodic audit
     reads hundreds of times per world)."""
 
-    def __init__(self, reservoir: int = 128) -> None:
-        self.reservoir = reservoir
+    def __init__(self) -> None:
         self.sessions: dict[str, SessionTelemetry] = {}
         self.queue: Optional[QueueTelemetry] = None
 
@@ -284,14 +283,14 @@ class FleetTelemetry:
     def session(self, name: str) -> SessionTelemetry:
         tel = self.sessions.get(name)
         if tel is None:
-            tel = SessionTelemetry(name, reservoir=self.reservoir, seed=len(self.sessions))
+            tel = SessionTelemetry(name, seed=len(self.sessions))
             self.sessions[name] = tel
         return tel
 
     # -- aggregation -------------------------------------------------------
 
     def _merged(self, attr: str) -> LatencyProbe:
-        out = LatencyProbe(self.reservoir, seed=10_007)
+        out = LatencyProbe(seed=10_007)
         for tel in self.sessions.values():
             out.merge(getattr(tel, attr))
         return out

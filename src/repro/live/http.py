@@ -217,13 +217,13 @@ def encode_request(
     target: str,
     body: bytes = b"",
     host: str = "localhost",
-    content_type: str = "application/json",
     keep_alive: bool = True,
 ) -> bytes:
-    """Serialise one complete request (the stress client's half)."""
+    """Serialise one complete request (the stress client's half); a
+    body is always JSON."""
     lines = [f"{method} {target} HTTP/1.1", f"Host: {host}"]
     if body:
-        lines.append(f"Content-Type: {content_type}")
+        lines.append("Content-Type: application/json")
         lines.append(f"Content-Length: {len(body)}")
     lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
     head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")

@@ -41,7 +41,6 @@ def replay_trace(
     trace_path: pathlib.Path | str,
     store_path: Optional[pathlib.Path | str] = None,
     workers: int = 1,
-    name: Optional[str] = None,
 ) -> MatrixReport:
     """Run a recorded trace as a fresh campaign cell.
 
@@ -49,7 +48,7 @@ def replay_trace(
     (pure replay); give a path to keep the record for diffing against a
     later replay or a sibling configuration.
     """
-    spec = trace_campaign(trace_path, name=name)
+    spec = trace_campaign(trace_path)
     if store_path is not None:
         runner = CampaignRunner(spec, ResultStore(store_path), workers=workers)
         return runner.run()

@@ -125,7 +125,7 @@ class AdmissionController:
         tracer.instant("reject", parent=root, reason=reason)
         tracer.close_session(spec.name, "rejected")
 
-    def requeue(self, spec, cls: Optional[SloClass] = None) -> None:
+    def requeue(self, spec) -> None:
         """Re-enqueue a session displaced by a fault (recovery traffic).
 
         Unlike :meth:`offer` this never bounces on a full queue — the
@@ -135,11 +135,9 @@ class AdmissionController:
         class, so recovery latency is the time to find capacity, not the
         time to out-wait the backlog.
         """
-        now = self.env.now
-        cls = cls or RETRY
-        self.telemetry.record_requeue(cls.name)
-        self._notify("requeue", spec=spec, cls=cls.name)
-        self._enqueue(spec, cls, now)
+        self.telemetry.record_requeue(RETRY.name)
+        self._notify("requeue", spec=spec, cls=RETRY.name)
+        self._enqueue(spec, RETRY, self.env.now)
 
     def _enqueue(self, spec, cls: SloClass, now: float) -> None:
         entry = _Queued(spec, cls, offered_at=now, seq=self._seq)

@@ -24,8 +24,8 @@ from repro.errors import ObsError
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: default latency buckets, in (sim) seconds
-DEFAULT_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
+#: every histogram's bucket upper bounds, in (sim) seconds
+LATENCY_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
 
 def _fmt(value: float) -> str:
@@ -146,8 +146,8 @@ class Gauge(_Family):
         key = self._key(labels)
         self.series[key] = self.series.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
+    def dec(self, **labels) -> None:
+        self.inc(-1.0, **labels)
 
     def value(self, **labels) -> float:
         return float(self.series.get(self._key(labels), 0.0))
@@ -163,19 +163,7 @@ class Histogram(_Family):
     """Cumulative-bucket histogram in the Prometheus layout."""
 
     kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        label_names: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help, label_names)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ObsError(f"histogram {name!r} needs at least one bucket")
-        self.buckets = bounds
+    buckets = LATENCY_BUCKETS
 
     def observe(self, value: float, **labels) -> None:
         key = self._key(labels)
@@ -238,14 +226,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Gauge:
         return self._register(Gauge(name, help, tuple(labels)))
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: tuple[str, ...] = (),
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._register(Histogram(name, help, tuple(labels), buckets=buckets))
+    def histogram(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Histogram:
+        return self._register(Histogram(name, help, tuple(labels)))
 
     def get(self, name: str) -> Optional[_Family]:
         return self._families.get(name)

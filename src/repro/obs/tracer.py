@@ -67,8 +67,8 @@ class Span:
 class Tracer:
     """Collects a deterministic span tree over one simulated world."""
 
-    def __init__(self, env=None) -> None:
-        self._env = env
+    def __init__(self) -> None:
+        self._env = None
         self.spans: list[Span] = []
         self._next_id = 1
         #: session name -> root span (the per-session lane anchor)

@@ -1,54 +1,24 @@
 """Parallel-computing substrate.
 
 PEPC is "a new plasma simulation code" running on massively parallel
-systems (paper section 3.4); LB3D ran on an SGI Onyx.  This package gives
-the simulations a parallel harness without real MPI:
+systems (paper section 3.4).  Here every steered simulation runs in one
+process, and PEPC's parallelism reaches the user only as its domain
+boxes, so this package is the one piece of it that runs:
 
-* :mod:`repro.parallel.comm` — a deterministic in-process SPMD runtime:
-  rank programs are generators yielding MPI-like operations (send/recv,
-  bcast, reduce, allgather, barrier) matched by a lockstep scheduler.
 * :mod:`repro.parallel.decomp` — domain decomposition helpers, including
   the Morton space-filling-curve keys PEPC's hashed oct-tree uses.
-* :mod:`repro.parallel.collectives` — alpha-beta (latency-bandwidth) cost
-  models for estimating collective times on the simulated fabric.
 """
 
-from repro.parallel.comm import (
-    Allgather,
-    Allreduce,
-    Barrier,
-    Bcast,
-    CommStats,
-    DeadlockError,
-    Gather,
-    Recv,
-    Reduce,
-    Send,
-    run_spmd,
-)
 from repro.parallel.decomp import (
     interleave_bits3,
     morton_key,
     morton_partition,
     slab_partition,
 )
-from repro.parallel.collectives import CollectiveCostModel
 
 __all__ = [
-    "run_spmd",
-    "Send",
-    "Recv",
-    "Bcast",
-    "Reduce",
-    "Allreduce",
-    "Gather",
-    "Allgather",
-    "Barrier",
-    "CommStats",
-    "DeadlockError",
     "slab_partition",
     "morton_key",
     "morton_partition",
     "interleave_bits3",
-    "CollectiveCostModel",
 ]

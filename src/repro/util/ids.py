@@ -13,19 +13,17 @@ import random
 
 
 class IdAllocator:
-    """Allocates ``prefix-N`` style unique identifiers.
+    """Allocates ``prefix-N`` style unique identifiers, counting from 1.
 
     Parameters
     ----------
     prefix:
         Human-readable namespace, e.g. ``"job"`` or ``"gsh"``.
-    start:
-        First counter value (default 1).
     """
 
-    def __init__(self, prefix: str, start: int = 1) -> None:
+    def __init__(self, prefix: str) -> None:
         self.prefix = prefix
-        self._counter = itertools.count(start)
+        self._counter = itertools.count(1)
 
     def next(self) -> str:
         """Return the next identifier in this namespace."""

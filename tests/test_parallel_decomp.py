@@ -1,4 +1,4 @@
-"""Tests for decomposition helpers and collective cost models."""
+"""Tests for the decomposition helpers."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.parallel import (
-    CollectiveCostModel,
     interleave_bits3,
     morton_key,
     morton_partition,
@@ -103,25 +102,3 @@ def test_morton_partition_spatial_locality():
     per_rank = np.mean([pts[ix].std(axis=0).mean() for ix in lists])
     assert per_rank < whole
 
-
-def test_cost_model_monotonic_in_ranks_and_bytes():
-    m = CollectiveCostModel()
-    assert m.bcast(2, 1000) < m.bcast(64, 1000)
-    assert m.allgather(8, 100) < m.allgather(8, 10000)
-    assert m.barrier(1) == 0.0
-    assert m.bcast(1, 1e9) == 0.0
-
-
-def test_cost_model_allreduce_is_reduce_plus_bcast():
-    m = CollectiveCostModel()
-    assert m.allreduce(16, 4096) == pytest.approx(
-        m.reduce(16, 4096) + m.bcast(16, 4096)
-    )
-
-
-def test_cost_model_validation():
-    m = CollectiveCostModel()
-    with pytest.raises(SimulationError):
-        m.bcast(0, 10)
-    with pytest.raises(SimulationError):
-        m.allgather(2, -1)

@@ -159,3 +159,41 @@ def test_site_outage_during_the_stagger_wait_is_survived():
     assert world.verdict(report)["invariant_violations"] == 0
     assert report.completed + report.failed == 8
     assert report.failed > 0
+
+
+def test_a_session_cancelled_before_it_starts_leaves_no_steering_state():
+    # Every way a session ends drops its queued steers and its degrade
+    # mark — the cancel that lands in the admission wait included.
+    driver = FleetDriver(fleet_of(3, stagger=2.0), n_sites=2)
+    third = driver.specs[2].name
+    assert driver.specs[2].admission_offset > 1.0
+
+    def steer_degrade_cancel():
+        yield driver.env.timeout(1.0)
+        assert driver.request_steer(third, 3.0)
+        driver.degrade_session(third)
+        assert driver.cancel_session(third)
+
+    driver.env.process(steer_degrade_cancel())
+    report = driver.run()
+    assert driver.telemetry.sessions[third].failure == "cancelled: cancelled"
+    assert report.completed == 2
+    assert driver.steer_requests == {}
+    assert driver.degraded == set()
+    assert not driver.active
+
+
+def test_run_is_single_shot():
+    driver = FleetDriver(fleet_of(4), n_sites=2)
+    starts = []
+    driver.session_observers.append(
+        lambda kind, name, site: starts.append(name) if kind == "start" else None
+    )
+    first = driver.run()
+    now = driver.env.now
+    with pytest.raises(ReproError, match="already ran"):
+        driver.run()
+    assert len(starts) == 4  # nothing relaunched
+    assert not driver.active
+    assert driver.env.now == now
+    assert driver.report().to_dict() == first.to_dict()

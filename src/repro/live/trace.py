@@ -211,7 +211,19 @@ def load_trace(path: pathlib.Path | str) -> Trace:
 
 def trace_campaign(path: pathlib.Path | str, name: Optional[str] = None):
     """A one-cell :class:`~repro.campaign.spec.CampaignSpec` replaying a
-    recorded trace under the fabric configuration it was captured on.
+    recorded trace under the fabric configuration it was captured on,
+    up to the trace's horizon."""
+    trace = load_trace(path)
+    spec = replay_campaign(trace.config, path, name)
+    spec.base["horizon"] = trace.horizon
+    return spec
+
+
+def replay_campaign(config: dict, path: pathlib.Path | str, name: Optional[str] = None):
+    """The replay campaign of a trace recorded at ``path`` by a server
+    running ``config``, less the horizon only the finished trace knows —
+    the one definition of the replay cell, whose id and seeds a live
+    server derives before its trace is written.
 
     The arrival axis point is named ``trace:<stem>`` and carries the
     ``trace-file`` builder kind, so the cell re-reads the trace at run
@@ -220,11 +232,8 @@ def trace_campaign(path: pathlib.Path | str, name: Optional[str] = None):
     from repro.campaign.runner import FABRIC_DEFAULTS
     from repro.campaign.spec import AxisPoint, CampaignSpec
 
-    trace = load_trace(path)
-    config = trace.config
     # the server-config keys that map straight onto campaign base config
     base = {key: config[key] for key in FABRIC_DEFAULTS if key in config}
-    base["horizon"] = trace.horizon
     policy_params: dict = {"placement": config.get("placement", "least-loaded")}
     if config.get("autoscale"):
         policy_params["autoscale"] = config["autoscale"]

@@ -7,7 +7,8 @@ import pytest
 from repro.campaign.runner import DEFAULT_BASE, FABRIC_DEFAULTS, cell_config
 from repro.errors import LiveError
 from repro.fleet.spec import ScenarioSpec
-from repro.live.server import DEFAULT_CONFIG
+from repro.campaign.axes import build_policy
+from repro.live.server import DEFAULT_CONFIG, LiveServer
 from repro.live.trace import (
     TRACE_SCHEMA,
     TraceRecorder,
@@ -188,3 +189,20 @@ def test_trace_campaign_lifts_config_and_horizon(tmp_path):
     _record(path, config=dict(DEFAULT_CONFIG)).close(sim=1.0, wall=1.0)
     config = cell_config(trace_campaign(path).cells()[0])
     assert {k: config[k] for k in FABRIC_DEFAULTS} == {k: DEFAULT_BASE[k] for k in FABRIC_DEFAULTS}
+
+
+def test_a_traced_p2c_server_seeds_placement_as_its_replay_cell(tmp_path):
+    # The live server derives its placement seed before the trace exists;
+    # replay derives it from the finished trace.  Both must land on one
+    # cell id, or p2c places differently live and replayed.
+    config = {"placement": "p2c", "seed": 11, "rate": None}
+    path = tmp_path / "incident.jsonl"
+    server = LiveServer(config=config, trace_path=path)
+    server.recorder.record_arrival(_spec("s0"), sim=0.5, wall=1.0, cls="batch", outcome="queued")
+    server.recorder.close(sim=1.0, wall=2.0)
+    cell = trace_campaign(path).cells()[0]
+    replayed, _ = build_policy(cell.policy, seed=cell.subseed("placement"))
+    live = server.controller.placement._rng.getstate()
+    assert live == replayed._rng.getstate()
+    untraced = LiveServer(config=config).controller.placement._rng.getstate()
+    assert untraced != live  # the trace's cell id is part of the seed

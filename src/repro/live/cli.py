@@ -72,14 +72,14 @@ def _config_from(args: argparse.Namespace) -> dict:
     return config
 
 
-async def _serve(args: argparse.Namespace, trace_path) -> dict:
+async def _serve(args: argparse.Namespace) -> dict:
     server = LiveServer(
         host=args.host, port=args.port,
-        config=_config_from(args), trace_path=trace_path,
+        config=_config_from(args), trace_path=args.trace,
     )
     await server.start()
     where = f"http://{server.host}:{server.port}"
-    tracing = f", tracing to {trace_path}" if trace_path else ""
+    tracing = f", tracing to {args.trace}" if args.trace else ""
     print(f"live control plane on {where} (rate={server.runner.rate}){tracing}", flush=True)
 
     stop = asyncio.Event()
@@ -107,12 +107,9 @@ async def _serve(args: argparse.Namespace, trace_path) -> dict:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    asyncio.run(_serve(args, args.trace))
-    return 0
-
-
-def cmd_record(args: argparse.Namespace) -> int:
-    asyncio.run(_serve(args, args.trace))
+    """``serve`` and ``record``: they differ only in ``--trace`` being
+    optional or required."""
+    asyncio.run(_serve(args))
     return 0
 
 
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("record", help="serve with mandatory trace capture")
     _add_fabric_flags(p)
     p.add_argument("--trace", required=True, help="JSONL file to record arrivals to")
-    p.set_defaults(func=cmd_record)
+    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("replay", help="replay a trace as a campaign cell")
     p.add_argument("trace")

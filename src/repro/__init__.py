@@ -20,8 +20,8 @@ Subpackage map (see DESIGN.md for the full inventory):
 * :mod:`repro.sims` -- LB3D, PEPC, building climatization, crowd flow.
 * :mod:`repro.viz` -- isosurface/cutplane/glyph/volume extraction, a
   software rasterizer, framebuffer delta/RLE compression.
-* :mod:`repro.parallel` -- SPMD runtime, SFC decomposition, collective
-  cost models.
+* :mod:`repro.parallel` -- the space-filling-curve domain decomposition
+  behind PEPC's per-processor tree domains.
 * :mod:`repro.workloads` -- 2003-era network profiles, feedback-loop cost
   models, canned multi-site scenarios.
 * :mod:`repro.fleet` -- the session-fleet engine: declarative scenario
@@ -33,6 +33,15 @@ Subpackage map (see DESIGN.md for the full inventory):
 * :mod:`repro.chaos` -- seeded fault injection (outages, partitions,
   crashes, lockdowns), per-session recovery orchestration
   (retry/migrate/degrade/abandon) and continuous invariant checking.
+* :mod:`repro.campaign` -- the experiment engine: scenario-matrix
+  campaigns and adaptive searches over workloads x arrivals x faults x
+  policies, run by supervised workers into a resumable results store.
+* :mod:`repro.live` -- the real-time control plane: the same fabric
+  paced against the wall clock, steered over HTTP, with every arrival
+  traced for deterministic campaign replay.
+* :mod:`repro.obs` -- causal span trees, a Prometheus-style metrics
+  registry, and circuit breakers, quotas and backpressure.
+* :mod:`repro.perf` -- the bench envelope and the regression gate.
 """
 
 __version__ = "1.0.0"

@@ -229,12 +229,7 @@ class FaultInjector:
     def _shard_loss(self, fault: RegistryShardLoss, apply: bool) -> None:
         if not apply:  # pragma: no cover - schedule forbids durations
             return
-        shard = self.driver.shards[fault.shard]
-        lost = len(shard._entries)
-        shard._entries.clear()
-        shard._index.clear()
-        shard._unindexed.clear()
-        shard.service_data["entry_count"] = 0
+        lost = self.driver.shards[fault.shard].clear()
         self.log.append((
             self.env.now, "note",
             f"shard {fault.shard} lost {lost} entries",

@@ -210,7 +210,7 @@ class InvariantMonitor:
         n = len(shards)
         seen: dict[str, int] = {}
         for idx, shard in enumerate(shards):
-            for handle in shard._entries:
+            for handle in shard:
                 if handle in seen:
                     self._violate(
                         "one-shard-per-handle",

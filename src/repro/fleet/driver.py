@@ -39,7 +39,7 @@ from typing import Callable, Optional, Union
 from repro.des import Interrupt
 from repro.des.core import Process
 from repro.errors import ReproError
-from repro.fleet.registry_fed import FederatedRegistry, make_shards, shard_index
+from repro.fleet.registry_fed import FederatedRegistry, grow_shards, make_shards
 from repro.fleet.report import FleetReport
 from repro.fleet.spec import ScenarioSpec
 from repro.fleet.telemetry import FleetTelemetry
@@ -384,34 +384,9 @@ class FleetDriver:
         return site
 
     def add_registry_shard(self) -> RegistryService:
-        """Grow the shared registry shard set by one and rebalance.
-
-        Every front-end routes by ``crc32(handle) % len(shards)``, so the
-        new shard must be visible to all of them at once and entries whose
-        route changed must move — otherwise ``lookup`` would miss them.
-        Scatter-gather ``find`` is unaffected during the move because the
-        entry is always in exactly one shard.
-        """
-        shard = RegistryService(f"registry-shard-{len(self.shards)}")
-        seen: set[int] = {id(self.shards)}
-        self.shards.append(shard)
-        for site in self.sites:
-            lst = site.registry.shards
-            if id(lst) not in seen:
-                seen.add(id(lst))
-                lst.append(shard)
-        n = len(self.shards)
-        moves = []
-        for idx, src in enumerate(self.shards[:-1]):
-            for handle in list(src._entries):
-                new_idx = shard_index(handle, n)
-                if new_idx != idx:
-                    moves.append((src, self.shards[new_idx], handle))
-        for src, dst, handle in moves:
-            meta = src._entries[handle]
-            src.unpublish(handle)
-            dst.publish(handle, meta)
-        return shard
+        """Grow the shared registry shard set by one and rebalance
+        (:func:`~repro.fleet.registry_fed.grow_shards`)."""
+        return grow_shards(self.shards)
 
     # -- session processes -------------------------------------------------
 

@@ -19,7 +19,7 @@ oblivious to the sharding.
 from __future__ import annotations
 
 import zlib
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.errors import OgsaError
 from repro.ogsa.registry import RegistryService
@@ -30,10 +30,35 @@ def shard_index(handle: str, n_shards: int) -> int:
     """Stable handle -> shard routing (crc32, not the seeded ``hash``).
 
     The single source of truth: every front-end's :meth:`shard_for` and
-    the driver's rebalance-on-growth must agree bit-for-bit, or moved
+    :func:`grow_shards`'s rebalance must agree bit-for-bit, or moved
     entries become unreachable to ``lookup``.
     """
     return zlib.crc32(handle.encode("utf-8")) % n_shards
+
+
+def grow_shards(shards: list[RegistryService]) -> RegistryService:
+    """Append one shard to a shared shard list and rebalance it.
+
+    Every front-end over ``shards`` keeps the list itself, so the new
+    shard is visible to all of them at once; entries whose route changed
+    move, or ``lookup`` would miss them.  Scatter-gather ``find`` is
+    unaffected during the move because an entry is always in exactly
+    one shard.
+    """
+    shard = RegistryService(f"registry-shard-{len(shards)}")
+    shards.append(shard)
+    n = len(shards)
+    moves = []
+    for idx, src in enumerate(shards[:-1]):
+        for handle in src:
+            new_idx = shard_index(handle, n)
+            if new_idx != idx:
+                moves.append((src, shards[new_idx], handle))
+    for src, dst, handle in moves:
+        meta = src.lookup(handle)
+        src.unpublish(handle)
+        dst.publish(handle, meta)
+    return shard
 
 
 def make_shards(count: int, prefix: str = "registry-shard") -> list[RegistryService]:
@@ -49,12 +74,14 @@ class FederatedRegistry(GridService):
     def __init__(
         self,
         service_id: str = "registry",
-        shards: int | Sequence[RegistryService] = 4,
+        shards: int | list[RegistryService] = 4,
     ) -> None:
         super().__init__(service_id)
         if isinstance(shards, int):
             shards = make_shards(shards, prefix=f"{service_id}-shard")
-        self.shards: list[RegistryService] = list(shards)
+        #: the shard list itself, not a copy: every front-end over one
+        #: list sees :func:`grow_shards` at once
+        self.shards: list[RegistryService] = shards
         if not self.shards:
             raise OgsaError("a federated registry needs >= 1 shard")
         self.service_data["shard_count"] = len(self.shards)
@@ -68,15 +95,15 @@ class FederatedRegistry(GridService):
 
     @property
     def entry_count(self) -> int:
-        return sum(len(s._entries) for s in self.shards)
+        return sum(map(len, self.shards))
 
     def _note_size(self) -> None:
         self.service_data["entry_count"] = self.entry_count
 
     @operation
     def get_service_data(self, name: str = ""):
-        # Another front-end may have written the shared shards (or the
-        # driver may have grown the shard set) since this one last did;
+        # Another front-end may have written the shared shards (or
+        # grow_shards may have grown the shard set) since this one last did;
         # refresh the cached counts before answering.
         self._note_size()
         self.service_data["shard_count"] = len(self.shards)
@@ -118,4 +145,4 @@ class FederatedRegistry(GridService):
     # -- introspection -----------------------------------------------------
 
     def shard_sizes(self) -> list[int]:
-        return [len(s._entries) for s in self.shards]
+        return [len(s) for s in self.shards]

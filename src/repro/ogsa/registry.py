@@ -17,7 +17,7 @@ path, and results stay sorted by handle.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.errors import OgsaError
 from repro.ogsa.service import GridService, operation
@@ -37,6 +37,24 @@ class RegistryService(GridService):
         #: are always re-checked by scan so indexing stays lossless
         self._unindexed: set[str] = set()
         self.service_data["entry_count"] = 0
+
+    # -- the table, read-only from outside ---------------------------------
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[str]:
+        """The published handles, in publication order."""
+        return iter(self._entries)
+
+    def clear(self) -> int:
+        """Lose every entry (a shard wiped by a fault); returns how many."""
+        lost = len(self._entries)
+        self._entries.clear()
+        self._index.clear()
+        self._unindexed.clear()
+        self.service_data["entry_count"] = 0
+        return lost
 
     # -- index maintenance -------------------------------------------------
 

@@ -243,9 +243,7 @@ def test_rebuild_registry_restores_find_after_total_loss():
     assert len(reg.find({"application": "keeper"})) == 2
     # Lose every shard, then rebuild from the containers.
     for shard in driver.shards:
-        shard._entries.clear()
-        shard._index.clear()
-        shard._unindexed.clear()
+        shard.clear()
     assert reg.find({}) == []
     restored = world.recovery.rebuild_registry()
     assert restored == 2
@@ -298,9 +296,7 @@ def test_rebuild_after_migration_keeps_canonical_handles():
     )
     job_id = reg.lookup(canonical)["job"]
     for shard in driver.shards:  # total loss
-        shard._entries.clear()
-        shard._index.clear()
-        shard._unindexed.clear()
+        shard.clear()
     world.recovery.rebuild_registry()
     entries = reg.find({"application": "mover"})
     handles = {e["handle"] for e in entries}

@@ -16,60 +16,21 @@ from repro.util.stats import ReservoirSample, RunningStats
 
 
 class LatencyProbe:
-    """One latency series: streaming moments + a mergeable reservoir.
+    """One latency series: streaming moments + a mergeable reservoir."""
 
-    Observations are buffered and folded into the accumulators in one
-    tight batch when the probe is next *read* (merge, percentile, stats):
-    the steering loops record latencies mid-simulation, where per-event
-    accumulator math is pure hot-path overhead, while reads happen at
-    report time.  The flush replays the buffer in arrival order, so the
-    Welford moments and the reservoir's RNG sequence — and therefore
-    every reported number — are identical to unbuffered operation.
-    """
-
-    __slots__ = ("_stats", "_sample", "_buf")
+    __slots__ = ("stats", "sample")
 
     def __init__(self, reservoir: int = 128, seed: int = 0) -> None:
-        self._stats = RunningStats()
-        self._sample = ReservoirSample(capacity=reservoir, seed=seed)
-        self._buf: list[float] = []
-
-    #: flush threshold: bounds buffer memory on long sweeps while still
-    #: amortizing the accumulator calls (results are order-identical
-    #: regardless of when the flush runs)
-    _BUF_MAX = 1024
+        self.stats = RunningStats()
+        self.sample = ReservoirSample(capacity=reservoir, seed=seed)
 
     def add(self, dt: float) -> None:
-        buf = self._buf
-        buf.append(dt)
-        if len(buf) >= self._BUF_MAX:
-            self._flush()
-
-    def _flush(self) -> None:
-        buf = self._buf
-        if buf:
-            stats_add = self._stats.add
-            sample_add = self._sample.add
-            for x in buf:
-                stats_add(x)
-                sample_add(x)
-            buf.clear()
-
-    @property
-    def stats(self) -> RunningStats:
-        self._flush()
-        return self._stats
-
-    @property
-    def sample(self) -> ReservoirSample:
-        self._flush()
-        return self._sample
+        self.stats.add(dt)
+        self.sample.add(dt)
 
     def merge(self, other: "LatencyProbe") -> "LatencyProbe":
-        self._flush()
-        other._flush()
-        self._stats.merge(other._stats)
-        self._sample.merge(other._sample)
+        self.stats.merge(other.stats)
+        self.sample.merge(other.sample)
         return self
 
     def export(self) -> dict:
@@ -78,28 +39,24 @@ class LatencyProbe:
         this through the results store; the aggregator rebuilds the
         moments with :meth:`RunningStats.from_state` (exact merge) and
         re-estimates percentiles from the pooled samples."""
-        self._flush()
         return {
-            "stats": self._stats.state(),
-            "sample": list(self._sample.items),
+            "stats": self.stats.state(),
+            "sample": list(self.sample.items),
         }
 
     def percentile(self, q: float) -> float:
         """Estimated q-th percentile (q in [0, 100]); NaN when empty."""
-        self._flush()
-        if self._stats.n == 0:
+        if self.stats.n == 0:
             return math.nan
-        return self._sample.percentile(q)
+        return self.sample.percentile(q)
 
     @property
     def n(self) -> int:
-        self._flush()
-        return self._stats.n
+        return self.stats.n
 
     @property
     def mean(self) -> float:
-        self._flush()
-        return self._stats.mean
+        return self.stats.mean
 
 
 class SessionTelemetry:

@@ -69,7 +69,7 @@ class Connection:
 
     __slots__ = (
         "host", "peer_host", "port", "inbox", "peer", "closed",
-        "bytes_sent", "messages_sent", "_link", "_link_ver",
+        "bytes_sent", "messages_sent",
     )
 
     def __init__(self, host, peer_host, port: int) -> None:
@@ -81,11 +81,6 @@ class Connection:
         self.closed = False
         self.bytes_sent = 0
         self.messages_sent = 0
-        #: cached directed Link for host -> peer_host traffic, valid while
-        #: the network's link table is unchanged (every send pays the
-        #: topology lookup otherwise)
-        self._link = None
-        self._link_ver = -1
 
     @staticmethod
     def _pair(a: "Connection", b: "Connection") -> None:
@@ -94,8 +89,30 @@ class Connection:
 
     # -- sending -----------------------------------------------------------
 
+    def _deliver(self, item: Any, size: int) -> Optional[float]:
+        """Put ``item`` on the wire to the peer's inbox; return its
+        delivery time, or None when a partition swallowed it.
+
+        A message sent into a partition is lost on the dark WAN.  The
+        sender does not learn (TCP would buffer and retry until its own
+        timers fire); the receiver's recv timeout is the failure signal,
+        exactly as on a real flaky wide-area link.
+        """
+        env = self.host.env
+        network = self.host.network
+        src, dst = self.host.name, self.peer_host.name
+        if not network.reachable(src, dst):
+            network.dropped_messages += 1
+            return None
+        deliver_at = network.link(src, dst).reserve(size, env.now)
+        peer_inbox = self.peer.inbox
+        ev = env.timeout(deliver_at - env.now)
+        ev.callbacks.append(lambda _ev: peer_inbox.put_nowait(item))
+        return deliver_at
+
     def send(self, payload: Any, size: Optional[int] = None) -> float:
-        """Queue ``payload`` for delivery; return the delivery time.
+        """Queue ``payload`` for delivery; return the delivery time (now,
+        if a partition dropped it).
 
         Never suspends the caller: the cost of a slow network is paid by
         the *receiver's* wait, not the sender (paper section 3.2: sends
@@ -104,27 +121,11 @@ class Connection:
         if self.closed:
             raise ChannelClosed(f"send on closed connection to {self.peer_host.name}")
         pkt = payload if isinstance(payload, Packet) else Packet(payload, size)
-        env = self.host.env
-        network = self.host.network
-        if not network.reachable(self.host.name, self.peer_host.name):
-            # Partitioned mid-flow: the message is lost on the dark WAN.
-            # The sender does not learn (TCP would buffer and retry until
-            # its own timers fire); the receiver's recv timeout is the
-            # failure signal, exactly as on a real flaky wide-area link.
-            network.dropped_messages += 1
-            return env.now
-        link = self._link
-        if link is None or self._link_ver != network._links_version:
-            link = self._link = network.link(
-                self.host.name, self.peer_host.name
-            )
-            self._link_ver = network._links_version
-        deliver_at = link.reserve(pkt.size, env.now)
+        deliver_at = self._deliver(pkt.payload, pkt.size)
+        if deliver_at is None:
+            return self.host.env.now
         self.bytes_sent += pkt.size
         self.messages_sent += 1
-        peer_inbox = self.peer.inbox
-        ev = env.timeout(deliver_at - env.now)
-        ev.callbacks.append(lambda _ev: peer_inbox.put_nowait(pkt.payload))
         return deliver_at
 
     # -- receiving -----------------------------------------------------------
@@ -164,19 +165,9 @@ class Connection:
             return
         self.closed = True
         if self.peer is not None and not self.peer.closed:
-            env = self.host.env
-            if not self.host.network.reachable(
-                self.host.name, self.peer_host.name
-            ):
-                # FIN lost to the partition: the peer is left half-open
-                # and discovers the death through its own recv timeouts.
-                self.host.network.dropped_messages += 1
-                return
-            link = self.host.network.link(self.host.name, self.peer_host.name)
-            deliver_at = link.reserve(CTRL_SIZE, env.now)
-            peer_inbox = self.peer.inbox
-            ev = env.timeout(deliver_at - env.now)
-            ev.callbacks.append(lambda _ev: peer_inbox.put_nowait(_CLOSED))
+            # A FIN lost to a partition leaves the peer half-open; it
+            # discovers the death through its own recv timeouts.
+            self._deliver(_CLOSED, CTRL_SIZE)
 
     def __repr__(self) -> str:
         return (

@@ -168,9 +168,6 @@ class Network:
         self.default_latency = default_latency
         self.default_bandwidth = default_bandwidth
         self.connect_attempts = 0
-        #: bumped whenever the link table changes; connections use it to
-        #: invalidate their cached Link objects
-        self._links_version = 0
         #: host pairs with no connectivity (WAN partition between sites)
         self._partitions: set[frozenset] = set()
         #: hosts cut off from everyone (site-wide outage)
@@ -204,7 +201,6 @@ class Network:
         rev = Link(b, a, latency, bandwidth)
         self._links[(a, b)] = fwd
         self._links[(b, a)] = rev
-        self._links_version += 1
         return fwd, rev
 
     def link(self, src: str, dst: str) -> Link:

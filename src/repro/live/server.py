@@ -1,9 +1,10 @@
 """The live control plane: HTTP/JSON steering over the paced fabric.
 
-One :class:`LiveServer` owns exactly the stack a campaign cell builds —
-:class:`~repro.fleet.driver.FleetDriver` fabric, broker pool,
-:class:`~repro.load.admission.AdmissionController` with a placement
-policy and optional autoscaler — but drives it with a
+One :class:`LiveServer` builds its stack with the campaign cell's own
+builder, :func:`~repro.campaign.runner.build_world`, on the cell its
+trace replays as — :class:`~repro.fleet.driver.FleetDriver` fabric,
+broker pool, :class:`~repro.load.admission.AdmissionController` with a
+placement policy, plus an optional autoscaler — but drives it with a
 :class:`~repro.live.pacing.PacedRunner` instead of
 ``Environment.run()``, and accepts sessions from the network instead of
 an arrival process:
@@ -33,10 +34,8 @@ import math
 import time
 from typing import Optional
 
-from repro.campaign.runner import FABRIC_DEFAULTS
-from repro.campaign.spec import derive_seed
+from repro.campaign.runner import FABRIC_DEFAULTS, build_world
 from repro.errors import LiveError, ReproError, SteeringError
-from repro.fleet import BrokerPool, FleetDriver
 from repro.fleet.spec import ScenarioSpec, mint_spec
 from repro.live.http import (
     MAX_HEAD_BYTES,
@@ -48,7 +47,7 @@ from repro.live.http import (
 )
 from repro.live.pacing import PacedRunner
 from repro.live.trace import TraceRecorder, replay_campaign
-from repro.load import AdmissionController, ReactiveAutoscaler, make_policy
+from repro.load import ReactiveAutoscaler
 from repro.obs import Observability
 from repro.obs.protect import BackpressureSignal
 
@@ -82,6 +81,10 @@ RETRY_AFTER_CAP = 60
 #: the pacer's longest wall sleep: a tighter bound than
 #: :class:`PacedRunner`'s default on the cost of any missed wakeup
 MAX_TICK = 0.05
+
+#: the trace path an untraced server lowers its config with: its replay
+#: cell, never written, is named after this stem
+UNTRACED = "untraced"
 
 #: POST /sessions body keys, passed through to the ScenarioSpec
 _SESSION_FIELDS = (
@@ -142,34 +145,21 @@ class LiveServer:
             breakers=merged["breakers"],
             quota=merged["quota"],
         )
-        driver = FleetDriver(
-            n_sites=int(merged["n_sites"]),
-            queue_slots=int(merged["queue_slots"]),
-            registry_shards=int(merged["registry_shards"]),
-            obs=self.obs,
-        )
+        # The replay cell of this run, built before its trace exists:
+        # live and replay share its id, sub-seeds and fabric.  An
+        # untraced run lowers through the same function on a stand-in.
+        trace = UNTRACED if trace_path is None else trace_path
+        cell = replay_campaign(merged, trace).cells()[0]
+        driver, self.pool, self.controller, autoscale = build_world(cell, obs=self.obs)
         self.driver = driver
-        self.pool = BrokerPool.build(
-            driver.net,
-            [site.svc_name for site in driver.sites],
-            port=int(merged["broker_port"]),
-        )
-        self.obs.attach_pool(self.pool)
-        self.controller = AdmissionController(
-            driver,
-            placement=make_policy(merged["placement"], seed=self._placement_seed(trace_path)),
-            queue_limit=int(merged["queue_limit"]),
-        )
         self.runner = PacedRunner(driver.env, rate=merged["rate"], max_tick=MAX_TICK)
         self.obs.attach_runner(self.runner)
         self.backpressure_signal = BackpressureSignal(self.controller, runner=self.runner)
         self.obs.attach_backpressure(self.backpressure_signal)
-        autoscale = merged["autoscale"]
-        if autoscale not in (None, False):
-            kwargs = dict(autoscale) if isinstance(autoscale, dict) else {}
-            if kwargs.pop("use_backpressure", False) and "pressure" not in kwargs:
-                kwargs["pressure"] = self.backpressure_signal
-            ReactiveAutoscaler(self.controller, **kwargs)
+        if autoscale is not None:
+            if autoscale.pop("use_backpressure", False) and "pressure" not in autoscale:
+                autoscale["pressure"] = self.backpressure_signal
+            ReactiveAutoscaler(self.controller, **autoscale)
 
         self.recorder: Optional[TraceRecorder] = None
         if trace_path is not None:
@@ -191,14 +181,6 @@ class LiveServer:
         self.obs.attach_http_stats(self.stats)
         self._server: Optional[asyncio.AbstractServer] = None
         self._run_task: Optional[asyncio.Task] = None
-
-    def _placement_seed(self, trace_path) -> int:
-        """The placement sub-seed the *replay* campaign cell will derive,
-        so seeded policies (p2c) make identical choices live and
-        replayed."""
-        if trace_path is None:
-            return derive_seed(int(self.config["seed"]), "placement")
-        return replay_campaign(self.config, trace_path).cells()[0].subseed("placement")
 
     # -- trace observers -----------------------------------------------
 

@@ -235,7 +235,7 @@ def replay_campaign(config: dict, path: pathlib.Path | str, name: Optional[str] 
     # the server-config keys that map straight onto campaign base config
     base = {key: config[key] for key in FABRIC_DEFAULTS if key in config}
     policy_params: dict = {"placement": config.get("placement", "least-loaded")}
-    if config.get("autoscale"):
+    if config.get("autoscale") not in (None, False):
         policy_params["autoscale"] = config["autoscale"]
     stem = pathlib.Path(path).stem
     return CampaignSpec(

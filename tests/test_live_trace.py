@@ -13,6 +13,7 @@ from repro.live.trace import (
     TRACE_SCHEMA,
     TraceRecorder,
     load_trace,
+    replay_campaign,
     spec_fields,
     spec_from_fields,
     trace_campaign,
@@ -189,6 +190,23 @@ def test_trace_campaign_lifts_config_and_horizon(tmp_path):
     _record(path, config=dict(DEFAULT_CONFIG)).close(sim=1.0, wall=1.0)
     config = cell_config(trace_campaign(path).cells()[0])
     assert {k: config[k] for k in FABRIC_DEFAULTS} == {k: DEFAULT_BASE[k] for k in FABRIC_DEFAULTS}
+
+
+@pytest.mark.parametrize(
+    "autoscale, kwargs",
+    [({}, {}), (True, {}), ({"max_sites": 5}, {"max_sites": 5}), (None, None), (False, None)],
+)
+def test_live_and_replay_agree_on_whether_to_autoscale(tmp_path, monkeypatch, autoscale, kwargs):
+    # One rule on both sides: any value but None/False autoscales, and
+    # {} or True mean the scaler's defaults.
+    built = []
+    monkeypatch.setattr(
+        "repro.live.server.ReactiveAutoscaler", lambda controller, **kw: built.append(kw)
+    )
+    server = LiveServer(config={"autoscale": autoscale, "rate": None})
+    assert built == ([] if kwargs is None else [kwargs])
+    cell = replay_campaign(server.config, tmp_path / "t.jsonl").cells()[0]
+    assert build_policy(cell.policy, seed=0)[1] == kwargs
 
 
 def test_a_traced_p2c_server_seeds_placement_as_its_replay_cell(tmp_path):

@@ -22,15 +22,8 @@ import math
 
 from repro.campaign.spec import AXES, CampaignSpec
 from repro.errors import CampaignError
+from repro.fleet.report import _ms, _s
 from repro.util.stats import P2Quantile, RunningStats
-
-
-def _ms(x: float) -> str:
-    return "-" if math.isnan(x) else f"{x * 1e3:.1f}"
-
-
-def _s(x: float) -> str:
-    return "-" if math.isnan(x) else f"{x:.2f}"
 
 
 def _drift(metric: str, a: float, b: float) -> float:

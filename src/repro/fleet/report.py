@@ -15,6 +15,7 @@ from typing import Optional
 from repro.fleet.telemetry import FleetTelemetry, QueueTelemetry
 
 
+# The table formatters, shared with repro.campaign.matrix's reports.
 def _ms(x: float) -> str:
     return "-" if math.isnan(x) else f"{x * 1e3:.1f}"
 

@@ -127,9 +127,15 @@ def _parse_headers(lines: list[bytes], what: str) -> dict[str, str]:
         if not sep or not name.strip():
             raise HttpError(400, f"{what}: malformed header line {raw[:60]!r}")
         try:
-            headers[name.strip().decode("ascii").lower()] = value.strip().decode("latin-1")
+            key = name.strip().decode("ascii").lower()
         except UnicodeDecodeError:
             raise HttpError(400, f"{what}: non-ASCII header name {name[:60]!r}") from None
+        text = value.strip().decode("latin-1")
+        # RFC 9112 section 6.3: differing Content-Length values are an
+        # unrecoverable framing error, never a last-one-wins choice
+        if key == "content-length" and headers.get(key, text) != text:
+            raise HttpError(400, f"{what}: conflicting Content-Length values")
+        headers[key] = text
     return headers
 
 
@@ -174,15 +180,16 @@ def _body_length(headers: dict[str, str], what: str) -> int:
     if "chunked" in headers.get("transfer-encoding", "").lower():
         raise HttpError(501, f"{what}: chunked transfer encoding not supported")
     raw = headers.get("content-length", "0")
-    try:
-        length = int(raw)
-    except ValueError:
-        raise HttpError(400, f"{what}: bad Content-Length {raw!r}") from None
-    if length < 0:
-        raise HttpError(400, f"{what}: negative Content-Length {length}")
-    if length > MAX_BODY_BYTES:
-        raise HttpError(413, f"{what}: body of {length} bytes exceeds {MAX_BODY_BYTES}")
-    return length
+    # ASCII digits only (RFC 9112 section 6.3): int() would also take
+    # "+5", " 7", "1_0" and non-ASCII digits
+    if not (raw.isascii() and raw.isdigit()):
+        raise HttpError(400, f"{what}: bad Content-Length {raw[:40]!r}")
+    # past the size cap by its digit count alone, before int() could
+    # refuse a digit string longer than the interpreter's limit
+    digits = raw.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise HttpError(413, f"{what}: body of {digits[:40]} bytes exceeds {MAX_BODY_BYTES}")
+    return int(digits)
 
 
 # -- encoding ----------------------------------------------------------------

@@ -3,10 +3,13 @@
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.live import http
 from repro.live.http import (
     HttpError,
+    Request,
     encode_request,
     encode_response,
     json_body,
@@ -121,6 +124,75 @@ def test_body_framing_rejections(headers, status):
     with pytest.raises(HttpError) as exc:
         _frame(wire, read_request)
     assert exc.value.status == status
+
+
+@pytest.mark.parametrize(
+    "raw,status",
+    [
+        ("1_0", 400),  # int() reads 10
+        ("+5", 400),
+        (" 7", 400),
+        ("7 ", 400),
+        ("", 400),
+        ("0x10", 400),
+        ("\u00b2", 400),  # a latin-1 digit str.isdigit() accepts
+        ("\u0663", 400),  # a non-ASCII decimal int() reads as 3
+        pytest.param("1" + "0" * 5000, 413, id="past-int-digit-limit"),
+    ],
+)
+def test_content_length_is_ascii_digits_only(raw, status):
+    with pytest.raises(HttpError) as exc:
+        http._body_length({"content-length": raw}, "request")
+    assert exc.value.status == status
+
+
+def test_content_length_leading_zeros_read_as_decimal():
+    assert http._body_length({"content-length": "007"}, "request") == 7
+    assert http._body_length({"content-length": "0" * 5000 + "5"}, "request") == 5
+    assert http._body_length({}, "request") == 0
+
+
+def test_conflicting_content_lengths_are_refused():
+    head = b"POST /s HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\n"
+    with pytest.raises(HttpError) as exc:
+        parse_request_head(head)
+    assert exc.value.status == 400
+    # a repeated identical value frames the message one way only
+    same = b"POST /s HTTP/1.1\r\ncontent-length: 3\r\nContent-Length:3\r\n\r\nabc"
+    assert _frame(same, read_request).body == b"abc"
+
+
+_HEADER_LINE = st.one_of(
+    st.builds(
+        b"Content-Length:".__add__,
+        st.binary(max_size=12) | st.from_regex(rb"[ +\-_0-9]{0,8}", fullmatch=True),
+    ),
+    st.sampled_from([b"Transfer-Encoding: chunked", b"Connection: close", b" folded"]),
+    st.binary(max_size=40),
+)
+
+_HEAD = st.one_of(
+    st.binary(max_size=256),
+    st.builds(
+        lambda line, lines: b"\r\n".join([line, *lines]) + b"\r\n\r\n",
+        st.sampled_from([b"GET / HTTP/1.1", b"POST /sessions HTTP/1.0", b"BREW / HTTP/1.1"])
+        | st.binary(max_size=40),
+        st.lists(_HEADER_LINE, max_size=4),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HEAD)
+def test_any_head_yields_a_request_or_an_http_error(head):
+    try:
+        request = parse_request_head(head)
+        length = http._body_length(request.headers, "request")
+    except HttpError as exc:
+        assert exc.status in http.REASONS
+        return
+    assert isinstance(request, Request)
+    assert 0 <= length <= http.MAX_BODY_BYTES
 
 
 def test_clean_eof_and_torn_messages():

@@ -28,6 +28,8 @@ import pathlib
 import sys
 from typing import Any, Optional
 
+from repro.errors import ReproError
+
 BENCH_SCHEMA = "repro.perf/bench-v1"
 
 
@@ -88,9 +90,8 @@ def write_bench(
 
 
 def load_bench(path: pathlib.Path | str) -> dict:
-    """Load a BENCH_*.json; accepts both the uniform envelope and the
-    pre-envelope bare-payload files (returned wrapped, results only)."""
+    """Load a BENCH_*.json envelope; anything else is refused."""
     doc = json.loads(pathlib.Path(path).read_text())
-    if isinstance(doc, dict) and doc.get("schema") == BENCH_SCHEMA:
-        return doc
-    return {"schema": None, "bench": None, "results": doc, "perf": {}}
+    if not isinstance(doc, dict) or doc.get("schema") != BENCH_SCHEMA:
+        raise ReproError(f"{path}: not a {BENCH_SCHEMA} bench envelope")
+    return doc

@@ -9,7 +9,7 @@ import pytest
 from repro.des import AnyOf, Environment, Event, Interrupt, Mailbox, Store, Timeout
 from repro.des.core import Process
 from repro.des.resources import ResourceRequest, StoreGet, StorePut
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.perf import load_bench, peak_rss_bytes, write_bench
 
 
@@ -339,12 +339,11 @@ def test_write_and_load_bench_roundtrip(tmp_path):
     assert doc["perf"]["peak_rss_bytes"] > 0
 
 
-def test_load_bench_accepts_pre_envelope_payloads(tmp_path):
+def test_load_bench_refuses_pre_envelope_payloads(tmp_path):
     p = tmp_path / "BENCH_old.json"
     p.write_text(json.dumps({"128": {"wall_seconds": 3.0}}))
-    doc = load_bench(p)
-    assert doc["schema"] is None
-    assert doc["results"] == {"128": {"wall_seconds": 3.0}}
+    with pytest.raises(ReproError, match="BENCH_old.json: not a repro.perf/bench-v1"):
+        load_bench(p)
 
 
 def test_peak_rss_positive():

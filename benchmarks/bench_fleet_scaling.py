@@ -79,16 +79,6 @@ def test_fleet_scaling(benchmark, reporter):
     assert max(p50s) < 4 * min(p50s)
 
 
-def test_fleet_smoke(reporter):
-    """CI smoke: one session end-to-end through the whole fabric."""
-    rep, _events = _run_fleet(1)
-    reporter.note(
-        f"FLEET smoke: {rep.completed}/1 completed, "
-        f"p50={rep.steer_p50 * 1e3:.1f}ms wall={rep.wall_seconds:.2f}s"
-    )
-    assert rep.completed == 1 and rep.failed == 0
-
-
 def test_registry_indexed_vs_naive_scan(benchmark, reporter):
     """`find` on >= 1000 published handles: inverted index vs linear scan."""
     n_handles, n_finds = 2000, 300

@@ -1,9 +1,10 @@
 """KERNEL — raw DES engine throughput (events/sec) per hot pattern.
 
-The fleet/chaos/load benches measure scenarios; this one measures the
-kernel itself, so a regression in event dispatch, timeout construction,
-store handoff or interrupt tombstoning is visible in isolation — and the
-committed ``BENCH_kernel.json`` records the trajectory across PRs.
+The fleet bench and tier-1's behaviour table measure scenarios; this
+one measures the kernel itself, so a regression in event dispatch,
+timeout construction, store handoff or interrupt tombstoning is visible
+in isolation — and the committed ``BENCH_kernel.json`` records the
+trajectory across PRs.
 
 Patterns:
 
@@ -164,23 +165,3 @@ def test_kernel_throughput(benchmark, reporter):
         wall_seconds=sum(wall for _e, wall in results.values()),
         events=sum(events for events, _w in results.values()),
     )
-
-
-def test_kernel_smoke(reporter):
-    """CI smoke: the bare-timeout path clears a conservative floor."""
-    env = Environment()
-
-    def ticker():
-        for _ in range(20_000):
-            yield env.timeout(0.001)
-
-    env.process(ticker())
-    t0 = time.perf_counter()
-    env.run()
-    wall = time.perf_counter() - t0
-    rate = env.events_processed / wall
-    reporter.note(
-        f"KERNEL smoke: {env.events_processed} events in {wall * 1e3:.1f} ms "
-        f"({rate:,.0f} events/s)"
-    )
-    assert rate > 50_000

@@ -3,8 +3,10 @@
 Every bench prints its table through the ``reporter`` fixture, which also
 appends to ``benchmarks/results.txt`` so the series survive pytest's
 output capture, and writes its ``BENCH_*.json`` envelope through
-:func:`write_json`.  The paper's own claims are not benches:
-``tests/test_paper_table.py`` asserts and pins them in tier-1.
+:func:`write_json`.  The paper's own claims are not benches, nor are the
+fabric's open-loop, chaos and campaign thresholds: tier-1's
+``tests/test_paper_table.py`` and ``tests/test_behaviour_table.py``
+assert and pin them.
 """
 
 from __future__ import annotations

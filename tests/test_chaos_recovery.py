@@ -8,9 +8,11 @@ The satellite coverage the chaos PR promises:
 * ``load.admission`` requeue/abandonment under an injected site outage
   (beyond the static overload of the open-loop tests);
 * ``ogsa.migration`` when the target site dies mid-migration;
-* the acceptance scenario: site outage + master-vbroker crash at 2x
-  load — zero invariant violations, >= 90% of impacted sessions
-  recovered via migrate/retry, byte-for-byte identical reruns.
+* the acceptance scenario: site outage + vbroker crash at 2x load —
+  zero invariant violations, >= 90% of impacted sessions recovered via
+  migrate/retry, byte-for-byte identical reruns.  Its world is the
+  compound cell of ``tests/test_behaviour_table.py`` (row
+  CHAOS-COMPOUND), shared through that module's cache.
 """
 
 import json
@@ -32,7 +34,8 @@ from repro.chaos import (
 from repro.errors import ChaosError, OgsaError
 from repro.fleet import BrokerPool, FleetDriver
 from repro.fleet.spec import ScenarioSpec
-from repro.load import AdmissionController, PoissonArrivals, TraceArrivals
+from repro.load import AdmissionController, TraceArrivals
+from test_behaviour_table import COMPOUND, QUEUE_LIMIT, chaos_cell
 
 
 def _proto(**kw):
@@ -43,15 +46,15 @@ def _proto(**kw):
     return ScenarioSpec(**kw)
 
 
-def _world(n_sites=3, queue_slots=2, queue_limit=16, pool=False, policy=None):
-    driver = FleetDriver(n_sites=n_sites, queue_slots=queue_slots)
+def _world(n_sites=3, pool=False, policy=None):
+    driver = FleetDriver(n_sites=n_sites, queue_slots=2)
     broker_pool = (
         BrokerPool.build(
             driver.net, [s.svc_name for s in driver.sites], port=7100
         )
         if pool else None
     )
-    ctl = AdmissionController(driver, queue_limit=queue_limit)
+    ctl = AdmissionController(driver, queue_limit=16)
     world = ChaosHarness(driver, ctl, pool=broker_pool, policy=policy)
     return driver, ctl, world
 
@@ -354,41 +357,27 @@ def test_migrate_into_dead_container_refused_and_source_keeps_service():
 # -- the acceptance scenario -------------------------------------------------
 
 
-def _acceptance_run():
-    driver, ctl, world = _world(n_sites=3, queue_slots=2, queue_limit=12,
-                                pool=True)
-    world.install(FaultSchedule([
-        SiteOutage(at=5.0, site=0, duration=20.0),
-        VBrokerCrash(at=6.0, broker=0),
-    ]))
-    # ~2x the fabric's service rate (6 slots / ~3.5 s per session).
-    arrivals = PoissonArrivals(rate=3.4, horizon=12.0, seed=11,
-                               duration=2.0, cadence=0.5, participants=1)
-    report = ctl.run(arrivals, until=160.0)
-    verdict = world.verdict(report)
-    return report, verdict, world
-
-
 def test_acceptance_outage_plus_vbroker_crash_at_2x_load():
-    report, verdict, world = _acceptance_run()
+    report, verdict = chaos_cell(COMPOUND)
     # Zero invariant violations under compound faults at overload.
-    assert verdict["invariant_violations"] == 0, world.monitor.render()
+    assert verdict["invariant_violations"] == 0, verdict["violations"]
     rec = verdict["recovery"]
     # A site holds at most queue_slots sessions; the outage strands them
-    # all and the broker crash reshuffles the survivors.
+    # all and the broker crash fails the survivors over.
     assert rec["impacted"] >= 2
+    assert rec["broker_failovers"] > 0
     # >= 90% of impacted sessions recovered via migrate/retry.
     recovered = rec["recovered_via"]["retry"] + rec["recovered_via"]["migrate"]
     assert recovered / rec["impacted"] >= 0.9, rec
     assert rec["abandoned"] <= rec["impacted"] * 0.1
     # The admission controller still sheds *fresh* load explicitly.
     assert report.queue.rejected > 0
-    assert report.queue.depth_max <= 12
+    assert report.queue.depth_max <= QUEUE_LIMIT
 
 
 def test_acceptance_rerun_is_byte_for_byte_identical():
-    rep_a, ver_a, _ = _acceptance_run()
-    rep_b, ver_b, _ = _acceptance_run()
+    rep_a, ver_a = chaos_cell(COMPOUND)
+    rep_b, ver_b = chaos_cell.__wrapped__(COMPOUND)
     blob_a = json.dumps(
         {"report": rep_a.to_dict(), "verdict": ver_a}, sort_keys=True
     )

@@ -8,8 +8,6 @@ from repro.fleet.spec import ScenarioSpec
 from repro.load import (
     AdmissionController,
     PoissonArrivals,
-    ReactiveAutoscaler,
-    TraceArrivals,
     scorecard,
 )
 
@@ -111,23 +109,3 @@ def test_add_registry_shard_rebalances_and_stays_consistent():
     site = driver.add_site()
     assert len(site.registry.shards) == 3
     assert site.registry.find({}) == before
-
-
-def test_autoscaled_open_loop_beats_fixed_capacity_on_waits():
-    def run(autoscale):
-        driver = FleetDriver(n_sites=1, queue_slots=2)
-        ctl = AdmissionController(driver, queue_limit=16)
-        if autoscale:
-            ReactiveAutoscaler(ctl, max_sites=4, high_depth=2,
-                               interval=1.0, cooldown=0.0)
-        arrivals = TraceArrivals(
-            [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4],
-            suite=[_spec("proto", duration=3.0)], prefix="f",
-        )
-        return ctl.run(arrivals, until=80.0)
-
-    fixed = run(False).queue
-    elastic = run(True).queue
-    assert elastic.scale_ups > 0
-    assert elastic.wait_p99 < fixed.wait_p99
-    assert elastic.admitted >= fixed.admitted

@@ -26,11 +26,10 @@ Re-record (only when a change is *meant* to move a stream):
 import hashlib
 import json
 import pathlib
-import platform
 
-import numpy as np
 import pytest
 
+from pinned import golden_or_skip, write_golden
 from repro.chaos import (
     ChaosHarness,
     ContainerCrash,
@@ -108,10 +107,6 @@ def streams(obs: Observability, tmp: pathlib.Path) -> dict:
     }
 
 
-def fingerprint() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
-
-
 @pytest.fixture(scope="module")
 def observed() -> dict:
     return {name: build() for name, build in WORLDS.items()}
@@ -140,9 +135,7 @@ def test_worlds_emit_every_span_name(observed):
 
 @pytest.mark.parametrize("world", sorted(WORLDS))
 def test_streams_match_golden(observed, world, tmp_path):
-    golden = json.loads(GOLDEN.read_text())
-    if golden["fingerprint"] != fingerprint():
-        pytest.skip(f"streams pinned on {golden['fingerprint']}")
+    golden = golden_or_skip(GOLDEN, "streams")
     assert streams(observed[world], tmp_path) == golden["digests"][world]
 
 
@@ -154,14 +147,12 @@ if __name__ == "__main__":
             name: streams(build(), pathlib.Path(tmp))
             for name, build in sorted(WORLDS.items())
         }
-    doc = {
-        "comment": (
-            "sha256 of the span JSONL, metrics.render() and the sorted-key "
-            "snapshot JSON of each world in tests/test_obs_streams.py; "
-            "applies on the python and numpy below"
-        ),
-        "fingerprint": fingerprint(),
-        "digests": digests,
-    }
-    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
+    write_golden(
+        GOLDEN,
+        "sha256 of the span JSONL, metrics.render() and the sorted-key "
+        "snapshot JSON of each world in tests/test_obs_streams.py; "
+        "applies on the python and numpy below",
+        "digests",
+        digests,
+    )
     print(GOLDEN.read_text())

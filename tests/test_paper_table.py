@@ -11,7 +11,7 @@ Every row's assertions run everywhere.  Its figures are also compared,
 as canonical JSON text, with ``tests/golden/paper_table.json``; the
 golden names the python/numpy it was recorded on, and on any other
 environment only that byte comparison is skipped (the fingerprint policy
-of ``tests/test_sims_trajectory.py``).  DESIGN.md "The paper, pinned"
+of ``tests/pinned.py``, which holds the row registry and renderer).  DESIGN.md "The paper, pinned"
 renders the golden, and a test keeps the two in step.
 
 Re-record (only when a change is *meant* to move a figure), then paste
@@ -19,16 +19,14 @@ the printed section into DESIGN.md:
 ``PYTHONPATH=src python tests/test_paper_table.py``
 """
 
-import json
 import math
 import pathlib
-import platform
 import time
-from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
+from pinned import Table
 from repro.accessgrid import AGNode, VenueServer
 from repro.accessgrid.media import MediaProducer
 from repro.accessgrid.vizserver import VizServerClient, VizServerSession
@@ -90,29 +88,8 @@ from repro.workloads import (
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "paper_table.json"
-DESIGN = pathlib.Path(__file__).parent.parent / "DESIGN.md"
-
-
-class Row(NamedTuple):
-    run: Callable[[], dict]
-    section: str
-    quantity: str
-    claim: str
-    pinned: tuple
-
-
-ROWS: dict[str, Row] = {}
-
-
-def row(name, section, quantity, claim, *pinned):
-    """Register a claim: paper section, measured quantity, the asserted
-    expectation, and which figures DESIGN.md shows."""
-
-    def register(fn):
-        ROWS[name] = Row(fn, section, quantity, claim, pinned)
-        return fn
-
-    return register
+TABLE = Table(GOLDEN, "paper")
+row = TABLE.row
 
 
 # -- shared builders ----------------------------------------------------------
@@ -879,50 +856,13 @@ def lb3d_b():
 # -- pinning ------------------------------------------------------------------
 
 
-def fingerprint() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
-
-
-def canon(figures) -> str:
-    """Canonical JSON text of a row's figures; keys sorted after the JSON
-    round trip, so int keys compare as the strings the golden holds."""
-    plain = json.loads(json.dumps(figures, default=lambda x: x.item()))
-    return json.dumps(plain, sort_keys=True)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    if isinstance(value, list):
-        return "[" + ", ".join(map(_fmt, value)) + "]"
-    if isinstance(value, dict):
-        return ", ".join(f"{key} {_fmt(v)}" for key, v in value.items())
-    return str(value)
-
-
-def design_section(golden) -> str:
-    """DESIGN.md's table: one line per claim, from the golden's figures."""
-    lines = ["| row | paper | quantity | asserted | pinned |", "| --- | --- | --- | --- | --- |"]
-    for name, r in ROWS.items():
-        figures = golden["rows"][name]
-        pinned = "; ".join(f"{key} = {_fmt(figures[key])}" for key in r.pinned)
-        lines.append(f"| {name} | {r.section} | {r.quantity} | {r.claim} | {pinned} |")
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("name", ROWS)
+@pytest.mark.parametrize("name", TABLE.rows)
 def test_paper_row(name):
-    figures = ROWS[name].run()  # asserts the paper's claim on every environment
-    golden = json.loads(GOLDEN.read_text())
-    if golden["fingerprint"] != fingerprint():
-        pytest.skip(f"claim holds; figures pinned on {golden['fingerprint']}")
-    assert canon(figures) == canon(golden["rows"][name])
+    TABLE.check(name)
 
 
 def test_design_md_shows_the_golden():
-    golden = json.loads(GOLDEN.read_text())
-    assert list(golden["rows"]) == list(ROWS)
-    assert design_section(golden) in DESIGN.read_text()
+    TABLE.check_design()
 
 
 def _best(fn, repeat):
@@ -950,11 +890,6 @@ def test_wall_clock_claims():
 
 
 if __name__ == "__main__":
-    doc = {
-        "comment": ("figures of every paper-claim row of tests/test_paper_table.py; "
-                    "byte-compared on the python and numpy below, skipped elsewhere"),
-        "fingerprint": fingerprint(),
-        "rows": {name: json.loads(canon(r.run())) for name, r in ROWS.items()},
-    }
-    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
-    print(design_section(doc), end="")
+    doc = TABLE.record("figures of every paper-claim row of tests/test_paper_table.py; "
+                       "byte-compared on the python and numpy below, skipped elsewhere")
+    print(TABLE.design_section(doc), end="")

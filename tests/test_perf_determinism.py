@@ -13,6 +13,7 @@ import json
 import pathlib
 
 from repro.fleet import FleetDriver, fleet_of
+from test_behaviour_table import COMPOUND, chaos_cell
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -46,9 +47,7 @@ def test_same_seed_runs_are_identical():
 def test_chaos_cell_matches_seed_golden():
     # The compound outage+vbroker chaos cell: report, recovery verdict
     # and invariant results all pinned against the seed tree.
-    from benchmarks.bench_chaos import _run
-
-    report, verdict, _wall = _run("outage+vbroker")
+    report, verdict = chaos_cell(COMPOUND)
     golden = json.loads((GOLDEN / "chaos_outage_vbroker.json").read_text())
     assert report.to_dict() == golden["report"]
     assert verdict == golden["verdict"]

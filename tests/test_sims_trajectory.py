@@ -17,11 +17,11 @@ Re-record (only when a change is *meant* to move the numbers):
 import hashlib
 import json
 import pathlib
-import platform
 
 import numpy as np
 import pytest
 
+from pinned import golden_or_skip, write_golden
 from repro.fleet.spec import SIM_KINDS, ScenarioSpec
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "sims_trajectory.json"
@@ -29,10 +29,6 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "sims_trajectory.json"
 STEPS = 130
 STEER_EVERY = 8
 SAMPLE_EVERY = 4
-
-
-def _fingerprint() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _feed(h, value) -> None:
@@ -66,21 +62,17 @@ def trajectory_digests(kind: str) -> dict:
 
 @pytest.mark.parametrize("kind", SIM_KINDS)
 def test_trajectory_matches_parent_golden(kind):
-    golden = json.loads(GOLDEN.read_text())
-    if golden["fingerprint"] != _fingerprint():
-        pytest.skip(f"golden recorded on {golden['fingerprint']}")
+    golden = golden_or_skip(GOLDEN, "trajectories")
     assert trajectory_digests(kind) == golden["digests"][kind]
 
 
 if __name__ == "__main__":
-    doc = {
-        "comment": (
-            f"sha256 of checkpoint state after {STEPS} steps (steer every "
-            f"{STEER_EVERY}th) and of each sample() array (every {SAMPLE_EVERY}th "
-            "step) per fleet-sized sim; applies on the python and numpy below"
-        ),
-        "fingerprint": _fingerprint(),
-        "digests": {kind: trajectory_digests(kind) for kind in SIM_KINDS},
-    }
-    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
+    write_golden(
+        GOLDEN,
+        f"sha256 of checkpoint state after {STEPS} steps (steer every "
+        f"{STEER_EVERY}th) and of each sample() array (every {SAMPLE_EVERY}th "
+        "step) per fleet-sized sim; applies on the python and numpy below",
+        "digests",
+        {kind: trajectory_digests(kind) for kind in SIM_KINDS},
+    )
     print(GOLDEN.read_text())

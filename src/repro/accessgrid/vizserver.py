@@ -47,15 +47,7 @@ class VizServerSession:
         self.bytes_streamed = 0
 
     def start(self) -> None:
-        listener = self.host.listen(self.port)
-        env = self.host.env
-
-        def accept_loop():
-            while True:
-                conn = yield from listener.accept()
-                env.process(self._serve(conn))
-
-        env.process(accept_loop())
+        self.host.serve(self.port, self._serve)
 
     def _serve(self, conn):
         site: Optional[str] = None

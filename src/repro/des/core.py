@@ -208,8 +208,6 @@ class Process(Event):
         if event is not self._target and type(event) is not _InterruptEvent:
             return
         self._target = None
-        env = self.env
-        env._active_process = self
         gen = self._generator
         send = gen.send
         throw = gen.throw
@@ -222,16 +220,13 @@ class Process(Event):
                     event.defused = True
                     next_event = throw(event._value)
             except StopIteration as stop:
-                env._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                env._active_process = None
                 self.fail(exc)
                 return
 
             if not isinstance(next_event, Event):
-                env._active_process = None
                 err = SimulationError(
                     f"process yielded non-event {next_event!r}; yield "
                     "env.timeout(...), store.get(), or another event"
@@ -247,8 +242,6 @@ class Process(Event):
             # Already processed: consume its value immediately and keep
             # driving the generator without returning to the scheduler.
             event = next_event
-
-        env._active_process = None
 
 
 class Condition(Event):
@@ -331,7 +324,6 @@ class Environment:
         #: the event queue: a heap of ``(time, priority, seq, event)``
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self._pending_failures: deque[BaseException] = deque()
         #: total events processed since construction (benching)
         self.events_processed = 0
@@ -474,7 +466,3 @@ class Environment:
         if deadline != float("inf"):
             self.now = deadline
         return None
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process

@@ -18,10 +18,13 @@ every site.  Registry traffic goes through per-site
 one shard set, so a session admitted at site 2 is discoverable from a
 client at site 0.
 
-Two admission modes share the same fabric:
+Two admission modes share the same fabric and one launch path,
+:meth:`FleetDriver.admit`:
 
-* **closed batch** — construct with a spec list and :meth:`FleetDriver.run`
-  launches every session at its ``admission_offset`` (PR 1 behaviour);
+* **closed batch** — construct with a spec list; :meth:`FleetDriver.run`
+  admits every spec in order (round-robin over sites), each starting at
+  its ``admission_offset``.  A batch fleet registers its sessions when
+  it runs, not when it is built;
 * **open loop** — construct with no specs and feed sessions one at a time
   through :meth:`FleetDriver.admit`; :mod:`repro.load` drives this mode
   from stochastic arrival streams through an admission controller, and
@@ -137,11 +140,10 @@ class FleetDriver:
         self.sites: list[FleetSite] = []
         #: (site index, profile name) -> participant host carrying it
         self._client_for: dict[tuple[int, str], str] = {}
-        #: every spec ever registered (batch placement or dynamic admit)
+        #: every spec ever admitted (by run() or directly)
         self._specs_by_name: dict[str, ScenarioSpec] = {}
         #: monotone counter: unique control/sample port pair per session
         self._session_seq = 0
-        self._placements: list[tuple[ScenarioSpec, FleetSite, str, int]] = []
         #: running session processes by name (started, not yet finished)
         self.active: dict[str, Process] = {}
         #: session name -> site index, for every session ever registered
@@ -167,8 +169,6 @@ class FleetDriver:
         for i in range(n_sites):
             self.sites.append(self._build_site(i, queue_slots=queue_slots))
         self.obs.bind_driver(self)
-        if self.specs:
-            self._place_and_register()
 
     # -- fabric ------------------------------------------------------------
 
@@ -245,28 +245,17 @@ class FleetDriver:
         site.njs.register_application(spec.name, spec.name)
         return client, control_port
 
-    def _place_and_register(self) -> None:
-        """Round-robin sessions over sites; register one application per
-        session (each spec may carry different sim arguments)."""
-        for idx, spec in enumerate(self.specs):
-            site = self.sites[idx % len(self.sites)]
-            client, control_port = self._register_session(spec, site)
-            self._placements.append((spec, site, client, control_port))
+    # -- admission ---------------------------------------------------------
 
-    # -- open-loop admission -----------------------------------------------
+    def admit(self, spec: ScenarioSpec, site: Optional[Union[int, FleetSite]] = None):
+        """Admit one session; returns its DES process.
 
-    def admit(
-        self,
-        spec: ScenarioSpec,
-        site: Optional[Union[int, FleetSite]] = None,
-        at: Optional[float] = None,
-    ):
-        """Admit one session dynamically; returns its DES process.
-
-        This is the open-loop entry point: no up-front spec list, the
-        session is registered and launched *now* (or at virtual time
-        ``at``) on the given site — an index, a :class:`FleetSite`, or
-        ``None`` for round-robin.  The returned
+        The one launch path: the open-loop entry point, and how
+        :meth:`run` launches a batch.  The session is registered now and
+        starts ``spec.admission_offset`` later on the given site — an
+        index, a :class:`FleetSite`, or ``None`` for round-robin in
+        admission order (so a batch lands spec ``i`` on site
+        ``i % n_sites``).  The returned
         :class:`~repro.des.core.Process` triggers when the session ends,
         so an admission controller can hold capacity until completion.
         """
@@ -275,39 +264,14 @@ class FleetDriver:
         elif isinstance(site, int):
             site = self.sites[site]
         client, control_port = self._register_session(spec, site)
-        if at is None or at <= self.env.now:
-            proc = self.env.process(self._session(spec, site, client, control_port))
-        else:
-            proc = self.env.process(self._admit_at(at, spec, site, client, control_port))
-        self._track(spec, site, proc)
-        return proc
-
-    def _track(self, spec: ScenarioSpec, site: FleetSite, proc: Process) -> None:
+        proc = self.env.process(self._session(spec, site, client, control_port))
         self.active[spec.name] = proc
         self._notify_session("start", spec.name, site.index)
+        return proc
 
     def _notify_session(self, kind: str, name: str, site_index: int) -> None:
         for cb in self.session_observers:
             cb(kind, name, site_index)
-
-    def _admit_at(
-        self, at: float, spec: ScenarioSpec, site: FleetSite, client: str, control_port: int
-    ):
-        if (yield from self._wait_to_start(at - self.env.now, spec, site)):
-            yield from self._session(spec, site, client, control_port)
-
-    def _wait_to_start(self, delay: float, spec: ScenarioSpec, site: FleetSite):
-        """Wait ``delay`` before a tracked session starts: False when a
-        cancel cut it short, failing the session as a mid-run one is."""
-        try:
-            yield self.env.timeout(delay)
-        except Interrupt as intr:
-            self.telemetry.session(spec.name).mark_failed(
-                f"cancelled: {intr.cause}", self.env.now
-            )
-            self._end_session(spec, site, "cancel")
-            return False
-        return True
 
     def _end_session(self, spec: ScenarioSpec, site: FleetSite, outcome: str) -> None:
         """Drop a finished session's live state, however it ended, and
@@ -394,7 +358,12 @@ class FleetDriver:
                  control_port: int):
         env = self.env
         tel = self.telemetry.session(spec.name)
-        if not (yield from self._wait_to_start(spec.admission_offset, spec, site)):
+        try:
+            yield env.timeout(spec.admission_offset)
+        except Interrupt as intr:
+            # Cancelled before it started: fail it as a mid-run one is.
+            tel.mark_failed(f"cancelled: {intr.cause}", env.now)
+            self._end_session(spec, site, "cancel")
             return
         started = env.now
         client_host = self.net.host(client_name)
@@ -572,9 +541,8 @@ class FleetDriver:
             raise ReproError("FleetDriver.run() already ran this fleet; build a new driver")
         until = self.deadline() if until is None else until
         self._ran = True
-        for spec, site, client, port in self._placements:
-            proc = self.env.process(self._session(spec, site, client, port))
-            self._track(spec, site, proc)
+        for spec in self.specs:
+            self.admit(spec)
         self.env.run(until=until)
         return self.report(wall_seconds=wall_seconds)
 

@@ -161,9 +161,6 @@ class CapacityLedger:
     def drained_sites(self) -> list[int]:
         return sorted(self._drained)
 
-    def failed_sites(self) -> list[int]:
-        return sorted(self._failed)
-
     def sites_with_room(self) -> list[int]:
         return [i for i in self.sites() if self.free(i) > 0]
 

@@ -11,7 +11,7 @@ Everything runs in virtual time on :mod:`repro.des`, which makes latency
 budgets (sections 4.2-4.4) exactly measurable and deterministic.
 """
 
-from repro.net.channel import Connection, Listener, Packet
+from repro.net.channel import Connection, Listener
 from repro.net.firewall import Firewall
 from repro.net.multicast import MulticastGroup, UnicastBridge
 from repro.net.network import Host, Link, Network
@@ -23,7 +23,6 @@ __all__ = [
     "Link",
     "Connection",
     "Listener",
-    "Packet",
     "Firewall",
     "MulticastGroup",
     "UnicastBridge",

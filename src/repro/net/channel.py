@@ -23,28 +23,19 @@ from repro.errors import (
 from repro.wire.codec import approx_size
 
 
-class Packet:
-    """A payload plus its wire size.
+def wire_size(payload: Any, size: Optional[int] = None) -> int:
+    """The simulated wire size of one send: the one place a send is sized.
 
-    Middleware messages are Python objects; their simulated size is either
-    supplied explicitly (cost-model numbers) or estimated by the codec's
-    :func:`~repro.wire.codec.approx_size` (exact for codec types, a
-    reasonable envelope for dataclass messages).
+    Middleware messages are Python objects; their size is either supplied
+    explicitly (cost-model numbers), the length of a byte buffer, or
+    estimated by the codec's :func:`~repro.wire.codec.approx_size` (exact
+    for codec types, a reasonable envelope for dataclass messages).
     """
-
-    __slots__ = ("payload", "size")
-
-    def __init__(self, payload: Any, size: Optional[int] = None) -> None:
-        self.payload = payload
-        if size is None:
-            if isinstance(payload, (bytes, bytearray, memoryview)):
-                size = len(payload)
-            else:
-                size = approx_size(payload)
-        self.size = int(size)
-
-    def __repr__(self) -> str:
-        return f"Packet({self.payload!r:.40}, size={self.size})"
+    if size is not None:
+        return int(size)
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        return len(payload)
+    return approx_size(payload)
 
 
 class _Closed:
@@ -120,11 +111,11 @@ class Connection:
         """
         if self.closed:
             raise ChannelClosed(f"send on closed connection to {self.peer_host.name}")
-        pkt = payload if isinstance(payload, Packet) else Packet(payload, size)
-        deliver_at = self._deliver(pkt.payload, pkt.size)
+        size = wire_size(payload, size)
+        deliver_at = self._deliver(payload, size)
         if deliver_at is None:
             return self.host.env.now
-        self.bytes_sent += pkt.size
+        self.bytes_sent += size
         self.messages_sent += 1
         return deliver_at
 
@@ -194,6 +185,11 @@ class Listener:
             )
         self.accepted += 1
         return conn
+
+    @property
+    def open(self) -> bool:
+        """True while this listener holds its port on its host."""
+        return self.host.listeners.get(self.port) is self
 
     def try_accept(self) -> tuple[bool, Optional[Connection]]:
         return self._backlog.try_get()

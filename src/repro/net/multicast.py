@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from repro.des.resources import Mailbox
 from repro.errors import NetworkError
-from repro.net.channel import Packet
+from repro.net.channel import wire_size
 from repro.net.network import Host, Network
 
 
@@ -54,24 +54,24 @@ class MulticastGroup:
 
     def send(self, src: Host, payload: Any, size: Optional[int] = None) -> None:
         """Multicast ``payload`` from ``src`` to all members (except src)."""
-        pkt = payload if isinstance(payload, Packet) else Packet(payload, size)
+        size = wire_size(payload, size)
         env = src.env
         self.packets_sent += 1
-        self.bytes_sent += pkt.size
+        self.bytes_sent += size
         # One uplink serialization on the sender's side...
         uplink = self.network.link(src.name, src.name)
-        sent_at = env.now + pkt.size / uplink.bandwidth
+        sent_at = env.now + size / uplink.bandwidth
         for name, box in list(self._members.items()):
             if name == src.name:
                 continue
             # ...then per-receiver propagation latency (replication is done
             # by the network, not the sender, so no per-member bandwidth).
             link = self.network.link(src.name, name)
-            link.bytes_carried += pkt.size
+            link.bytes_carried += size
             link.transfers += 1
             delay = (sent_at - env.now) + link.latency
             ev = env.timeout(delay)
-            ev.callbacks.append(lambda _ev, b=box: b.put_nowait(pkt.payload))
+            ev.callbacks.append(lambda _ev, b=box: b.put_nowait(payload))
 
 
 class UnicastBridge:
@@ -106,26 +106,26 @@ class UnicastBridge:
         """Send into the group on behalf of a bridged (unicast-only) host."""
         if host.name not in self._bridged:
             raise NetworkError(f"{host.name} is not attached to this bridge")
-        pkt = payload if isinstance(payload, Packet) else Packet(payload, size)
+        size = wire_size(payload, size)
         env = host.env
         # Unicast hop to the bridge, then native multicast out.
         link = self.group.network.link(host.name, self.bridge_host.name)
-        deliver_at = link.reserve(pkt.size, env.now)
+        deliver_at = link.reserve(size, env.now)
         ev = env.timeout(deliver_at - env.now)
-        ev.callbacks.append(
-            lambda _ev: self.group.send(self.bridge_host, pkt.payload, pkt.size)
-        )
+        ev.callbacks.append(lambda _ev: self.group.send(self.bridge_host, payload, size))
 
     def _relay_loop(self):
         env = self.bridge_host.env
         network = self.group.network
         while True:
             payload = yield self._uplink_box.get()
-            pkt = Packet(payload)
+            size = wire_size(payload)
             self.relayed_packets += 1
             # Full unicast fan-out: one serialized transfer per bridged host.
+            # The payload is bound per callback: the next group packet
+            # rebinds ``payload`` before this delivery fires.
             for name, box in list(self._bridged.items()):
                 link = network.link(self.bridge_host.name, name)
-                deliver_at = link.reserve(pkt.size, env.now)
+                deliver_at = link.reserve(size, env.now)
                 ev = env.timeout(deliver_at - env.now)
-                ev.callbacks.append(lambda _ev, b=box: b.put_nowait(pkt.payload))
+                ev.callbacks.append(lambda _ev, b=box, p=payload: b.put_nowait(p))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.des import Environment
 from repro.errors import NetworkError, HostUnreachable
@@ -76,10 +76,6 @@ class Link:
         self.transfers += 1
         return self._free_at + self.latency
 
-    def one_way_delay(self, nbytes: int) -> float:
-        """Unloaded delivery delay for a message of ``nbytes``."""
-        return self.latency + nbytes / self.bandwidth
-
     def __repr__(self) -> str:
         return (
             f"Link({self.src}->{self.dst}, {self.latency * 1e3:.3g} ms, "
@@ -121,6 +117,25 @@ class Host:
             raise NetworkError(f"{self.name}: port {port} already in use")
         listener = Listener(self, port)
         self.listeners[port] = listener
+        return listener
+
+    def serve(self, port: int, handler: Callable) -> "Listener":
+        """Listen on ``port`` and run one accept loop that spawns
+        ``handler(conn)`` as a process per accepted connection.
+
+        Returns the listener.  Closing it leaves the loop parked on its
+        backlog, so a listener put back on the host (a healed site
+        outage) serves again without a new loop.
+        """
+        listener = self.listen(port)
+        env = self.env
+
+        def accept_loop():
+            while True:
+                conn = yield from listener.accept()
+                env.process(handler(conn))
+
+        env.process(accept_loop())
         return listener
 
     def close_port(self, port: int) -> None:

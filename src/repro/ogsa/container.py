@@ -64,21 +64,17 @@ class OgsiLiteContainer:
     # -- processes ------------------------------------------------------------------
 
     def start(self) -> None:
-        listener = self.host.listen(self.port)
-        self._listener = listener
+        self._listener = self.host.serve(self.port, self._accept)
         self._started = True
-        env = self.host.env
-
-        def accept_loop():
-            while True:
-                conn = yield from listener.accept()
-                self._conns.append(conn)
-                env.process(self._serve(conn))
-
-        env.process(accept_loop())
         if not self._reaper_started:
             self._reaper_started = True
-            env.process(self._reaper())
+            self.host.env.process(self._reaper())
+
+    def _accept(self, conn):
+        # Tracked at accept time, not when _serve first runs, so a crash
+        # in the same instant still severs the connection.
+        self._conns.append(conn)
+        return self._serve(conn)
 
     def stop(self) -> None:
         """Crash/drain the container: stop accepting and sever every
@@ -99,10 +95,7 @@ class OgsiLiteContainer:
     @property
     def alive(self) -> bool:
         """True while the container's listener is open on its host."""
-        return (
-            self._listener is not None
-            and self.host.listeners.get(self.port) is self._listener
-        )
+        return self._listener is not None and self._listener.open
 
     @property
     def dead(self) -> bool:

@@ -46,19 +46,8 @@ class Gateway:
             raise UnicoreError(f"vsite {name!r} already registered")
         self._vsites[name] = (njs_host, njs_port)
 
-    def vsites(self) -> list[str]:
-        return sorted(self._vsites)
-
     def start(self) -> None:
-        listener = self.host.listen(self.port)
-        env = self.host.env
-
-        def accept_loop():
-            while True:
-                conn = yield from listener.accept()
-                env.process(self._serve(conn))
-
-        env.process(accept_loop())
+        self.host.serve(self.port, self._serve)
 
     # -- per-connection service ------------------------------------------------
 

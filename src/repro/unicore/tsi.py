@@ -60,9 +60,6 @@ class TargetSystemInterface:
             raise UnicoreError(f"application {name!r} already registered")
         self._applications[name] = factory
 
-    def available_applications(self) -> list[str]:
-        return sorted(self._applications)
-
     def knows(self, handler: str) -> bool:
         return handler in self._applications
 

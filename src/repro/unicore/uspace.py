@@ -33,6 +33,3 @@ class USpace:
 
     def total_bytes(self) -> int:
         return sum(len(v) for v in self._files.values())
-
-    def purge(self) -> None:
-        self._files.clear()

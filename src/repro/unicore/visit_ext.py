@@ -80,15 +80,7 @@ class VisitProxyServer:
     # -- simulation-facing VISIT service -------------------------------------------
 
     def start(self) -> None:
-        listener = self.host.listen(self.port)
-        env = self.host.env
-
-        def accept_loop():
-            while True:
-                conn = yield from listener.accept()
-                env.process(self._serve_sim(conn))
-
-        env.process(accept_loop())
+        self.host.serve(self.port, self._serve_sim)
 
     def _serve_sim(self, conn):
         env = self.host.env

@@ -185,13 +185,6 @@ class VisitClient:
                 return False, None
             # Stale response from an earlier timed-out request: skip it.
 
-    def ensure_connected(self, timeout: Optional[float] = None):
-        """Generator -> bool.  Reconnect if needed, bounded."""
-        if self.connected and self._conn is not None and not self._conn.closed:
-            return True
-        ok = yield from self.connect(timeout)
-        return ok
-
     def __repr__(self) -> str:
         state = "connected" if self.connected else "disconnected"
         return f"VisitClient({self.name} -> {self.server_host}:{self.port}, {state})"

@@ -68,7 +68,6 @@ class VisitServer:
         self.dead = False
         self.clients_served = 0
         self.auth_failures = 0
-        self._listener = None
 
     # -- configuration -------------------------------------------------------
 
@@ -90,17 +89,7 @@ class VisitServer:
 
     def start(self) -> None:
         """Begin listening and spawn the accept loop."""
-        self._listener = self.host.listen(self.port)
-        self.host.env.process(self._accept_loop())
-
-    def _accept_loop(self):
-        env = self.host.env
-        while True:
-            try:
-                conn = yield from self._listener.accept()
-            except TimeoutExpired:  # pragma: no cover - accept has no timeout
-                continue
-            env.process(self._serve(conn))
+        self.host.serve(self.port, self._serve)
 
     def _serve(self, conn):
         env = self.host.env

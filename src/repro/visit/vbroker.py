@@ -132,16 +132,12 @@ class VBroker:
         :class:`~repro.fleet.brokerpool.BrokerPool` skips it at placement
         time.
         """
-        return (
-            self._listener is not None
-            and self.host.listeners.get(self.port) is self._listener
-        )
+        return self._listener is not None and self._listener.open
 
     # -- processes ---------------------------------------------------------------
 
     def start(self) -> None:
-        self._listener = self.host.listen(self.port)
-        self.host.env.process(self._accept_loop())
+        self._listener = self.host.serve(self.port, self._serve_sim)
 
     def stop(self) -> None:
         """Close the listener and drop every downstream connection.
@@ -153,12 +149,6 @@ class VBroker:
             self._listener.close()
         for name in list(self._downstream):
             self.remove_visualization(name)
-
-    def _accept_loop(self):
-        env = self.host.env
-        while True:
-            conn = yield from self._listener.accept()
-            env.process(self._serve_sim(conn))
 
     def _serve_sim(self, conn):
         """Impersonate a VISIT server toward the simulation."""

@@ -382,7 +382,8 @@ def test_lockdown_fault_blocks_new_sessions_then_lifts():
 
     blocked = driver.admit(ScenarioSpec(
         name="blocked", duration=2.0, cadence=0.5, participants=1,
-    ), at=1.0)
+        admission_offset=1.0,
+    ))
     driver.env.run(until=20.0)
     assert driver.net.host(hpc).firewall.locked_down
     tel = driver.telemetry.sessions["blocked"]

@@ -26,7 +26,7 @@ class FakeDriver:
         self.service_time = service_time
         self.launched = []
 
-    def admit(self, spec, site=None, at=None):
+    def admit(self, spec, site=None):
         self.launched.append((self.env.now, spec.name, site))
         return self.env.process(self._serve(spec))
 

@@ -48,7 +48,7 @@ class FakeElasticDriver:
     def add_registry_shard(self):
         self.shards_added += 1
 
-    def admit(self, spec, site=None, at=None):
+    def admit(self, spec, site=None):
         self.launched.append((self.env.now, spec.name, site))
         return self.env.process(self._serve(spec))
 

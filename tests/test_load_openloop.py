@@ -43,7 +43,7 @@ def test_open_loop_small_poisson_run_completes():
 def test_driver_admit_is_the_dynamic_entry_point():
     driver = FleetDriver(n_sites=1, queue_slots=4)
     done = driver.admit(_spec("dyn-0"))
-    later = driver.admit(_spec("dyn-1"), at=3.0)
+    later = driver.admit(_spec("dyn-1", admission_offset=3.0))
     driver.env.run(until=40.0)
     assert done.ok and later.ok
     assert driver.telemetry.sessions["dyn-0"].completed

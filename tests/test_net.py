@@ -12,6 +12,7 @@ from repro.errors import (
     TimeoutExpired,
 )
 from repro.net import Firewall, MulticastGroup, Network, SyncPipe, UnicastBridge
+from repro.net.channel import wire_size
 
 
 def make_net(env, latency=0.010, bandwidth=1e6):
@@ -260,6 +261,65 @@ def test_duplicate_listen_rejected():
         net.host("a").listen(7)
 
 
+def test_serve_runs_one_handler_per_connection():
+    env = Environment()
+    net = make_net(env)
+    served = []
+
+    def handler(conn):
+        msg = yield from conn.recv(timeout=1.0)
+        served.append((conn.peer_host.name, msg))
+
+    listener = net.host("b").serve(9, handler)
+
+    def client(tag):
+        conn = yield from net.host("a").connect("b", 9)
+        conn.send(tag)
+
+    for tag in ("one", "two", "three"):
+        env.process(client(tag))
+    env.run()
+    assert sorted(msg for _, msg in served) == ["one", "three", "two"]
+    assert listener.accepted == 3
+
+
+def _hang_up(conn):
+    """A connection handler that closes what it is given."""
+    conn.close()
+    yield from ()
+
+
+def test_serve_on_a_bound_port_rejected():
+    env = Environment()
+    net = make_net(env)
+    net.host("b").listen(9)
+    with pytest.raises(NetworkError):
+        net.host("b").serve(9, _hang_up)
+
+
+def test_closed_listener_is_not_open_and_frees_its_port():
+    env = Environment()
+    net = make_net(env)
+    listener = net.host("b").serve(9, _hang_up)
+    assert listener.open
+    listener.close()
+    assert not listener.open
+    again = net.host("b").serve(9, _hang_up)
+    assert again.open and not listener.open
+
+
+def test_wire_size_sizes_every_send_one_way():
+    from repro.wire.codec import approx_size
+
+    assert wire_size(b"abc", size=1000.7) == 1000
+    assert wire_size({"k": 1}, size=12) == 12
+    assert wire_size(b"abcd") == 4
+    assert wire_size(bytearray(7)) == 7
+    assert wire_size(memoryview(b"xyz")) == 3
+    msg = {"op": "set_parameter", "value": 3.5, "tags": [1, 2]}
+    assert wire_size(msg) == approx_size(msg)
+
+
 def test_multicast_fanout_single_send():
     env = Environment()
     net = Network(env)
@@ -325,6 +385,36 @@ def test_unicast_bridge_relays_to_firewalled_site():
     env.run()
     assert got["payload"][1] == b"video"
     assert bridge.relayed_packets == 1
+
+
+def test_unicast_bridge_relays_back_to_back_frames_in_order():
+    env = Environment()
+    net = Network(env)
+    net.add_host("src")
+    net.add_host("bridge")
+    net.add_host("cave", multicast=False, firewall=Firewall.closed())
+    group = MulticastGroup(net, "233.0.0.4")
+    group.join(net.host("src"))
+    bridge = UnicastBridge(group, net.host("bridge"))
+    cave_box = bridge.attach(net.host("cave"))
+    got = []
+
+    def receiver():
+        for _ in range(2):
+            got.append((yield cave_box.get()))
+
+    def sender():
+        yield env.timeout(0.01)
+        group.send(net.host("src"), b"frame-1", size=2000)
+        group.send(net.host("src"), b"frame-2", size=2000)
+
+    env.process(receiver())
+    env.process(sender())
+    env.run()
+    # Each relay delivers its own frame, even though the next group
+    # packet reaches the bridge before the first delivery fires.
+    assert got == [b"frame-1", b"frame-2"]
+    assert bridge.relayed_packets == 2
 
 
 def test_bridge_send_from_unicast_site():

@@ -41,7 +41,6 @@ def main() -> None:
     driver = FleetDriver(n_sites=3, queue_slots=2, obs=obs)
     controller = AdmissionController(driver, queue_limit=16)  # self-attaches
     world = ChaosHarness(driver, controller)
-    obs.attach_injector(world.injector)
     world.install(
         FaultSchedule.random(seed=SEED, horizon=14.0, n_faults=3, sites=3)
     )
@@ -99,7 +98,6 @@ def main() -> None:
     driver2 = FleetDriver(n_sites=3, queue_slots=2, obs=obs2)
     controller2 = AdmissionController(driver2, queue_limit=16)
     world2 = ChaosHarness(driver2, controller2)
-    obs2.attach_injector(world2.injector)
     world2.install(
         FaultSchedule.random(seed=SEED, horizon=14.0, n_faults=3, sites=3)
     )

@@ -24,7 +24,7 @@ from repro.ogsa import (
     VisualizationService,
 )
 from repro.sims import LatticeBoltzmann3D
-from repro.steering import LinkAdapter, SteeredApplication, steered_app_process
+from repro.steering import SteeredApplication, steered_app_process
 from repro.viz import decompress_frame
 from repro.workloads import realitygrid_testbed
 
@@ -43,16 +43,14 @@ def main() -> None:
     sample_listener = net.host("man-bezier").listen(7002)
 
     def accept_links():
-        conn = yield from control_listener.accept()
-        wired["control"] = LinkAdapter(conn)
-        conn = yield from sample_listener.accept()
-        wired["samples"] = LinkAdapter(conn)
+        wired["control"] = yield from control_listener.accept()
+        wired["samples"] = yield from sample_listener.accept()
 
     def connect_links():
         conn = yield from net.host("ucl-onyx").connect("man-bezier", 7001)
-        app.attach_control(LinkAdapter(conn))
+        app.attach_control(conn)
         conn = yield from net.host("ucl-onyx").connect("man-bezier", 7002)
-        app.attach_sample_sink(LinkAdapter(conn))
+        app.attach_sample_sink(conn)
 
     env.process(accept_links())
     env.process(connect_links())

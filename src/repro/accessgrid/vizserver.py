@@ -175,7 +175,7 @@ class VizServerClient:
         if self._conn is None:
             return 0
         while True:
-            ok, msg = self._conn.try_recv()
+            ok, msg = self._conn.poll()
             if not ok:
                 return self.frames_received
             if isinstance(msg, dict) and msg.get("op") == "frame":

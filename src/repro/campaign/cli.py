@@ -70,6 +70,7 @@ from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
 from repro.obs import MetricsRegistry
 from repro.perf.bench import write_bench
+from repro.util import journal
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -350,7 +351,7 @@ def cmd_search_export(args: argparse.Namespace) -> int:
     doc = archive.export(top=args.top)
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out is not None:
-        pathlib.Path(args.out).write_text(text + "\n", encoding="utf-8")
+        journal.replace(args.out, text + "\n")
         print(
             f"{len(doc['cells'])} cliff cell(s) exported to {args.out} — "
             "replay one with: python -m repro.campaign run --spec "

@@ -28,6 +28,7 @@ from typing import Optional
 
 from repro.campaign.matrix import MatrixReport
 from repro.campaign.spec import AXES
+from repro.util import journal
 
 _CSS = """
 body { font: 14px/1.5 -apple-system, 'Segoe UI', sans-serif;
@@ -143,12 +144,6 @@ def _page(title: str, sections) -> str:
         + "\n".join(s for s in [f"<h1>{html.escape(title)}</h1>", *sections] if s)
         + "\n</body></html>\n"
     )
-
-
-def _write(path, page: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(page)
-    return path
 
 
 def _scatter(cells: list[dict], front_ids: set) -> str:
@@ -343,7 +338,7 @@ def render_html(
 
 def write_html(path, matrix, baseline=None, drift_threshold: float = 0.05):
     """Render and write the dashboard; returns the path."""
-    return _write(
+    return journal.replace(
         path, render_html(matrix, baseline=baseline, drift_threshold=drift_threshold)
     )
 
@@ -528,4 +523,4 @@ def render_search_html(archive) -> str:
 
 def write_search_html(path, archive):
     """Render and write the search dashboard; returns the path."""
-    return _write(path, render_search_html(archive))
+    return journal.replace(path, render_search_html(archive))

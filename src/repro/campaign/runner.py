@@ -152,17 +152,17 @@ def cell_config(cell: CellSpec) -> dict:
 
 def build_world(
     cell: CellSpec, obs=None
-) -> tuple[FleetDriver, BrokerPool, AdmissionController, Optional[dict]]:
-    """The one builder of a cell's fabric: driver, broker pool (attached
-    to ``obs``), placement policy on the cell's placement sub-seed, and
-    admission controller, in that order.  Returns ``(driver, pool,
-    controller, autoscale)``, ``autoscale`` being the cell's
-    ReactiveAutoscaler kwargs or None.
+) -> tuple[FleetDriver, AdmissionController, Optional[dict]]:
+    """The one builder of a cell's fabric: driver, placement policy on
+    the cell's placement sub-seed, and admission controller, in that
+    order.  Returns ``(driver, controller, autoscale)``, ``autoscale``
+    being the cell's ReactiveAutoscaler kwargs or None.
 
     :func:`run_cell` and the live server both build through here, so a
     live run and its replay cell stand on the same fabric.  The
     autoscaler is left to the caller, which builds it where its own
-    event order puts it.
+    event order puts it; so is the broker pool, which only the chaos
+    harness of :func:`run_cell` uses.
     """
     config = cell_config(cell)
     driver = FleetDriver(
@@ -171,26 +171,23 @@ def build_world(
         registry_shards=int(config["registry_shards"]),
         obs=obs,
     )
-    pool = BrokerPool.build(
-        driver.net,
-        [site.svc_name for site in driver.sites],
-        port=int(config["broker_port"]),
-    )
-    driver.obs.attach_pool(pool)
     placement, autoscale = build_policy(cell.policy, seed=cell.subseed("placement"))
     controller = AdmissionController(
         driver,
         placement=placement,
         queue_limit=int(config["queue_limit"]),
     )
-    return driver, pool, controller, autoscale
+    return driver, controller, autoscale
 
 
 def run_cell(cell: CellSpec) -> dict:
     """Execute one cell in a fresh world; returns its store record."""
     t0 = time.perf_counter()
     config = cell_config(cell)
-    driver, pool, controller, autoscale_kwargs = build_world(cell)
+    driver, controller, autoscale_kwargs = build_world(cell)
+    pool = BrokerPool.build(
+        driver.net, [site.svc_name for site in driver.sites], port=int(config["broker_port"])
+    )
     harness = ChaosHarness(
         driver, controller, pool=pool,
         monitor_interval=float(config["monitor_interval"]),

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import pathlib
 import random
 from dataclasses import dataclass, field
@@ -59,6 +58,7 @@ from repro.campaign.spec import (
 )
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
+from repro.util import journal
 
 SEARCH_SCHEMA = "repro.campaign/search-v1"
 ARCHIVE_SCHEMA = "repro.campaign/search-archive-v1"
@@ -521,13 +521,8 @@ class SearchArchive:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
 
     def write(self, path) -> pathlib.Path:
-        """Atomically (tmp + ``os.replace``) persist the archive."""
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (path.name + ".tmp")
-        tmp.write_text(self.dumps(), encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        """Atomically (:func:`~repro.util.journal.replace`) persist the archive."""
+        return journal.replace(path, self.dumps())
 
     @classmethod
     def load(cls, path) -> "SearchArchive":

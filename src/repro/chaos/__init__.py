@@ -21,6 +21,10 @@ recovery machinery upholds its conservation laws under it:
   ledger balance, one shard per handle, handles resolve, telemetry
   merges lossless).
 
+:class:`ChaosHarness` wires the last three in order and owns the broker
+pool: only vbroker crashes and broker failover use one, so a world that
+runs no harness builds none.
+
 The quickest way in::
 
     driver = FleetDriver(n_sites=3, queue_slots=2)
@@ -61,8 +65,10 @@ class ChaosHarness:
 
     Order matters: the monitor must subscribe before recovery so its
     mirrors see every lifecycle event, and recovery must see faults only
-    after the injector applied them.  This little bundle exists so every
-    bench/test stands up an identical, correctly-ordered world.
+    after the injector applied them; the pool and injector are attached
+    to ``driver.obs`` last, so its fault hook runs after recovery's.
+    This little bundle exists so every bench/test stands up an identical,
+    correctly-ordered world.
     """
 
     def __init__(
@@ -73,6 +79,9 @@ class ChaosHarness:
         self.monitor = InvariantMonitor(driver, controller=controller, interval=monitor_interval)
         self.injector = FaultInjector(driver, controller=controller, pool=pool)
         self.recovery = RecoveryOrchestrator(self.injector, policy=policy)
+        if pool is not None:
+            driver.obs.attach_pool(pool)
+        driver.obs.attach_injector(self.injector)
 
     def install(self, schedule: FaultSchedule) -> list:
         return self.injector.install(schedule)

@@ -3,8 +3,8 @@
 One :class:`LiveServer` builds its stack with the campaign cell's own
 builder, :func:`~repro.campaign.runner.build_world`, on the cell its
 trace replays as — :class:`~repro.fleet.driver.FleetDriver` fabric,
-broker pool, :class:`~repro.load.admission.AdmissionController` with a
-placement policy, plus an optional autoscaler — but drives it with a
+:class:`~repro.load.admission.AdmissionController` with a placement
+policy, plus an optional autoscaler — but drives it with a
 :class:`~repro.live.pacing.PacedRunner` instead of
 ``Environment.run()``, and accepts sessions from the network instead of
 an arrival process:
@@ -25,6 +25,9 @@ path batch campaigns exercise.  A full admission queue answers **429**
 with a ``Retry-After`` derived from the queue's minimum remaining
 patience.  When a trace path is given, every offer (admitted or not)
 is recorded for deterministic replay (:mod:`repro.live.trace`).
+
+The live world runs no chaos harness, so it builds no broker pool
+(its replay cell's harness builds one in ``run_cell``).
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ class LiveServer:
         # untraced run lowers through the same function on a stand-in.
         trace = UNTRACED if trace_path is None else trace_path
         cell = replay_campaign(merged, trace).cells()[0]
-        driver, self.pool, self.controller, autoscale = build_world(cell, obs=self.obs)
+        driver, self.controller, autoscale = build_world(cell, obs=self.obs)
         self.driver = driver
         self.runner = PacedRunner(driver.env, rate=merged["rate"], max_tick=MAX_TICK)
         self.obs.attach_runner(self.runner)

@@ -137,13 +137,26 @@ class Connection:
             raise ChannelClosed(f"peer {self.peer_host.name} closed the connection")
         return item
 
-    def try_recv(self) -> tuple[bool, Any]:
-        """Non-suspending receive: ``(True, payload)`` or ``(False, None)``."""
+    def poll(self) -> tuple[bool, Any]:
+        """Non-suspending receive: ``(True, payload)`` or ``(False, None)``
+        (with :meth:`send`, the interface a :class:`~repro.net.SyncPipe`
+        end shares)."""
         ok, item = self.inbox.try_get()
         if ok and isinstance(item, _Closed):
             self.closed = True
             raise ChannelClosed(f"peer {self.peer_host.name} closed the connection")
         return ok, item
+
+    # -- parked-pump support (see :func:`repro.steering.api.parked_tick`) ----
+
+    def arrival(self):
+        """DES event resolving with the next delivered item, consumed from
+        the inbox: a parked pump hands it back via :meth:`requeue`."""
+        return self.inbox.get()
+
+    def requeue(self, item: Any) -> None:
+        """Put a consumed arrival back at the head of the inbox."""
+        self.inbox.items.appendleft(item)
 
     def pending(self) -> int:
         """Number of already-delivered, unread messages."""

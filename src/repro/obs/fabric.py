@@ -4,8 +4,8 @@ Construction is cheap and declarative::
 
     obs = Observability(tracing=True, breakers=True, quota=4)
     driver = FleetDriver(n_sites=4, obs=obs)          # binds env + fleet
-    pool = BrokerPool.build(...); obs.attach_pool(pool)
     controller = AdmissionController(driver, ...)      # self-attaches
+    world = ChaosHarness(driver, controller, pool=pool)  # attaches both
 
 A piece switched off is its null twin, never ``None``, so hooks are
 called unconditionally and "obs off = pre-obs bytes" holds in one place:

@@ -23,6 +23,7 @@ import json
 from typing import Optional
 
 from repro.errors import ObsError
+from repro.util import journal
 
 #: lane name for spans not owned by any one session
 FABRIC = "fabric"
@@ -262,12 +263,11 @@ class Tracer:
 
         Pure sim-time payload, serialized with sorted keys — the
         deterministic artifact the golden tests hash.  Perfetto opens
-        JSONL directly.
+        JSONL directly.  The file is replaced whole, never left torn.
         """
         events = self.to_events()
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in events:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+        lines = [json.dumps(event, sort_keys=True) + "\n" for event in events]
+        journal.replace(path, "".join(lines))
         return len(events)
 
 

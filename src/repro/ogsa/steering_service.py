@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from repro.errors import OgsaError
 from repro.ogsa.service import GridService, operation
-from repro.steering.api import parked_tick
+from repro.steering.api import pump
 from repro.steering.control import (
     Ack,
     CheckpointCmd,
@@ -61,51 +61,29 @@ class SteeringService(GridService):
     # -- ingest loop --------------------------------------------------------------
 
     def _pump(self):
-        # The pump's poll cadence is observable: processing an ack chains
-        # straight into the service reply and its link reservation, so
-        # pumps sharing a poll instant must keep their stable relative
-        # order.  An idle pump therefore parks through ``parked_tick``,
-        # which wakes it on its 0.01 s grid in polling order — and it
-        # exits once the application acked Stop, because its control
-        # loop has returned and the link is silent forever after.
-        env = self.env
-        link = self.app_link
-        poll = link.poll
-        app_done = False
-        while True:
-            progressed = False
-            while True:
-                ok, msg = poll()
-                if not ok:
-                    break
-                progressed = True
-                if isinstance(msg, Ack):
-                    entry = self._waiters.pop(msg.seq, None)
-                    if entry is not None and not entry[0].triggered:
+        # A method so tests/reference_pump.py can swap in its polling oracle.
+        return pump(self.env, self.app_link, self._ingest)
+
+    def _ingest(self, msg) -> bool:
+        """Ingest one message from the application; True on its Stop ack."""
+        if isinstance(msg, Ack):
+            entry = self._waiters.pop(msg.seq, None)
+            if entry is not None and not entry[0].triggered:
+                entry[0].succeed(msg)
+            return msg.ok and msg.command == "Stop"
+        if isinstance(msg, StatusReport):
+            self.last_status = msg
+            self.service_data["steered_parameters"] = sorted(msg.parameters)
+            # Status replies also answer pending GetStatus waiters.
+            for seq, entry in list(self._waiters.items()):
+                if entry[1]:
+                    del self._waiters[seq]
+                    if not entry[0].triggered:
                         entry[0].succeed(msg)
-                    if msg.ok and msg.command == "Stop":
-                        app_done = True
-                elif isinstance(msg, StatusReport):
-                    self.last_status = msg
-                    self.service_data["steered_parameters"] = sorted(
-                        msg.parameters
-                    )
-                    # Status replies also answer pending GetStatus waiters.
-                    for seq, entry in list(self._waiters.items()):
-                        if entry[1]:
-                            del self._waiters[seq]
-                            if not entry[0].triggered:
-                                entry[0].succeed(msg)
-                elif isinstance(msg, SampleMsg):
-                    self.latest_sample = msg
-                    self.samples_seen += 1
-            # Poll at a fine grain; the pump is cheap in virtual time.
-            if progressed:
-                yield env.timeout(0.0)
-            elif app_done:
-                return
-            else:
-                yield from parked_tick(env, link, 0.01)
+        elif isinstance(msg, SampleMsg):
+            self.latest_sample = msg
+            self.samples_seen += 1
+        return False
 
     def _command(self, msg, wants_status: bool = False):
         """Generator -> Ack/StatusReport: send a command, await its reply."""

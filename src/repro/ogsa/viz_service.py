@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import OgsaError
 from repro.ogsa.service import GridService, operation
-from repro.steering.api import parked_tick
+from repro.steering.api import pump
 from repro.steering.control import SampleMsg
 from repro.viz import Camera, Renderer, compress_frame, isosurface
 
@@ -49,30 +49,14 @@ class VisualizationService(GridService):
 
     def attached(self, container, now: float) -> None:
         super().attached(container, now)
-        self.env.process(self._pump())
+        self.env.process(pump(self.env, self.sample_link, self._ingest))
 
-    def _pump(self):
-        env = self.env
-        link = self.sample_link
-        poll = link.poll
-        while True:
-            progressed = False
-            while True:
-                ok, msg = poll()
-                if not ok:
-                    break
-                progressed = True
-                if isinstance(msg, SampleMsg) and self.field_key in msg.data:
-                    self.latest_field = np.asarray(msg.data[self.field_key])
-                    self.latest_step = msg.step
-                    if self.on_frame is not None:
-                        self.on_frame(msg.step)
-            # Idle pumps park on the link instead of burning empty poll
-            # events — virtual-time behaviour is identical (parked_tick).
-            if progressed:
-                yield env.timeout(0.0)
-            else:
-                yield from parked_tick(env, link, 0.01)
+    def _ingest(self, msg) -> None:
+        if isinstance(msg, SampleMsg) and self.field_key in msg.data:
+            self.latest_field = np.asarray(msg.data[self.field_key])
+            self.latest_step = msg.step
+            if self.on_frame is not None:
+                self.on_frame(msg.step)
 
     # -- operations ------------------------------------------------------------
 

@@ -23,12 +23,12 @@ and the CI gate (:mod:`repro.perf.gate`) can read any bench's baseline.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import sys
 from typing import Any, Optional
 
 from repro.errors import ReproError
+from repro.util import journal
 
 BENCH_SCHEMA = "repro.perf/bench-v1"
 
@@ -76,17 +76,13 @@ def write_bench(
 ) -> pathlib.Path:
     """Write one bench's uniform BENCH_*.json document.
 
-    Atomically: the document lands in a sibling ``.tmp`` file first and
-    is ``os.replace``-d over the target, so an interrupted bench run can
-    never leave a truncated baseline for the CI perf gate to misread —
-    the committed JSON is always either the old document or the new one.
+    Atomically (:func:`repro.util.journal.replace`), so an interrupted
+    bench run can never leave a truncated baseline for the CI perf gate
+    to misread — the committed JSON is always either the old document or
+    the new one.
     """
-    path = pathlib.Path(path)
     doc = bench_envelope(name, results, wall_seconds=wall_seconds, events=events)
-    tmp = path.parent / (path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path
+    return journal.replace(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_bench(path: pathlib.Path | str) -> dict:

@@ -32,7 +32,7 @@ from repro.steering.control import (
     decode_message,
     encode_message,
 )
-from repro.steering.api import LinkAdapter, SteeredApplication
+from repro.steering.api import SteeredApplication
 from repro.steering.client import SteeringClient
 from repro.steering.session import CollaborativeSession, Role
 from repro.steering.collab import ControlStateServer
@@ -58,7 +58,6 @@ __all__ = [
     "encode_message",
     "decode_message",
     "SteeredApplication",
-    "LinkAdapter",
     "SteeringClient",
     "CollaborativeSession",
     "Role",

@@ -16,7 +16,7 @@ and gives it the RealityGrid/VISIT application surface:
 from __future__ import annotations
 
 from functools import cmp_to_key, partial
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SteeringError
 from repro.steering.control import (
@@ -34,40 +34,8 @@ from repro.steering.params import ParameterDef, ParameterRegistry
 from repro.util.ids import IdAllocator
 
 
-class LinkAdapter:
-    """Adapts a :class:`repro.net.Connection` to the poll-style duplex
-    interface (``send`` / ``poll``) the steering layer uses.
-
-    In-memory :class:`repro.net.SyncPipe` endpoints already satisfy the
-    interface and need no adapter.  ``poll`` is the connection's
-    ``try_recv`` bound directly — service pumps call it hundreds of
-    thousands of times, so the extra frame of a forwarding method is
-    measurable.
-    """
-
-    __slots__ = ("_conn", "poll")
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-        self.poll = conn.try_recv
-
-    def send(self, obj: Any, size: Optional[int] = None) -> None:
-        self._conn.send(obj, size=size)
-
-    # -- parked-pump support (see :func:`parked_tick`) ---------------------
-
-    def arrival(self):
-        """DES event resolving with the next delivered payload.
-
-        Consumes the head of the connection's inbox; pumps that park on
-        this must hand the payload back via :meth:`requeue` before
-        resuming their normal poll loop.
-        """
-        return self._conn.inbox.get()
-
-    def requeue(self, item: Any) -> None:
-        """Put a consumed arrival back at the head of the inbox."""
-        self._conn.inbox.items.appendleft(item)
+#: seconds between the poll rounds of a service pump (:func:`pump`)
+PUMP_TICK = 0.01
 
 
 def _poll_order(a: tuple, b: tuple, tick: float) -> float:
@@ -177,6 +145,31 @@ def parked_tick(env, link, tick: float):
     if t > now:
         yield parking.wake(env, t, tick, (t0, k, ordinal))
     link.requeue(item)
+
+
+def pump(env, link, handle: Callable[[Any], Any]):
+    """Generator: the one drain-and-park loop of a service fed by ``link``.
+
+    A round hands every delivered message to ``handle`` and yields
+    ``timeout(0.0)``; an idle round parks through :func:`parked_tick` on
+    the :data:`PUMP_TICK` grid, keeping the polling order that handling
+    an ack (a reply and its link reservation) makes observable.  Once
+    ``handle`` has returned True (the application acked Stop) the link
+    stays silent, so the pump ends at its first quiet round.
+    """
+    poll = link.poll
+    done = False
+    while True:
+        ok, msg = poll()
+        if ok:
+            while ok:
+                done = handle(msg) or done
+                ok, msg = poll()
+            yield env.timeout(0.0)
+        elif done:
+            return
+        else:
+            yield from parked_tick(env, link, PUMP_TICK)
 
 
 class SteeredApplication:

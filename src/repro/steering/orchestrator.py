@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import SteeringError
-from repro.steering.api import LinkAdapter
 
 # The ogsa/unicore imports happen inside the methods: the steering package
 # must stay importable on its own (ogsa's services import steering.control,
@@ -103,14 +102,8 @@ class RealityGridOrchestrator:
         sample_listener.close()
 
         # 3. Deploy + publish the services.
-        steer = SteeringService(
-            f"steer-{job_name}", LinkAdapter(control_conn),
-            application_name=application,
-        )
-        viz = VisualizationService(
-            f"viz-{job_name}", LinkAdapter(sample_conn),
-            field_key=self.field_key,
-        )
+        steer = SteeringService(f"steer-{job_name}", control_conn, application_name=application)
+        viz = VisualizationService(f"viz-{job_name}", sample_conn, field_key=self.field_key)
         if self.on_viz_frame is not None:
             viz.on_frame = self.on_viz_frame
         steer_ref = self.container.deploy(steer)
@@ -166,9 +159,9 @@ def make_outbound_app_factory(
         app = SteeredApplication(sim, name=args.get("name", "app"),
                                  sample_interval=sample_interval)
         conn = yield from host.connect(service_host_name, control_port)
-        app.attach_control(LinkAdapter(conn))
+        app.attach_control(conn)
         conn = yield from host.connect(service_host_name, sample_port)
-        app.attach_sample_sink(LinkAdapter(conn))
+        app.attach_sample_sink(conn)
         steps = yield from steered_app_process(
             env, app, compute_time=compute_time,
             max_steps=args.get("steps", max_steps),

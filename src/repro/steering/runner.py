@@ -11,20 +11,22 @@ from typing import Callable, Optional, Union
 
 from repro.steering.api import SteeredApplication
 
+#: seconds between the control polls of a paused application
+IDLE_POLL = 0.05
+
 
 def steered_app_process(
     env,
     app: SteeredApplication,
     compute_time: Union[float, Callable] = 0.01,
     max_steps: Optional[int] = None,
-    idle_poll: float = 0.05,
 ):
     """Generator: the instrumented main loop under virtual time.
 
     ``compute_time`` is seconds of virtual compute per simulation step,
     or a callable ``f(sim) -> seconds`` for size-dependent cost models.
     A paused application keeps polling its control links every
-    ``idle_poll`` seconds — that is how it hears the Resume.
+    :data:`IDLE_POLL` seconds — that is how it hears the Resume.
 
     A compute tick costs virtual time; the numerics cost none.  So the
     loop does not step the simulation at each tick: it records the step
@@ -40,7 +42,7 @@ def steered_app_process(
         if app.stopped:
             break
         if app.paused:
-            yield env.timeout(idle_poll)
+            yield env.timeout(IDLE_POLL)
             continue
         cost = compute_time(app.sim) if callable(compute_time) else compute_time
         yield env.timeout(cost)

@@ -4,10 +4,11 @@ A journal file is a header line followed by one line per record, each
 line ``dumps(record) + "\\n"``.  Three operations, and no other code in
 the package knows how such a file is written or parsed:
 
-* :func:`create` — the header lands in a sibling ``.tmp`` that is
-  ``os.replace``-d over the path, **once per file**, so a path never
-  names a half-written header and a stale file at that path is replaced
-  whole.  Durable callers get file-then-directory fsync.
+* :func:`create` — the header is written whole through :func:`replace`
+  (a sibling ``.tmp`` ``os.replace``-d over the path), **once per
+  file**, so a path never names a half-written header and a stale file
+  at that path is replaced whole.  Durable callers get
+  file-then-directory fsync.
 * :func:`append` — one complete line in a single ``os.write`` on an
   ``O_APPEND`` descriptor (short writes completed), fsynced before
   returning for durable callers.  The descriptor lives for one call:
@@ -15,6 +16,10 @@ the package knows how such a file is written or parsed:
 * :func:`load` — bytes split on ``\\n``; a torn *trailing* line (one the
   writer never terminated) is dropped and counted, a bad line anywhere
   else is refused with the caller's typed error.  Loading never writes.
+
+Beside them sits :func:`replace`, the package's one whole-file writer,
+which :func:`create` and every document writer (archives, bench
+envelopes, dashboards, span JSONL) go through.
 
 Atomicity is "a record is one write, and an append never lands behind
 bytes the loader would not accept".  A kill mid-``write`` leaves a line
@@ -80,14 +85,19 @@ def _fsync_dir(directory: pathlib.Path) -> None:
         os.close(fd)
 
 
-def create(path: pathlib.Path | str, header: dict, fsync: bool) -> None:
-    """Atomically make ``path`` a journal holding only ``header``."""
+def replace(path: pathlib.Path | str, text: str, fsync: bool = False) -> pathlib.Path:
+    """Atomically make ``text`` the whole of ``path``; returns the path.
+
+    The package's one whole-file writer: the text lands in a sibling
+    ``.tmp`` that is ``os.replace``-d over the path, so a crash leaves
+    the old file or the new one, never a torn one.
+    """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / (path.name + ".tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        _write_all(fd, (dumps(header) + "\n").encode("utf-8"))
+        _write_all(fd, text.encode("utf-8"))
         if fsync:
             os.fsync(fd)
     finally:
@@ -95,6 +105,12 @@ def create(path: pathlib.Path | str, header: dict, fsync: bool) -> None:
     os.replace(tmp, path)
     if fsync:
         _fsync_dir(path.parent)
+    return path
+
+
+def create(path: pathlib.Path | str, header: dict, fsync: bool) -> None:
+    """Atomically make ``path`` a journal holding only ``header``."""
+    replace(path, dumps(header) + "\n", fsync)
 
 
 def _repair_tail(fd: int) -> int:

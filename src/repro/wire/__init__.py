@@ -1,4 +1,4 @@
-"""Wire formats: self-describing typed binary codec + stream framing.
+"""Wire format: the self-describing typed binary codec.
 
 VISIT (paper section 3.2) transfers "simple data types like strings,
 integers, floats, user defined structures, and arrays of these" using an
@@ -12,16 +12,11 @@ from repro.wire.codec import (
     decode,
     describe,
     encode,
-    encoded_size,
 )
-from repro.wire.frames import FrameDecoder, encode_frame
 
 __all__ = [
     "encode",
     "decode",
     "describe",
-    "encoded_size",
     "coerce_array",
-    "encode_frame",
-    "FrameDecoder",
 ]

@@ -201,11 +201,6 @@ def _decode_value(buf: memoryview, offset: int, bo: str) -> tuple[Any, int]:
     raise CodecError(f"unknown type tag {tag:#x}")
 
 
-def encoded_size(value: Any) -> int:
-    """Size in bytes of ``encode(value)`` — used by link cost models."""
-    return len(encode(value))
-
-
 #: (type, field-name tuple) -> constant envelope bytes for dataclass-like
 #: message objects: the struct overhead plus the cost of the field-name
 #: strings.  Control traffic (SYN/ACK/steer acks, status requests) re-walks

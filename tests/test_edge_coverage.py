@@ -151,17 +151,6 @@ def test_ogsa_container_malformed_envelope_fault():
     assert container.faults_returned == 1
 
 
-def test_frame_decoder_pending_bytes_visibility():
-    from repro.wire import FrameDecoder, encode_frame
-
-    dec = FrameDecoder()
-    blob = encode_frame(1, b"abcdef")
-    dec.feed(blob[:5])
-    assert dec.pending_bytes == 5
-    dec.feed(blob[5:])
-    assert dec.pending_bytes == 0
-
-
 def test_store_get_waiters_dont_steal_after_process_end():
     """A drained schedule with parked getters simply ends the run."""
     env = Environment()

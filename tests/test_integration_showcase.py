@@ -16,7 +16,6 @@ from repro.sims import LatticeBoltzmann3D
 from repro.sims.pepc import PlasmaSim, beam_on_sphere_setup
 from repro.steering import (
     CollaborativeSession,
-    LinkAdapter,
     SteeredApplication,
     SteeringClient,
     steered_app_process,
@@ -70,7 +69,7 @@ def test_unicore_launched_simulation_steered_through_ogsa():
         sim = LatticeBoltzmann3D(shape=(8, 8, 8), g=0.5, seed=3)
         app = SteeredApplication(sim, name="lb3d")
         conn = yield from host.connect("svc", 7001)
-        app.attach_control(LinkAdapter(conn))
+        app.attach_control(conn)
         steps = yield from steered_app_process(env_, app, compute_time=0.05,
                                                max_steps=args["steps"])
         uspace.write("final.dat", f"{sim.g} {sim.demix_measure()}".encode())
@@ -83,8 +82,7 @@ def test_unicore_launched_simulation_steered_through_ogsa():
 
     def service_side():
         conn = yield from listener.accept()
-        svc = SteeringService("steer", LinkAdapter(conn),
-                              application_name="LB3D")
+        svc = SteeringService("steer", conn, application_name="LB3D")
         container.deploy(svc)
         deployed["ok"] = True
 
@@ -196,12 +194,12 @@ def test_collaborative_session_over_real_network_links():
 
         def accept():
             conn = yield from lst.accept()
-            wired["app_side"] = LinkAdapter(conn)
+            wired["app_side"] = conn
 
         env.process(accept())
         conn = yield from net.host("hpc").connect("hub", 7001)
-        app.attach_control(LinkAdapter(conn))
-        app.attach_sample_sink(LinkAdapter(conn))
+        app.attach_control(conn)
+        app.attach_sample_sink(conn)
 
     env.process(wire())
 
@@ -217,14 +215,14 @@ def test_collaborative_session_over_real_network_links():
                      for name, port in (("site-a", 7100), ("site-b", 7101))}
         for name, lst in listeners.items():
             conn = yield from lst.accept()
-            session.join(name, LinkAdapter(conn))
+            session.join(name, conn)
         while True:
             session.pump()
             yield env.timeout(0.01)
 
     def participant(name, port):
         conn = yield from net.host(name).connect("hub", port)
-        clients[name] = SteeringClient(LinkAdapter(conn), name=name)
+        clients[name] = SteeringClient(conn, name=name)
 
     env.process(hub())
     env.process(participant("site-a", 7100))

@@ -36,6 +36,15 @@ def test_rejects_unknown_config_keys():
         LiveServer(config={"warp_speed": 9})
 
 
+def test_live_world_starts_no_broker_pool():
+    # Only the chaos harness uses a broker pool, and the live world runs none.
+    server = LiveServer(config=dict(FAST))
+    port = server.config["broker_port"]
+    assert server.driver.sites
+    for site in server.driver.sites:
+        assert port not in server.driver.net.host(site.svc_name).listeners
+
+
 def test_session_lifecycle_over_http():
     async def go():
         server = LiveServer(config=dict(FAST))

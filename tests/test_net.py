@@ -200,7 +200,7 @@ def test_close_propagates_to_peer():
     assert result.get("closed")
 
 
-def test_try_recv_nonblocking():
+def test_poll_nonblocking():
     env = Environment()
     net = make_net(env)
     result = {}
@@ -208,10 +208,10 @@ def test_try_recv_nonblocking():
     def server():
         lst = net.host("b").listen(1)
         conn = yield from lst.accept()
-        ok, _ = conn.try_recv()
+        ok, _ = conn.poll()
         result["early"] = ok
         yield env.timeout(1.0)
-        ok, msg = conn.try_recv()
+        ok, msg = conn.poll()
         result["late"] = (ok, msg)
 
     def client():
@@ -223,6 +223,35 @@ def test_try_recv_nonblocking():
     env.run()
     assert result["early"] is False
     assert result["late"] == (True, b"m")
+
+
+def test_arrival_consumes_the_head_and_requeue_restores_send_order():
+    env = Environment()
+    net = make_net(env)
+    result = {}
+
+    def server():
+        lst = net.host("b").listen(1)
+        conn = yield from lst.accept()
+        head = yield conn.arrival()
+        result["head"] = head
+        result["after_arrival"] = conn.poll()
+        yield env.timeout(1.0)
+        conn.requeue(head)
+        result["drained"] = [conn.poll() for _ in range(4)]
+
+    def client():
+        conn = yield from net.host("a").connect("b", 1)
+        for payload in (b"one", b"two", b"three"):
+            conn.send(payload)
+            yield env.timeout(0.1)
+
+    env.process(server())
+    env.process(client())
+    env.run()
+    assert result["head"] == b"one"
+    assert result["after_arrival"] == (False, None)
+    assert result["drained"] == [(True, b"one"), (True, b"two"), (True, b"three"), (False, None)]
 
 
 def test_traffic_accounting():

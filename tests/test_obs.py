@@ -22,6 +22,7 @@ import re
 
 import pytest
 
+from repro.chaos import ChaosHarness, FaultSchedule, SiteOutage
 from repro.des import Environment
 from repro.errors import CircuitOpen, ObsError
 from repro.fleet import FleetDriver, fleet_of
@@ -153,6 +154,19 @@ def test_fleet_report_stays_golden_with_obs_enabled():
     golden = json.loads((GOLDEN / "fleet_report_8.json").read_text())
     assert report.to_dict() == golden
     assert obs.tracer.counts()["sessions"] == 8
+
+
+def test_chaos_harness_attaches_its_injector_to_the_drivers_obs():
+    # No attach_injector call: building the harness is enough for the
+    # fault window to reach the trace and the metrics.
+    obs = Observability(tracing=True)
+    driver = FleetDriver(fleet_of(2, stagger=0.2), n_sites=2, obs=obs)
+    world = ChaosHarness(driver)
+    world.install(FaultSchedule([SiteOutage(at=1.0, duration=1.0, site=1)]))
+    driver.run(wall_seconds=None)
+    (span,) = [s for s in obs.tracer.spans if s.name == "fault:SiteOutage"]
+    assert span.cat == "chaos" and span.end is not None
+    assert 'repro_faults_total{kind="SiteOutage"} 1' in obs.metrics.render()
 
 
 def test_batch_fleets_get_synthetic_admit_spans():

@@ -61,10 +61,8 @@ def _open_loop() -> Observability:
     obs = Observability(tracing=True, metrics=True, breakers=BREAKERS, quota=2)
     driver = FleetDriver(n_sites=3, queue_slots=2, obs=obs)
     pool = BrokerPool.build(driver.net, [s.svc_name for s in driver.sites], port=7100)
-    obs.attach_pool(pool)
     ctl = AdmissionController(driver, queue_limit=6)
     world = ChaosHarness(driver, ctl, pool=pool)
-    obs.attach_injector(world.injector)
     world.install(FaultSchedule([
         ContainerCrash(at=1.3, duration=0.8, site=0),
         VBrokerCrash(at=2.0, broker=0),
@@ -83,7 +81,6 @@ def _batch() -> Observability:
     obs = Observability(tracing=True, metrics=True, breakers=BREAKERS)
     driver = FleetDriver(fleet_of(6, stagger=0.2), n_sites=2, obs=obs)
     world = ChaosHarness(driver)
-    obs.attach_injector(world.injector)
     world.install(FaultSchedule([SiteOutage(at=3.0, duration=2.0, site=1)]))
     report = driver.run(wall_seconds=None)
     assert world.verdict(report)["invariant_violations"] == 0

@@ -52,7 +52,6 @@ from repro.sims.pepc import (
     tree_field,
 )
 from repro.steering import (
-    LinkAdapter,
     SteeredApplication,
     SteeringClient,
     steered_app_process,
@@ -117,10 +116,10 @@ def attach(env, net, app, app_host, svc_host, port, kind="control"):
     listener = net.host(svc_host).listen(port)
 
     def accept_side():
-        out["service_link"] = LinkAdapter((yield from listener.accept()))
+        out["service_link"] = yield from listener.accept()
 
     def connect_side():
-        link = LinkAdapter((yield from net.host(app_host).connect(svc_host, port)))
+        link = yield from net.host(app_host).connect(svc_host, port)
         (app.attach_control if kind == "control" else app.attach_sample_sink)(link)
 
     env.process(accept_side())

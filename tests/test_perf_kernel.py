@@ -184,7 +184,6 @@ def _pump_consumer(env, link, mode, out, tag=None):
 
 def _run_pump_world(mode):
     from repro.net.network import Network
-    from repro.steering.api import LinkAdapter
 
     env = Environment()
     net = Network(env)
@@ -196,7 +195,7 @@ def _run_pump_world(mode):
 
     def server():
         conn = yield from listener.accept()
-        yield from _pump_consumer(env, LinkAdapter(conn), mode, out)
+        yield from _pump_consumer(env, conn, mode, out)
 
     def client():
         conn = yield from net.host("a").connect("b", 9)
@@ -228,7 +227,6 @@ def test_parked_pumps_sharing_an_instant_fire_in_polling_order():
     # handles a message early; later all three get one inside one tick,
     # arriving in yet another order.
     from repro.net.network import Network
-    from repro.steering.api import LinkAdapter
 
     def world(mode):
         log = []
@@ -244,7 +242,7 @@ def test_parked_pumps_sharing_an_instant_fire_in_polling_order():
             for _ in range(3):
                 conns.append((yield from listener.accept()))
             for pump, conn in enumerate(conns):  # one instant, one grid
-                env.process(_pump_consumer(env, LinkAdapter(conn), mode, log, tag=pump))
+                env.process(_pump_consumer(env, conn, mode, log, tag=pump))
 
         def client():
             conns = []

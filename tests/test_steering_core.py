@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.des import Environment
 from repro.errors import ProtocolError, SteeringError
 from repro.net import SyncPipe
 from repro.sims import LatticeBoltzmann3D
@@ -20,6 +21,7 @@ from repro.steering import (
     encode_message,
     migrate_simulation,
 )
+from repro.steering.api import PUMP_TICK, pump
 from repro.wire import decode, encode
 
 
@@ -294,6 +296,32 @@ def test_two_control_links_both_served():
     c2.set_parameter("tau", 0.9)
     app.process_control()
     assert app.sim.g == 1.0 and app.sim.tau == 0.9
+
+
+def test_pump_ends_once_handled_stop_and_link_is_quiet():
+    env = Environment()
+    service_end, app_end = SyncPipe().ends()
+    seen = []
+
+    def handle(msg):
+        seen.append((env.now, msg))
+        return msg == "stop"
+
+    def app():
+        app_end.send("status")
+        yield env.timeout(0.015)
+        app_end.send("stop")
+        yield env.timeout(0.5)
+        app_end.send("late")
+
+    env.process(app())
+    pumping = env.process(pump(env, service_end, handle))
+    env.run()
+    # A SyncPipe end cannot signal arrivals, so the idle pump polls on
+    # the PUMP_TICK grid and hears the stop at its second tick.
+    assert seen == [(0.0, "status"), (2 * PUMP_TICK, "stop")]
+    assert not pumping.is_alive
+    assert service_end.pending() == 1  # "late" was never drained
 
 
 def test_sample_interval_validation():

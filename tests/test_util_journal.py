@@ -24,6 +24,7 @@ from repro.campaign import AxisPoint, CampaignSpec, ResultStore
 from repro.errors import CampaignError, LiveError, ReproError
 from repro.fleet.spec import ScenarioSpec
 from repro.live.trace import TraceRecorder, load_trace
+from repro.perf.bench import write_bench
 from repro.util import journal
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -133,6 +134,33 @@ def test_short_writes_are_completed_and_a_failed_write_is_rolled_back(tmp_path, 
     assert store.settled_ids() == {"one"}
     store.append(_cell("two"))  # the cell was not settled: it can be retried
     assert ResultStore(store_path).settled_ids() == {"one", "two"}
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, text: journal.replace(path, text),
+    lambda path, text: write_bench(path, "b", {"text": text}),
+], ids=["replace", "write_bench"])
+def test_whole_file_write_failing_midway_leaves_the_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "doc.json"
+    write(path, "old")
+    before = path.read_bytes()
+    real_write = os.write
+
+    def full_disk_after_7_bytes(fd, data):
+        monkeypatch.setattr(os, "write", _raise_enospc)
+        return real_write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", full_disk_after_7_bytes)
+    with pytest.raises(OSError, match="No space"):
+        write(path, "new" * 100)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    write(path, "new")
+    assert path.read_bytes() != before
+
+
+def _raise_enospc(fd, data):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 def test_durability_is_per_caller_and_replace_is_once_per_file(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodecError
-from repro.wire import coerce_array, decode, describe, encode, encoded_size
+from repro.wire import coerce_array, decode, describe, encode
 from repro.wire.codec import approx_size, approx_size_reference
 
 
@@ -109,11 +109,6 @@ def test_trailing_garbage_raises():
 def test_bad_byteorder_marker():
     with pytest.raises(CodecError):
         decode(b"\x07\x02\x00\x00\x00\x00")
-
-
-def test_encoded_size_matches():
-    value = {"field": np.zeros(128, dtype=np.float32)}
-    assert encoded_size(value) == len(encode(value))
 
 
 def test_describe():

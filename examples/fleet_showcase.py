@@ -90,7 +90,7 @@ def run_broker_pool() -> None:
               f"{value!r} (ok={ok})")
 
         # The master visualization dies mid-session.
-        broker._downstream[broker.master].conn.close()
+        broker._token.members[broker.master].close()
         new_master = pool.ensure_master("lb3d-collab")
         print(f"  [{env.now:6.3f}s] master died -> token moved to "
               f"{new_master!r}, participants={broker.participants()}")

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ChannelClosed, VenueError
+from repro.visit.token import MasterToken
 from repro.viz import Camera, Renderer
 from repro.viz.compress import compress_frame
 from repro.viz.framebuffer import FrameBuffer
@@ -40,11 +41,15 @@ class VizServerSession:
         self.port = port
         self.renderer = Renderer(width, height)
         self.scene = SceneGraph()
-        self._clients: dict[str, object] = {}  # site name -> connection
+        #: attached sites (name -> connection) and who holds camera control
+        self._token = MasterToken()
         self._last_frames: dict[str, Optional[FrameBuffer]] = {}
-        self.control_holder: Optional[str] = None
         self.frames_streamed = 0
         self.bytes_streamed = 0
+
+    @property
+    def control_holder(self) -> Optional[str]:
+        return self._token.holder
 
     def start(self) -> None:
         self.host.serve(self.port, self._serve)
@@ -56,20 +61,16 @@ class VizServerSession:
                 msg = yield from conn.recv(timeout=None)
             except ChannelClosed:
                 if site is not None:
-                    self._clients.pop(site, None)
+                    self._token.leave(site)
                     self._last_frames.pop(site, None)
-                    if self.control_holder == site:
-                        self.control_holder = next(iter(self._clients), None)
                 return
             if not isinstance(msg, dict):
                 continue
             op = msg.get("op")
             if op == "join":
                 site = msg.get("site", f"anon-{id(conn)}")
-                self._clients[site] = conn
+                self._token.join(site, conn)
                 self._last_frames[site] = None
-                if self.control_holder is None:
-                    self.control_holder = site
                 conn.send({"op": "joined", "control": self.control_holder == site})
             elif op == "move_camera":
                 if site != self.control_holder:
@@ -87,10 +88,9 @@ class VizServerSession:
                     conn.send({"op": "denied", "error": "not holding control"})
                     continue
                 target = msg.get("to")
-                if target not in self._clients:
+                if not self._token.pass_to(target):
                     conn.send({"op": "denied", "error": f"unknown site {target!r}"})
                     continue
-                self.control_holder = target
                 conn.send({"op": "control_passed"})
 
     # -- server-side rendering + streaming -----------------------------------------
@@ -104,7 +104,7 @@ class VizServerSession:
         ntris = self.renderer.primitives_drawn
         yield env.timeout(RENDER_FIXED + RENDER_PER_TRI * ntris)
         frame = self.renderer.fb
-        for site, conn in list(self._clients.items()):
+        for site, conn in list(self._token.members.items()):
             blob = compress_frame(frame, previous=self._last_frames.get(site))
             self._last_frames[site] = frame.copy()
             try:

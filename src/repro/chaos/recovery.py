@@ -120,7 +120,6 @@ class RecoveryOrchestrator:
         self._pending_migrate: dict[str, float] = {}
         self._retry_counts: dict[str, int] = {}
         self.recovery_latency = RunningStats()
-        self._latency_max = 0.0
         self.impacted = 0
         self.recovered_retry = 0
         self.recovered_migrate = 0
@@ -163,34 +162,40 @@ class RecoveryOrchestrator:
         for name in names:
             self.impacted += 1
             if action == RETRY:
-                self._retry(fault, name)
+                self._retry(fault.kind, name, self.env.now)
             elif action == DEGRADE:
                 self.driver.degrade_session(name)
                 self.degraded += 1
                 self.events.append((self.env.now, fault.kind, DEGRADE, name))
             else:  # abandon
-                self._abandon(fault, name)
+                self._abandon(fault.kind, name)
 
     # -- the four actions --------------------------------------------------
 
-    def _retry(self, fault: Fault, name: str) -> None:
+    def _retry(self, kind: str, name: str, fault_t: float, live: bool = True) -> None:
+        """Requeue ``name`` under its next retry name, within the retry
+        budget of its root; past the budget, abandon it.  A ``live``
+        session is cancelled first; an escalated one has already failed.
+        Recovery latency runs from ``fault_t``."""
         root = root_name(name)
         attempt = self._retry_counts.get(root, 0) + 1
         if self.controller is None or attempt > self.policy.max_retries:
-            self._abandon(fault, name)
+            self._abandon(kind, name, live)
             return
         self._retry_counts[root] = attempt
         spec = self.driver.spec_of(name)
-        self.driver.cancel_session(name, f"{fault.kind}; retrying elsewhere")
+        if live:
+            self.driver.cancel_session(name, f"{kind}; retrying elsewhere")
         retried = replace(spec, name=retry_name(root, attempt))
         self.controller.requeue(retried)
-        self._pending_retry[retried.name] = (name, self.env.now)
-        self.events.append((self.env.now, fault.kind, RETRY, name))
+        self._pending_retry[retried.name] = (name, fault_t)
+        self.events.append((self.env.now, kind, RETRY, name))
 
-    def _abandon(self, fault: Fault, name: str) -> None:
-        self.driver.cancel_session(name, f"{fault.kind}; abandoned")
+    def _abandon(self, kind: str, name: str, live: bool = True) -> None:
+        if live:
+            self.driver.cancel_session(name, f"{kind}; abandoned")
         self.abandoned += 1
-        self.events.append((self.env.now, fault.kind, ABANDON, name))
+        self.events.append((self.env.now, kind, ABANDON, name))
 
     def _migrate_sessions(self, fault: Fault, site_index: int, names: list[str]) -> None:
         source = self.driver.sites[site_index].container
@@ -199,7 +204,7 @@ class RecoveryOrchestrator:
             self.impacted += 1
             if target_site is None:
                 # Nowhere to go: fall back to retry (or abandon inside).
-                self._retry(fault, name)
+                self._retry(fault.kind, name, self.env.now)
                 continue
             target = self.driver.sites[target_site].container
             moved = 0
@@ -215,7 +220,7 @@ class RecoveryOrchestrator:
                 self._pending_migrate[name] = self.env.now
                 self.events.append((self.env.now, fault.kind, MIGRATE, name))
             else:
-                self._retry(fault, name)
+                self._retry(fault.kind, name, self.env.now)
 
     def _pick_target_site(self, exclude: int) -> Optional[int]:
         """The live site with the most headroom (deterministic tie-break:
@@ -304,21 +309,16 @@ class RecoveryOrchestrator:
 
     # -- lifecycle feedback ------------------------------------------------
 
-    def _record_latency(self, dt: float) -> None:
-        self.recovery_latency.add(dt)
-        if dt > self._latency_max:
-            self._latency_max = dt
-
     def _on_session(self, kind: str, name: str, site: int) -> None:
         if kind == "complete":
             if name in self._pending_retry:
                 _orig, fault_t = self._pending_retry.pop(name)
                 self.recovered_retry += 1
-                self._record_latency(self.env.now - fault_t)
+                self.recovery_latency.add(self.env.now - fault_t)
             if name in self._pending_migrate:
                 fault_t = self._pending_migrate.pop(name)
                 self.recovered_migrate += 1
-                self._record_latency(self.env.now - fault_t)
+                self.recovery_latency.add(self.env.now - fault_t)
         elif kind == "cancel":
             # A second fault cancelled a session we were already
             # recovering; whichever policy issued the cancel owns the
@@ -336,20 +336,7 @@ class RecoveryOrchestrator:
                 # to retry, keeping the original fault time so recovery
                 # latency measures fault-to-recovered.
                 fault_t = self._pending_migrate.pop(name)
-                self._escalate_retry(name, fault_t)
-
-    def _escalate_retry(self, name: str, fault_t: float) -> None:
-        root = root_name(name)
-        attempt = self._retry_counts.get(root, 0) + 1
-        if self.controller is None or attempt > self.policy.max_retries:
-            self.abandoned += 1
-            self.events.append((self.env.now, "escalation", ABANDON, name))
-            return
-        self._retry_counts[root] = attempt
-        retried = replace(self.driver.spec_of(name), name=retry_name(root, attempt))
-        self.controller.requeue(retried)
-        self._pending_retry[retried.name] = (name, fault_t)
-        self.events.append((self.env.now, "escalation", RETRY, name))
+                self._retry("escalation", name, fault_t, live=False)
 
     def _track_brokers(self, kind: str, name: str, site: int) -> None:
         if kind == "start":
@@ -389,7 +376,7 @@ class RecoveryOrchestrator:
             "recovery_latency_s": {
                 "n": stats.n,
                 "mean": stats.mean if stats.n else None,
-                "max": self._latency_max if stats.n else None,
+                "max": stats.max if stats.n else None,
             },
             "broker_failovers": self.broker_failovers,
             "registry_rebuilds": self.registry_rebuilds,

@@ -125,16 +125,23 @@ class ScenarioSpec:
             raise SteeringError(
                 f"spec {self.name!r}: cadence, duration and compute_time must be > 0"
             )
-        if self.steps is None:
-            # The app must outlive the steering loop, which ends it with
-            # Stop.  An op costs at most its cadence, a round trip of the
-            # link and one step of the app's compute; a loop that needs
-            # longer than the usual 10 s of slack gets that slack on top.
-            per_op = self.cadence + 2 * PROFILES[self.profile].latency + self.compute_time
-            horizon = self.duration + 10.0
-            if self.n_ops * per_op > horizon:
-                horizon = self.n_ops * per_op + 10.0
-            object.__setattr__(self, "steps", max(1, int(horizon / self.compute_time)))
+        try:
+            n_ops = self.n_ops
+            if self.steps is None:
+                # The app must outlive the steering loop, which ends it with
+                # Stop.  An op costs at most its cadence, a round trip of the
+                # link and one step of the app's compute; a loop that needs
+                # longer than the usual 10 s of slack gets that slack on top.
+                per_op = self.cadence + 2 * PROFILES[self.profile].latency + self.compute_time
+                horizon = self.duration + 10.0
+                if n_ops * per_op > horizon:
+                    horizon = n_ops * per_op + 10.0
+                object.__setattr__(self, "steps", max(1, int(horizon / self.compute_time)))
+        except OverflowError:
+            # ``10**400`` cannot become a float; ``1e308`` steps past inf.
+            raise SteeringError(
+                f"spec {self.name!r}: duration {self.duration!r:.40} has no finite step budget"
+            ) from None
         if self.steps < 1:
             raise SteeringError(f"spec {self.name!r}: steps must be >= 1")
 

@@ -34,7 +34,7 @@ from repro.steering.control import (
 )
 from repro.steering.api import SteeredApplication
 from repro.steering.client import SteeringClient
-from repro.steering.session import CollaborativeSession, Role
+from repro.steering.session import CollaborativeSession
 from repro.steering.collab import ControlStateServer
 from repro.steering.migration import migrate_simulation
 from repro.steering.runner import steered_app_process
@@ -60,7 +60,6 @@ __all__ = [
     "SteeredApplication",
     "SteeringClient",
     "CollaborativeSession",
-    "Role",
     "ControlStateServer",
     "migrate_simulation",
     "steered_app_process",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ProtocolError
+from repro.wire.tagged import TaggedCodec
 
 
 @dataclass
@@ -90,44 +90,10 @@ class SampleMsg:
     source: str = ""
 
 
-_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        SetParam,
-        Pause,
-        Resume,
-        Stop,
-        CheckpointCmd,
-        GetStatus,
-        Ack,
-        StatusReport,
-        SampleMsg,
-    )
-}
-
 COMMAND_TYPES = (SetParam, Pause, Resume, Stop, CheckpointCmd, GetStatus)
 
+_STEERING = TaggedCodec("steering", *COMMAND_TYPES, Ack, StatusReport, SampleMsg)
 
-def encode_message(msg: Any) -> dict:
-    """Dataclass -> wire dict with a ``_kind`` discriminator."""
-    kind = type(msg).__name__
-    if kind not in _TYPES:
-        raise ProtocolError(f"not a steering message: {msg!r}")
-    out = {"_kind": kind}
-    out.update(msg.__dict__)
-    return out
-
-
-def decode_message(payload: dict) -> Any:
-    """Wire dict -> dataclass instance."""
-    if not isinstance(payload, dict) or "_kind" not in payload:
-        raise ProtocolError(f"malformed steering message: {payload!r}")
-    kind = payload["_kind"]
-    cls = _TYPES.get(kind)
-    if cls is None:
-        raise ProtocolError(f"unknown steering message kind {kind!r}")
-    kwargs = {k: v for k, v in payload.items() if k != "_kind"}
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ProtocolError(f"bad fields for {kind}: {exc}") from None
+#: dataclass -> wire dict with a ``_kind`` discriminator, and back
+encode_message = _STEERING.to_wire
+decode_message = _STEERING.from_wire

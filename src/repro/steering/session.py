@@ -1,4 +1,4 @@
-"""Collaborative steering session: roles, master token, fan-out.
+"""Collaborative steering session: master token, fan-out.
 
 Exactly the vbroker semantics of section 3.3, expressed at the steering
 layer: "a 'multiplexer' that simply sends all VISIT send-requests to all
@@ -11,27 +11,11 @@ cooperative steering."
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import NotMaster, SteeringError
 from repro.steering.control import COMMAND_TYPES, Ack, SampleMsg
-
-
-class Role(enum.Enum):
-    MASTER = "master"
-    OBSERVER = "observer"
-
-
-@dataclass
-class Participant:
-    name: str
-    link: object  # duplex to that participant's client
-    role: Role
-    samples_forwarded: int = 0
-    commands_forwarded: int = 0
-    commands_rejected: int = 0
+from repro.visit.token import MasterToken
 
 
 class CollaborativeSession:
@@ -49,56 +33,46 @@ class CollaborativeSession:
             raise SteeringError("reject_policy must be 'reject' or 'drop'")
         self.app_link = app_link
         self.reject_policy = reject_policy
-        self._participants: dict[str, Participant] = {}
-        self._master: Optional[str] = None
-        self.master_handovers = 0
+        #: participants (name -> link) and the master
+        self._token = MasterToken()
 
     # -- membership -----------------------------------------------------------
 
-    def join(self, name: str, link) -> Participant:
-        if name in self._participants:
+    def join(self, name: str, link) -> None:
+        if name in self._token.members:
             raise SteeringError(f"participant {name!r} already joined")
-        role = Role.MASTER if self._master is None else Role.OBSERVER
-        p = Participant(name, link, role)
-        self._participants[name] = p
-        if role is Role.MASTER:
-            self._master = name
-        return p
+        self._token.join(name, link)
 
     def leave(self, name: str) -> None:
-        p = self._participants.pop(name, None)
-        if p is None:
+        # A departing master's token goes to the longest-standing observer.
+        if self._token.leave(name) is None:
             raise SteeringError(f"unknown participant {name!r}")
-        if self._master == name:
-            # Master left: promote the longest-standing observer, if any.
-            self._master = next(iter(self._participants), None)
-            if self._master is not None:
-                self._participants[self._master].role = Role.MASTER
-                self.master_handovers += 1
 
     @property
     def master(self) -> Optional[str]:
-        return self._master
+        return self._token.holder
+
+    @property
+    def master_handovers(self) -> int:
+        return self._token.handovers
 
     def participants(self) -> list[str]:
-        return list(self._participants)
+        return list(self._token.members)
 
     def pass_master(self, from_name: str, to_name: str) -> None:
         """Coordinated hand-over of the steering token."""
-        if self._master != from_name:
+        if self._token.holder != from_name:
             raise NotMaster(f"{from_name!r} does not hold the master token")
-        if to_name not in self._participants:
+        if not self._token.pass_to(to_name):
             raise SteeringError(f"unknown participant {to_name!r}")
-        self._participants[from_name].role = Role.OBSERVER
-        self._participants[to_name].role = Role.MASTER
-        self._master = to_name
-        self.master_handovers += 1
 
     # -- traffic ------------------------------------------------------------
 
     def pump(self) -> dict:
         """Move queued traffic once; returns counters for this pass."""
         stats = {"fanned_out": 0, "forwarded": 0, "rejected": 0, "replies": 0}
+        links = self._token.members
+        master = self._token.holder
 
         # App -> participants: samples fan out to all; command replies
         # (acks, status) go only to the master, who issued the commands.
@@ -107,41 +81,33 @@ class CollaborativeSession:
             if not ok:
                 break
             if isinstance(msg, SampleMsg):
-                for p in self._participants.values():
-                    p.link.send(msg)
-                    p.samples_forwarded += 1
+                for link in links.values():
+                    link.send(msg)
                 stats["fanned_out"] += 1
             else:
                 # Command replies route to the current master.
-                if self._master is not None:
-                    self._participants[self._master].link.send(msg)
+                if master is not None:
+                    links[master].send(msg)
                 stats["replies"] += 1
 
         # Participants -> app: master passes, observers bounce.
-        for p in list(self._participants.values()):
+        for name, link in list(links.items()):
             while True:
-                ok, msg = p.link.poll()
+                ok, msg = link.poll()
                 if not ok:
                     break
-                if not isinstance(msg, COMMAND_TYPES):
-                    p.commands_rejected += 1
-                    stats["rejected"] += 1
-                    continue
-                if p.role is Role.MASTER:
+                if isinstance(msg, COMMAND_TYPES) and name == master:
                     self.app_link.send(msg)
-                    p.commands_forwarded += 1
                     stats["forwarded"] += 1
-                else:
-                    p.commands_rejected += 1
-                    stats["rejected"] += 1
-                    if self.reject_policy == "reject":
-                        p.link.send(
-                            Ack(
-                                getattr(msg, "seq", -1),
-                                False,
-                                type(msg).__name__,
-                                error=f"{p.name} is an observer; master is "
-                                f"{self._master!r}",
-                            )
+                    continue
+                stats["rejected"] += 1
+                if isinstance(msg, COMMAND_TYPES) and self.reject_policy == "reject":
+                    link.send(
+                        Ack(
+                            getattr(msg, "seq", -1),
+                            False,
+                            type(msg).__name__,
+                            error=f"{name} is an observer; master is {master!r}",
                         )
+                    )
         return stats

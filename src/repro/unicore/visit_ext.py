@@ -25,96 +25,63 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Callable, Optional
 
-from repro.errors import ChannelClosed, TimeoutExpired, UnicoreError
+from repro.errors import ChannelClosed, CodecError, TimeoutExpired, UnicoreError
 from repro.unicore.client import UnicoreClient
-from repro.visit.messages import (
-    ConnectAck,
-    ConnectRequest,
-    DataRequest,
-    DataResponse,
-    DataSend,
-    VisitClose,
-    decode_visit,
-    encode_visit,
-)
+from repro.visit.messages import DataResponse, DataSend
+from repro.visit.protocol import VisitService
+from repro.visit.token import MasterToken
 
 
-class _Participant:
-    def __init__(self, name: str, subject: str) -> None:
-        self.name = name
-        self.subject = subject
-        self.cursor = 0  # index into the proxy outbox
-        self.polls = 0
+def _well_formed(responses: Any) -> bool:
+    """A poll's ``responses``: a list of ``{tag, seq, payload}`` dicts
+    with int tag and seq."""
+    return isinstance(responses, list) and all(
+        isinstance(r, dict) and r.keys() == {"tag", "seq", "payload"}
+        and isinstance(r["tag"], int) and isinstance(r["seq"], int)
+        for r in responses
+    )
 
 
-class VisitProxyServer:
+class VisitProxyServer(VisitService):
     """Runs on the target system; the simulation's local VISIT peer."""
 
+    name = "visit-proxy"
+
     def __init__(self, host, port: int, password: str, byteorder: str = "<") -> None:
-        self.host = host
-        self.port = port
-        self.password = password
-        self.byteorder = byteorder
+        super().__init__(host, port, password, byteorder)
         #: every DataSend from the simulation, in order: (time, tag, payload)
         self.outbox: list[tuple[float, int, Any]] = []
         #: simulation receive-requests awaiting a master response
         self._pending: list[dict] = []
-        self._participants: dict[str, _Participant] = {}
-        self._master: Optional[str] = None
-        self.polls_served = 0
+        #: polling participants (name -> their cursor into the outbox)
+        #: and the master
+        self._token = MasterToken()
 
     # -- collaboration roles ---------------------------------------------------
 
     @property
     def master(self) -> Optional[str]:
-        return self._master
+        return self._token.holder
 
     def pass_master(self, to_name: str) -> None:
-        if to_name not in self._participants:
+        if not self._token.pass_to(to_name):
             raise UnicoreError(f"unknown participant {to_name!r}")
-        self._master = to_name
 
     def participants(self) -> list[str]:
-        return list(self._participants)
+        return list(self._token.members)
 
     # -- simulation-facing VISIT service -------------------------------------------
 
-    def start(self) -> None:
-        self.host.serve(self.port, self._serve_sim)
-
-    def _serve_sim(self, conn):
-        env = self.host.env
-        try:
-            blob = yield from conn.recv(timeout=30.0)
-        except (TimeoutExpired, ChannelClosed):
-            conn.close()
-            return
-        msg = decode_visit(blob)
-        if not isinstance(msg, ConnectRequest) or msg.password != self.password:
-            conn.send(encode_visit(ConnectAck(False, "bad password"), self.byteorder))
-            conn.close()
-            return
-        conn.send(
-            encode_visit(ConnectAck(True, server_name="visit-proxy"), self.byteorder)
-        )
-        while True:
-            try:
-                blob = yield from conn.recv(timeout=None)
-            except ChannelClosed:
-                return
-            msg = decode_visit(blob)
-            if isinstance(msg, DataSend):
-                self.outbox.append((env.now, msg.tag, msg.payload))
-            elif isinstance(msg, DataRequest):
-                # Park until the master's poll supplies an answer; the
-                # *simulation's own timeout* bounds its wait, so parking
-                # here costs the proxy nothing.
-                self._pending.append(
-                    {"tag": msg.tag, "seq": msg.seq, "conn": conn, "asked": env.now}
-                )
-            elif isinstance(msg, VisitClose):
-                conn.close()
-                return
+    def _answer(self, conn, msg):
+        if isinstance(msg, DataSend):
+            self.outbox.append((self.host.env.now, msg.tag, msg.payload))
+        else:
+            # Park until the master's poll supplies an answer; the
+            # *simulation's own timeout* bounds its wait, so parking
+            # here costs the proxy nothing.
+            self._pending.append({"tag": msg.tag, "seq": msg.seq, "conn": conn})
+        return
+        yield  # pragma: no cover - generator marker
 
     # -- NJS-facing poll handling ------------------------------------------------
 
@@ -122,61 +89,46 @@ class VisitProxyServer:
         """Generator -> poll reply dict (called through the NJS).
 
         ``responses`` are the master's answers to previously forwarded
-        receive-requests: ``[{"tag": t, "seq": s, "payload": p}, ...]``.
+        receive-requests: ``[{"tag": t, "seq": s, "payload": p}, ...]``;
+        anything else is refused, as the NJS refuses a malformed request.
         """
         if not subject:
             return {"ok": False, "error": "unauthenticated poll"}
-        p = self._participants.get(client)
-        if p is None:
-            p = self._participants[client] = _Participant(client, subject)
-            if self._master is None:
-                self._master = client
-        p.polls += 1
-        self.polls_served += 1
-
-        is_master = client == self._master
+        if not isinstance(client, str) or not _well_formed(responses):
+            return {"ok": False, "error": "malformed proxy poll"}
+        # All participants receive every sample (fan-out via cursors);
+        # the first poll joins, and the first joiner holds the token.
+        cursor = self._token.members.get(client, 0)
+        self._token.join(client, len(self.outbox))
+        is_master = client == self._token.holder
         if responses and is_master:
             self._apply_responses(responses)
-        # All participants receive every sample (fan-out via cursors).
         new_items = [
             {"tag": tag, "payload": payload, "sent_at": t}
-            for (t, tag, payload) in self.outbox[p.cursor :]
+            for (t, tag, payload) in self.outbox[cursor:]
         ]
-        p.cursor = len(self.outbox)
-        reply = {
+        requests = [{"tag": r["tag"], "seq": r["seq"]} for r in self._pending]
+        return {
             "ok": True,
             "data": new_items,
-            "master": self._master,
-            "requests": [
-                {"tag": r["tag"], "seq": r["seq"]} for r in self._pending
-            ]
-            if is_master
-            else [],
+            "master": self._token.holder,
+            "requests": requests if is_master else [],
         }
-        return reply
         yield  # pragma: no cover - generator marker
 
     def _apply_responses(self, responses: list) -> None:
         for resp in responses:
-            matched = None
-            for r in self._pending:
-                if r["tag"] == resp.get("tag") and r["seq"] == resp.get("seq"):
-                    matched = r
-                    break
+            key = (resp["tag"], resp["seq"])
+            matched = next((r for r in self._pending if (r["tag"], r["seq"]) == key), None)
             if matched is None:
                 continue  # simulation already gave up on it
             self._pending.remove(matched)
-            conn = matched["conn"]
-            if not conn.closed:
-                conn.send(
-                    encode_visit(
-                        DataResponse(
-                            matched["tag"], matched["seq"], True,
-                            payload=resp.get("payload"),
-                        ),
-                        self.byteorder,
-                    )
-                )
+            if matched["conn"].closed:
+                continue
+            try:
+                self._send(matched["conn"], DataResponse(*key, True, payload=resp["payload"]))
+            except CodecError:
+                pass  # a payload VISIT cannot carry: the simulation times out
 
 
 class VisitUnicorePlugin:

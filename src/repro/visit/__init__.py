@@ -16,6 +16,9 @@ Design rules carried over from the paper:
   exists to fix;
 * the ``vbroker`` multiplexer fans send-requests out to all participating
   visualizations and routes receive-requests to the *master* only.
+
+Each rule has one home: :mod:`repro.visit.protocol` and, for the master
+token every collaborative layer shares, :mod:`repro.visit.token`.
 """
 
 from repro.visit.messages import (
@@ -29,7 +32,9 @@ from repro.visit.messages import (
     encode_visit,
 )
 from repro.visit.client import VisitClient
+from repro.visit.protocol import VisitService
 from repro.visit.server import VisitServer
+from repro.visit.token import MasterToken
 from repro.visit.vbroker import VBroker
 
 __all__ = [
@@ -43,5 +48,7 @@ __all__ = [
     "decode_visit",
     "VisitClient",
     "VisitServer",
+    "VisitService",
     "VBroker",
+    "MasterToken",
 ]

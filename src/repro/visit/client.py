@@ -17,18 +17,12 @@ from typing import Any, Optional
 from repro.errors import (
     ChannelClosed,
     NetworkError,
+    ProtocolError,
     TimeoutExpired,
+    VisitError,
 )
-from repro.visit.messages import (
-    ConnectAck,
-    ConnectRequest,
-    DataRequest,
-    DataResponse,
-    DataSend,
-    VisitClose,
-    decode_visit,
-    encode_visit,
-)
+from repro.visit.messages import DataRequest, DataSend, VisitClose, encode_visit
+from repro.visit.protocol import await_response, open_visit
 
 
 class VisitClient:
@@ -68,35 +62,15 @@ class VisitClient:
     def connect(self, timeout: Optional[float] = None):
         """Generator -> bool.  Bounded connect + password handshake."""
         timeout = self.default_timeout if timeout is None else timeout
-        env = self.host.env
-        deadline = env.now + timeout
         try:
-            conn = yield from self.host.connect(
-                self.server_host, self.port, timeout=timeout
+            self._conn = yield from open_visit(
+                self.host, self.server_host, self.port, self.password, self.name,
+                self.byteorder, timeout,
             )
-        except (NetworkError, TimeoutExpired) as exc:
+        except (NetworkError, TimeoutExpired, ProtocolError, VisitError) as exc:
             self.last_error = str(exc)
             self.stats["connects_failed"] += 1
             return False
-        conn.send(
-            encode_visit(
-                ConnectRequest(self.password, self.name), self.byteorder
-            )
-        )
-        try:
-            blob = yield from conn.recv(timeout=max(0.0, deadline - env.now))
-            ack = decode_visit(blob)
-        except (NetworkError, TimeoutExpired) as exc:
-            conn.close()
-            self.last_error = str(exc)
-            self.stats["connects_failed"] += 1
-            return False
-        if not isinstance(ack, ConnectAck) or not ack.ok:
-            conn.close()
-            self.last_error = getattr(ack, "reason", "bad handshake reply")
-            self.stats["connects_failed"] += 1
-            return False
-        self._conn = conn
         self.connected = True
         self.last_error = None
         return True
@@ -139,51 +113,32 @@ class VisitClient:
 
     def request(self, tag: int, timeout: Optional[float] = None):
         """Generator -> (ok, payload).  Ask the server for data (steering
-        parameters); bounded by the timeout."""
+        parameters); bounded by the timeout.  A connection that closes or
+        carries a frame that is not a ``DataResponse`` is dropped."""
         timeout = self.default_timeout if timeout is None else timeout
-        env = self.host.env
-        deadline = env.now + timeout
         if not self.connected or self._conn is None or self._conn.closed:
             self.stats["requests_failed"] += 1
             return False, None
         self._seq += 1
-        seq = self._seq
+        conn = self._conn
         try:
-            self._conn.send(encode_visit(DataRequest(tag, seq=seq), self.byteorder))
-        except ChannelClosed:
+            conn.send(encode_visit(DataRequest(tag, seq=self._seq), self.byteorder))
+            reply = yield from await_response(conn, self._seq, self.host.env.now + timeout)
+        except (NetworkError, ProtocolError) as exc:
+            conn.close()
             self.connected = False
-            self.stats["requests_failed"] += 1
-            return False, None
-        while True:
-            remaining = deadline - env.now
-            if remaining <= 0:
-                self.stats["requests_failed"] += 1
-                self.last_error = f"request tag={tag} timed out after {timeout}s"
-                return False, None
-            try:
-                blob = yield from self._conn.recv(timeout=remaining)
-            except TimeoutExpired:
-                self.stats["requests_failed"] += 1
-                self.last_error = f"request tag={tag} timed out after {timeout}s"
-                return False, None
-            except (ChannelClosed, NetworkError) as exc:
-                self.connected = False
-                self.stats["requests_failed"] += 1
-                self.last_error = str(exc)
-                return False, None
-            msg = decode_visit(blob)
-            if isinstance(msg, DataResponse) and msg.seq == seq:
-                if msg.ok:
-                    self.stats["requests_ok"] += 1
-                    return True, msg.payload
-                self.stats["requests_failed"] += 1
-                self.last_error = msg.reason
-                return False, None
-            if isinstance(msg, VisitClose):
-                self.connected = False
-                self.stats["requests_failed"] += 1
-                return False, None
-            # Stale response from an earlier timed-out request: skip it.
+            return self._request_failed(str(exc))
+        if reply is None:
+            return self._request_failed(f"request tag={tag} timed out after {timeout}s")
+        if not reply.ok:
+            return self._request_failed(reply.reason)
+        self.stats["requests_ok"] += 1
+        return True, reply.payload
+
+    def _request_failed(self, error: str) -> tuple[bool, None]:
+        self.stats["requests_failed"] += 1
+        self.last_error = error
+        return False, None
 
     def __repr__(self) -> str:
         state = "connected" if self.connected else "disconnected"
@@ -216,9 +171,5 @@ class BlockingClientBaseline:
         conn.send(
             encode_visit(DataSend(tag, payload, seq=seq), self._inner.byteorder)
         )
-        # Block until the server acknowledges this very message.
-        while True:
-            blob = yield from conn.recv(timeout=None)
-            msg = decode_visit(blob)
-            if isinstance(msg, DataResponse) and msg.seq == seq:
-                return msg.ok
+        reply = yield from await_response(conn, seq, deadline=None)
+        return reply.ok

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ProtocolError
 from repro.wire.codec import decode, describe, encode
+from repro.wire.tagged import TaggedCodec
 
 
 @dataclass
@@ -66,39 +66,18 @@ class VisitClose:
     reason: str = ""
 
 
-_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        ConnectRequest,
-        ConnectAck,
-        DataSend,
-        DataRequest,
-        DataResponse,
-        VisitClose,
-    )
-}
+_VISIT = TaggedCodec(
+    "VISIT", ConnectRequest, ConnectAck, DataSend, DataRequest, DataResponse, VisitClose
+)
 
 
 def encode_visit(msg: Any, byteorder: str = "<") -> bytes:
     """VISIT message -> wire bytes (the byte order is the *sender's*
     native order; the receiver converts, per the VISIT rule)."""
-    kind = type(msg).__name__
-    if kind not in _TYPES:
-        raise ProtocolError(f"not a VISIT message: {msg!r}")
-    body = {"_kind": kind}
-    body.update(msg.__dict__)
-    return encode(body, byteorder)
+    return encode(_VISIT.to_wire(msg), byteorder)
 
 
 def decode_visit(blob: bytes) -> Any:
-    body = decode(blob)
-    if not isinstance(body, dict) or "_kind" not in body:
-        raise ProtocolError("malformed VISIT message")
-    kind = body.pop("_kind")
-    cls = _TYPES.get(kind)
-    if cls is None:
-        raise ProtocolError(f"unknown VISIT message kind {kind!r}")
-    try:
-        return cls(**body)
-    except TypeError as exc:
-        raise ProtocolError(f"bad fields for {kind}: {exc}") from None
+    """Wire bytes -> VISIT message (:class:`CodecError` for bytes that do
+    not decode; receive through :func:`repro.visit.protocol.recv_visit`)."""
+    return _VISIT.from_wire(decode(blob))

@@ -23,21 +23,13 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.errors import ChannelClosed, TimeoutExpired, VisitError
+from repro.errors import VisitError
 from repro.wire.codec import coerce_array
-from repro.visit.messages import (
-    ConnectAck,
-    ConnectRequest,
-    DataRequest,
-    DataResponse,
-    DataSend,
-    VisitClose,
-    decode_visit,
-    encode_visit,
-)
+from repro.visit.messages import DataResponse, DataSend
+from repro.visit.protocol import VisitService
 
 
-class VisitServer:
+class VisitServer(VisitService):
     """Accepts VISIT clients and dispatches their requests."""
 
     def __init__(
@@ -51,11 +43,8 @@ class VisitServer:
         ack_sends: bool = False,
         convert_arrays_to: Optional[str] = None,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.password = password
+        super().__init__(host, port, password, byteorder)
         self.name = name
-        self.byteorder = byteorder
         #: artificial processing delay per request (the "slow viz" knob)
         self.response_delay = response_delay
         #: echo a DataResponse for every DataSend (the blocking baseline
@@ -65,9 +54,6 @@ class VisitServer:
         self.providers: dict[int, Callable[[], Any]] = {}
         self.received: dict[int, list] = defaultdict(list)
         self.on_data: Optional[Callable[[int, Any], None]] = None
-        self.dead = False
-        self.clients_served = 0
-        self.auth_failures = 0
 
     # -- configuration -------------------------------------------------------
 
@@ -85,76 +71,26 @@ class VisitServer:
         """Simulate a crash: stop answering anything."""
         self.dead = True
 
-    # -- processes ------------------------------------------------------------
+    # -- answering ------------------------------------------------------------
 
-    def start(self) -> None:
-        """Begin listening and spawn the accept loop."""
-        self.host.serve(self.port, self._serve)
-
-    def _serve(self, conn):
-        env = self.host.env
-        try:
-            blob = yield from conn.recv(timeout=30.0)
-        except (TimeoutExpired, ChannelClosed):
-            conn.close()
-            return
-        msg = decode_visit(blob)
-        if not isinstance(msg, ConnectRequest) or msg.password != self.password:
-            self.auth_failures += 1
-            conn.send(encode_visit(ConnectAck(False, "bad password"), self.byteorder))
-            conn.close()
-            return
-        if self.dead:
-            conn.close()
-            return
-        conn.send(encode_visit(ConnectAck(True, server_name=self.name), self.byteorder))
-        self.clients_served += 1
-        while True:
-            try:
-                blob = yield from conn.recv(timeout=None)
-            except ChannelClosed:
+    def _answer(self, conn, msg):
+        if isinstance(msg, DataSend):
+            payload = self._convert(msg.payload)
+            self.received[msg.tag].append(payload)
+            if self.on_data is not None:
+                self.on_data(msg.tag, payload)
+            if not self.ack_sends:
                 return
-            if self.dead:
-                # A crashed visualization: never answer again.
-                continue
-            msg = decode_visit(blob)
-            if isinstance(msg, DataSend):
-                payload = self._convert(msg.payload)
-                self.received[msg.tag].append(payload)
-                if self.on_data is not None:
-                    self.on_data(msg.tag, payload)
-                if self.ack_sends:
-                    if self.response_delay > 0:
-                        yield env.timeout(self.response_delay)
-                    conn.send(
-                        encode_visit(
-                            DataResponse(msg.tag, msg.seq, True), self.byteorder
-                        )
-                    )
-            elif isinstance(msg, DataRequest):
-                if self.response_delay > 0:
-                    yield env.timeout(self.response_delay)
-                provider = self.providers.get(msg.tag)
-                if provider is None:
-                    conn.send(
-                        encode_visit(
-                            DataResponse(
-                                msg.tag, msg.seq, False,
-                                reason=f"no provider for tag {msg.tag}",
-                            ),
-                            self.byteorder,
-                        )
-                    )
-                else:
-                    conn.send(
-                        encode_visit(
-                            DataResponse(msg.tag, msg.seq, True, payload=provider()),
-                            self.byteorder,
-                        )
-                    )
-            elif isinstance(msg, VisitClose):
-                conn.close()
-                return
+        if self.response_delay > 0:
+            yield self.host.env.timeout(self.response_delay)
+        provider = self.providers.get(msg.tag)
+        if isinstance(msg, DataSend):
+            reply = DataResponse(msg.tag, msg.seq, True)
+        elif provider is None:
+            reply = DataResponse(msg.tag, msg.seq, False, reason=f"no provider for tag {msg.tag}")
+        else:
+            reply = DataResponse(msg.tag, msg.seq, True, payload=provider())
+        self._send(conn, reply)
 
     # -- conversion --------------------------------------------------------------
 

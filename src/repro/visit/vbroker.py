@@ -17,33 +17,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ChannelClosed, TimeoutExpired, VisitError
-from repro.visit.messages import (
-    ConnectAck,
-    ConnectRequest,
-    DataRequest,
-    DataResponse,
-    DataSend,
-    VisitClose,
-    decode_visit,
-    encode_visit,
-)
+from repro.errors import ChannelClosed, ProtocolError, VisitError
+from repro.visit.messages import DataRequest, DataResponse, DataSend
+from repro.visit.protocol import VisitService, await_response, open_visit
+from repro.visit.token import MasterToken
 
 
-class _Downstream:
-    """Broker-side handle for one participating visualization."""
-
-    def __init__(self, name: str, server_host: str, port: int) -> None:
-        self.name = name
-        self.server_host = server_host
-        self.port = port
-        self.conn = None
-        self.sends_forwarded = 0
-        self.requests_served = 0
-
-
-class VBroker:
+class VBroker(VisitService):
     """One simulation in, k visualizations out, one master."""
+
+    name = "vbroker"
 
     def __init__(
         self,
@@ -53,76 +36,51 @@ class VBroker:
         byteorder: str = "<",
         request_timeout: float = 2.0,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.password = password
-        self.byteorder = byteorder
+        super().__init__(host, port, password, byteorder)
         self.request_timeout = request_timeout
-        self._downstream: dict[str, _Downstream] = {}
-        self._master: Optional[str] = None
+        #: participating visualizations (name -> connection) and the master
+        self._token = MasterToken()
         self.fanout_messages = 0
-        self._listener = None
 
     # -- membership --------------------------------------------------------
 
     def add_visualization(self, name: str, server_host: str, port: int):
-        """Generator: connect the broker to a participating visualization.
-
-        The first participant becomes master.
-        """
-        if name in self._downstream:
+        """Generator -> the broker's connection to a participating
+        visualization.  The first participant becomes master."""
+        if name in self._token.members:
             raise VisitError(f"visualization {name!r} already participating")
-        ds = _Downstream(name, server_host, port)
-        conn = yield from self.host.connect(server_host, port, timeout=5.0)
-        conn.send(
-            encode_visit(
-                ConnectRequest(self.password, f"vbroker:{name}"), self.byteorder
-            )
+        conn = yield from open_visit(
+            self.host, server_host, port, self.password, f"vbroker:{name}",
+            self.byteorder, timeout=5.0,
         )
-        blob = yield from conn.recv(timeout=5.0)
-        ack = decode_visit(blob)
-        if not isinstance(ack, ConnectAck) or not ack.ok:
-            conn.close()
-            raise VisitError(f"visualization {name!r} refused the broker")
-        ds.conn = conn
-        self._downstream[name] = ds
-        if self._master is None:
-            self._master = name
-        return ds
+        self._token.join(name, conn)
+        return conn
 
     def remove_visualization(self, name: str) -> None:
-        ds = self._downstream.pop(name, None)
-        if ds is None:
+        conn = self._token.leave(name)
+        if conn is None:
             raise VisitError(f"unknown visualization {name!r}")
-        if ds.conn is not None:
-            ds.conn.close()
-        if self._master == name:
-            self._master = next(iter(self._downstream), None)
+        conn.close()
 
     def prune_dead(self) -> list[str]:
         """Drop participants whose connection has died; returns their
         names.  If the master was among them the token moves to the next
         live participant (the removal rule above)."""
-        dead = [
-            name
-            for name, ds in self._downstream.items()
-            if ds.conn is None or ds.conn.closed
-        ]
+        dead = [name for name, conn in self._token.members.items() if conn.closed]
         for name in dead:
             self.remove_visualization(name)
         return dead
 
     @property
     def master(self) -> Optional[str]:
-        return self._master
+        return self._token.holder
 
     def pass_master(self, to_name: str) -> None:
-        if to_name not in self._downstream:
+        if not self._token.pass_to(to_name):
             raise VisitError(f"unknown visualization {to_name!r}")
-        self._master = to_name
 
     def participants(self) -> list[str]:
-        return list(self._downstream)
+        return list(self._token.members)
 
     @property
     def alive(self) -> bool:
@@ -136,9 +94,6 @@ class VBroker:
 
     # -- processes ---------------------------------------------------------------
 
-    def start(self) -> None:
-        self._listener = self.host.serve(self.port, self._serve_sim)
-
     def stop(self) -> None:
         """Close the listener and drop every downstream connection.
 
@@ -147,68 +102,38 @@ class VBroker:
         """
         if self._listener is not None:
             self._listener.close()
-        for name in list(self._downstream):
+        for name in list(self._token.members):
             self.remove_visualization(name)
 
-    def _serve_sim(self, conn):
+    def _answer(self, conn, msg):
         """Impersonate a VISIT server toward the simulation."""
-        try:
-            blob = yield from conn.recv(timeout=30.0)
-        except (TimeoutExpired, ChannelClosed):
-            conn.close()
+        if isinstance(msg, DataSend):
+            # Fan out to every participant: everyone views the same data.
+            self.fanout_messages += 1
+            for downstream in self._token.members.values():
+                if not downstream.closed:
+                    self._send(downstream, msg)
             return
-        msg = decode_visit(blob)
-        if not isinstance(msg, ConnectRequest) or msg.password != self.password:
-            conn.send(encode_visit(ConnectAck(False, "bad password"), self.byteorder))
-            conn.close()
-            return
-        conn.send(encode_visit(ConnectAck(True, server_name="vbroker"), self.byteorder))
-        while True:
-            try:
-                blob = yield from conn.recv(timeout=None)
-            except ChannelClosed:
-                return
-            msg = decode_visit(blob)
-            if isinstance(msg, DataSend):
-                # Fan out to every participant: everyone views the same data.
-                self.fanout_messages += 1
-                for ds in self._downstream.values():
-                    if ds.conn is not None and not ds.conn.closed:
-                        ds.conn.send(encode_visit(msg, self.byteorder))
-                        ds.sends_forwarded += 1
-            elif isinstance(msg, DataRequest):
-                response = yield from self._ask_master(msg)
-                conn.send(encode_visit(response, self.byteorder))
-            elif isinstance(msg, VisitClose):
-                conn.close()
-                return
+        response = yield from self._ask_master(msg)
+        self._send(conn, response)
 
     def _ask_master(self, request: DataRequest):
         """Generator -> DataResponse.  Receive-requests go to the master only."""
-        master = self._downstream.get(self._master) if self._master else None
-        if master is None or master.conn is None or master.conn.closed:
+        master = self._token.holder
+        conn = self._token.members.get(master)
+        if conn is None or conn.closed:
             return DataResponse(
                 request.tag, request.seq, False, reason="no master visualization"
             )
-        master.conn.send(encode_visit(request, self.byteorder))
-        env = self.host.env
-        deadline = env.now + self.request_timeout
-        while True:
-            remaining = deadline - env.now
-            if remaining <= 0:
-                return DataResponse(
-                    request.tag, request.seq, False,
-                    reason=f"master {master.name!r} did not answer",
-                )
-            try:
-                blob = yield from master.conn.recv(timeout=remaining)
-            except (TimeoutExpired, ChannelClosed):
-                return DataResponse(
-                    request.tag, request.seq, False,
-                    reason=f"master {master.name!r} did not answer",
-                )
-            reply = decode_visit(blob)
-            if isinstance(reply, DataResponse) and reply.seq == request.seq:
-                master.requests_served += 1
-                return reply
-            # Stale response from an earlier timed-out request: keep waiting.
+        self._send(conn, request)
+        deadline = self.host.env.now + self.request_timeout
+        try:
+            reply = yield from await_response(conn, request.seq, deadline)
+        except (ChannelClosed, ProtocolError):
+            conn.close()
+            reply = None
+        if reply is None:
+            return DataResponse(
+                request.tag, request.seq, False, reason=f"master {master!r} did not answer"
+            )
+        return reply

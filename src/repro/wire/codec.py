@@ -125,7 +125,11 @@ def decode(buf: bytes | bytearray | memoryview) -> Any:
         bo = _BYTE_BYTEORDER[buf[0]]
     except KeyError:
         raise CodecError(f"bad byte-order marker {buf[0]!r}") from None
-    value, offset = _decode_value(buf, 1, bo)
+    try:
+        value, offset = _decode_value(buf, 1, bo)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # Hostile bytes: a non-UTF-8 string, or lists nested past the stack.
+        raise CodecError(f"undecodable value: {exc}") from None
     if offset != len(buf):
         raise CodecError(f"{len(buf) - offset} trailing bytes after value")
     return value

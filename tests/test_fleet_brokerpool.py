@@ -79,7 +79,7 @@ def test_master_failover_moves_token_to_live_participant():
         broker = pool.broker_for("sess")
         done["first_master"] = broker.master
         # The master's connection dies (participant crash / site drop).
-        broker._downstream["viz-0"].conn.close()
+        broker._token.members["viz-0"].close()
         done["repaired_master"] = pool.ensure_master("sess")
         done["participants"] = broker.participants()
         # A healthy pool is a no-op repair.
@@ -101,7 +101,7 @@ def test_failover_with_no_survivors_returns_none():
     def scenario():
         yield from pool.add_visualization("sess", "viz-0", "viz-0", 6000)
         broker = pool.broker_for("sess")
-        broker._downstream["viz-0"].conn.close()
+        broker._token.members["viz-0"].close()
         done["master"] = pool.ensure_master("sess")
 
     env.process(scenario())
@@ -133,8 +133,8 @@ def test_place_prunes_dead_participants_before_load_compare():
         # count would make it look busier than broker 0.
         yield from pool.brokers[1].add_visualization("viz-0", "viz-0", 6000)
         yield from pool.brokers[1].add_visualization("viz-1", "viz-1", 6000)
-        pool.brokers[1]._downstream["viz-0"].conn.close()
-        pool.brokers[1]._downstream["viz-1"].conn.close()
+        pool.brokers[1]._token.members["viz-0"].close()
+        pool.brokers[1]._token.members["viz-1"].close()
         done["b"] = pool.place("b")
 
     env.process(scenario())

@@ -68,6 +68,11 @@ def test_step_budget_outlives_the_steering_loop(kwargs, steps):
         {"sample_interval": False},
         {"seed": 1.5},
         {"seed": "7"},
+        # a step budget past float range used to escape as OverflowError
+        {"duration": 1e308},
+        {"duration": 10**400},
+        {"duration": 10**400, "steps": 100},
+        {"duration": 1e300, "cadence": 1e-10},
     ],
 )
 def test_invalid_specs_rejected(kwargs):

@@ -112,6 +112,28 @@ def test_error_statuses():
     asyncio.run(go())
 
 
+def test_overflowing_duration_is_400_and_the_server_answers():
+    # ``1e308`` and ``10**400`` have no finite step budget: the spec
+    # used to raise OverflowError out of the route, so the client got no
+    # HTTP answer at all.
+    async def go():
+        server = LiveServer(config=dict(FAST))
+        await server.start()
+        try:
+            args = (server.host, server.port)
+            for duration in (1e308, 10**400):
+                body = _session_body(duration=duration)
+                resp = await request(*args, "POST", "/sessions", body)
+                assert resp.status == 400, duration
+                assert "no finite step budget" in resp.json()["error"]
+            health = await request(*args, "GET", "/healthz")
+            assert health.status == 200 and health.json()["ok"] is True
+        finally:
+            await server.shutdown(grace=1.0)
+
+    asyncio.run(go())
+
+
 def test_fractional_whole_number_fields_are_400_and_the_pacer_lives():
     # ``{"participants": 1.5}`` used to be answered 202 and then kill the
     # pacer with a TypeError from ``range(1.5)`` when the session started,

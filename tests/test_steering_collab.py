@@ -8,7 +8,6 @@ from repro.sims import LatticeBoltzmann3D
 from repro.steering import (
     CollaborativeSession,
     ControlStateServer,
-    Role,
     SteeredApplication,
     SteeringClient,
 )
@@ -218,7 +217,9 @@ def test_membership_validation():
     assert server.members() == {}
 
 
-def test_session_role_enum_exposed():
+def test_session_master_is_the_token_holder():
     _, session, _ = build_session(2)
-    assert session._participants["site0"].role is Role.MASTER
-    assert session._participants["site1"].role is Role.OBSERVER
+    assert session.master == "site0"
+    session.pass_master("site0", "site1")
+    assert session.master == "site1"
+    assert session.participants() == ["site0", "site1"]

@@ -204,3 +204,48 @@ def test_sim_request_times_out_when_no_participants():
     assert len(log) == 5
     assert all(not ok for _, ok, _ in log)
     assert all(elapsed == pytest.approx(0.2, abs=1e-6) for _, _, elapsed in log)
+
+
+def test_malformed_poll_responses_refused_and_the_proxy_lives():
+    """A master's poll whose ``responses`` is not a list of ``{tag, seq,
+    payload}`` dicts is refused like any malformed NJS request; it used
+    to end the world with a TypeError (or AttributeError once a request
+    was pending)."""
+    env, net, gw, proxy, make_plugin = build()
+    uc, _plugin = make_plugin("laptop", "mallory")
+    sim_client = VisitClient(net.host("hpc"), "hpc", PROXY_PORT, "pw")
+    hostile = (
+        5,
+        "abc",
+        [7],
+        [{"tag": TAG_STEER}],
+        [{"tag": [TAG_STEER], "seq": 1, "payload": 0}],
+        [{"tag": TAG_STEER, "seq": 1, "payload": 0, "extra": 1}],
+    )
+    replies, answers = [], []
+
+    def poll(responses, client="mallory"):
+        return uc.request({"op": "proxy_poll", "vsite": "JUELICH",
+                           "client": client, "responses": responses})
+
+    def simulation():
+        yield from sim_client.connect(timeout=1.0)
+        answers.append((yield from sim_client.request(TAG_STEER, timeout=5.0)))
+
+    def user():
+        yield from uc.connect()
+        yield env.timeout(0.5)  # the simulation's request is pending now
+        for responses in hostile:
+            replies.append((yield from poll(responses)))
+        replies.append((yield from poll([], client=["mallory"])))
+        good = yield from poll([])
+        seq = good["requests"][0]["seq"]
+        replies.append((yield from poll([{"tag": TAG_STEER, "seq": seq, "payload": 9}])))
+
+    env.process(simulation())
+    env.process(user())
+    env.run()
+    assert [r["ok"] for r in replies] == [False] * (len(hostile) + 1) + [True]
+    assert all("malformed" in r["error"] for r in replies[:-1])
+    assert proxy.master == "mallory"
+    assert answers == [(True, 9)]

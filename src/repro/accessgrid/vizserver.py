@@ -33,6 +33,21 @@ RENDER_FIXED = 0.012
 RENDER_PER_TRI = 1.5e-6
 
 
+def _camera_state(state) -> Optional[dict]:
+    """A client's camera state as :meth:`Camera.apply_state` takes it, or
+    None unless it carries ``eye``, ``target`` and ``up`` as three finite
+    numbers each and a finite ``fov_deg``."""
+    shapes = {"eye": (3,), "target": (3,), "up": (3,), "fov_deg": ()}
+    try:
+        parts = {key: np.asarray(state[key]) for key in shapes}
+    except (TypeError, KeyError, ValueError):  # not a dict, or ragged
+        return None
+    for key, part in parts.items():
+        if part.dtype.kind not in "iuf" or part.shape != shapes[key] or not np.isfinite(part).all():
+            return None
+    return {key: part.astype(np.float64) for key, part in parts.items()}
+
+
 class VizServerSession:
     """One shared login session on the visualization supercomputer."""
 
@@ -68,6 +83,9 @@ class VizServerSession:
                 continue
             op = msg.get("op")
             if op == "join":
+                if not isinstance(msg.get("site", ""), str):
+                    conn.send({"op": "denied", "error": "site must be a string"})
+                    continue
                 site = msg.get("site", f"anon-{id(conn)}")
                 self._token.join(site, conn)
                 self._last_frames[site] = None
@@ -77,18 +95,18 @@ class VizServerSession:
                     conn.send({"op": "denied",
                                "error": f"control held by {self.control_holder!r}"})
                     continue
-                state = msg.get("state", {})
-                self.renderer.camera.apply_state(
-                    {k: np.asarray(v) if isinstance(v, list) else v
-                     for k, v in state.items()}
-                )
+                state = _camera_state(msg.get("state"))
+                if state is None:
+                    conn.send({"op": "denied", "error": "malformed camera state"})
+                    continue
+                self.renderer.camera.apply_state(state)
                 conn.send({"op": "camera_ok"})
             elif op == "pass_control":
                 if site != self.control_holder:
                     conn.send({"op": "denied", "error": "not holding control"})
                     continue
                 target = msg.get("to")
-                if not self._token.pass_to(target):
+                if not isinstance(target, str) or not self._token.pass_to(target):
                     conn.send({"op": "denied", "error": f"unknown site {target!r}"})
                     continue
                 conn.send({"op": "control_passed"})

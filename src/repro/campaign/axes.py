@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.campaign.spec import AxisPoint, CellSpec
+from repro.campaign.spec import AxisPoint, CellSpec, from_fields
 from repro.chaos.faults import FAULT_KINDS, FaultSchedule
 from repro.errors import CampaignError, LiveError
 from repro.fleet.spec import ScenarioSpec, paper_suite, sweep_scenarios
@@ -194,18 +194,21 @@ def build_schedule(point: AxisPoint, cell: CellSpec, config: dict,
         )
         kwargs.setdefault("horizon", horizon)
         kwargs.setdefault("n_faults", 3)
-        return FaultSchedule.random(seed=cell.subseed("faults"), **kwargs)
+        try:
+            return FaultSchedule.random(seed=cell.subseed("faults"), **kwargs)
+        except TypeError as exc:  # an unknown or ill-typed random param
+            raise CampaignError(f"fault point {point.name!r}: {exc}") from None
     faults = []
     for decl in params.get("faults", ()):
-        decl = dict(decl)
+        decl = dict(decl) if isinstance(decl, dict) else {}
         kind = decl.pop("kind", None)
-        cls = FAULTS_BY_KIND.get(kind)
+        cls = FAULTS_BY_KIND.get(kind) if isinstance(kind, str) else None
         if cls is None:
             raise CampaignError(
                 f"fault point {point.name!r}: unknown fault kind {kind!r} "
                 f"(expected one of {sorted(FAULTS_BY_KIND)})"
             )
-        faults.append(cls(**decl))
+        faults.append(from_fields(cls, decl, f"fault point {point.name!r}: {kind}"))
     return FaultSchedule(faults)
 
 

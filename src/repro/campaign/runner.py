@@ -51,7 +51,7 @@ from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.campaign.store import ResultStore
 from repro.campaign.supervise import Supervisor, zero_stats
 from repro.chaos import ChaosHarness
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ChaosError
 from repro.fleet import BrokerPool, FleetDriver
 from repro.load import AdmissionController, ReactiveAutoscaler
 from repro.obs.metrics import NULL_REGISTRY
@@ -199,7 +199,10 @@ def run_cell(cell: CellSpec) -> dict:
         seed=cell.subseed("arrival"),
         horizon=float(config["horizon"]),
     )
-    harness.install(build_schedule(cell.faults, cell, config, arrivals.horizon))
+    try:
+        harness.install(build_schedule(cell.faults, cell, config, arrivals.horizon))
+    except ChaosError as exc:  # a fault this spec declares is malformed or off the fabric
+        raise CampaignError(f"fault point {cell.faults.name!r}: {exc}") from None
     if autoscale_kwargs is not None:
         ReactiveAutoscaler(controller, **autoscale_kwargs)
 

@@ -38,7 +38,6 @@ The quickest way in::
 
 from repro.chaos.faults import (
     FAULT_KINDS,
-    RANDOM_TUNABLES,
     ContainerCrash,
     Fault,
     FaultSchedule,
@@ -102,7 +101,6 @@ __all__ = [
     "Fault",
     "FaultSchedule",
     "FAULT_KINDS",
-    "RANDOM_TUNABLES",
     "LinkDegrade",
     "Partition",
     "SiteOutage",

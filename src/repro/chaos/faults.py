@@ -4,16 +4,18 @@ The paper's sessions survived hostile realities — firewalled HPC centres,
 flaky trans-Atlantic links, mid-session service moves — but the testbed
 so far only met them as fixed topology.  This module makes failure a
 *scenario dimension*: a :class:`FaultSchedule` is a declarative, seeded
-list of faults over virtual time, compiled by
-:meth:`FaultSchedule.install` into DES processes that drive a
-:class:`~repro.chaos.inject.FaultInjector` while an open-loop fleet is
-running.  Same schedule, same seed, same arrivals => byte-for-byte the
-same run, so every fault scenario is also a regression test.
+list of faults over virtual time, which
+:meth:`FaultInjector.install <repro.chaos.inject.FaultInjector.install>`
+compiles into DES processes while an open-loop fleet is running.  Same
+schedule, same seed, same arrivals => byte-for-byte the same run, so
+every fault scenario is also a regression test.
 
 Taxonomy (one frozen dataclass per kind):
 
 ========================  ===================================================
 :class:`LinkDegrade`      WAN weather on one path: latency x N, bandwidth / N
+                          (overlapping degradations of a link: the worst
+                          active factors hold; the last revert restores)
 :class:`Partition`        a host pair goes dark (messages lost, connects fail)
 :class:`SiteOutage`       a whole site dies: HPC + service hosts isolated,
                           every listener down, capacity marked failed
@@ -25,6 +27,7 @@ Taxonomy (one frozen dataclass per kind):
                           data loss is permanent until recovery republishes)
 :class:`FirewallLockdown` a site's firewall flips to deny-all mid-session
 :class:`SlowNode`         limp mode: every link touching the site degrades
+                          (composes with LinkDegrade by the same rule)
 ========================  ===================================================
 
 Faults with a ``duration`` auto-revert (the injector undoes them); with
@@ -33,28 +36,80 @@ Faults with a ``duration`` auto-revert (the injector undoes them); with
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator, Optional, Sequence
 
 from repro.errors import ChaosError
 
+#: what a fault kind hits -> the fields that name one member of it
+TARGET_FIELDS: dict[str, tuple[str, ...]] = {
+    "site": ("site",),
+    "broker": ("broker",),
+    "shard": ("shard",),
+    "host": ("host",),
+    "host pair": ("a", "b"),
+}
+
+
+def _is_real(value) -> bool:
+    """A finite number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
 
 @dataclass(frozen=True, kw_only=True)
 class Fault:
-    """Base: *when* it fires and for how long it holds."""
+    """Base: *when* it fires, for how long it holds, and what it hits.
+
+    Each kind names its ``target`` once (a :data:`TARGET_FIELDS` key);
+    the field check below, :meth:`FaultInjector.validate
+    <repro.chaos.inject.FaultInjector.validate>`, :meth:`FaultSchedule.random`
+    and the injector's site lookup all read that declaration.
+    """
 
     kind: ClassVar[str] = "fault"
+    target: ClassVar[str]
+    #: a permanent kind takes no duration (nothing of it comes back)
+    permanent: ClassVar[bool] = False
 
     at: float
     #: fault window; None = permanent (never reverted)
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # Faults arrive from campaign specs as JSON: every field is
+        # type-checked here, not where the fabric would trip over it.
+        names = TARGET_FIELDS[self.target]
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in names:
+                ok, want = _is_real(value) or f.name == "duration" and value is None, "finite"
+            elif self.target in ("host", "host pair"):
+                ok, want = isinstance(value, str) and value != "", "a host name"
+            else:
+                ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                ok, want = ok and value >= 0, "an index >= 0"
+            if not ok:
+                raise ChaosError(f"{self.kind}: {f.name} must be {want}, got {value!r}")
+        if len(names) == 2 and len(set(self.members())) == 1:
+            raise ChaosError(f"{self.kind}: a host pair needs two different hosts")
         if self.at < 0:
             raise ChaosError(f"{self.kind}: fault time must be >= 0")
         if self.duration is not None and self.duration <= 0:
             raise ChaosError(f"{self.kind}: duration must be > 0 or None (permanent)")
+        if self.permanent and self.duration is not None:
+            raise ChaosError(f"{self.kind}: a permanent fault takes no duration")
+
+    def members(self) -> tuple:
+        """The target's naming field values: one index or host, or a pair's two hosts."""
+        return tuple(getattr(self, name) for name in TARGET_FIELDS[self.target])
+
+    @classmethod
+    def draw_severity(cls, rng: random.Random) -> dict:
+        """Severity fields a random schedule draws after the target."""
+        return {}
 
     def describe(self) -> str:
         params = ", ".join(
@@ -69,6 +124,7 @@ class Fault:
 @dataclass(frozen=True, kw_only=True)
 class LinkDegrade(Fault):
     kind: ClassVar[str] = "link-degrade"
+    target: ClassVar[str] = "host pair"
 
     a: str
     b: str
@@ -82,10 +138,18 @@ class LinkDegrade(Fault):
                 f"{self.kind}: need latency_factor >= 1 and " "bandwidth_factor in (0, 1]"
             )
 
+    @classmethod
+    def draw_severity(cls, rng: random.Random) -> dict:
+        return {
+            "latency_factor": float(rng.randint(2, 20)),
+            "bandwidth_factor": rng.choice((0.5, 0.25, 0.1)),
+        }
+
 
 @dataclass(frozen=True, kw_only=True)
 class Partition(Fault):
     kind: ClassVar[str] = "partition"
+    target: ClassVar[str] = "host pair"
 
     a: str
     b: str
@@ -94,59 +158,43 @@ class Partition(Fault):
 @dataclass(frozen=True, kw_only=True)
 class SiteOutage(Fault):
     kind: ClassVar[str] = "site-outage"
+    target: ClassVar[str] = "site"
 
     site: int
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.site < 0:
-            raise ChaosError(f"{self.kind}: site index must be >= 0")
 
 
 @dataclass(frozen=True, kw_only=True)
 class ContainerCrash(Fault):
     kind: ClassVar[str] = "container-crash"
+    target: ClassVar[str] = "site"
 
     site: int
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.site < 0:
-            raise ChaosError(f"{self.kind}: site index must be >= 0")
 
 
 @dataclass(frozen=True, kw_only=True)
 class VBrokerCrash(Fault):
     kind: ClassVar[str] = "vbroker-crash"
+    target: ClassVar[str] = "broker"
 
     broker: int
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.broker < 0:
-            raise ChaosError(f"{self.kind}: broker index must be >= 0")
 
 
 @dataclass(frozen=True, kw_only=True)
 class RegistryShardLoss(Fault):
+    """Permanent data loss: recovery republishes; a duration would imply
+    the entries come back."""
+
     kind: ClassVar[str] = "registry-shard-loss"
+    target: ClassVar[str] = "shard"
+    permanent: ClassVar[bool] = True
 
     shard: int
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.shard < 0:
-            raise ChaosError(f"{self.kind}: shard index must be >= 0")
-        if self.duration is not None:
-            raise ChaosError(
-                f"{self.kind}: shard loss is permanent data loss; recovery "
-                "republishes — a duration would imply the entries come back"
-            )
 
 
 @dataclass(frozen=True, kw_only=True)
 class FirewallLockdown(Fault):
     kind: ClassVar[str] = "firewall-lockdown"
+    target: ClassVar[str] = "host"
 
     host: str
 
@@ -154,16 +202,19 @@ class FirewallLockdown(Fault):
 @dataclass(frozen=True, kw_only=True)
 class SlowNode(Fault):
     kind: ClassVar[str] = "slow-node"
+    target: ClassVar[str] = "site"
 
     site: int
     factor: float = 8.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.site < 0:
-            raise ChaosError(f"{self.kind}: site index must be >= 0")
         if self.factor <= 1.0:
             raise ChaosError(f"{self.kind}: limp factor must be > 1")
+
+    @classmethod
+    def draw_severity(cls, rng: random.Random) -> dict:
+        return {"factor": float(rng.randint(4, 12))}
 
 
 #: every concrete fault kind, for validation and random generation
@@ -171,10 +222,6 @@ FAULT_KINDS: tuple[type, ...] = (
     LinkDegrade, Partition, SiteOutage, ContainerCrash, VBrokerCrash,
     RegistryShardLoss, FirewallLockdown, SlowNode,
 )
-
-#: the continuous/integer :meth:`FaultSchedule.random` parameters an
-#: adaptive campaign search may sweep (``faults.random.<name>`` paths)
-RANDOM_TUNABLES: tuple[str, ...] = ("n_faults", "window", "duration_scale")
 
 
 class FaultSchedule:
@@ -212,27 +259,6 @@ class FaultSchedule:
 
     def describe(self) -> list[str]:
         return [f.describe() for f in self]
-
-    # -- compilation -------------------------------------------------------
-
-    def install(self, injector) -> list:
-        """Compile into DES processes driving the injector; returns them.
-
-        Each fault becomes one process: wait until ``at``, apply; if the
-        fault has a duration, wait it out and revert.
-        """
-        injector.validate(self)
-        return [injector.env.process(self._fire(injector, fault)) for fault in self]
-
-    @staticmethod
-    def _fire(injector, fault: Fault):
-        env = injector.env
-        if fault.at > env.now:
-            yield env.timeout(fault.at - env.now)
-        injector.apply(fault)
-        if fault.duration is not None:
-            yield env.timeout(fault.duration)
-            injector.revert(fault)
 
     # -- seeded generation -------------------------------------------------
 
@@ -281,18 +307,15 @@ class FaultSchedule:
             raise ChaosError("random schedule window must be in (0, 1]")
         if duration_scale <= 0:
             raise ChaosError("random schedule duration_scale must be > 0")
+        populations = {
+            "site": range(sites), "broker": range(brokers), "shard": range(shards),
+            "host": list(hosts), "host pair": list(host_pairs),
+        }
         rng = random.Random(seed)
         pool = list(kinds) if kinds is not None else list(FAULT_KINDS)
-        if sites < 1:
-            pool = [k for k in pool if k not in (SiteOutage, ContainerCrash, SlowNode)]
-        if shards < 1:
-            pool = [k for k in pool if k is not RegistryShardLoss]
-        if brokers < 1:
-            pool = [k for k in pool if k is not VBrokerCrash]
-        if not host_pairs:
-            pool = [k for k in pool if k not in (LinkDegrade, Partition)]
-        if not hosts:
-            pool = [k for k in pool if k is not FirewallLockdown]
+        if not all(kind in FAULT_KINDS for kind in pool):
+            raise ChaosError(f"random schedule kinds must be fault classes, got {pool!r}")
+        pool = [kind for kind in pool if populations[kind.target]]
         if not pool:
             raise ChaosError("no fault kind is satisfiable with the declared populations")
         schedule = cls()
@@ -306,31 +329,12 @@ class FaultSchedule:
             # is clamped to the slot remainder for the same reason.
             duration = rng.uniform(0.3, 0.95) * (slot - offset)
             duration = min(duration * duration_scale, slot - offset)
-            if kind is LinkDegrade:
-                a, b = rng.choice(list(host_pairs))
-                schedule.add(LinkDegrade(
-                    at=at, duration=duration, a=a, b=b,
-                    latency_factor=float(rng.randint(2, 20)),
-                    bandwidth_factor=rng.choice((0.5, 0.25, 0.1)),
-                ))
-            elif kind is Partition:
-                a, b = rng.choice(list(host_pairs))
-                schedule.add(Partition(at=at, duration=duration, a=a, b=b))
-            elif kind is SiteOutage:
-                schedule.add(SiteOutage(at=at, duration=duration, site=rng.randrange(sites)))
-            elif kind is ContainerCrash:
-                schedule.add(ContainerCrash(at=at, duration=duration, site=rng.randrange(sites)))
-            elif kind is VBrokerCrash:
-                schedule.add(VBrokerCrash(at=at, duration=duration, broker=rng.randrange(brokers)))
-            elif kind is RegistryShardLoss:
-                schedule.add(RegistryShardLoss(at=at, shard=rng.randrange(shards)))
-            elif kind is FirewallLockdown:
-                schedule.add(
-                    FirewallLockdown(at=at, duration=duration, host=rng.choice(list(hosts)))
-                )
-            elif kind is SlowNode:
-                schedule.add(SlowNode(
-                    at=at, duration=duration, site=rng.randrange(sites),
-                    factor=float(rng.randint(4, 12)),
-                ))
+            # choice over range(n) consumes the draw randrange(n) did.
+            member = rng.choice(populations[kind.target])
+            names = TARGET_FIELDS[kind.target]
+            schedule.add(kind(
+                at=at, duration=None if kind.permanent else duration,
+                **dict(zip(names, member if len(names) > 1 else (member,))),
+                **kind.draw_severity(rng),
+            ))
         return schedule

@@ -3,10 +3,13 @@
 One injector per run, bound to a :class:`~repro.fleet.driver.FleetDriver`
 and (optionally) the admission controller's
 :class:`~repro.load.capacity.CapacityLedger` and a
-:class:`~repro.fleet.brokerpool.BrokerPool`.  ``apply(fault)`` mutates the
-live fabric — network partitions, listener shutdowns, capacity marks —
-and ``revert(fault)`` undoes exactly what ``apply`` stashed, so transient
-fault windows leave no residue.
+:class:`~repro.fleet.brokerpool.BrokerPool`.  ``apply(fault)`` takes the
+fault's *holds* on named fabric targets — a host's isolation, listeners
+or firewall, a host pair's partition, a link, a site's placement, a
+container or broker — and ``revert(fault)`` releases them.  A target
+changes at its first hold and heals at its last release, so overlapping
+faults compose and transient windows leave no residue; a link held by
+several degradations runs at the worst active factors.
 
 The injector is mechanism only.  *Policy* — what to do about the sessions
 a fault strands — lives in
@@ -17,7 +20,7 @@ the world post-fault, exactly like a real operator).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.chaos.faults import (
     ContainerCrash,
@@ -48,229 +51,212 @@ class FaultInjector:
         self.on_fault: list[Callable[[Fault, str], None]] = []
         #: (virtual time, phase, fault.describe()) audit trail
         self.log: list[tuple[float, str, str]] = []
-        #: per-fault undo state, keyed by the fault object's identity
-        self._undo: dict[int, dict] = {}
-        #: refcounts so overlapping faults on one target compose: the
-        #: last revert standing is the one that actually heals
-        self._isolation: dict[str, int] = {}
-        self._site_failures: dict[int, int] = {}
-        self._lockdowns: dict[str, int] = {}
-        #: sites whose container is down due to an active ContainerCrash
-        #: (a concurrent SiteOutage revert must not re-seat its listener)
-        self._crashed_containers: set[int] = set()
-        #: broker indices down due to an active VBrokerCrash, for the
-        #: same reason: an outage revert must not resurrect them
-        self._crashed_brokers: set[int] = set()
+        #: the hold table: (hold kind, subject) -> [(fault, value)] in
+        #: take order; a target is in the table while any fault holds it
+        self._holds: dict[tuple, list[tuple[Fault, object]]] = {}
+        #: listeners an outage unseated, per host, until its last release
+        self._unseated: dict[str, dict] = {}
 
     # -- schedule entry points ---------------------------------------------
 
     def install(self, schedule: FaultSchedule) -> list:
-        """Compile a schedule onto this injector (delegates back)."""
-        return schedule.install(self)
+        """Compile a schedule into DES processes; returns them.
+
+        Each fault becomes one process: wait until ``at``, apply; if the
+        fault has a duration, wait it out and revert.
+        """
+        self.validate(schedule)
+        return [self.env.process(self._fire(fault)) for fault in schedule]
+
+    def _fire(self, fault: Fault):
+        env = self.env
+        if fault.at > env.now:
+            yield env.timeout(fault.at - env.now)
+        self.apply(fault)
+        if fault.duration is not None:
+            yield env.timeout(fault.duration)
+            self.revert(fault)
 
     def validate(self, schedule: FaultSchedule) -> None:
         """Fail fast on faults this fabric cannot host."""
+        populations = {
+            "site": range(len(self.driver.sites)),
+            "shard": range(len(self.driver.shards)),
+            "broker": range(len(self.pool.brokers if self.pool is not None else ())),
+            "host": self.net.hosts,
+        }
         for fault in schedule:
-            if isinstance(fault, (SiteOutage, ContainerCrash, SlowNode)):
-                if fault.site >= len(self.driver.sites):
+            noun = "host" if fault.target == "host pair" else fault.target
+            if noun == "broker" and self.pool is None:
+                raise ChaosError(f"{fault.describe()}: no broker pool attached")
+            for member in fault.members():
+                if member not in populations[noun]:
                     raise ChaosError(
-                        f"{fault.describe()}: fabric has only " f"{len(self.driver.sites)} sites"
+                        f"{fault.describe()}: unknown {noun} {member!r} "
+                        f"(the fabric has only {len(populations[noun])} {noun}s)"
                     )
-            elif isinstance(fault, VBrokerCrash):
-                if self.pool is None:
-                    raise ChaosError(f"{fault.describe()}: no broker pool attached")
-                if fault.broker >= len(self.pool.brokers):
-                    raise ChaosError(
-                        f"{fault.describe()}: pool has only " f"{len(self.pool.brokers)} brokers"
-                    )
-            elif isinstance(fault, RegistryShardLoss):
-                if fault.shard >= len(self.driver.shards):
-                    raise ChaosError(
-                        f"{fault.describe()}: only " f"{len(self.driver.shards)} shards"
-                    )
-            elif isinstance(fault, (LinkDegrade, Partition)):
-                for name in (fault.a, fault.b):
-                    if name not in self.net.hosts:
-                        raise ChaosError(f"{fault.describe()}: unknown host {name!r}")
-            elif isinstance(fault, FirewallLockdown):
-                if fault.host not in self.net.hosts:
-                    raise ChaosError(f"{fault.describe()}: unknown host {fault.host!r}")
+
+    def site_of(self, fault: Fault) -> Optional[int]:
+        """The site a site- or host-targeted fault hits, if any."""
+        if fault.target == "site":
+            return fault.site
+        if fault.target == "host":
+            return self.driver.site_of_host(fault.host)
+        return None
 
     # -- the two verbs -----------------------------------------------------
 
     def apply(self, fault: Fault) -> None:
         self.log.append((self.env.now, "apply", fault.describe()))
-        handler = self._HANDLERS[type(fault)]
-        handler(self, fault, apply=True)
+        if fault.target == "shard":  # data loss: an event, not a hold
+            lost = self.driver.shards[fault.shard].clear()
+            self.log.append((self.env.now, "note", f"shard {fault.shard} lost {lost} entries"))
+        for target, value in self._HOLDS[type(fault)](self, fault):
+            self._hold(target, self._holds.get(target, []) + [(fault, value)])
         for cb in self.on_fault:
             cb(fault, "apply")
 
     def revert(self, fault: Fault) -> None:
         self.log.append((self.env.now, "revert", fault.describe()))
-        handler = self._HANDLERS[type(fault)]
-        handler(self, fault, apply=False)
+        for target, _ in self._HOLDS[type(fault)](self, fault):
+            holders = list(self._holds.get(target, []))
+            for i, (holder, _) in enumerate(holders):
+                if holder is fault:  # a slow node holds no link made after it applied
+                    del holders[i]
+                    self._hold(target, holders)
+                    break
         for cb in self.on_fault:
             cb(fault, "revert")
         if self.controller is not None:
             # Healed capacity may unblock the head of the queue right now.
             self.controller.kick()
 
-    # -- handlers ----------------------------------------------------------
+    # -- the hold table ------------------------------------------------------
 
-    def _links_between(self, a: str, b: str):
-        return [self.net.link(a, b), self.net.link(b, a)]
+    @staticmethod
+    def _level(target: tuple, holders: list) -> object:
+        """What the active holds ask of a target: None when nothing holds
+        it; a link's worst (latency, bandwidth) factors; else True."""
+        if not holders:
+            return None
+        if target[0] == "link":
+            return (max(v[0] for _, v in holders), min(v[1] for _, v in holders))
+        return True
 
-    def _link_degrade(self, fault: LinkDegrade, apply: bool) -> None:
-        for link in self._links_between(fault.a, fault.b):
-            if apply:
-                link.degrade(fault.latency_factor, fault.bandwidth_factor)
-            else:
-                link.restore()
+    def _hold(self, target: tuple, holders: list) -> None:
+        """Record a target's holders; move the fabric only when what they
+        ask of it changes: its first hold, its last release, or a link's
+        worst factors."""
+        before = self._level(target, self._holds.pop(target, []))
+        if holders:
+            self._holds[target] = holders
+        after = self._level(target, holders)
+        if after != before:
+            kind, subject = target
+            self._EFFECTS[kind](self, subject, after)
 
-    def _partition(self, fault: Partition, apply: bool) -> None:
-        if apply:
-            self.net.partition(fault.a, fault.b)
-        else:
-            self.net.heal(fault.a, fault.b)
+    def _isolate(self, name: str, level) -> None:
+        (self.net.isolate if level else self.net.rejoin)(name)
 
-    def _isolate(self, name: str) -> None:
-        self._isolation[name] = self._isolation.get(name, 0) + 1
-        self.net.isolate(name)
-
-    def _rejoin(self, name: str) -> None:
-        count = self._isolation.get(name, 0) - 1
-        if count <= 0:
-            self._isolation.pop(name, None)
-            self.net.rejoin(name)
-        else:
-            self._isolation[name] = count
-
-    def _fail_site(self, index: int) -> None:
-        self._site_failures[index] = self._site_failures.get(index, 0) + 1
-        if self.ledger is not None and index in self.ledger.sites():
-            if not self.ledger.is_failed(index):
-                self.ledger.fail(index)
-
-    def _repair_site(self, index: int) -> None:
-        count = self._site_failures.get(index, 0) - 1
-        if count <= 0:
-            self._site_failures.pop(index, None)
-            if self.ledger is not None and index in self.ledger.sites():
-                if self.ledger.is_failed(index):
-                    self.ledger.repair(index)
-        else:
-            self._site_failures[index] = count
-
-    def _site_outage(self, fault: SiteOutage, apply: bool) -> None:
-        site = self.driver.sites[fault.site]
-        host_names = (site.hpc_name, site.svc_name)
-        if apply:
-            stash: dict = {"listeners": {}}
-            for name in host_names:
-                host = self.net.host(name)
-                stash["listeners"][name] = dict(host.listeners)
-                host.listeners.clear()
-                self._isolate(name)
-            self._undo[id(fault)] = stash
-            self._fail_site(fault.site)
-        else:
-            stash = self._undo.pop(id(fault), {"listeners": {}})
-            claimed = self._claimed_down_ports()
-            for name in host_names:
-                host = self.net.host(name)
-                # Re-seat the stashed listeners: their accept loops were
-                # parked on backlog mailboxes the whole time, so service
-                # resumes without rebuilding the middleware stack.  A
-                # port claimed by a still-active container or vbroker
-                # crash stays down until *that* fault reverts.
-                for port, listener in stash["listeners"].get(name, {}).items():
-                    if (name, port) in claimed:
-                        continue
-                    host.listeners.setdefault(port, listener)
-                self._rejoin(name)
-            self._repair_site(fault.site)
-
-    def _claimed_down_ports(self) -> set[tuple[str, int]]:
-        """(host, port) pairs another active crash fault holds down."""
-        claimed = {
-            (self.driver.sites[i].svc_name, self.driver.sites[i].container.port)
-            for i in self._crashed_containers
-        }
-        if self.pool is not None:
-            claimed |= {
-                (self.pool.brokers[i].host.name, self.pool.brokers[i].port)
-                for i in self._crashed_brokers
-            }
-        return claimed
-
-    def _container_crash(self, fault: ContainerCrash, apply: bool) -> None:
-        site = self.driver.sites[fault.site]
-        if apply:
-            site.container.stop()
-            self._crashed_containers.add(fault.site)
-            self._fail_site(fault.site)
-        else:
-            self._crashed_containers.discard(fault.site)
-            site.container.restart()
-            self._repair_site(fault.site)
-
-    def _vbroker_crash(self, fault: VBrokerCrash, apply: bool) -> None:
-        broker = self.pool.brokers[fault.broker]
-        if apply:
-            # Unconditional: even if an outage already unseated the
-            # listener, the downstream connections must still be severed.
-            broker.stop()
-            self._crashed_brokers.add(fault.broker)
-        else:
-            self._crashed_brokers.discard(fault.broker)
-            if not broker.alive:
-                broker.start()
-
-    def _shard_loss(self, fault: RegistryShardLoss, apply: bool) -> None:
-        if not apply:  # pragma: no cover - schedule forbids durations
+    def _unseat(self, name: str, level) -> None:
+        host = self.net.host(name)
+        if level:
+            self._unseated[name] = dict(host.listeners)
+            host.listeners.clear()
             return
-        lost = self.driver.shards[fault.shard].clear()
-        self.log.append((
-            self.env.now, "note",
-            f"shard {fault.shard} lost {lost} entries",
-        ))
+        # Re-seat the unseated listeners: their accept loops were parked
+        # on backlog mailboxes the whole time, so service resumes without
+        # rebuilding the middleware stack.  A port a still-active
+        # container or vbroker crash holds down stays down until *that*
+        # fault reverts.
+        claimed = {(server.host.name, server.port) for kind, server in self._holds
+                   if kind == "crash"}
+        for port, listener in self._unseated.pop(name).items():
+            if (name, port) not in claimed:
+                host.listeners.setdefault(port, listener)
 
-    def _lockdown(self, fault: FirewallLockdown, apply: bool) -> None:
-        firewall = self.net.host(fault.host).firewall
-        site = self.driver.site_of_host(fault.host)
-        if apply:
-            self._lockdowns[fault.host] = (self._lockdowns.get(fault.host, 0) + 1)
-            firewall.lockdown()
-            # A locked-down site cannot launch new sessions (the gateway
-            # port is shut); take it out of placement for the window.
-            if site is not None:
-                self._fail_site(site)
+    def _lock(self, name: str, level) -> None:
+        firewall = self.net.host(name).firewall
+        (firewall.lockdown if level else firewall.lift_lockdown)()
+
+    def _cut(self, pair: tuple[str, str], level) -> None:
+        (self.net.partition if level else self.net.heal)(*pair)
+
+    def _slow(self, link, level) -> None:
+        if level:
+            link.degrade(*level)
         else:
-            count = self._lockdowns.get(fault.host, 0) - 1
-            if count <= 0:
-                self._lockdowns.pop(fault.host, None)
-                firewall.lift_lockdown()
-            else:
-                self._lockdowns[fault.host] = count
-            if site is not None:
-                self._repair_site(site)
+            link.restore()
 
-    def _slow_node(self, fault: SlowNode, apply: bool) -> None:
+    def _unplace(self, index: int, level) -> None:
+        if self.ledger is None or index not in self.ledger.sites():
+            return
+        if level and not self.ledger.is_failed(index):
+            self.ledger.fail(index)
+        elif not level and self.ledger.is_failed(index):
+            self.ledger.repair(index)
+
+    def _crash(self, server, level) -> None:
+        """An OGSA container or a vbroker.  The stop is unconditional: even
+        if an outage already unseated the listener, the established
+        connections must still be severed."""
+        if level:
+            server.stop()
+        elif not server.alive:
+            server.start()
+            unseated = self._unseated.get(server.host.name)
+            if unseated is not None:  # its host's listeners are still held down
+                unseated[server.port] = server.host.listeners.pop(server.port)
+
+    _EFFECTS = {
+        "isolation": _isolate,
+        "listeners": _unseat,
+        "firewall": _lock,
+        "partition": _cut,
+        "link": _slow,
+        "placement": _unplace,
+        "crash": _crash,
+    }
+
+    # -- the holds each fault kind takes, in take order --------------------
+
+    def _placement_holds(self, fault: Fault) -> list:
+        site = self.site_of(fault)
+        return [] if site is None else [(("placement", site), None)]
+
+    def _site_outage(self, fault: SiteOutage) -> list:
         site = self.driver.sites[fault.site]
-        for name in (site.hpc_name, site.svc_name):
-            for link in self.net.links_of(name):
-                if apply:
-                    link.degrade(fault.factor, 1.0 / fault.factor)
-                else:
-                    link.restore()
+        return [((kind, name), None) for name in (site.hpc_name, site.svc_name)
+                for kind in ("listeners", "isolation")] + self._placement_holds(fault)
 
-    _HANDLERS = {
+    def _container_crash(self, fault: ContainerCrash) -> list:
+        crash = (("crash", self.driver.sites[fault.site].container), None)
+        return [crash] + self._placement_holds(fault)
+
+    def _lockdown(self, fault: FirewallLockdown) -> list:
+        # A locked-down site cannot launch new sessions (the gateway port
+        # is shut); take it out of placement for the window.
+        return [(("firewall", fault.host), None)] + self._placement_holds(fault)
+
+    def _link_degrade(self, fault: LinkDegrade) -> list:
+        factors = (fault.latency_factor, fault.bandwidth_factor)
+        return [(("link", self.net.link(src, dst)), factors)
+                for src, dst in ((fault.a, fault.b), (fault.b, fault.a))]
+
+    def _slow_node(self, fault: SlowNode) -> list:
+        site = self.driver.sites[fault.site]
+        links = dict.fromkeys(
+            link for name in (site.hpc_name, site.svc_name) for link in self.net.links_of(name)
+        )
+        return [(("link", link), (fault.factor, 1.0 / fault.factor)) for link in links]
+
+    _HOLDS = {
         LinkDegrade: _link_degrade,
-        Partition: _partition,
+        Partition: lambda self, fault: [(("partition", tuple(sorted(fault.members()))), None)],
         SiteOutage: _site_outage,
         ContainerCrash: _container_crash,
-        VBrokerCrash: _vbroker_crash,
-        RegistryShardLoss: _shard_loss,
+        VBrokerCrash: lambda self, fault: [(("crash", self.pool.brokers[fault.broker]), None)],
+        RegistryShardLoss: lambda self, fault: [],
         FirewallLockdown: _lockdown,
         SlowNode: _slow_node,
     }

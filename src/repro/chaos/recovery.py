@@ -33,21 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.chaos.faults import (
-    ContainerCrash,
-    Fault,
-    FirewallLockdown,
-    RegistryShardLoss,
-    SiteOutage,
-    SlowNode,
-    VBrokerCrash,
-)
+from repro.chaos.faults import Fault, RegistryShardLoss, VBrokerCrash
 from repro.errors import ChaosError, OgsaError, ReproError, VisitError
 from repro.ogsa.migration import migrate_service
 from repro.util.stats import RunningStats
 
 RETRY, MIGRATE, DEGRADE, ABANDON = "retry", "migrate", "degrade", "abandon"
 _ACTIONS = (RETRY, MIGRATE, DEGRADE, ABANDON)
+#: the fault kinds a policy maps, each by its field (the kind's name)
+_POLICED = ("site_outage", "container_crash", "slow_node", "firewall_lockdown")
 
 
 @dataclass(frozen=True)
@@ -61,7 +55,7 @@ class RecoveryPolicy:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("site_outage", "container_crash", "slow_node", "firewall_lockdown"):
+        for name in _POLICED:
             if getattr(self, name) not in _ACTIONS:
                 raise ChaosError(f"policy {name} must be one of {_ACTIONS}")
         if self.site_outage == MIGRATE:
@@ -73,15 +67,9 @@ class RecoveryPolicy:
             raise ChaosError("max_retries must be >= 0")
 
     def action_for(self, fault: Fault) -> Optional[str]:
-        if isinstance(fault, SiteOutage):
-            return self.site_outage
-        if isinstance(fault, ContainerCrash):
-            return self.container_crash
-        if isinstance(fault, SlowNode):
-            return self.slow_node
-        if isinstance(fault, FirewallLockdown):
-            return self.firewall_lockdown
-        return None  # broker/registry/link faults recover at fabric level
+        name = fault.kind.replace("-", "_")
+        # broker/registry/link faults recover at fabric level
+        return getattr(self, name) if name in _POLICED else None
 
 
 def retry_name(name: str, attempt: int) -> str:
@@ -139,20 +127,16 @@ class RecoveryOrchestrator:
     def _on_fault(self, fault: Fault, phase: str) -> None:
         if phase != "apply":
             return
-        if isinstance(fault, VBrokerCrash):
+        if fault.target == "broker":
             self._fail_over_broker(fault)
             return
-        if isinstance(fault, RegistryShardLoss):
+        if fault.target == "shard":
             self._rebuild_registry(fault)
             return
         action = self.policy.action_for(fault)
-        if action is None:
+        site = self.injector.site_of(fault)
+        if action is None or site is None:
             return
-        site = getattr(fault, "site", None)
-        if site is None:  # lockdown names a host; map it to its site
-            site = self.driver.site_of_host(fault.host)
-            if site is None:
-                return
         names = self.driver.sessions_at(site)
         if not names:
             return

@@ -34,6 +34,7 @@ from repro.campaign import (
 from repro.campaign import runner as runner_mod
 from repro.campaign.cli import main as cli_main
 from repro.campaign.runner import FAULT_ENV
+from repro.errors import CampaignError
 
 _SCENARIO = AxisPoint("paper", {
     "suite": "paper", "duration": 0.5, "cadence": 0.25, "participants": 1,
@@ -172,3 +173,36 @@ def test_usage_and_spec_errors_exit_2(kind, tmp_path, capsys):
         assert cli_main([*prefix, *argv, "--fail-on-violations"]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+#: fault declarations a spec may carry that no fault can be built from
+BAD_FAULTS = [
+    {"kind": "site-outage", "at": 1.0, "site": 0, "bogus": 1},
+    {"kind": "site-outage", "at": 1.0},
+    {"kind": "site-outage", "at": 1.0, "site": 0.5},
+    {"kind": "site-outage", "at": 1.0, "site": True},
+    {"kind": "site-outage", "at": 1.0, "site": 7},
+    {"kind": "site-outage", "at": float("nan"), "site": 0},
+    {"kind": "site-outage", "at": 1.0, "site": 0, "duration": float("inf")},
+    {"kind": "slow-node", "at": 1.0, "site": 0, "factor": float("nan")},
+    {"kind": "partition", "at": 1.0, "a": ["x"], "b": "svc-0"},
+    {"kind": "partition", "at": 1.0, "a": "hpc-0", "b": "nowhere"},
+    {"kind": ["site-outage"], "at": 1.0},
+]
+
+
+@pytest.mark.parametrize("decl", BAD_FAULTS, ids=repr)
+def test_malformed_fault_declaration_is_a_spec_error(decl, tmp_path, capsys):
+    spec = CampaignSpec(
+        name="bad-fault", seed=3, base=_BASE, scenarios=[_SCENARIO],
+        arrivals=[_trace("t0", 0.0)],
+        faults=[AxisPoint("bad", {"faults": [decl]})],
+        policies=[AxisPoint("ll", {"placement": "least-loaded"})],
+    )
+    with pytest.raises(CampaignError, match="fault point 'bad'"):
+        runner_mod.run_cell(spec.cells()[0])
+    (tmp_path / "spec.json").write_text(json.dumps(spec.to_dict()))
+    argv = ["run", "--spec", str(tmp_path / "spec.json"), "--store", str(tmp_path / "s.jsonl")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fault point 'bad'") and "Traceback" not in err

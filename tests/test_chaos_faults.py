@@ -38,6 +38,22 @@ def test_fault_validation_rejects_nonsense():
     with pytest.raises(ChaosError):
         # Shard loss is permanent data loss; a duration makes no sense.
         RegistryShardLoss(at=1.0, shard=0, duration=5.0)
+    # Ill-typed fields are refused where the fault is built, not where
+    # the fabric would trip over them.
+    nan, inf = float("nan"), float("inf")
+    for build in (
+        lambda: SiteOutage(at=1.0, site=0.5),
+        lambda: SiteOutage(at=1.0, site=True),
+        lambda: SiteOutage(at=nan, site=0),
+        lambda: SiteOutage(at=1.0, site=0, duration=inf),
+        lambda: SlowNode(at=1.0, site=0, factor=nan),
+        lambda: LinkDegrade(at=1.0, a=["x"], b="y"),
+        lambda: Partition(at=1.0, a="x", b="x"),
+        lambda: VBrokerCrash(at=1.0, broker="0"),
+        lambda: FirewallLockdown(at=1.0, host=3),
+    ):
+        with pytest.raises(ChaosError):
+            build()
 
 
 def test_schedule_orders_by_time_and_reports_horizon():
@@ -72,6 +88,40 @@ def test_random_schedule_is_seeded_and_replayable():
     windows = sorted((f.at, f.at + (f.duration or 0.0)) for f in a)
     for (s0, e0), (s1, e1) in zip(windows, windows[1:]):
         assert e0 <= s1
+
+
+def test_random_schedule_draws_are_pinned():
+    """Recorded literally: a refactor of the draw must keep every seed's
+    schedule.  Seeds 2 and 14 between them draw all eight kinds."""
+    kw = dict(
+        horizon=30.0, n_faults=6, sites=3, shards=2, brokers=2,
+        hosts=("hpc-0", "hpc-1"), host_pairs=(("hpc-0", "svc-0"), ("hpc-1", "svc-1")),
+    )
+    assert FaultSchedule.random(seed=2, **kw).describe() == [
+        "link-degrade(t=0.546536, 1.84652s, a='hpc-0', b='svc-0', latency_factor=11.0, "
+        "bandwidth_factor=0.25)",
+        "container-crash(t=5.37088, 1.78197s, site=0)",
+        "firewall-lockdown(t=9.42155, 2.12048s, host='hpc-1')",
+        "slow-node(t=13.2033, 2.47727s, site=0, factor=9.0)",
+        "slow-node(t=17.891, 1.87713s, site=1, factor=12.0)",
+        "site-outage(t=21.2968, 1.22584s, site=0)",
+    ]
+    assert FaultSchedule.random(seed=14, **kw).describe() == [
+        "partition(t=1.38541, 2.06784s, a='hpc-0', b='svc-0')",
+        "vbroker-crash(t=5.57621, 1.18562s, broker=0)",
+        "slow-node(t=8.88478, 2.32006s, site=1, factor=10.0)",
+        "partition(t=12.8216, 2.75256s, a='hpc-1', b='svc-1')",
+        "registry-shard-loss(t=17.6926, permanent, shard=0)",
+        "site-outage(t=21.2821, 1.98839s, site=0)",
+    ]
+    assert FaultSchedule.random(
+        seed=5, horizon=20.0, n_faults=4, sites=2, shards=1, window=0.5, duration_scale=2.0,
+    ).describe() == [
+        "registry-shard-loss(t=0.991787, permanent, shard=0)",
+        "slow-node(t=3.52596, 1.36167s, site=0, factor=6.0)",
+        "site-outage(t=5.62179, 1.87821s, site=1)",
+        "site-outage(t=8.32394, 1.03421s, site=0)",
+    ]
 
 
 def test_random_schedule_excludes_unsatisfiable_kinds():

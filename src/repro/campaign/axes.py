@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.campaign.spec import AxisPoint, CellSpec, from_fields
+from repro.campaign.spec import AxisPoint, CellSpec
 from repro.chaos.faults import FAULT_KINDS, FaultSchedule
 from repro.errors import CampaignError, LiveError
 from repro.fleet.spec import ScenarioSpec, paper_suite, sweep_scenarios
@@ -31,6 +31,7 @@ from repro.load.arrivals import (
     TraceArrivals,
 )
 from repro.load.placement import PlacementPolicy, make_policy
+from repro.wire.fields import decode_tagged
 
 #: fault kind name ("site-outage" ...) -> fault dataclass
 FAULTS_BY_KIND = {kind.kind: kind for kind in FAULT_KINDS}
@@ -176,6 +177,10 @@ def build_schedule(point: AxisPoint, cell: CellSpec, config: dict,
             f"fault point {point.name!r}: declare 'faults' or 'random', "
             "not both"
         )
+    if not isinstance(params.get("faults", []), list):
+        raise CampaignError(f"fault point {point.name!r}: 'faults' must be a list")
+    if not isinstance(params.get("random", {}), dict):
+        raise CampaignError(f"fault point {point.name!r}: 'random' must be a JSON object")
     if "random" in params:
         kwargs = dict(params["random"])
         n_sites = int(config["n_sites"])
@@ -198,18 +203,11 @@ def build_schedule(point: AxisPoint, cell: CellSpec, config: dict,
             return FaultSchedule.random(seed=cell.subseed("faults"), **kwargs)
         except TypeError as exc:  # an unknown or ill-typed random param
             raise CampaignError(f"fault point {point.name!r}: {exc}") from None
-    faults = []
-    for decl in params.get("faults", ()):
-        decl = dict(decl) if isinstance(decl, dict) else {}
-        kind = decl.pop("kind", None)
-        cls = FAULTS_BY_KIND.get(kind) if isinstance(kind, str) else None
-        if cls is None:
-            raise CampaignError(
-                f"fault point {point.name!r}: unknown fault kind {kind!r} "
-                f"(expected one of {sorted(FAULTS_BY_KIND)})"
-            )
-        faults.append(from_fields(cls, decl, f"fault point {point.name!r}: {kind}"))
-    return FaultSchedule(faults)
+    what = f"fault point {point.name!r}: fault"
+    return FaultSchedule(
+        decode_tagged(FAULTS_BY_KIND, decl, "kind", CampaignError, what)
+        for decl in params.get("faults", ())
+    )
 
 
 # -- policy ------------------------------------------------------------------

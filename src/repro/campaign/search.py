@@ -52,13 +52,13 @@ from repro.campaign.spec import (
     CellSpec,
     check_document,
     derive_seed,
-    exact_int,
     from_fields,
     to_fields,
 )
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
 from repro.util import journal
+from repro.wire.fields import check_fields, decode_tagged
 
 SEARCH_SCHEMA = "repro.campaign/search-v1"
 ARCHIVE_SCHEMA = "repro.campaign/search-archive-v1"
@@ -137,6 +137,8 @@ class Objective:
             raise CampaignError(
                 f"objective goal must be 'min' or 'max', got {self.goal!r}"
             )
+        if not isinstance(self.constraints, (list, tuple)):
+            raise CampaignError(f"objective constraints must be a list, got {self.constraints!r}")
         object.__setattr__(self, "constraints", tuple(
             c if isinstance(c, Constraint) else Constraint.from_dict(c)
             for c in self.constraints
@@ -384,17 +386,7 @@ def make_strategy(doc) -> SearchStrategy:
     """Build a strategy from its wire form (``{"kind": ..., **params}``)."""
     if isinstance(doc, SearchStrategy):
         return doc
-    if not isinstance(doc, dict):
-        raise CampaignError(f"strategy must be a JSON object, got {doc!r}")
-    doc = dict(doc)
-    kind = doc.pop("kind", None)
-    cls = STRATEGIES.get(kind)
-    if cls is None:
-        raise CampaignError(
-            f"unknown search strategy {kind!r} "
-            f"(expected one of {sorted(STRATEGIES)})"
-        )
-    return from_fields(cls, doc, what=f"strategy {kind!r}")
+    return decode_tagged(STRATEGIES, doc, "kind", CampaignError, "search strategy")
 
 
 # -- the search spec ---------------------------------------------------------
@@ -419,10 +411,9 @@ class SearchSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self, CampaignError, "search spec")
         if not self.name:
             raise CampaignError("search needs a name")
-        for budget in ("seed", "generations", "population"):
-            exact_int(getattr(self, budget), f"search {budget}")
         if not isinstance(self.space, ParamSpace):
             self.space = ParamSpace.from_dict(self.space)
         self.strategy = make_strategy(self.strategy)

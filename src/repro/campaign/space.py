@@ -41,10 +41,10 @@ from repro.campaign.spec import (
     CampaignSpec,
     CellSpec,
     from_fields,
-    own_dict,
     to_fields,
 )
 from repro.errors import CampaignError
+from repro.wire.fields import check_fields
 
 SPACE_SCHEMA = "repro.campaign/space-v1"
 
@@ -107,6 +107,7 @@ class ParamRange:
     log: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self, CampaignError, f"range {self.path!r}")
         validate_path(self.path)
         # normalise bounds so to_dict() is byte-stable however the
         # range was constructed (ints from code, floats from JSON)
@@ -117,8 +118,6 @@ class ParamRange:
                 f"range {self.path!r}: kind must be 'float' or 'int', "
                 f"got {self.kind!r}"
             )
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise CampaignError(f"range {self.path!r}: bounds must be finite")
         if self.lo >= self.hi:
             raise CampaignError(
                 f"range {self.path!r}: need lo < hi, got [{self.lo}, {self.hi}]"
@@ -175,9 +174,10 @@ class ParamSpace:
     base: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_fields(self, CampaignError, "parameter space")
         if not self.name:
             raise CampaignError("parameter space needs a name")
-        self.base = own_dict(self.base, "parameter space base")
+        self.base = dict(self.base)
         for axis in AXES:
             point = getattr(self, axis)
             if not isinstance(point, AxisPoint):

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
 from repro.errors import CampaignError
+from repro.wire.fields import check_fields, decode_fields
 
 #: axis order — also the order of coordinates inside a cell id
 AXES = ("scenario", "arrival", "faults", "policy")
@@ -69,22 +70,6 @@ def check_document(doc, schema: str, what: str) -> None:
         )
 
 
-def exact_int(value, what: str) -> None:
-    """Refuse a seed or budget that is not already an integer: 1.7,
-    ``true`` or "3" would otherwise be rounded or coerced silently."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CampaignError(f"{what} must be an integer, got {value!r}")
-
-
-def own_dict(value, what: str) -> dict:
-    """A dict-valued field's private copy (so the document it was read
-    from, a store header say, cannot be edited through the object that
-    was built from it), refusing anything that is not a dict."""
-    if not isinstance(value, dict):
-        raise CampaignError(f"{what} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
 # Every wire form in this package is its dataclass's fields — the specs
 # behind a schema/version envelope, the strategies beside their registry
 # ``kind`` — so one writer and one validating reader serve them all: a
@@ -114,23 +99,14 @@ def to_fields(self, schema: str | None = None) -> dict:
 
 
 def from_fields(cls, doc, what: str | None = None, schema: str | None = None):
-    """``from_dict``: ``cls(**doc)``, refusing a document that is not an
-    object (of this ``schema`` and a known version, when one is given),
-    names an unknown field or omits a required one."""
+    """``from_dict``: ``cls`` decoded from ``doc`` by the shared field
+    decoder (:func:`~repro.wire.fields.decode_fields`), behind the
+    ``schema`` envelope and its version check when one is given."""
     what = what or cls.__name__.lower()
     if schema is not None:
         check_document(doc, schema, what)
         doc = {k: v for k, v in doc.items() if k not in ("schema", "version")}
-    elif not isinstance(doc, dict):
-        raise CampaignError(f"{what} must be a JSON object, got {doc!r}")
-    known = fields(cls)
-    extra = set(doc) - {f.name for f in known}
-    if extra:
-        raise CampaignError(f"{what}: unexpected params {sorted(extra)}")
-    for f in known:
-        if f.name not in doc and f.default is MISSING and f.default_factory is MISSING:
-            raise CampaignError(f"{what} is missing required key {f.name!r}")
-    return cls(**doc)
+    return decode_fields(cls, doc, CampaignError, what)
 
 
 def derive_seed(seed: int, *parts: object) -> int:
@@ -161,13 +137,14 @@ class AxisPoint:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name or "/" in self.name:
+        check_fields(self, CampaignError, f"axis point {self.name!r}")
+        if not self.name or "/" in self.name:
             raise CampaignError(
                 f"axis point name {self.name!r} must be a non-empty string "
                 "and must not contain '/'"
             )
-        params = own_dict(self.params, f"axis point {self.name!r}: params")
-        object.__setattr__(self, "params", params)
+        # a private copy: the document it came from cannot edit the point
+        object.__setattr__(self, "params", dict(self.params))
 
     to_dict = to_fields
 
@@ -233,10 +210,10 @@ class CampaignSpec:
     base: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_fields(self, CampaignError, "campaign spec")
         if not self.name:
             raise CampaignError("campaign needs a name")
-        exact_int(self.seed, "campaign seed")
-        self.base = own_dict(self.base, "campaign base")
+        self.base = dict(self.base)
         for axis, attr in AXIS_FIELDS.items():
             points = getattr(self, attr)
             # a string would otherwise iterate into one point per letter

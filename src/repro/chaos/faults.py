@@ -36,13 +36,12 @@ Faults with a ``duration`` auto-revert (the injector undoes them); with
 
 from __future__ import annotations
 
-import math
-import numbers
 import random
 from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator, Optional, Sequence
 
 from repro.errors import ChaosError
+from repro.wire.fields import check_fields
 
 #: what a fault kind hits -> the fields that name one member of it
 TARGET_FIELDS: dict[str, tuple[str, ...]] = {
@@ -52,11 +51,6 @@ TARGET_FIELDS: dict[str, tuple[str, ...]] = {
     "host": ("host",),
     "host pair": ("a", "b"),
 }
-
-
-def _is_real(value) -> bool:
-    """A finite number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -81,19 +75,12 @@ class Fault:
     def __post_init__(self) -> None:
         # Faults arrive from campaign specs as JSON: every field is
         # type-checked here, not where the fabric would trip over it.
-        names = TARGET_FIELDS[self.target]
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name not in names:
-                ok, want = _is_real(value) or f.name == "duration" and value is None, "finite"
-            elif self.target in ("host", "host pair"):
-                ok, want = isinstance(value, str) and value != "", "a host name"
-            else:
-                ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                ok, want = ok and value >= 0, "an index >= 0"
-            if not ok:
-                raise ChaosError(f"{self.kind}: {f.name} must be {want}, got {value!r}")
-        if len(names) == 2 and len(set(self.members())) == 1:
+        check_fields(self, ChaosError, self.kind)
+        members = self.members()
+        for value in members:
+            if value == "" or isinstance(value, int) and value < 0:
+                raise ChaosError(f"{self.kind}: {value!r} names no {self.target}")
+        if len(members) == 2 and len(set(members)) == 1:
             raise ChaosError(f"{self.kind}: a host pair needs two different hosts")
         if self.at < 0:
             raise ChaosError(f"{self.kind}: fault time must be >= 0")

@@ -13,10 +13,10 @@ applications (LB3D, PEPC, building climatization, crowd flow) across the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import isfinite
 from typing import Any, Optional
 
 from repro.errors import SteeringError
+from repro.wire.fields import check_fields
 from repro.workloads.netprofiles import PROFILES
 
 #: sim kind -> (factory kwargs used at fleet scale, steered parameter,
@@ -99,19 +99,10 @@ class ScenarioSpec:
     sim_args: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Specs arrive from JSON (``POST /sessions``, campaign files), and
-        # ``json.loads`` accepts NaN and Infinity; every range check below
-        # is false for a NaN, so refuse non-finite numbers up front.
-        for key, value in vars(self).items():
-            if isinstance(value, float) and not isfinite(value):
-                raise SteeringError(f"spec {self.name!r}: {key} must be finite, got {value!r}")
-        # JSON also hands 1.5 and true to the fields that reach range(), a
-        # modulus or an RNG seed long after admission: those are exact
-        # ints here, never floats or bools.
-        for key in ("participants", "steps", "sample_interval", "seed"):
-            value = getattr(self, key)
-            if type(value) is not int and not (key == "steps" and value is None):
-                raise SteeringError(f"spec {self.name!r}: {key} must be an int, got {value!r}")
+        # Specs arrive from JSON (``POST /sessions``, campaign files, traces),
+        # which hands over NaN, 1.5 and true just as readily: refuse wrong
+        # types before a range check is false for a NaN or range() meets 1.5.
+        check_fields(self, SteeringError, f"spec {self.name!r}")
         if self.sim not in SIM_KINDS:
             raise SteeringError(f"spec {self.name!r}: unknown sim kind {self.sim!r}")
         if self.profile not in PROFILES:

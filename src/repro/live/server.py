@@ -432,7 +432,7 @@ class LiveServer:
             )
         try:
             proto = ScenarioSpec(name="live-proto", **doc)
-        except (SteeringError, TypeError) as exc:
+        except SteeringError as exc:
             raise HttpError(400, f"bad session spec: {exc}") from None
         spec = mint_spec(proto, self._counter, "live", digits=5)
         self._counter += 1

@@ -30,51 +30,39 @@ the death of its process, not of its host.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.errors import LiveError
 from repro.fleet.spec import ScenarioSpec
 from repro.load.arrivals import RecordedArrivals
 from repro.util import journal
+from repro.wire.fields import decode_fields
 
 TRACE_SCHEMA = "repro.live/trace-v1"
 
-#: ScenarioSpec constructor fields a trace record round-trips.  ``steps``
-#: rides along explicitly so the replayed spec cannot silently re-derive
-#: a different budget if the derivation rule ever changes.
-SPEC_FIELDS = (
-    "name",
-    "sim",
-    "profile",
-    "participants",
-    "cadence",
-    "duration",
-    "steps",
-    "sample_interval",
-    "compute_time",
-    "admission_offset",
-    "seed",
-    "sim_args",
-)
+
+@dataclass
+class _Arrival:
+    """A record replay reads, as the recorder writes and :func:`load_trace` decodes it."""
+
+    index: int
+    wall: float
+    sim: float
+    cls: str
+    outcome: str
+    #: the spec's fields, rebuilt by :meth:`Trace.entries`; ``steps`` rides
+    #: along, so replay never re-derives a budget whose rule has changed
+    spec: dict
+    kind: str = "arrival"
 
 
-def spec_fields(spec: ScenarioSpec) -> dict:
-    """The JSON-able constructor fields of a spec, for a trace record."""
-    doc = {name: getattr(spec, name) for name in SPEC_FIELDS}
-    doc["sim_args"] = dict(doc["sim_args"])
-    return doc
-
-
-def spec_from_fields(doc: dict) -> ScenarioSpec:
-    """Rebuild the exact spec a trace record captured."""
-    unknown = set(doc) - set(SPEC_FIELDS)
-    if unknown:
-        raise LiveError(f"trace spec record has unknown fields {sorted(unknown)}")
-    try:
-        return ScenarioSpec(**doc)
-    except TypeError as exc:
-        raise LiveError(f"trace spec record is incomplete: {exc}") from None
+@dataclass
+class _End:
+    sim: float
+    wall: float
+    arrivals: int
+    kind: str = "end"
 
 
 class TraceRecorder:
@@ -103,15 +91,7 @@ class TraceRecorder:
         """One offered session: ``outcome`` is ``queued`` or ``rejected``."""
         if outcome not in ("queued", "rejected"):
             raise LiveError(f"arrival outcome must be queued|rejected, got {outcome!r}")
-        record = {
-            "kind": "arrival",
-            "index": self.arrivals,
-            "wall": wall,
-            "sim": sim,
-            "cls": cls,
-            "outcome": outcome,
-            "spec": spec_fields(spec),
-        }
+        record = vars(_Arrival(self.arrivals, wall, sim, cls, outcome, asdict(spec)))
         self.arrivals += 1
         self._append(record)
         return record
@@ -128,7 +108,7 @@ class TraceRecorder:
         """Seal the trace with an end record (idempotent)."""
         if self._closed:
             return
-        self._append({"kind": "end", "sim": sim, "wall": wall, "arrivals": self.arrivals})
+        self._append(vars(_End(sim, wall, self.arrivals)))
         self._closed = True
 
 
@@ -150,7 +130,10 @@ class Trace:
 
     def entries(self) -> list[tuple[float, ScenarioSpec]]:
         """Every offered arrival as ``(sim_time, spec)``, replay-ready."""
-        return [(rec["sim"], spec_from_fields(rec["spec"])) for rec in self.arrivals]
+        return [
+            (rec["sim"], decode_fields(ScenarioSpec, rec["spec"], LiveError, "trace spec record"))
+            for rec in self.arrivals
+        ]
 
     @property
     def horizon(self) -> float:
@@ -164,10 +147,6 @@ class Trace:
 
     def arrival_process(self) -> RecordedArrivals:
         return RecordedArrivals(self.entries(), horizon=self.horizon)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_trace(path: pathlib.Path | str) -> Trace:
@@ -192,8 +171,7 @@ def load_trace(path: pathlib.Path | str) -> Trace:
                     f"{path}: arrival record out of order "
                     f"(index {rec.get('index')!r}, expected {expected_index})"
                 )
-            if not isinstance(rec.get("spec"), dict) or not _is_real(rec.get("sim")):
-                raise LiveError(f"{path}: arrival record {expected_index} missing sim/spec")
+            decode_fields(_Arrival, rec, LiveError, f"{path}: arrival record {expected_index}")
             expected_index += 1
             trace.arrivals.append(rec)
         elif kind == "event":
@@ -201,8 +179,7 @@ def load_trace(path: pathlib.Path | str) -> Trace:
         elif kind == "end":
             if trace.end is not None:
                 raise LiveError(f"{path}: duplicate end record")
-            if not _is_real(rec.get("sim")):
-                raise LiveError(f"{path}: end record missing sim")
+            decode_fields(_End, rec, LiveError, f"{path}: end record")
             trace.end = rec
         else:
             raise LiveError(f"{path}: unknown trace record kind {kind!r}")

@@ -9,9 +9,11 @@ OGSA service calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
-from repro.wire.tagged import TaggedCodec
+from repro.errors import ProtocolError
+from repro.wire.fields import decode_tagged, encode_tagged
 
 
 @dataclass
@@ -92,8 +94,10 @@ class SampleMsg:
 
 COMMAND_TYPES = (SetParam, Pause, Resume, Stop, CheckpointCmd, GetStatus)
 
-_STEERING = TaggedCodec("steering", *COMMAND_TYPES, Ack, StatusReport, SampleMsg)
+#: the steering messages by their ``_kind`` tag
+_STEERING = {cls.__name__: cls for cls in (*COMMAND_TYPES, Ack, StatusReport, SampleMsg)}
+_TAGGED = {"tag": "_kind", "error": ProtocolError, "what": "steering message"}
 
 #: dataclass -> wire dict with a ``_kind`` discriminator, and back
-encode_message = _STEERING.to_wire
-decode_message = _STEERING.from_wire
+encode_message = partial(encode_tagged, _STEERING, **_TAGGED)
+decode_message = partial(decode_tagged, _STEERING, **_TAGGED)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import UnicoreError
+from repro.wire.fields import decode_fields, decode_tagged
 
 
 @dataclass
@@ -32,6 +33,10 @@ class ExecuteTask:
     wall_time: float = 1.0
     steered: bool = False
 
+    def __post_init__(self) -> None:
+        if self.wall_time < 0:
+            raise UnicoreError(f"task {self.name!r}: wall_time must be >= 0")
+
 
 @dataclass
 class StageIn:
@@ -48,6 +53,20 @@ class StageOut:
 
     name: str
     filename: str
+
+
+#: an AJO task's ``_task`` tag -> its class
+_TASKS = {cls.__name__: cls for cls in (ExecuteTask, StageIn, StageOut)}
+
+
+@dataclass
+class _Consigned:
+    """An AJO's wire form, as :meth:`AbstractJobObject.from_wire` decodes it."""
+
+    job_name: str
+    vsite: str
+    tasks: dict
+    dependencies: dict
 
 
 class AbstractJobObject:
@@ -71,8 +90,8 @@ class AbstractJobObject:
         return task.name
 
     def execution_order(self) -> list[str]:
-        """Topological order; raises on cycles (defensive — add_task's
-        defined-before rule already prevents them)."""
+        """Topological order; raises on cycles (add_task's defined-before
+        rule prevents them; a consigned AJO may still carry one)."""
         order: list[str] = []
         done: set[str] = set()
         remaining = dict(self.dependencies)
@@ -102,16 +121,21 @@ class AbstractJobObject:
         }
 
     @classmethod
-    def from_wire(cls, payload: dict) -> "AbstractJobObject":
-        kinds = {"ExecuteTask": ExecuteTask, "StageIn": StageIn, "StageOut": StageOut}
-        try:
-            ajo = cls(payload["job_name"], payload["vsite"])
-            for name in payload["dependencies"]:
-                raw = dict(payload["tasks"][name])
-                kind = raw.pop("_task")
-                task = kinds[kind](**raw)
-                ajo.tasks[name] = task
-                ajo.dependencies[name] = set(payload["dependencies"][name])
-        except (KeyError, TypeError) as exc:
-            raise UnicoreError(f"malformed AJO payload: {exc}") from None
+    def from_wire(cls, payload) -> "AbstractJobObject":
+        """The consigned AJO, or :class:`UnicoreError`: each task decodes
+        under its ``_task`` tag, and ``dependencies`` maps exactly those
+        tasks to lists of them."""
+        wire = decode_fields(_Consigned, payload, UnicoreError, "AJO")
+        if wire.tasks.keys() != wire.dependencies.keys():
+            raise UnicoreError("AJO tasks and dependencies name different tasks")
+        ajo = cls(wire.job_name, wire.vsite)
+        for name, after in wire.dependencies.items():
+            what = f"AJO task {name!r}"
+            known = isinstance(after, list) and all(
+                isinstance(dep, str) and dep in wire.tasks for dep in after
+            )
+            if not known:
+                raise UnicoreError(f"{what}: dependencies must name tasks of the AJO")
+            ajo.tasks[name] = decode_tagged(_TASKS, wire.tasks[name], "_task", UnicoreError, what)
+            ajo.dependencies[name] = set(after)
         return ajo

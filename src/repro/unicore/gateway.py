@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ChannelClosed, TimeoutExpired, UnicoreError
+from repro.errors import AuthenticationError, ChannelClosed, TimeoutExpired, UnicoreError
 from repro.unicore.security import Certificate, TrustStore
+from repro.wire.fields import decode_fields
 
 
 class Gateway:
@@ -62,9 +63,10 @@ class Gateway:
         subject = None
         if isinstance(msg, dict) and msg.get("op") == "auth":
             try:
-                cert = Certificate(**msg["certificate"])
+                doc = msg.get("certificate")
+                cert = decode_fields(Certificate, doc, AuthenticationError, "certificate")
                 subject = self.trust.authenticate(cert)
-            except Exception as exc:
+            except AuthenticationError as exc:
                 self.auth_failures += 1
                 conn.send({"ok": False, "error": f"authentication failed: {exc}"})
                 conn.close()

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.errors import ProtocolError
 from repro.wire.codec import decode, describe, encode
-from repro.wire.tagged import TaggedCodec
+from repro.wire.fields import decode_tagged, encode_tagged
 
 
 @dataclass
@@ -66,18 +67,21 @@ class VisitClose:
     reason: str = ""
 
 
-_VISIT = TaggedCodec(
-    "VISIT", ConnectRequest, ConnectAck, DataSend, DataRequest, DataResponse, VisitClose
-)
+#: the VISIT messages by their ``_kind`` tag
+_VISIT = {
+    cls.__name__: cls
+    for cls in (ConnectRequest, ConnectAck, DataSend, DataRequest, DataResponse, VisitClose)
+}
 
 
 def encode_visit(msg: Any, byteorder: str = "<") -> bytes:
     """VISIT message -> wire bytes (the byte order is the *sender's*
     native order; the receiver converts, per the VISIT rule)."""
-    return encode(_VISIT.to_wire(msg), byteorder)
+    return encode(encode_tagged(_VISIT, msg, "_kind", ProtocolError, "VISIT message"), byteorder)
 
 
 def decode_visit(blob: bytes) -> Any:
     """Wire bytes -> VISIT message (:class:`CodecError` for bytes that do
-    not decode; receive through :func:`repro.visit.protocol.recv_visit`)."""
-    return _VISIT.from_wire(decode(blob))
+    not decode, :class:`ProtocolError` for a struct that is no VISIT
+    message; receive through :func:`repro.visit.protocol.recv_visit`)."""
+    return decode_tagged(_VISIT, decode(blob), "_kind", ProtocolError, "VISIT message")

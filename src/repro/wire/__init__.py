@@ -4,8 +4,9 @@ VISIT (paper section 3.2) transfers "simple data types like strings,
 integers, floats, user defined structures, and arrays of these" using an
 MPI-like tagged message mechanism, with "any data conversions (byte order,
 precision, integer-float) performed transparently by the server".  This
-package implements exactly that data model, and the ``_kind``-tagged
-dataclass layer both message protocols share.
+package implements exactly that data model, and the one field decoder
+every inbound document goes through (:mod:`repro.wire.fields`), whose
+tagged pair is the ``_kind``-tagged layer both message protocols share.
 """
 
 from repro.wire.codec import (
@@ -14,12 +15,15 @@ from repro.wire.codec import (
     describe,
     encode,
 )
-from repro.wire.tagged import TaggedCodec
+from repro.wire.fields import check_fields, decode_fields, decode_tagged, encode_tagged
 
 __all__ = [
     "encode",
     "decode",
     "describe",
     "coerce_array",
-    "TaggedCodec",
+    "decode_fields",
+    "decode_tagged",
+    "encode_tagged",
+    "check_fields",
 ]

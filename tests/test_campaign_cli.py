@@ -163,10 +163,19 @@ def test_usage_and_spec_errors_exit_2(kind, tmp_path, capsys):
     # a store of the *other* kind: resume must redirect, not mangle it
     other = search_spec() if kind == "grid" else grid_spec()
     ResultStore(tmp_path / "other.jsonl").ensure_header(other)
+    # a wrong-typed field: a search range's "lo" used to exit 1 with a
+    # traceback, a grid's numeric name used to run
+    wrong = grid_spec().to_dict() if kind == "grid" else search_spec().to_dict()
+    if kind == "grid":
+        wrong["name"] = 7
+    else:
+        wrong["space"]["ranges"][0]["lo"] = "x"
+    (tmp_path / "wrong.json").write_text(json.dumps(wrong))
     for argv in (
         ["run", "--spec", str(tmp_path / "missing.json")],
         ["run", "--spec", str(tmp_path / "bad.json")],
         ["run", "--spec", str(tmp_path / "list.json")],
+        ["run", "--spec", str(tmp_path / "wrong.json")],
         ["resume"],
         ["resume", "--store", str(tmp_path / "other.jsonl")],
     ):

@@ -93,10 +93,13 @@ def test_spec_round_trip_preserves_grid_and_seeds():
 
 def test_from_dict_rejects_bad_documents():
     from repro.campaign import ParamSpace, SearchSpec, search_preset
+    from repro.campaign.search import Evaluation
 
     good = grid().to_dict()
     search = search_preset("cliff-smoke").to_dict()
     space = search["space"]
+    rate = {"path": "arrival.rate", "lo": 0.5, "hi": 3.0}
+    floor = {"metric": "sessions", "lo": 1.0}
     # every case used to load silently wrong (a string axis became one
     # point per letter, seed 1.7 became 1, true became 1) or died with
     # an AttributeError / TypeError instead of a CampaignError
@@ -130,6 +133,18 @@ def test_from_dict_rejects_bad_documents():
         (ParamSpace, {**space, "ranges": "arrival.rate"}),
         (ParamSpace, {**space, "ranges": [3]}),
         (ParamSpace, {**space, "ranges": [{"path": "arrival.rate"}]}),
+        # wrong-typed fields: the first four raised a bare ValueError or
+        # TypeError, the rest loaded silently
+        (ParamSpace, {**space, "ranges": [{**rate, "lo": "x"}]}),
+        (SearchSpec, {**search, "objective": {"constraints": [{**floor, "weight": "x"}]}}),
+        (SearchSpec, {**search, "strategy": {"kind": "evolutionary", "elites": "x"}}),
+        (SearchSpec, {**search, "strategy": {"kind": "halving", "eta": "x"}}),
+        (SearchSpec, {**search, "strategy": {"kind": "evolutionary", "elites": 2.5}}),
+        (ParamSpace, {**space, "ranges": [{**rate, "log": "yes"}]}),
+        (SearchSpec, {**search, "objective": {"constraints": [{**floor, "lo": "x"}]}}),
+        (Evaluation, {"generation": 0, "assignment": {}, "cell_id": "c", "seed": 1, "score": "x"}),
+        (CampaignSpec, {**good, "name": 7}),
+        (CampaignSpec, {**good, "name": ["c"]}),
     ]
     for loader, doc in cases:
         with pytest.raises(CampaignError):

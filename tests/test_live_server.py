@@ -92,13 +92,18 @@ def test_error_statuses():
             assert worse.status == 400
             # json.loads accepts the literal NaN; an admitted NaN cadence
             # used to kill the pacer and wedge every other session, the
-            # other three to drop the connection without an answer.
+            # other three to drop the connection without an answer.  The
+            # wrong-typed sim_args were admitted and failed the session
+            # later; true was accepted as a duration.
             nan = float("nan")
             for hostile in (
                 {"cadence": nan},
                 {"duration": nan},
                 {"compute_time": nan},
                 {"compute_time": 0},
+                {"sim_args": "xy"},
+                {"sim_args": [1, 2]},
+                {"duration": True},
             ):
                 resp = await request(*args, "POST", "/sessions", _session_body(**hostile))
                 assert resp.status == 400, hostile

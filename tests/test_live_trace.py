@@ -14,8 +14,6 @@ from repro.live.trace import (
     TraceRecorder,
     load_trace,
     replay_campaign,
-    spec_fields,
-    spec_from_fields,
     trace_campaign,
 )
 from repro.load import RecordedArrivals
@@ -34,16 +32,24 @@ def _record(path, n=3, config=None):
     return rec
 
 
-def test_spec_fields_roundtrip_exactly():
+def test_spec_fields_roundtrip_exactly(tmp_path):
     spec = _spec("a", seed=9, duration=3.0, sim_args={"grid": 16})
-    doc = json.loads(json.dumps(spec_fields(spec)))
-    again = spec_from_fields(doc)
+    path = tmp_path / "t.jsonl"
+    TraceRecorder(path, {}).record_arrival(spec, sim=0.0, wall=1.0, cls="batch", outcome="queued")
+    ((_, again),) = load_trace(path).entries()
     assert again == spec
     assert again.steps == spec.steps  # explicit, not re-derived
+    header, record = [json.loads(line) for line in path.read_text().splitlines()]
+
+    def entries(spec_doc):
+        lines = (header, {**record, "spec": spec_doc})
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        return load_trace(path).entries()
+
     with pytest.raises(LiveError, match="unknown fields"):
-        spec_from_fields({**doc, "bogus": 1})
-    with pytest.raises(LiveError, match="incomplete"):
-        spec_from_fields({})  # no name: the spec cannot be rebuilt
+        entries({**record["spec"], "bogus": 1})
+    with pytest.raises(LiveError, match="missing required field 'name'"):
+        entries({})  # no name: the spec cannot be rebuilt
 
 
 def test_recorder_writes_header_immediately_and_appends(tmp_path):

@@ -104,6 +104,8 @@ def test_decode_message_rejects_garbage():
         decode_message({"_kind": "Nonsense"})
     with pytest.raises(ProtocolError):
         decode_message({"_kind": "SetParam", "bogus_field": 1})
+    with pytest.raises(ProtocolError):  # a float field is finite
+        decode_message({"_kind": "StatusReport", "step": 1, "time": float("nan")})
     with pytest.raises(ProtocolError):
         encode_message(object())
 

@@ -1,5 +1,7 @@
 """UNICORE failure-path tests: dead tiers, malformed traffic, timeouts."""
 
+import copy
+
 import pytest
 
 from repro.des import Environment
@@ -10,7 +12,9 @@ from repro.unicore import (
     Certificate,
     ExecuteTask,
     Gateway,
+    JobStatus,
     NetworkJobSupervisor,
+    StageIn,
     TargetSystemInterface,
     UnicoreClient,
     UserIdentity,
@@ -94,6 +98,38 @@ def test_gateway_rejects_malformed_request_after_auth():
     assert "malformed" in result["reply"]["error"]
 
 
+#: auth certificates the gateway must refuse; a list subject used to sign
+#: on as that list
+HOSTILE_CERTIFICATES = {
+    "missing": None,
+    "subject-a-list": {"subject": ["u"], "issuer": "CA"},
+    "revoked-a-string": {"subject": "u", "issuer": "CA", "revoked": "no"},
+}
+
+
+@pytest.mark.parametrize(
+    "certificate", HOSTILE_CERTIFICATES.values(), ids=HOSTILE_CERTIFICATES.keys()
+)
+def test_hostile_certificate_is_refused_and_the_gateway_serves_on(certificate):
+    env, net, gw, njs, tsi, client = world()
+    result = {}
+
+    def scenario():
+        conn = yield from net.host("laptop").connect("hpc", GATEWAY_PORT)
+        conn.send({"op": "auth", "certificate": certificate})
+        result["auth"] = yield from conn.recv(timeout=5.0)
+        yield from client.connect()
+        msg = {"op": "status", "vsite": "SITE", "job_id": "SITE-job-9"}
+        result["status"] = yield from client.request(msg)
+
+    env.process(scenario())
+    env.run(until=30.0)
+    assert result["auth"]["ok"] is False
+    assert result["auth"]["error"].startswith("authentication failed")
+    assert gw.auth_failures == 1
+    assert "unknown job" in result["status"]["error"]
+
+
 def test_client_request_before_connect_raises():
     env, net, gw, njs, tsi, client = world()
 
@@ -170,3 +206,60 @@ def test_unknown_job_and_file_errors():
     env.run(until=30.0)
     assert "unknown job" in result["status_err"]
     assert "no outcome file" in result["retrieve_err"]
+
+
+def _good_ajo():
+    ajo = AbstractJobObject("j", "SITE")
+    ajo.add_task(StageIn("in", "input.dat", b"data"))
+    ajo.add_task(ExecuteTask("run", "SLEEPER", wall_time=0.2), after=["in"])
+    return ajo
+
+
+def _hostile(*path, value):
+    """The good AJO's wire form with the value at ``path`` replaced."""
+    doc = copy.deepcopy(_good_ajo().to_wire())
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+#: AJO payloads a consign must refuse.  The first four used to end the
+#: world with a bare exception (in the decoder, at execution, or as a
+#: negative DES timeout); the rest were accepted: an infinite wall time
+#: held the job running forever, an undefined dependency failed later as
+#: a "dependency cycle", a task missing from the dependencies was dropped
+STAGE_OUT = {"_task": "StageOut", "name": "extra", "filename": "x"}
+HOSTILE_AJOS = {
+    "task-not-an-object": _hostile("tasks", "run", value="xy"),
+    "arguments-a-list": _hostile("tasks", "run", "arguments", value=[1]),
+    "wall-time-a-string": _hostile("tasks", "run", "wall_time", value="x"),
+    "wall-time-negative": _hostile("tasks", "run", "wall_time", value=-5.0),
+    "wall-time-infinite": _hostile("tasks", "run", "wall_time", value=float("inf")),
+    "undefined-dependency": _hostile("dependencies", "run", value=["in", "ghost"]),
+    "task-without-dependencies": _hostile("tasks", "extra", value=STAGE_OUT),
+    "stage-in-data-an-int": _hostile("tasks", "in", "data", value=7),
+}
+
+
+@pytest.mark.parametrize("payload", HOSTILE_AJOS.values(), ids=HOSTILE_AJOS.keys())
+def test_hostile_ajo_is_refused_and_the_world_runs_on(payload):
+    env, net, gw, njs, tsi, client = world()
+    result = {}
+
+    def scenario():
+        yield from client.connect()
+        msg = {"op": "consign", "vsite": "SITE", "ajo": payload}
+        result["consign"] = yield from client.request(msg)
+        job_id = yield from client.consign(_good_ajo())
+        yield from client.wait_for("SITE", job_id, poll_interval=0.2)
+        result["status"] = yield from client.status("SITE", job_id)
+
+    env.process(scenario())
+    env.run(until=30.0)
+    assert result["consign"]["ok"] is False
+    assert result["consign"]["error"].startswith("bad AJO")
+    assert result["status"][0] is JobStatus.SUCCESSFUL
+    assert njs.consigned == 1

@@ -46,6 +46,8 @@ def test_visit_decode_garbage():
         decode_visit(encode({"no": "kind"}))
     with pytest.raises(ProtocolError):
         decode_visit(encode({"_kind": "Bogus"}))
+    with pytest.raises(ProtocolError):  # a bool is not an int
+        decode_visit(encode({"_kind": "DataRequest", "tag": True, "seq": False}))
     with pytest.raises(ProtocolError):
         encode_visit(object())
 

@@ -67,6 +67,10 @@ GARBAGE = st.one_of(
         encode({"_kind": "DataRequest", "tag": 1, "seq": "one"}),
         encode({"_kind": "DataRequest", "tag": 1, "seq": 0, "bogus": 1}),
         encode({"_kind": "ConnectRequest", "password": 7}),
+        # a bool is not an int, and a float field is finite (the second
+        # is a steering message, which VISIT refuses by its kind too)
+        encode({"_kind": "DataRequest", "tag": True, "seq": False}),
+        encode({"_kind": "StatusReport", "step": 1, "time": float("nan")}),
     ]),
 )
 #: first frames a server must refuse: garbage, the wrong kind, a wrong password

@@ -16,7 +16,8 @@ to share control of the visualization".
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Optional
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from repro.viz import Camera, Renderer
 from repro.viz.compress import compress_frame
 from repro.viz.framebuffer import FrameBuffer
 from repro.viz.scene import SceneGraph
+from repro.wire.fields import decode_tagged
 
 #: per-frame render cost model of the visual supercomputer (s per triangle
 #: plus fixed pipeline overhead) — era-plausible numbers.
@@ -46,6 +48,26 @@ def _camera_state(state) -> Optional[dict]:
         if part.dtype.kind not in "iuf" or part.shape != shapes[key] or not np.isfinite(part).all():
             return None
     return {key: part.astype(np.float64) for key, part in parts.items()}
+
+
+@dataclass
+class _Join:
+    site: str
+
+
+@dataclass
+class _MoveCamera:
+    #: checked by :func:`_camera_state`
+    state: Any
+
+
+@dataclass
+class _PassControl:
+    to: str
+
+
+#: ``op`` -> client request class
+_OPS = {"join": _Join, "move_camera": _MoveCamera, "pass_control": _PassControl}
 
 
 class VizServerSession:
@@ -79,37 +101,29 @@ class VizServerSession:
                     self._token.leave(site)
                     self._last_frames.pop(site, None)
                 return
-            if not isinstance(msg, dict):
+            try:
+                request = decode_tagged(_OPS, msg, "op", VenueError, "VizServer request")
+            except VenueError as exc:
+                conn.send({"op": "denied", "error": str(exc)})
                 continue
-            op = msg.get("op")
-            if op == "join":
-                if not isinstance(msg.get("site", ""), str):
-                    conn.send({"op": "denied", "error": "site must be a string"})
-                    continue
-                site = msg.get("site", f"anon-{id(conn)}")
+            if isinstance(request, _Join):
+                site = request.site
                 self._token.join(site, conn)
                 self._last_frames[site] = None
                 conn.send({"op": "joined", "control": self.control_holder == site})
-            elif op == "move_camera":
-                if site != self.control_holder:
-                    conn.send({"op": "denied",
-                               "error": f"control held by {self.control_holder!r}"})
-                    continue
-                state = _camera_state(msg.get("state"))
+            elif site != self.control_holder:
+                conn.send({"op": "denied", "error": f"control held by {self.control_holder!r}"})
+            elif isinstance(request, _MoveCamera):
+                state = _camera_state(request.state)
                 if state is None:
                     conn.send({"op": "denied", "error": "malformed camera state"})
                     continue
                 self.renderer.camera.apply_state(state)
                 conn.send({"op": "camera_ok"})
-            elif op == "pass_control":
-                if site != self.control_holder:
-                    conn.send({"op": "denied", "error": "not holding control"})
-                    continue
-                target = msg.get("to")
-                if not isinstance(target, str) or not self._token.pass_to(target):
-                    conn.send({"op": "denied", "error": f"unknown site {target!r}"})
-                    continue
+            elif self._token.pass_to(request.to):
                 conn.send({"op": "control_passed"})
+            else:
+                conn.send({"op": "denied", "error": f"unknown site {request.to!r}"})
 
     # -- server-side rendering + streaming -----------------------------------------
 

@@ -14,11 +14,27 @@ GUI.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import ChannelClosed, VenueError
 from repro.viz.compress import compress_frame, decompress_frame
 from repro.viz.framebuffer import FrameBuffer
+from repro.wire.fields import decode_tagged
+
+
+@dataclass
+class _UpdateRequest:
+    pass
+
+
+@dataclass
+class _Input:
+    event: dict
+
+
+#: ``op`` -> client request class
+_OPS = {"update_request": _UpdateRequest, "input": _Input}
 
 
 class VncServer:
@@ -44,18 +60,21 @@ class VncServer:
                 msg = yield from conn.recv(timeout=None)
             except ChannelClosed:
                 return
-            if not isinstance(msg, dict):
+            try:
+                request = decode_tagged(_OPS, msg, "op", VenueError, "vnc request")
+            except VenueError as exc:
+                conn.send({"op": "denied", "error": str(exc)})
                 continue
-            if msg.get("op") == "update_request":
+            if isinstance(request, _UpdateRequest):
                 blob = compress_frame(self.fb, previous=last_sent)
                 last_sent = self.fb.copy()
                 self.updates_served += 1
                 self.bytes_served += len(blob)
                 conn.send({"op": "update", "frame": blob}, size=len(blob) + 64)
-            elif msg.get("op") == "input":
+            else:
                 self.input_events += 1
                 if self.on_input is not None:
-                    self.on_input(msg.get("event", {}))
+                    self.on_input(request.event)
                 conn.send({"op": "input_ack"})
 
 

@@ -65,7 +65,7 @@ from repro.campaign.search import (
     SearchSpec,
     default_archive_path,
 )
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, read_document
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError
 from repro.obs import MetricsRegistry
@@ -85,11 +85,7 @@ def _load_spec(args: argparse.Namespace, spec_cls, lookup):
     read as ``spec_cls``, else the ``--preset`` that ``lookup`` names."""
     if args.spec is None:
         return lookup(args.preset, seed=args.seed)
-    try:
-        doc = json.loads(pathlib.Path(args.spec).read_text())
-    except (OSError, ValueError) as exc:
-        raise CampaignError(f"cannot read spec {args.spec}: {exc}") from None
-    spec = spec_cls.from_dict(doc)
+    spec = spec_cls.from_dict(read_document(args.spec, "spec"))
     if args.seed is not None:
         spec.seed = args.seed
     return spec

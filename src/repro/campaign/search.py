@@ -50,9 +50,9 @@ from repro.campaign.space import ParamSpace, assignment_digest, validate_path
 from repro.campaign.spec import (
     SPEC_VERSION,
     CellSpec,
-    check_document,
     derive_seed,
     from_fields,
+    read_document,
     to_fields,
 )
 from repro.campaign.store import ResultStore
@@ -449,6 +449,17 @@ def default_archive_path(store_path) -> pathlib.Path:
     return store_path.with_name(store_path.stem + ".archive.json")
 
 
+@dataclass
+class _ArchiveDoc:
+    """An archive file, as :meth:`SearchArchive.to_dict` writes it;
+    ``generations`` and ``best`` are derived again on load."""
+
+    search: dict
+    evaluations: list = field(default_factory=list)
+    generations: int = 0
+    best: Optional[dict] = None
+
+
 class SearchArchive:
     """The canonical record of a search: every proposal, in order.
 
@@ -517,17 +528,18 @@ class SearchArchive:
 
     @classmethod
     def load(cls, path) -> "SearchArchive":
-        try:
-            doc = json.loads(pathlib.Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CampaignError(f"cannot read search archive {path}: {exc}") from None
+        doc = read_document(path, "search archive")
         if not isinstance(doc, dict) or doc.get("schema") != ARCHIVE_SCHEMA:
             raise CampaignError(f"{path}: not a {ARCHIVE_SCHEMA} document")
-        check_document(doc, ARCHIVE_SCHEMA, "search archive")
-        return cls(
-            SearchSpec.from_dict(doc["search"]),
-            [Evaluation.from_dict(ev) for ev in doc.get("evaluations", ())],
-        )
+        doc = from_fields(_ArchiveDoc, doc, f"{path}: search archive", ARCHIVE_SCHEMA)
+        evaluations = [Evaluation.from_dict(ev) for ev in doc.evaluations]
+        gens = [ev.generation for ev in evaluations]
+        if any(later < earlier for earlier, later in zip([0, *gens], gens)):
+            raise CampaignError(f"{path}: evaluations are not in generation order from 0")
+        spec = SearchSpec.from_dict(doc.search)
+        for ev in evaluations:
+            spec.space.clamp(ev.assignment)  # finite numbers, as proposals are
+        return cls(spec, evaluations)
 
     # -- cliff export --------------------------------------------------------
 

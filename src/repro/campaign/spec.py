@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import pathlib
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
@@ -46,6 +48,16 @@ SPEC_SCHEMA = "repro.campaign/spec-v1"
 #: to_dict/from_dict change would make old readers misinterpret new
 #: documents; from_dict refuses versions it does not know.
 SPEC_VERSION = 1
+
+
+def read_document(path, what: str):
+    """The JSON document in the file at ``path``; :class:`CampaignError`
+    for a file that cannot be read, is not UTF-8 JSON, or nests deeper
+    than the parser's stack."""
+    try:
+        return json.loads(pathlib.Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CampaignError(f"cannot read {what} {path}: {exc}") from None
 
 
 def check_document(doc, schema: str, what: str) -> None:

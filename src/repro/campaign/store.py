@@ -30,16 +30,29 @@ invariants a long-running campaign leans on:
 from __future__ import annotations
 
 import pathlib
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.campaign.spec import CampaignSpec
 from repro.errors import CampaignError
 from repro.util import journal
+from repro.wire.fields import decode_fields
 
 STORE_SCHEMA = "repro.campaign/store-v1"
 
 #: record kinds accepted after the header line
 RECORD_KINDS = ("cell", "quarantine")
+
+
+@dataclass
+class _Header:
+    """Line 1, as :meth:`ResultStore.ensure_header` writes it."""
+
+    kind: str
+    schema: str
+    campaign: str
+    seed: int
+    spec: dict
 
 
 class ResultStore:
@@ -70,7 +83,8 @@ class ResultStore:
         if not loaded.records:
             return
         head, *cells = loaded.records
-        if head.get("kind") != "header" or head.get("schema") != STORE_SCHEMA:
+        header = decode_fields(_Header, head, CampaignError, f"{self.path}: header")
+        if header.kind != "header" or header.schema != STORE_SCHEMA:
             raise CampaignError(f"{self.path}: first record is not a {STORE_SCHEMA} header")
         for rec in cells:
             if rec.get("kind") not in RECORD_KINDS:
@@ -113,11 +127,11 @@ class ResultStore:
             journal.create(self.path, doc, fsync=self.fsync)
             self._header = doc
             return
-        if self._header.get("spec") != doc["spec"]:
+        if self._header["spec"] != doc["spec"]:
             raise CampaignError(
                 f"{self.path} already holds campaign "
-                f"{self._header.get('campaign')!r} (seed "
-                f"{self._header.get('seed')}); refusing to mix results "
+                f"{self._header['campaign']!r} (seed "
+                f"{self._header['seed']}); refusing to mix results "
                 f"with {spec.name!r} (seed {spec.seed}) — use a fresh "
                 "store path or matching spec"
             )
@@ -157,9 +171,7 @@ class ResultStore:
         """
         if self._header is None:
             raise CampaignError(f"{self.path}: store has no header yet")
-        doc = self._header.get("spec")
-        if not isinstance(doc, dict):
-            raise CampaignError(f"{self.path}: store header carries no spec")
+        doc = self._header["spec"]
         if doc.get("schema") == "repro.campaign/search-v1":
             # deferred import: search builds on the store, not vice versa
             from repro.campaign.search import SearchSpec

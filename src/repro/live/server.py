@@ -35,9 +35,10 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.campaign.runner import FABRIC_DEFAULTS, build_world
+from repro.campaign.runner import build_world
 from repro.errors import LiveError, ReproError, SteeringError
 from repro.fleet.spec import ScenarioSpec, mint_spec
 from repro.live.http import (
@@ -49,32 +50,14 @@ from repro.live.http import (
     read_request,
 )
 from repro.live.pacing import PacedRunner
-from repro.live.trace import TraceRecorder, replay_campaign
+from repro.live.trace import LiveConfig, TraceRecorder, live_config, replay_campaign
 from repro.load import ReactiveAutoscaler
 from repro.obs import Observability
 from repro.obs.protect import BackpressureSignal
+from repro.wire.fields import decode_fields
 
-#: fabric/pacing knobs; the fabric half *is* the campaign cell's, so a
-#: recorded trace replays on the fabric it was captured on
-DEFAULT_CONFIG = {
-    **FABRIC_DEFAULTS,
-    "placement": "least-loaded",
-    #: ReactiveAutoscaler kwargs, True for defaults, or None/False = off
-    "autoscale": None,
-    #: sim-seconds per wall-second; None = as fast as possible
-    "rate": 1.0,
-    "seed": 0,
-    #: observability (repro.obs): tracing is False, True, or a path the
-    #: span JSONL is written to on shutdown; breakers is True for the
-    #: default broker+registry set, a dict of name -> kwargs, or False;
-    #: quota is a per-tenant inflight cap (None = unlimited).  These
-    #: keys never reach the replay campaign cell (trace_campaign keeps
-    #: only the fabric base keys), so traced runs replay unchanged.
-    "tracing": False,
-    "metrics": True,
-    "breakers": True,
-    "quota": None,
-}
+#: every :class:`~repro.live.trace.LiveConfig` key at its default
+DEFAULT_CONFIG = vars(LiveConfig())
 
 #: hard ceiling on the advertised Retry-After, in wall seconds — deep
 #: backlogs and non-finite patience bounds saturate here instead of
@@ -102,21 +85,11 @@ _SESSION_FIELDS = (
 )
 
 
-def _steer_value(doc: dict):
-    """The ``value`` of a steer body: absent/``null`` (a nudge) or a
-    finite real number.  ``json.loads`` hands over strings, containers,
-    booleans and the literals ``NaN``/``Infinity`` just as readily; any
-    of them would reach the simulation's ``set_parameter`` unchecked."""
-    value = doc.get("value")
-    if value is None:
-        return None
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number / an int no float can hold
-        ok = False
-    if not ok:
-        raise HttpError(400, f"steer value must be a finite number or null, got {value!r:.80}")
-    return value
+@dataclass
+class _SteerBody:
+    """A steer request: no ``value`` (a nudge) or a finite number."""
+
+    value: float | None = None
 
 
 class LiveServer:
@@ -129,13 +102,7 @@ class LiveServer:
         config: Optional[dict] = None,
         trace_path=None,
     ) -> None:
-        merged = dict(DEFAULT_CONFIG)
-        unknown = set(config or ()) - set(merged)
-        if unknown:
-            raise LiveError(
-                f"unknown live config keys {sorted(unknown)} (allowed: {sorted(merged)})"
-            )
-        merged.update(config or {})
+        merged = live_config(config or {}, "live config")
         self.host = host
         self.port = port
         self.config = merged
@@ -492,7 +459,7 @@ class LiveServer:
     def _steer_session(self, name: str, request: Request) -> tuple[int, dict, list]:
         if name not in self.session_states:
             raise HttpError(404, f"unknown session {name!r}")
-        value = _steer_value(request.json())
+        value = decode_fields(_SteerBody, request.json(), LiveError, "steer body").value
         if not self.driver.request_steer(name, value):
             state = self.session_states[name]
             raise HttpError(409, f"session {name!r} is not running (state: {state})")

@@ -30,9 +30,11 @@ the death of its process, not of its host.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, make_dataclass
 from typing import Optional
 
+from repro.campaign.runner import FABRIC_DEFAULTS
+from repro.campaign.spec import AxisPoint, CampaignSpec
 from repro.errors import LiveError
 from repro.fleet.spec import ScenarioSpec
 from repro.load.arrivals import RecordedArrivals
@@ -40,6 +42,37 @@ from repro.util import journal
 from repro.wire.fields import decode_fields
 
 TRACE_SCHEMA = "repro.live/trace-v1"
+
+#: A live server's config, as :class:`~repro.live.server.LiveServer`
+#: takes it and a trace header carries it: the campaign cell's fabric
+#: knobs, so a recorded trace replays on the fabric it was captured on,
+#: then the server's own.  Only the fabric keys, the placement, the
+#: autoscaler and the seed reach the replay cell (:func:`replay_campaign`).
+LiveConfig = make_dataclass(
+    "LiveConfig",
+    [(key, type(value).__name__, field(default=value)) for key, value in FABRIC_DEFAULTS.items()]
+    + [
+        ("placement", "str", field(default="least-loaded")),
+        # ReactiveAutoscaler kwargs, True for defaults, or None/False = off
+        ("autoscale", "Any", field(default=None)),
+        # sim-seconds per wall-second; None = as fast as possible
+        ("rate", "float | None", field(default=1.0)),
+        ("seed", "int", field(default=0)),
+        # observability (repro.obs): tracing is False, True, or a path the
+        # span JSONL is written to on shutdown; breakers is True for the
+        # default broker+registry set, a dict of name -> kwargs, or False;
+        # quota is a per-tenant inflight cap (None = unlimited)
+        ("tracing", "Any", field(default=False)),
+        ("metrics", "bool", field(default=True)),
+        ("breakers", "Any", field(default=True)),
+        ("quota", "int | None", field(default=None)),
+    ],
+)
+
+
+def live_config(doc, what: str) -> dict:
+    """``doc`` over :class:`LiveConfig`'s defaults, or :class:`LiveError`."""
+    return vars(decode_fields(LiveConfig, doc, LiveError, what))
 
 
 @dataclass
@@ -63,6 +96,13 @@ class _End:
     wall: float
     arrivals: int
     kind: str = "end"
+
+
+@dataclass
+class _Header:
+    kind: str
+    schema: str
+    config: dict = field(default_factory=dict)
 
 
 class TraceRecorder:
@@ -156,12 +196,11 @@ def load_trace(path: pathlib.Path | str) -> Trace:
     if not loaded.records:
         raise LiveError(f"{path}: empty trace file")
     head, *rest = loaded.records
-    if head.get("kind") != "header" or head.get("schema") != TRACE_SCHEMA:
+    head = decode_fields(_Header, head, LiveError, f"{path}: header")
+    if head.kind != "header" or head.schema != TRACE_SCHEMA:
         raise LiveError(f"{path}: first record is not a {TRACE_SCHEMA} header")
-    config = head.get("config", {})
-    if not isinstance(config, dict):
-        raise LiveError(f"{path}: header config is not an object")
-    trace = Trace(path=path, config=dict(config), dropped_lines=loaded.dropped_lines)
+    config = live_config(head.config, f"{path}: header config")
+    trace = Trace(path=path, config=config, dropped_lines=loaded.dropped_lines)
     expected_index = 0
     for rec in rest:
         kind = rec.get("kind")
@@ -206,21 +245,17 @@ def replay_campaign(config: dict, path: pathlib.Path | str, name: Optional[str] 
     ``trace-file`` builder kind, so the cell re-reads the trace at run
     time — in any worker process, at any later date.
     """
-    from repro.campaign.runner import FABRIC_DEFAULTS
-    from repro.campaign.spec import AxisPoint, CampaignSpec
-
-    # the server-config keys that map straight onto campaign base config
-    base = {key: config[key] for key in FABRIC_DEFAULTS if key in config}
-    policy_params: dict = {"placement": config.get("placement", "least-loaded")}
-    if config.get("autoscale") not in (None, False):
+    base = {key: config[key] for key in FABRIC_DEFAULTS}
+    policy_params: dict = {"placement": config["placement"]}
+    if config["autoscale"] not in (None, False):
         policy_params["autoscale"] = config["autoscale"]
     stem = pathlib.Path(path).stem
     return CampaignSpec(
         name=name or f"replay-{stem}",
-        seed=int(config.get("seed", 0)),
+        seed=config["seed"],
         base=base,
         scenarios=[AxisPoint("live", {})],
         arrivals=[AxisPoint(f"trace:{stem}", {"kind": "trace-file", "path": str(path)})],
         faults=[AxisPoint("none", {})],
-        policies=[AxisPoint(config.get("placement", "least-loaded"), policy_params)],
+        policies=[AxisPoint(config["placement"], policy_params)],
     )

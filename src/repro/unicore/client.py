@@ -62,7 +62,7 @@ class UnicoreClient:
         """Generator -> reply dict: one authenticated transaction."""
         if not self.authenticated or self._conn is None or self._conn.closed:
             raise UnicoreError("client is not connected; call connect() first")
-        self._conn.send(msg, size=msg.get("_size"))
+        self._conn.send(msg)
         reply = yield from self._conn.recv(timeout=self.request_timeout)
         return reply
 

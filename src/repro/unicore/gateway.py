@@ -21,6 +21,9 @@ from repro.errors import AuthenticationError, ChannelClosed, TimeoutExpired, Uni
 from repro.unicore.security import Certificate, TrustStore
 from repro.wire.fields import decode_fields
 
+#: what the gateway reads of a relayed request; the NJS decodes the rest
+_RELAY_FIELDS = ("vsite", "op")
+
 
 class Gateway:
     """Single-port relay + authenticator for one protected domain."""
@@ -87,7 +90,9 @@ class Gateway:
                 for ic in internal.values():
                     ic.close()
                 return
-            if not isinstance(msg, dict) or "vsite" not in msg:
+            if not isinstance(msg, dict) or not all(
+                isinstance(msg.get(key), str) for key in _RELAY_FIELDS
+            ):
                 conn.send({"ok": False, "error": "malformed request"})
                 continue
             vsite = msg["vsite"]
@@ -107,7 +112,7 @@ class Gateway:
                 internal[vsite] = ic
             forward = dict(msg)
             forward["subject"] = subject  # inner tiers trust the gateway
-            ic.send(forward, size=msg.get("_size"))
+            ic.send(forward)
             try:
                 reply = yield from ic.recv(timeout=self.relay_timeout)
             except (TimeoutExpired, ChannelClosed) as exc:

@@ -21,6 +21,7 @@ from repro.unicore.ajo import AbstractJobObject, ExecuteTask, StageIn, StageOut
 from repro.unicore.tsi import IncarnatedTask, TargetSystemInterface
 from repro.unicore.uspace import USpace
 from repro.util.ids import IdAllocator
+from repro.wire.fields import decode_tagged
 
 
 class JobStatus(enum.Enum):
@@ -40,6 +41,43 @@ class _Job:
     task_states: dict = field(default_factory=dict)
     error: str = ""
     outcome: dict = field(default_factory=dict)
+
+
+# The requests the NJS serves, as the gateway relays them: the client's
+# fields plus the ``subject`` the gateway authenticated.
+
+
+@dataclass
+class _Request:
+    vsite: str
+    subject: str
+
+
+@dataclass
+class _Consign(_Request):
+    ajo: dict
+
+
+@dataclass
+class _Status(_Request):
+    job_id: str
+
+
+@dataclass
+class _Retrieve(_Request):
+    job_id: str
+    filename: str
+
+
+@dataclass
+class _ProxyPoll(_Request):
+    #: the polling participant; the subject when absent
+    client: str | None = None
+    responses: list = field(default_factory=list)
+
+
+#: ``op`` -> request class
+_OPS = {"consign": _Consign, "status": _Status, "retrieve": _Retrieve, "proxy_poll": _ProxyPoll}
 
 
 class NetworkJobSupervisor:
@@ -103,38 +141,27 @@ class NetworkJobSupervisor:
                 msg = yield from conn.recv(timeout=None)
             except ChannelClosed:
                 return
-            reply = yield from self._handle(msg)
-            conn.send(reply)
+            conn.send(self._handle(msg))
 
-    def _handle(self, msg):
-        if not isinstance(msg, dict) or "op" not in msg or "subject" not in msg:
-            return {"ok": False, "error": "malformed NJS request"}
-        op = msg["op"]
-        subject = msg["subject"]
-        if op == "consign":
-            return self._consign(msg, subject)
-        if op == "status":
-            return self._status(msg, subject)
-        if op == "retrieve":
-            return self._retrieve(msg, subject)
-        if op == "proxy_poll":
-            result = yield from self._proxy_poll(msg, subject)
-            return result
-        return {"ok": False, "error": f"unknown op {op!r}"}
-        yield  # pragma: no cover - generator marker
+    def _handle(self, msg) -> dict:
+        try:
+            request = decode_tagged(_OPS, msg, "op", UnicoreError, "malformed NJS request")
+            return self._HANDLERS[type(request)](self, request)
+        except UnicoreError as exc:
+            return {"ok": False, "error": str(exc)}
 
-    def _job_for(self, msg, subject) -> _Job:
-        job = self.jobs.get(msg.get("job_id", ""))
+    def _job_for(self, request) -> _Job:
+        job = self.jobs.get(request.job_id)
         if job is None:
-            raise UnicoreError(f"unknown job {msg.get('job_id')!r}")
-        if job.owner != subject:
-            raise UnicoreError(f"job belongs to {job.owner!r}, not {subject!r}")
+            raise UnicoreError(f"unknown job {request.job_id!r}")
+        if job.owner != request.subject:
+            raise UnicoreError(f"job belongs to {job.owner!r}, not {request.subject!r}")
         return job
 
-    def _consign(self, msg, subject) -> dict:
+    def _consign(self, request: _Consign) -> dict:
         try:
-            ajo = AbstractJobObject.from_wire(msg["ajo"])
-        except (KeyError, UnicoreError) as exc:
+            ajo = AbstractJobObject.from_wire(request.ajo)
+        except UnicoreError as exc:
             return {"ok": False, "error": f"bad AJO: {exc}"}
         if ajo.vsite != self.vsite:
             return {"ok": False, "error": f"AJO addressed to {ajo.vsite!r}"}
@@ -146,7 +173,7 @@ class NetworkJobSupervisor:
                     "error": f"cannot incarnate {task.application!r} at {self.vsite}",
                 }
         job_id = self._job_ids.next()
-        job = _Job(job_id, subject, ajo, USpace(job_id))
+        job = _Job(job_id, request.subject, ajo, USpace(job_id))
         job.task_states = {name: "pending" for name in ajo.tasks}
         self.jobs[job_id] = job
         self.consigned += 1
@@ -177,11 +204,8 @@ class NetworkJobSupervisor:
             return
         job.status = JobStatus.SUCCESSFUL
 
-    def _status(self, msg, subject) -> dict:
-        try:
-            job = self._job_for(msg, subject)
-        except UnicoreError as exc:
-            return {"ok": False, "error": str(exc)}
+    def _status(self, request: _Status) -> dict:
+        job = self._job_for(request)
         return {
             "ok": True,
             "status": job.status.value,
@@ -189,25 +213,25 @@ class NetworkJobSupervisor:
             "error": job.error,
         }
 
-    def _retrieve(self, msg, subject) -> dict:
-        try:
-            job = self._job_for(msg, subject)
-        except UnicoreError as exc:
-            return {"ok": False, "error": str(exc)}
-        filename = msg.get("filename", "")
-        data = job.outcome.get(filename)
+    def _retrieve(self, request: _Retrieve) -> dict:
+        job = self._job_for(request)
+        data = job.outcome.get(request.filename)
         if data is None:
-            return {"ok": False, "error": f"no outcome file {filename!r}"}
-        return {"ok": True, "filename": filename, "data": data, "_size": len(data)}
+            return {"ok": False, "error": f"no outcome file {request.filename!r}"}
+        return {"ok": True, "filename": request.filename, "data": data, "_size": len(data)}
 
-    def _proxy_poll(self, msg, subject):
+    def _proxy_poll(self, request: _ProxyPoll) -> dict:
         """Relay a VISIT-proxy poll to the TSI's proxy (section 3.3)."""
         proxy = self.tsi.visit_proxy
         if proxy is None:
             return {"ok": False, "error": "no VISIT proxy at this vsite"}
-        result = yield from proxy.handle_poll(
-            subject=subject,
-            client=msg.get("client", subject),
-            responses=msg.get("responses", []),
-        )
-        return result
+        client = request.subject if request.client is None else request.client
+        return proxy.handle_poll(request.subject, client, request.responses)
+
+    #: request class -> the method that answers it
+    _HANDLERS = {
+        _Consign: _consign,
+        _Status: _status,
+        _Retrieve: _retrieve,
+        _ProxyPoll: _proxy_poll,
+    }

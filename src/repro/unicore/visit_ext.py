@@ -23,6 +23,7 @@ VISIT-UNICORE extension without modifications".
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ChannelClosed, CodecError, TimeoutExpired, UnicoreError
@@ -30,16 +31,16 @@ from repro.unicore.client import UnicoreClient
 from repro.visit.messages import DataResponse, DataSend
 from repro.visit.protocol import VisitService
 from repro.visit.token import MasterToken
+from repro.wire.fields import decode_fields
 
 
-def _well_formed(responses: Any) -> bool:
-    """A poll's ``responses``: a list of ``{tag, seq, payload}`` dicts
-    with int tag and seq."""
-    return isinstance(responses, list) and all(
-        isinstance(r, dict) and r.keys() == {"tag", "seq", "payload"}
-        and isinstance(r["tag"], int) and isinstance(r["seq"], int)
-        for r in responses
-    )
+@dataclass
+class _PollResponse:
+    """The master's answer to one forwarded receive-request."""
+
+    tag: int
+    seq: int
+    payload: Any
 
 
 class VisitProxyServer(VisitService):
@@ -85,8 +86,8 @@ class VisitProxyServer(VisitService):
 
     # -- NJS-facing poll handling ------------------------------------------------
 
-    def handle_poll(self, subject: str, client: str, responses: list):
-        """Generator -> poll reply dict (called through the NJS).
+    def handle_poll(self, subject: str, client: str, responses: list) -> dict:
+        """The reply to one poll (called through the NJS).
 
         ``responses`` are the master's answers to previously forwarded
         receive-requests: ``[{"tag": t, "seq": s, "payload": p}, ...]``;
@@ -94,15 +95,19 @@ class VisitProxyServer(VisitService):
         """
         if not subject:
             return {"ok": False, "error": "unauthenticated poll"}
-        if not isinstance(client, str) or not _well_formed(responses):
-            return {"ok": False, "error": "malformed proxy poll"}
+        try:
+            answers = [
+                decode_fields(_PollResponse, r, UnicoreError, "poll response") for r in responses
+            ]
+        except UnicoreError as exc:
+            return {"ok": False, "error": f"malformed proxy poll: {exc}"}
         # All participants receive every sample (fan-out via cursors);
         # the first poll joins, and the first joiner holds the token.
         cursor = self._token.members.get(client, 0)
         self._token.join(client, len(self.outbox))
         is_master = client == self._token.holder
-        if responses and is_master:
-            self._apply_responses(responses)
+        if answers and is_master:
+            self._apply_responses(answers)
         new_items = [
             {"tag": tag, "payload": payload, "sent_at": t}
             for (t, tag, payload) in self.outbox[cursor:]
@@ -114,11 +119,10 @@ class VisitProxyServer(VisitService):
             "master": self._token.holder,
             "requests": requests if is_master else [],
         }
-        yield  # pragma: no cover - generator marker
 
-    def _apply_responses(self, responses: list) -> None:
-        for resp in responses:
-            key = (resp["tag"], resp["seq"])
+    def _apply_responses(self, answers: list) -> None:
+        for answer in answers:
+            key = (answer.tag, answer.seq)
             matched = next((r for r in self._pending if (r["tag"], r["seq"]) == key), None)
             if matched is None:
                 continue  # simulation already gave up on it
@@ -126,7 +130,7 @@ class VisitProxyServer(VisitService):
             if matched["conn"].closed:
                 continue
             try:
-                self._send(matched["conn"], DataResponse(*key, True, payload=resp["payload"]))
+                self._send(matched["conn"], DataResponse(*key, True, payload=answer.payload))
             except CodecError:
                 pass  # a payload VISIT cannot carry: the simulation times out
 

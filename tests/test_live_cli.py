@@ -3,7 +3,7 @@
 import pytest
 
 from repro.live.cli import build_parser, cmd_replay, cmd_serve, cmd_stress, main
-from repro.live.trace import load_trace
+from repro.live.trace import TraceRecorder, load_trace
 
 
 def test_record_is_serve_with_a_required_trace():
@@ -30,3 +30,12 @@ def test_record_serves_then_seals_its_trace(tmp_path, capsys):
     # an idle trace has no horizon to replay to: a clean CLI error, not a crash
     assert main(["replay", str(path)]) == 2
     assert "live error" in capsys.readouterr().err
+
+
+def test_replay_of_a_trace_with_a_mistyped_config_is_a_clean_error(tmp_path, capsys):
+    # ``seed: "x"`` in the header config used to escape as a bare
+    # ValueError from int("x"), a traceback and exit 1.
+    path = tmp_path / "t.jsonl"
+    TraceRecorder(path, config={"seed": "x"}).close(sim=1.0, wall=1.0)
+    assert main(["replay", str(path)]) == 2
+    assert "header config: seed must be an int" in capsys.readouterr().err

@@ -263,3 +263,35 @@ def test_hostile_ajo_is_refused_and_the_world_runs_on(payload):
     assert result["consign"]["error"].startswith("bad AJO")
     assert result["status"][0] is JobStatus.SUCCESSFUL
     assert njs.consigned == 1
+
+
+@pytest.mark.parametrize("claimed", [-(10**9), 1e15], ids=["negative", "huge"])
+def test_a_request_is_sized_by_its_content_not_by_a_claimed_size(claimed):
+    """A request's ``_size`` is not the size it costs the gateway's link:
+    a negative one used to end the world with a negative DES delay, and a
+    huge one held the gateway→NJS link, so another user's request failed
+    "vsite unreachable" seconds later instead of being answered."""
+    env, net, gw, njs, tsi, client = world()
+    other = UnicoreClient(
+        net.host("laptop"), UserIdentity(Certificate("CN=v", "CA"), "v"), "hpc", GATEWAY_PORT
+    )
+    result = {}
+
+    def mallory():
+        yield from client.connect()
+        msg = {"op": "status", "vsite": "SITE", "job_id": "SITE-job-1", "_size": claimed}
+        result["hostile"] = yield from client.request(msg)
+
+    def alice():
+        yield from other.connect()
+        yield env.timeout(1.0)
+        sent = env.now
+        reply = yield from other.request({"op": "status", "vsite": "SITE", "job_id": "SITE-job-1"})
+        result["other"] = (reply, env.now - sent)
+
+    env.process(mallory())
+    env.process(alice())
+    env.run(until=30.0)
+    assert result["hostile"]["ok"] is False and "_size" in result["hostile"]["error"]
+    reply, took = result["other"]
+    assert "unknown job" in reply["error"] and took < 0.1

@@ -172,15 +172,7 @@ def test_collaboration_master_only_steering_in_proxy():
 
 def test_unauthenticated_poll_rejected():
     env, net, gw, proxy, make_plugin = build()
-    result = {}
-
-    def scenario():
-        out = yield from proxy.handle_poll(subject="", client="x", responses=[])
-        result["reply"] = out
-
-    env.process(scenario())
-    env.run()
-    assert result["reply"]["ok"] is False
+    assert proxy.handle_poll(subject="", client="x", responses=[])["ok"] is False
 
 
 def test_sim_request_times_out_when_no_participants():
@@ -221,6 +213,7 @@ def test_malformed_poll_responses_refused_and_the_proxy_lives():
         [{"tag": TAG_STEER}],
         [{"tag": [TAG_STEER], "seq": 1, "payload": 0}],
         [{"tag": TAG_STEER, "seq": 1, "payload": 0, "extra": 1}],
+        [{"tag": True, "seq": 1, "payload": 0}],  # a bool is not an int
     )
     replies, answers = [], []
 

@@ -296,7 +296,7 @@ def test_store_header_and_records_are_validated_on_load(tmp_path):
     doc = json.loads(head)
     del doc["spec"]
     path.write_text(json.dumps(doc) + "\n")
-    with pytest.raises(CampaignError, match="carries no spec"):
+    with pytest.raises(CampaignError, match="header is missing required field 'spec'"):
         ResultStore(path).spec()
     path.write_text("\n".join([head, cells[0], cells[0]]) + "\n")
     with pytest.raises(CampaignError, match="duplicate record"):

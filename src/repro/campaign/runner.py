@@ -38,6 +38,7 @@ import pathlib
 import re
 import signal as _signal
 import time
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.campaign.axes import (
@@ -56,6 +57,7 @@ from repro.fleet import BrokerPool, FleetDriver
 from repro.load import AdmissionController, ReactiveAutoscaler
 from repro.obs.metrics import NULL_REGISTRY
 from repro.perf.bench import bench_envelope
+from repro.wire.fields import decode_fields
 
 #: the fabric a cell is built on.  The live server's defaults and the
 #: trace -> campaign lowering are built from this dict, so a recorded
@@ -89,28 +91,63 @@ DEFAULT_BASE = {
 FAULT_ENV = "REPRO_CAMPAIGN_FAULTS"
 
 
+@dataclass(frozen=True)
+class _FaultFile:
+    """The :data:`FAULT_ENV` file; ``state_dir`` defaults to its directory."""
+
+    cells: Optional[dict] = None
+    state_dir: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class _CellFault:
+    """One cell's entry in the :data:`FAULT_ENV` file."""
+
+    action: str
+    times: int = -1
+    seconds: float = 3600.0
+
+    def __post_init__(self) -> None:
+        if self.action not in ("kill", "hang", "raise"):
+            raise CampaignError(f"{FAULT_ENV}: unknown fault action {self.action!r}")
+        if self.seconds < 0:
+            raise CampaignError(f"{FAULT_ENV}: fault seconds {self.seconds!r} < 0")
+
+
+def _read_faults(path: str) -> tuple[_FaultFile, dict]:
+    """The fault file and its decoded entries by cell id, or CampaignError."""
+    what = f"{FAULT_ENV} file {path}"
+    try:
+        doc = json.loads(pathlib.Path(path).read_text())
+    except ValueError as exc:
+        raise CampaignError(f"{what}: not a JSON document ({exc})") from None
+    spec = decode_fields(_FaultFile, doc, CampaignError, what)
+    faults = {
+        cell_id: decode_fields(_CellFault, entry, CampaignError, f"{what}: cell {cell_id!r}")
+        for cell_id, entry in (spec.cells or {}).items()
+    }
+    return spec, faults
+
+
 def _maybe_inject_fault(cell: CellSpec) -> None:
     """Self-chaos fault point: crash/hang/fail this cell on purpose.
 
     Called mid-cell (world built, arrivals installed, run imminent) so
-    an injected SIGKILL genuinely interrupts work in flight.  The
-    marker file is claimed *before* the fault fires — a kill must still
-    consume one of its ``times`` budget, or the retry would loop.
+    an injected SIGKILL genuinely interrupts work in flight.  The whole
+    file is decoded before anything fires, so a malformed one is a
+    :class:`CampaignError` that claims no marker.  The marker file is
+    claimed *before* the fault fires — a kill must still consume one of
+    its ``times`` budget, or the retry would loop.
     """
     path = os.environ.get(FAULT_ENV)
     if not path:
         return
-    doc = json.loads(pathlib.Path(path).read_text())
-    entry = (doc.get("cells") or {}).get(cell.cell_id)
-    if not entry:
+    spec, faults = _read_faults(path)
+    fault = faults.get(cell.cell_id)
+    if fault is None or fault.times == 0:
         return
-    times = int(entry.get("times", -1))
-    if times == 0:
-        return
-    if times > 0:
-        state_dir = pathlib.Path(
-            doc.get("state_dir") or pathlib.Path(path).parent
-        )
+    if fault.times > 0:
+        state_dir = pathlib.Path(spec.state_dir or pathlib.Path(path).parent)
         # Markers key on the cell id, not the index: every cell a search
         # lowers carries index 0, so indices are not unique there.
         slug = re.sub(r"[^A-Za-z0-9._-]", "_", cell.cell_id)
@@ -121,20 +158,17 @@ def _maybe_inject_fault(cell: CellSpec) -> None:
                 fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
                 fired += 1
-                if fired >= times:
+                if fired >= fault.times:
                     return  # budget spent: this attempt runs clean
                 continue
             os.close(fd)
             break
-    action = entry["action"]
-    if action == "raise":
+    if fault.action == "raise":
         raise RuntimeError(f"injected fault in cell {cell.cell_id!r}")
-    if action == "hang":
-        time.sleep(float(entry.get("seconds", 3600.0)))
+    if fault.action == "hang":
+        time.sleep(fault.seconds)
         return
-    if action == "kill":
-        os.kill(os.getpid(), _signal.SIGKILL)
-    raise CampaignError(f"unknown fault action {action!r}")
+    os.kill(os.getpid(), _signal.SIGKILL)
 
 
 def cell_config(cell: CellSpec) -> dict:

@@ -2,8 +2,9 @@
 
 A small, dependency-free process-based DES in the style of SimPy:
 processes are Python generators that ``yield`` events (timeouts, store
-gets, conditions); the :class:`Environment` advances virtual time and
-resumes processes as their events trigger.
+gets, :meth:`Environment.first` races of an event against a deadline);
+the :class:`Environment` advances virtual time and resumes processes as
+their events trigger.
 
 The whole simulated Grid (hosts, links, middleware, steering sessions)
 runs on this kernel, which makes multi-site latency experiments exact,
@@ -11,8 +12,8 @@ deterministic and laptop-fast.
 """
 
 from repro.des.core import (
+    TIMED_OUT,
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -27,8 +28,8 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "AnyOf",
     "AllOf",
+    "TIMED_OUT",
     "Store",
     "Resource",
     "Mailbox",

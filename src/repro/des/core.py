@@ -32,6 +32,11 @@ Hot-path notes (the fleet pushes millions of events through this file)
   no longer the current target (tombstoning).
 * ``_pending_failures`` is a deque: failures surface FIFO via
   ``popleft`` instead of ``list.pop(0)``.
+* A wait with a deadline is :meth:`Environment.first`, which queues
+  nothing of its own.  A deadline its event beats stays in the heap with
+  ``callbacks`` set to ``None``; :meth:`Environment.step` pops it, moves
+  the clock, and neither runs nor counts it (lazy deletion: the heap
+  stays a plain binary heap).
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ _PENDING = object()
 #: (process initialization, interrupts).
 URGENT = 0
 NORMAL = 1
+
+#: what a race from :meth:`Environment.first` resolves with when its
+#: deadline comes first
+TIMED_OUT = object()
 
 
 class Event:
@@ -244,13 +253,11 @@ class Process(Event):
             event = next_event
 
 
-class Condition(Event):
-    """Composite event over several sub-events (base for AnyOf/AllOf).
+class AllOf(Event):
+    """Composite event that triggers once every sub-event has triggered.
 
-    Succeeds with an ordered dict ``{event: value}`` of the sub-events that
-    had triggered OK by the time the condition was decided.  If any
-    sub-event fails before the condition is decided, the condition fails
-    with that exception.
+    Succeeds with an ordered dict ``{event: value}`` of the sub-events.
+    If any sub-event fails first, the condition fails with that exception.
     """
 
     __slots__ = ("events", "_count")
@@ -271,9 +278,6 @@ class Condition(Event):
             else:
                 ev.callbacks.append(self._check)
 
-    def _evaluate(self, n_triggered: int) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
             if not event._ok and not event.defused:
@@ -286,32 +290,52 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._count += 1
-        if self._evaluate(self._count):
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict:
-        # Only events that have actually been *processed* count; a Timeout
-        # carries its value from creation, so `triggered` would wrongly
-        # include timers that have not fired yet.
-        return {ev: ev._value for ev in self.events if ev.callbacks is None and ev._ok}
+        if self._count >= len(self.events):
+            self.succeed({ev: ev._value for ev in self.events})
 
 
-class AnyOf(Condition):
-    """Triggers as soon as one sub-event triggers (the VISIT timeout race)."""
+class First(Event):
+    """The race :meth:`Environment.first` returns; it is never queued.
 
-    __slots__ = ()
+    A deadline the event beats is cancelled in place: its callbacks
+    become ``None``, so :meth:`Environment.step` pops it and runs nothing.
+    """
 
-    def _evaluate(self, n_triggered: int) -> bool:
-        return n_triggered >= 1
+    __slots__ = ("_deadline",)
 
+    def __init__(self, env: "Environment", event: Event, timeout: float) -> None:
+        super().__init__(env)
+        if event.env is not env:
+            raise SimulationError("first() races an event from another environment")
+        self._deadline: Optional[Timeout] = None
+        if event.callbacks is None:  # already processed: decided now
+            self._decide(event)
+            return
+        decide = self._decide
+        self._deadline = env.timeout(timeout, TIMED_OUT)
+        self._deadline.callbacks.append(decide)
+        event.callbacks.append(decide)
 
-class AllOf(Condition):
-    """Triggers once every sub-event has triggered."""
+    def cancel(self) -> None:
+        """Leave the race: it never resolves, and its deadline runs nothing."""
+        self.callbacks = None
+        if self._deadline is not None:
+            self._deadline.callbacks = None
 
-    __slots__ = ()
-
-    def _evaluate(self, n_triggered: int) -> bool:
-        return n_triggered >= len(self.events)
+    def _decide(self, event: Event) -> None:
+        callbacks = self.callbacks
+        if callbacks is None:  # decided already, or cancelled
+            return
+        self.callbacks = None
+        if self._deadline is not None:
+            self._deadline.callbacks = None
+        self._ok = event._ok
+        self._value = event._value
+        for cb in callbacks:
+            cb(self)
+        if not self._ok and self.defused:
+            # a waiter took the failure; one nobody took still ends run()
+            event.defused = True
 
 
 class Environment:
@@ -397,8 +421,16 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
+    def first(self, event: Event, timeout: float) -> First:
+        """A race between ``event`` and a deadline ``timeout`` from now.
+
+        The race resolves with ``event``'s outcome (its value, or its
+        failure), or with :data:`TIMED_OUT` if the deadline is processed
+        first; if ``event`` has been processed already, it is decided at
+        once and schedules no deadline.  Either way no event of its own
+        is queued: the waiter resumes in the step that decides the race.
+        """
+        return First(self, event, timeout)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -412,11 +444,16 @@ class Environment:
 
     @property
     def pending(self) -> int:
-        """Number of scheduled-but-unprocessed events."""
+        """Number of heap entries not yet popped, cancelled deadlines included."""
         return len(self._queue)
 
     def step(self) -> None:
-        """Process exactly one event."""
+        """Pop one heap entry and process its event.
+
+        An entry whose event has already been processed is a deadline a
+        :class:`First` race cancelled (lazy deletion): popping it still
+        advances ``now``, but runs nothing and is not counted.
+        """
         try:
             time, _prio, _seq, event = heappop(self._queue)
         except IndexError:
@@ -425,6 +462,8 @@ class Environment:
             raise SimulationError("event scheduled in the past")
         self.now = time
         callbacks = event.callbacks
+        if callbacks is None:
+            return
         event.callbacks = None
         # walked live, not copied: a callback may reorder the ones behind
         # it (the shared wake of parked poll loops, steering.api, does)

@@ -11,7 +11,7 @@ import math
 from collections import deque
 from typing import Any, Optional
 
-from repro.des.core import Environment, Event
+from repro.des.core import TIMED_OUT, Environment, Event
 from repro.errors import SimulationError
 
 
@@ -182,15 +182,24 @@ class Mailbox(Store):
         if timeout is None:
             item = yield get
             return True, item
-        race = self.env.any_of([get, self.env.timeout(timeout)])
-        results = yield race
-        if get in results:
-            return True, results[get]
-        # Timed out: withdraw the pending get so the item is not lost to a
-        # dead waiter when it eventually arrives.
-        if get in self._get_waiters:
-            self._get_waiters.remove(get)
-        elif get.triggered:
-            # Raced: the item arrived in the same instant the timer fired.
-            return True, get.value
+        race = self.env.first(get, timeout)
+        try:
+            item = yield race
+        except BaseException:
+            # The waiter left (interrupted, or its generator closed): a get
+            # left queued would hand the next item to nobody, and one
+            # already served gives its item back to the head of the box.
+            race.cancel()
+            if get.triggered:
+                self.items.appendleft(get._value)
+                self._dispatch()
+            else:
+                self._get_waiters.remove(get)
+            raise
+        if item is not TIMED_OUT:
+            return True, item
+        if get.triggered:
+            # Raced: the item was served earlier in the deadline's instant.
+            return True, get._value
+        self._get_waiters.remove(get)
         return False, None

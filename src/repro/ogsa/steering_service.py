@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.des import TIMED_OUT
 from repro.errors import OgsaError
 from repro.ogsa.service import GridService, operation
 from repro.steering.api import pump
@@ -93,10 +94,9 @@ class SteeringService(GridService):
         waiter = self.env.event()
         self._waiters[self._seq] = (waiter, wants_status)
         self.app_link.send(msg)
-        timeout = self.env.timeout(self.reply_timeout)
-        results = yield self.env.any_of([waiter, timeout])
-        if waiter in results:
-            return results[waiter]
+        reply = yield self.env.first(waiter, self.reply_timeout)
+        if reply is not TIMED_OUT:
+            return reply
         self._waiters.pop(msg.seq, None)
         raise OgsaError(
             f"application did not reply to {type(msg).__name__} within "

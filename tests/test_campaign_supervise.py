@@ -30,7 +30,8 @@ from repro.campaign.cli import (
     EXIT_QUARANTINED,
     main as cli_main,
 )
-from repro.campaign.runner import FAULT_ENV
+from repro.campaign.runner import FAULT_ENV, run_cell
+from repro.errors import CampaignError
 from repro.obs import MetricsRegistry
 
 
@@ -215,6 +216,18 @@ def test_poison_raise_quarantines_with_error_detail(tmp_path, fault_env):
     assert "injected fault" in q["failures"][-1]["detail"]["message"]
     assert q["failures"][-1]["detail"]["error"] == "RuntimeError"
     assert matrix.holes == 1 and len(store.cell_records()) == 3
+
+
+@pytest.mark.parametrize("entry", [
+    {"action": "explode", "times": 1},
+    {"times": 1},
+    {"action": "raise", "times": "two"},
+], ids=["unknown-action", "no-action", "times-not-int"])
+def test_malformed_fault_file_is_refused_before_any_marker(entry, fault_env, tmp_path):
+    fault_env({CELL_IDS[0]: entry})
+    with pytest.raises(CampaignError, match=FAULT_ENV):
+        run_cell(tiny_campaign().cells()[0])
+    assert list((tmp_path / "fault-state").iterdir()) == []
 
 
 def test_transient_raise_is_retried_to_success(

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.des import Environment, Interrupt, Mailbox, Resource, Store, Timeout
+from repro.des import TIMED_OUT, Environment, Interrupt, Mailbox, Resource, Store, Timeout
 from repro.errors import SimulationError
 
 
@@ -164,18 +167,39 @@ def test_interrupt_delivers_cause():
     assert log == [(4.0, "wake up")]
 
 
-def test_anyof_returns_first_triggered():
+def test_first_resolves_with_whichever_comes_first():
     env = Environment()
 
-    def proc():
-        t_short = env.timeout(1, value="short")
-        t_long = env.timeout(5, value="long")
-        results = yield env.any_of([t_short, t_long])
-        return list(results.values())
+    def racer(event_at, deadline):
+        out = yield env.first(env.timeout(event_at, value="event"), deadline)
+        return out, env.now
 
-    p = env.process(proc())
-    assert env.run(until=p) == ["short"]
-    assert env.now >= 1.0
+    early = env.process(racer(1, 5))
+    late = env.process(racer(5, 1))
+    env.run()
+    assert early.value == ("event", 1.0)
+    assert late.value == (TIMED_OUT, 1.0)
+
+
+def test_a_beaten_deadline_is_popped_but_runs_nothing_and_is_not_counted():
+    env = Environment()
+    race = env.first(env.timeout(1, value="x"), 9)
+    env.run(until=1)
+    # the race resolved in the event's own step: no event of its own
+    assert race.processed and race.value == "x"
+    assert (env.events_processed, env.pending) == (1, 1)
+    env.run()
+    # the cancelled deadline still moved the clock to its instant
+    assert (env.now, env.events_processed, env.pending) == (9.0, 1, 0)
+
+
+def test_first_over_a_processed_event_is_decided_at_once():
+    env = Environment()
+    done = env.timeout(0, value="v")
+    env.run()
+    race = env.first(done, 5)
+    assert race.processed and race.value == "v"
+    assert env.pending == 0  # no deadline was scheduled
 
 
 def test_allof_waits_for_everything():
@@ -188,17 +212,6 @@ def test_allof_waits_for_everything():
 
     p = env.process(proc())
     assert env.run(until=p) == (3.0, [1, 2, 3])
-
-
-def test_empty_anyof_succeeds_immediately():
-    env = Environment()
-
-    def proc():
-        results = yield env.any_of([])
-        return results
-
-    p = env.process(proc())
-    assert env.run(until=p) == {}
 
 
 def test_store_fifo_order():
@@ -363,6 +376,80 @@ def test_mailbox_recv_gets_item_before_timeout():
     env.process(producer())
     p = env.process(proc())
     assert env.run(until=p) == (True, "msg", 2.0)
+
+
+def _receiver(box, timeout):
+    ok, item = yield from box.recv(timeout=timeout)
+    return ok, item, box.env.now
+
+
+def test_mailbox_recv_takes_an_item_served_earlier_in_the_deadlines_instant():
+    env = Environment()
+    box = Mailbox(env)
+    # queued before the receiver's deadline, so it fires first at t=2
+    env.timeout(2).callbacks.append(lambda _ev: box.put_nowait("early"))
+    p = env.process(_receiver(box, 2))
+    env.run()
+    assert p.value == (True, "early", 2.0)
+    assert len(box) == 0
+
+
+def test_mailbox_recv_leaves_an_item_delivered_after_its_deadline_fired():
+    env = Environment()
+    box = Mailbox(env)
+    p = env.process(_receiver(box, 2))
+    env.step()  # the receiver starts and queues its deadline for t=2
+    env.timeout(2).callbacks.append(lambda _ev: box.put_nowait("late"))
+    env.run()
+    # same instant, but the deadline had decided: the item waits for the
+    # next receive instead of going to a receiver that already timed out
+    assert p.value == (False, None, 2.0)
+    assert list(box.items) == ["late"]
+
+
+def test_an_interrupted_recv_does_not_swallow_the_next_item():
+    env = Environment()
+    box = Mailbox(env)
+
+    def a():
+        try:
+            yield from box.recv(timeout=10)
+        except Interrupt:
+            return "interrupted"
+
+    def b():
+        yield env.timeout(3)
+        return (yield from _receiver(box, 5))
+
+    pa = env.process(a())
+    pb = env.process(b())
+    env.timeout(1).callbacks.append(lambda _ev: pa.interrupt())
+    env.timeout(2).callbacks.append(lambda _ev: box.put_nowait("msg"))
+    env.run()
+    assert pa.value == "interrupted"
+    assert pb.value == (True, "msg", 3.0)
+    # a's deadline at t=10 was cancelled with its get: popped, not run
+    assert env.now == 10.0 and env.pending == 0
+
+
+def test_a_received_payload_is_not_kept_alive_by_its_pending_deadline():
+    class Payload:
+        pass
+
+    env = Environment()
+    box = Mailbox(env)
+    refs = []
+
+    def receiver():
+        ok, item = yield from box.recv(timeout=100)
+        refs.append(weakref.ref(item))
+
+    box.put_nowait(Payload())
+    env.process(receiver())
+    env.run(until=1)
+    assert env.pending == 1  # the beaten deadline is still in the heap
+    gc.collect()
+    assert refs[0]() is None
 
 
 def test_resource_mutual_exclusion():

@@ -1,8 +1,9 @@
 """DES-kernel edge cases the fleet engine leans on.
 
 A fleet run multiplies every kernel corner by hundreds of sessions:
-conditions built over events that have already failed, interrupts landing
-on processes parked inside AnyOf/AllOf races, and ``run(until=event)``
+races and conditions built over events that have already failed,
+interrupts landing on processes parked inside ``first`` races and
+``AllOf`` conditions, and ``run(until=event)``
 against schedules that drain early.  These must behave — and keep their
 failed-event accounting straight — or one crashed session would take the
 whole world down.
@@ -10,7 +11,7 @@ whole world down.
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Interrupt
+from repro.des import AllOf, Environment, Interrupt
 from repro.errors import SimulationError
 
 
@@ -23,7 +24,7 @@ def _failing_child(env):
     raise Boom("child died")
 
 
-def test_anyof_over_already_failed_subevent_fails_condition():
+def test_first_over_an_already_failed_event_fails_at_once():
     env = Environment()
     log = {}
 
@@ -33,17 +34,17 @@ def test_anyof_over_already_failed_subevent_fails_condition():
             yield child
         except Boom:
             log["caught_direct"] = env.now
-        # The child is now processed *and* failed; a condition built over
-        # it must immediately fail rather than hang or double-raise.
+        # The child is now processed *and* failed; a race built over it
+        # must immediately fail rather than hang or double-raise.
         try:
-            yield AnyOf(env, [child, env.timeout(5.0)])
+            yield env.first(child, 5.0)
         except Boom:
-            log["caught_condition"] = env.now
+            log["caught_race"] = env.now
 
     env.process(waiter())
     env.run()
     assert log["caught_direct"] == 1.0
-    assert log["caught_condition"] == 1.0  # immediate, not at the timeout
+    assert log["caught_race"] == 1.0  # immediate, not at the timeout
 
 
 def test_allof_over_already_failed_subevent_fails_condition():
@@ -67,14 +68,32 @@ def test_allof_over_already_failed_subevent_fails_condition():
     assert log["caught"] == 1.0
 
 
+def test_first_awaiting_an_event_that_fails_resumes_with_the_failure():
+    env = Environment()
+    log = {}
+
+    def waiter():
+        try:
+            yield env.first(env.process(_failing_child(env)), 5.0)
+        except Boom:
+            log["caught"] = env.now
+
+    env.process(waiter())
+    env.run()
+    assert log["caught"] == 1.0
+    # two starts, the child's timer, its failure and the waiter's end;
+    # the cancelled deadline at t=5 moved the clock but did not count
+    assert env.now == 5.0 and env.events_processed == 5
+
+
 def test_condition_failure_without_waiter_propagates_from_run():
-    # A failed sub-event must not be silently swallowed just because it
-    # was wrapped in a condition nobody ended up yielding on.
+    # A failed event must not be silently swallowed just because it was
+    # raced by a ``first`` nobody ended up yielding on.
     env = Environment()
 
     def spawner():
         child = env.process(_failing_child(env))
-        AnyOf(env, [child, env.timeout(10.0)])
+        env.first(child, 10.0)
         yield env.timeout(0.1)
         return "spawned"
 
@@ -113,7 +132,7 @@ def test_interrupt_of_process_parked_on_condition():
     assert env.now == 20.0
 
 
-def test_interrupt_of_process_parked_on_anyof_race():
+def test_interrupt_of_process_parked_on_first_race():
     # The VISIT timeout race: steer-vs-timeout, then the session is torn
     # down by the fleet driver mid-race.
     env = Environment()
@@ -122,7 +141,7 @@ def test_interrupt_of_process_parked_on_anyof_race():
     def racer():
         reply = env.event()
         try:
-            yield AnyOf(env, [reply, env.timeout(30.0)])
+            yield env.first(reply, 30.0)
             log["outcome"] = "raced"
         except Interrupt:
             log["outcome"] = "torn down"

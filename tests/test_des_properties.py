@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, Store
+from repro.des import TIMED_OUT, Environment, Store
 
 
 @settings(max_examples=60, deadline=None)
@@ -27,20 +27,21 @@ def test_property_events_fire_in_time_order(delays):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    delays=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12),
-    seed=st.integers(0, 1000),
-)
-def test_property_anyof_resolves_at_minimum(delays, seed):
+@given(event_at=st.floats(0.0, 10.0), deadline=st.floats(0.0, 10.0))
+def test_property_first_resolves_at_the_earlier_of_event_and_deadline(event_at, deadline):
     env = Environment()
 
     def proc():
-        events = [env.timeout(d, value=d) for d in delays]
-        yield env.any_of(events)
-        return env.now
+        out = yield env.first(env.timeout(event_at, value="event"), deadline)
+        return out, env.now
 
     p = env.process(proc())
-    assert env.run(until=p) == pytest.approx(min(delays))
+    out, when = env.run(until=p)
+    # on a tie the event wins: its timer was queued before the deadline
+    assert out == ("event" if event_at <= deadline else TIMED_OUT)
+    assert when == pytest.approx(min(event_at, deadline))
+    env.run()
+    assert env.events_processed == 3 + (event_at > deadline)
 
 
 @settings(max_examples=40, deadline=None)

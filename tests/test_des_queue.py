@@ -97,6 +97,20 @@ def test_step_on_an_empty_schedule_raises():
 # -- whole-kernel traces -------------------------------------------------------
 
 
+def _any_of(env, events):
+    """The kernel's old ``AnyOf``, as these worlds used it: an event that
+    succeeds, through the queue, once the first of ``events`` is processed."""
+    race = env.event()
+
+    def check(_ev):
+        if not race.triggered:
+            race.succeed()
+
+    for ev in events:
+        ev.callbacks.append(check)
+    return race
+
+
 def _random_world(seed, n_procs, n_steps):
     """A random world of timeouts, interrupts and conditions; returns
     the exact (time, pid, step, tag) trace of every resume."""
@@ -113,9 +127,7 @@ def _random_world(seed, n_procs, n_steps):
                     yield env.timeout(rng.random() * 8.0)
                     tag = "t"
                 elif roll < 0.7:
-                    yield env.any_of(
-                        [env.timeout(rng.random() * 4.0) for _ in range(2)]
-                    )
+                    yield _any_of(env, [env.timeout(rng.random() * 4.0) for _ in range(2)])
                     tag = "any"
                 elif roll < 0.85:
                     yield env.all_of(

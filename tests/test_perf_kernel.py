@@ -6,8 +6,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.des import AnyOf, Environment, Event, Interrupt, Mailbox, Store, Timeout
-from repro.des.core import Process
+from repro.des import AllOf, Environment, Event, Interrupt, Mailbox, Store, Timeout
+from repro.des.core import First, Process
 from repro.des.resources import ResourceRequest, StoreGet, StorePut
 from repro.errors import ReproError, SimulationError
 from repro.perf import load_bench, peak_rss_bytes, write_bench
@@ -146,7 +146,7 @@ def test_pending_failures_is_a_deque():
 
 
 @pytest.mark.parametrize(
-    "cls", [Event, Timeout, Process, AnyOf, Store, Mailbox, StorePut,
+    "cls", [Event, Timeout, Process, First, AllOf, Store, Mailbox, StorePut,
             StoreGet, ResourceRequest]
 )
 def test_kernel_classes_have_no_instance_dict(cls):

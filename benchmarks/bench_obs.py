@@ -17,9 +17,9 @@ The < 2% tracing-off floor is gated on a *hook-cost account*, not a raw
 wall-clock ratio: shared runners jitter far more than 2% between two
 identical runs, so an A/B ratio gate would flake on noise while missing
 nothing.  The account has two parts, each exact calls x tight-loop
-per-call cost.  The pushes ``obs_off`` adds (viz frames, steer ops,
-finds) are read out of the run's own counters and priced per
-instrument call; the null-twin calls the off path makes (span begin/end,
+per-call cost.  The pushes ``obs_off`` adds (viz frames, and the steer
+and find latency observes the telemetry ledger's records make) are read
+out of the run's own instruments and priced per instrument call; the null-twin calls the off path makes (span begin/end,
 instrument pushes, breaker guards) are counted by a profile hook over
 one untimed ``bare`` run and priced at the costliest one, a span begin
 with attributes.  Their sum over the bare wall bounds what obs costs
@@ -96,12 +96,10 @@ def _hook_counts(obs):
     """Exact hot-path push counts, read back out of the run's metrics."""
     metrics = obs.metrics
     frames = sum(metrics.get("repro_viz_frames_total").series.values())
-    ops = sum(metrics.get("repro_steer_ops_total").series.values())
     steer_obs = metrics.get("repro_steer_latency_seconds").series[()][2]
     finds = metrics.get("repro_find_latency_seconds").series[()][2]
     return {
         "viz_frames": int(frames),
-        "op_incs": int(ops),
         "steer_observes": int(steer_obs),
         "find_observes": int(finds),
     }
@@ -122,19 +120,13 @@ def _hook_cost_seconds(counts):
     obs = Observability(tracing=False, metrics=True)
     hist = obs.metrics.histogram("bench_hist", "per-call cost probe")
     plain = obs.metrics.counter("bench_plain", "per-call cost probe")
-    labeled = obs.metrics.counter(
-        "bench_labeled", "per-call cost probe", labels=("outcome",)
-    )
     # A closure call wrapping the inc, like the driver's viz-frame hook.
     c_frame = _per_call(lambda: plain.inc())
     c_observe = _per_call(lambda: hist.observe(0.0123))
-    c_op = _per_call(lambda: labeled.inc(outcome="ok"))
     return (
         counts["viz_frames"] * c_frame
-        + counts["op_incs"] * c_op
         + (counts["steer_observes"] + counts["find_observes"]) * c_observe
-    ), {"frame_ns": c_frame * 1e9, "observe_ns": c_observe * 1e9,
-        "op_inc_ns": c_op * 1e9}
+    ), {"frame_ns": c_frame * 1e9, "observe_ns": c_observe * 1e9}
 
 
 #: every function of the null twins the off path calls into

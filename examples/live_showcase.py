@@ -50,11 +50,12 @@ async def record(trace_path: Path) -> None:
         await asyncio.sleep(0.1)
     finally:
         drain = await server.shutdown(grace=60.0)
-        stats = server.statsz()["server"]
+        stats = server.statsz()
+        queue = stats["queue"]
         print(
             f"-- drained {drain['events']} events; "
-            f"{stats['admitted']} admitted, {stats['rejected']} rejected, "
-            f"{stats['steers']} steer(s)\n"
+            f"{queue['offered'] - queue['rejected']} queued, {queue['rejected']} rejected, "
+            f"{stats['server']['steers']} steer(s)\n"
         )
 
 

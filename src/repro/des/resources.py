@@ -179,17 +179,15 @@ class Mailbox(Store):
 
     def recv(self, timeout: Optional[float] = None):
         get = self.get()
-        if timeout is None:
-            item = yield get
-            return True, item
-        race = self.env.first(get, timeout)
+        race = get if timeout is None else self.env.first(get, timeout)
         try:
             item = yield race
         except BaseException:
             # The waiter left (interrupted, or its generator closed): a get
             # left queued would hand the next item to nobody, and one
             # already served gives its item back to the head of the box.
-            race.cancel()
+            if race is not get:
+                race.cancel()
             if get.triggered:
                 self.items.appendleft(get._value)
                 self._dispatch()

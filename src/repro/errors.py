@@ -81,6 +81,10 @@ class ServiceNotFound(OgsaError):
     """Registry lookup or handle resolution found no matching service."""
 
 
+class OgsaTimeout(OgsaError):
+    """A service invocation got no reply within the connection's timeout."""
+
+
 class SteeringError(ReproError):
     """Steering-core failure (unknown parameter, bad command, role abuse)."""
 

@@ -41,7 +41,7 @@ from typing import Callable, Optional, Union
 
 from repro.des import Interrupt
 from repro.des.core import Process
-from repro.errors import ReproError
+from repro.errors import OgsaTimeout, ReproError
 from repro.fleet.registry_fed import FederatedRegistry, grow_shards, make_shards
 from repro.fleet.report import FleetReport
 from repro.fleet.spec import ScenarioSpec
@@ -407,10 +407,8 @@ class FleetDriver:
                 breaker.record_failure()
                 raise
             breaker.record_success()
-            find_dt = env.now - t0
-            tel.record_find(find_dt)
+            tel.record_find(env.now - t0)
             tracer.end(span_find, results=len(found))
-            obs.find_hist.observe(find_dt)
             steer = next(e["handle"] for e in found if e["metadata"]["type"] == "steering")
             yield from client.bind(steer)
             if spec.participants > 1:
@@ -422,7 +420,6 @@ class FleetDriver:
                     # Recovery said degrade: shed the remaining steering
                     # ops, keep the session alive through a clean stop.
                     break
-                t0 = env.now
                 op_span = tracer.begin(
                     "steer-op",
                     cat="steer",
@@ -430,30 +427,16 @@ class FleetDriver:
                     op=k,
                     kind="set_parameter" if k % 2 == 0 else "get_status",
                 )
-                op_outcome = "ok"
-                try:
-                    if k % 2 == 0:
-                        overrides = self.steer_requests.get(spec.name)
-                        value = overrides.pop(0) if overrides else None
-                        if value is None:
-                            value = spec.steer_value(k // 2)
-                        yield from client.invoke(
-                            steer,
-                            "set_parameter",
-                            name=spec.steer_param,
-                            value=value,
-                        )
-                    else:
-                        yield from client.invoke(steer, "get_status")
-                    tel.record_steer(env.now - t0)
-                    obs.steer_hist.observe(env.now - t0)
-                except ReproError as exc:
-                    if "timed out" in str(exc):
-                        tel.record_timeout()
-                        op_outcome = "timeout"
-                    else:
-                        tel.record_error()
-                        op_outcome = "error"
+                if k % 2 == 0:
+                    overrides = self.steer_requests.get(spec.name)
+                    value = overrides.pop(0) if overrides else None
+                    if value is None:
+                        value = spec.steer_value(k // 2)
+                    op = client.invoke(steer, "set_parameter", name=spec.steer_param, value=value)
+                else:
+                    op = client.invoke(steer, "get_status")
+                op_outcome = yield from self._op(tel, op)
+                if op_outcome != "ok":
                     # The service may have migrated out from under the
                     # stale binding — the GSH/GSR indirection makes a
                     # fresh resolve the cure, so try one before the next
@@ -464,7 +447,6 @@ class FleetDriver:
                     except ReproError:
                         pass
                 tracer.end(op_span, outcome=op_outcome)
-                obs.op_counter.inc(outcome=op_outcome)
                 yield env.timeout(spec.cadence)
             try:
                 yield from client.invoke(steer, "stop")
@@ -503,20 +485,27 @@ class FleetDriver:
         try:
             yield from client.bind(steer)
             for _ in range(OBSERVER_OPS):
-                t0 = env.now
-                try:
-                    yield from client.invoke(steer, "get_status")
-                    tel.record_steer(env.now - t0)
-                except ReproError as exc:
-                    if "timed out" in str(exc):
-                        tel.record_timeout()
-                    else:
-                        tel.record_error()
+                yield from self._op(tel, client.invoke(steer, "get_status"))
                 yield env.timeout(spec.cadence * 2)
         except ReproError:
-            tel.record_error()
+            tel.record_op("error")
         finally:
             client.close()
+
+    def _op(self, tel, invoke):
+        """Generator: run one steering op and record it in the session's
+        ledger; returns its outcome, ``"ok"``, ``"timeout"`` or ``"error"``."""
+        t0 = self.env.now
+        try:
+            yield from invoke
+        except OgsaTimeout:
+            outcome = "timeout"
+        except ReproError:
+            outcome = "error"
+        else:
+            outcome = "ok"
+        tel.record_op(outcome, self.env.now - t0)
+        return outcome
 
     # -- execution ---------------------------------------------------------
 

@@ -4,7 +4,9 @@ Built on the mergeable accumulators of :mod:`repro.util.stats`: each
 session records its own latencies into a :class:`LatencyProbe`
 (Welford stats + a uniform reservoir), and the fleet aggregate is the
 exact merge of the per-session stats — no raw sample stream is ever
-stored, so telemetry stays O(sessions), not O(operations).
+stored, so telemetry stays O(sessions), not O(operations).  It is the
+one place a session event is counted: :mod:`repro.obs` pulls its totals
+and binds the ``*_hist`` instruments its record methods feed.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from repro.obs.metrics import NULL_INSTRUMENT
 from repro.util.stats import ReservoirSample, RunningStats
 
 
@@ -62,6 +65,9 @@ class LatencyProbe:
 class SessionTelemetry:
     """Everything the fleet records about one steering session."""
 
+    #: histograms the records feed; :meth:`FleetTelemetry.session` binds them
+    steer_hist = find_hist = NULL_INSTRUMENT
+
     def __init__(self, name: str, seed: int = 0) -> None:
         self.name = name
         self.steer_latency = LatencyProbe(seed=seed * 3 + 1)
@@ -83,16 +89,19 @@ class SessionTelemetry:
 
     def record_find(self, dt: float) -> None:
         self.find_latency.add(dt)
+        self.find_hist.observe(dt)
 
-    def record_steer(self, dt: float) -> None:
-        self.steer_latency.add(dt)
-        self.ops += 1
-
-    def record_timeout(self) -> None:
-        self.timeouts += 1
-
-    def record_error(self) -> None:
-        self.errors += 1
+    def record_op(self, outcome: str, dt: float = 0.0) -> None:
+        """One steering op by outcome, ``"ok"``, ``"timeout"`` or
+        ``"error"``; only an ok op's round trip ``dt`` is a sample."""
+        if outcome == "ok":
+            self.steer_latency.add(dt)
+            self.steer_hist.observe(dt)
+            self.ops += 1
+        elif outcome == "timeout":
+            self.timeouts += 1
+        else:
+            self.errors += 1
 
     def mark_completed(self, now: float) -> None:
         self.completed = True
@@ -118,6 +127,9 @@ class QueueTelemetry:
     strings) so this layer needs no knowledge of
     :class:`repro.load.slo.SloClass`.
     """
+
+    #: the admission-wait histogram :meth:`record_admit` feeds
+    wait_hist = NULL_INSTRUMENT
 
     def __init__(self) -> None:
         self.wait = LatencyProbe(256, seed=20_011)
@@ -169,6 +181,7 @@ class QueueTelemetry:
     def record_admit(self, cls: str, wait: float, met_slo: bool) -> None:
         self.admitted += 1
         self.wait.add(wait)
+        self.wait_hist.observe(wait)
         c = self._cls(cls)
         c["admitted"] += 1
         c["wait"].add(wait)
@@ -228,6 +241,9 @@ class FleetTelemetry:
     :meth:`merged_stats` (the moments alone — what a periodic audit
     reads hundreds of times per world)."""
 
+    #: what each new session's records feed (see :class:`SessionTelemetry`)
+    steer_hist = find_hist = NULL_INSTRUMENT
+
     def __init__(self) -> None:
         self.sessions: dict[str, SessionTelemetry] = {}
         self.queue: Optional[QueueTelemetry] = None
@@ -241,6 +257,7 @@ class FleetTelemetry:
         tel = self.sessions.get(name)
         if tel is None:
             tel = SessionTelemetry(name, seed=len(self.sessions))
+            tel.steer_hist, tel.find_hist = self.steer_hist, self.find_hist
             self.sessions[name] = tel
         return tel
 

@@ -95,10 +95,10 @@ async def _serve(args: argparse.Namespace) -> dict:
     print("shutting down: draining schedule ...", flush=True)
     drain = await server.shutdown(grace=args.grace)
     stats = server.statsz()
+    queue = stats["queue"]
     print(
         f"served {stats['server']['requests']} requests "
-        f"({stats['server']['admitted']} admitted, "
-        f"{stats['server']['rejected']} rejected); "
+        f"({queue['offered'] - queue['rejected']} queued, {queue['rejected']} rejected); "
         f"drained {drain['events']} events "
         f"({'complete' if drain['drained'] else 'schedule not empty'})",
         flush=True,

@@ -140,10 +140,9 @@ class LiveServer:
         #: every session ever offered: name -> latest lifecycle state
         self.session_states: dict[str, str] = {}
         self._counter = 0
+        #: HTTP counters; admissions are counted by the queue ledger
         self.stats = {
             "requests": 0,
-            "admitted": 0,
-            "rejected": 0,
             "steers": 0,
             "cancels": 0,
             "bad_requests": 0,
@@ -344,7 +343,7 @@ class LiveServer:
         return self.obs.metrics.render().encode("utf-8")
 
     def statsz(self) -> dict:
-        queue = self.driver.telemetry.queue
+        queue = self.controller.telemetry
         return {
             "server": dict(self.stats),
             "sessions": {
@@ -359,9 +358,7 @@ class LiveServer:
                 "admitted": queue.admitted,
                 "rejected": queue.rejected,
                 "abandoned": queue.abandoned,
-            }
-            if queue is not None
-            else None,
+            },
             "sites": len(self.driver.sites),
             "config": dict(self.config),
         }
@@ -415,7 +412,6 @@ class LiveServer:
                 outcome="queued" if accepted else "rejected",
             )
         if not accepted:
-            self.stats["rejected"] += 1
             retry = self._retry_after_wall()
             payload = {
                 "error": "admission queue full",
@@ -424,7 +420,6 @@ class LiveServer:
                 "backpressure": self.controller.backpressure(),
             }
             return 429, payload, [("Retry-After", str(retry))]
-        self.stats["admitted"] += 1
         payload = {
             "name": spec.name,
             "class": cls.name,

@@ -68,9 +68,10 @@ class Observability:
 
     def bind_driver(self, driver) -> "Observability":
         """Called by ``FleetDriver.__init__`` (idempotent): binds the sim
-        clock, creates the breakers and the instruments the session loop
-        pushes to, and subscribes the tracer to the session lifecycle
-        first, so a lane opens before any other subscriber sees it."""
+        clock, creates the breakers, hands the fleet's ledger the latency
+        histograms its records feed, and subscribes the tracer to the
+        session lifecycle first, so a lane opens before any other
+        subscriber sees it."""
         if self.driver is not None:
             if self.driver is not driver:
                 raise ObsError("observability is already bound to another driver")
@@ -79,15 +80,12 @@ class Observability:
         self.tracer.bind(driver.env)
         for name, kwargs in self._breaker_spec.items():
             self._add_breaker(CircuitBreaker(name, driver.env, **kwargs))
-        metrics = self.metrics
-        self.steer_hist = metrics.histogram(
+        metrics, telemetry = self.metrics, driver.telemetry
+        telemetry.steer_hist = metrics.histogram(
             "repro_steer_latency_seconds", "Per-op steering round-trip (sim s)"
         )
-        self.find_hist = metrics.histogram(
+        telemetry.find_hist = metrics.histogram(
             "repro_find_latency_seconds", "Registry find latency (sim s)"
-        )
-        self.op_counter = metrics.counter(
-            "repro_steer_ops_total", "Steering ops by outcome", labels=("outcome",)
         )
         self.viz_counter = metrics.counter(
             "repro_viz_frames_total", "Samples ingested by viz services"
@@ -98,17 +96,19 @@ class Observability:
         c_outcome = metrics.counter(
             "repro_sessions_total", "Finished sessions by outcome", labels=("outcome",)
         )
-        c_timeouts = metrics.counter("repro_steer_timeouts_total", "Steering op timeouts")
-        c_errors = metrics.counter("repro_steer_errors_total", "Steering op errors")
+        c_ops = metrics.counter(
+            "repro_steer_ops_total", "Steering ops by outcome", labels=("outcome",)
+        )
 
         def collect() -> None:
-            totals = driver.telemetry.totals()
+            totals = telemetry.totals()
             g_active.set(len(driver.active))
             g_sites.set(len(driver.sites))
             c_outcome.set_total(totals["completed"], outcome="completed")
             c_outcome.set_total(totals["failed"], outcome="failed")
-            c_timeouts.set_total(totals["timeouts"])
-            c_errors.set_total(totals["errors"])
+            c_ops.set_total(totals["ops"], outcome="ok")
+            c_ops.set_total(totals["timeouts"], outcome="timeout")
+            c_ops.set_total(totals["errors"], outcome="error")
 
         metrics.add_collector(collect)
         return self
@@ -147,16 +147,9 @@ class Observability:
         controller.tracer = self.tracer
         controller.quotas = self.quotas
         metrics = self.metrics
-        wait_hist = metrics.histogram(
+        controller.telemetry.wait_hist = metrics.histogram(
             "repro_admission_wait_seconds", "Admission queue wait (sim s)"
         )
-
-        def on_queue_event(kind: str, **detail) -> None:
-            if kind == "admit":
-                wait_hist.observe(detail["wait"])
-
-        controller.observers.append(on_queue_event)
-
         c_offered = metrics.counter("repro_admission_offered_total", "Sessions offered")
         c_admitted = metrics.counter("repro_admission_admitted_total", "Sessions admitted")
         c_rejected = metrics.counter(

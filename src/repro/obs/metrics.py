@@ -6,12 +6,12 @@ renders the Prometheus text exposition format (``# HELP`` / ``# TYPE``,
 cumulative ``_bucket{le=...}`` series) for ``GET /metricsz`` and a
 JSON-able :meth:`MetricsRegistry.snapshot` for batch runs.
 
-Hot paths push (``counter.inc()``, ``hist.observe()``) unconditionally
-— to :data:`NULL_REGISTRY`'s dropping instruments when metrics are off;
-everything that already has a ledger — the fleet and queue telemetry,
-:class:`~repro.live.pacing.PacedRunner` — is scraped by pull
-*collectors* run at exposition time, so steady-state overhead is a
-handful of attribute reads per scrape, not per event.
+A count is pulled from the ledger that keeps it (fleet and queue
+telemetry, :class:`~repro.live.pacing.PacedRunner`) by *collectors* run
+at exposition time: attribute reads per scrape, not per event.  A push
+(``observe()``, ``inc()``) happens only inside a ledger's record method,
+or where no ledger exists (viz frames), and unconditionally: to
+:data:`NULL_REGISTRY`'s dropping instruments when metrics are off.
 """
 
 from __future__ import annotations

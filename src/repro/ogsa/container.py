@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ChannelClosed, OgsaError, ServiceNotFound, TimeoutExpired
+from repro.errors import ChannelClosed, OgsaError, OgsaTimeout, ServiceNotFound, TimeoutExpired
 from repro.ogsa.handles import GridServiceHandle, GridServiceReference
 from repro.ogsa.service import GridService
 from repro.ogsa.soap import envelope, open_envelope
@@ -196,14 +196,14 @@ class ServiceConnection:
             self._conn = None
 
     def invoke(self, service_id: str, op: str, **args):
-        """Generator -> result; raises OgsaError on faults."""
+        """Generator -> result; raises OgsaError on faults, OgsaTimeout on no reply."""
         if self._conn is None or self._conn.closed:
             raise OgsaError("service connection is not open")
         self._conn.send(envelope(service_id, op, body=args))
         try:
             reply = yield from self._conn.recv(timeout=self.timeout)
         except TimeoutExpired:
-            raise OgsaError(
+            raise OgsaTimeout(
                 f"invoke {service_id}.{op} timed out after {self.timeout}s"
             ) from None
         _sid, _op, body, fault = open_envelope(reply)

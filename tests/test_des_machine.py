@@ -4,8 +4,8 @@ Hypothesis drives one :class:`~repro.des.Environment` and one
 :class:`RefKernel` -- a second kernel written for this test, as plainly
 as it can be -- through the same program: bare timers (``timeout`` and
 ``timeout_until``), processes running scripts of waits (timeouts,
-``all_of``, store gets and puts, ``put_nowait``, ``Mailbox.recv`` with a
-timeout, plain events the test fires or fails, and ``first`` races of a
+``all_of``, store gets and puts, ``put_nowait``, ``Mailbox.recv`` with or
+without a timeout, plain events the test fires or fails, and ``first`` races of a
 timer or such an event against a deadline), interrupts, ``put_nowait``
 from outside any process, single steps and bounded runs.  After every
 rule both worlds must agree on the clock, the count of processed events,
@@ -15,7 +15,7 @@ the log of everything observed so far.
 The reference keeps its schedule as a plain list and picks the least
 ``(time, priority, sequence)`` entry by a linear scan; an interrupt
 leaves the waiter's callback on the event it abandoned, which then
-ignores it; a store serves with one loop; a deadline beaten in a
+ignores it; a receiver that leaves withdraws its get; a store serves with one loop; a deadline beaten in a
 ``first`` race goes on an explicit cancelled list, and its pop runs
 nothing and is not counted.  Delays come from a small grid so that
 same-instant ties, where order is decided by priority and sequence
@@ -271,21 +271,30 @@ class RStore:
             else:
                 return
 
+    def _leave(self, get):
+        """A receiver left: an item already served goes back to the head,
+        a get still waiting is withdrawn."""
+        if get.triggered:
+            self.items.appendleft(get._value)
+            self._settle()
+        else:
+            self._get_waiters.remove(get)
+
     def recv(self, timeout=None):
         get = self.get()
         if timeout is None:
-            item = yield get
+            try:
+                item = yield get
+            except BaseException:
+                self._leave(get)
+                raise
             return True, item
         race = self.k.first(get, timeout)
         try:
             item = yield race
         except BaseException:
             race.cancel()
-            if get.triggered:
-                self.items.appendleft(get._value)
-                self._settle()
-            else:
-                self._get_waiters.remove(get)
+            self._leave(get)
             raise
         if item is not TIMED_OUT:
             return True, item
@@ -383,7 +392,7 @@ OPS = st.one_of(
     st.tuples(st.just("all"), st.lists(DELAYS, max_size=3)),
     st.tuples(st.just("get"), BOX),
     st.tuples(st.sampled_from(["put", "send"]), BOX),
-    st.tuples(st.just("recv"), BOX, DELAYS),
+    st.tuples(st.just("recv"), BOX, st.none() | DELAYS),
     st.tuples(st.just("gate"), st.integers(0, 7)),
     st.tuples(st.just("first"), DELAYS, DELAYS),
     st.tuples(st.just("first_gate"), st.integers(0, 7), DELAYS),

@@ -36,10 +36,10 @@ def test_fleet_aggregates_merge_sessions_exactly():
     s2 = fleet.session("two")
     assert fleet.session("one") is s1  # get-or-create
     for _ in range(10):
-        s1.record_steer(0.020)
-        s2.record_steer(0.200)
-    s1.record_timeout()
-    s2.record_error()
+        s1.record_op("ok", 0.020)
+        s2.record_op("ok", 0.200)
+    s1.record_op("timeout", 30.0)
+    s2.record_op("error")
     s1.mark_completed(now=12.0)
     s2.mark_failed("gateway down", now=9.0)
     merged = fleet.merged_steer_latency()

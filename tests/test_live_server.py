@@ -65,7 +65,7 @@ def test_session_lifecycle_over_http():
             assert final["telemetry"]["completed"] is True
 
             stats = (await request(server.host, server.port, "GET", "/statsz")).json()
-            assert stats["server"]["admitted"] == 1
+            assert stats["queue"]["offered"] - stats["queue"]["rejected"] == 1
             assert stats["sessions"]["states"][name] == "completed"
             assert stats["pacing"]["events"] > 0
         finally:
@@ -212,7 +212,7 @@ def test_429_backpressure_with_retry_after():
             assert doc["backpressure"]["saturated"] is True
             assert doc["retry_after"] == int(third.headers["retry-after"])
             stats = (await request(*args, "GET", "/statsz")).json()
-            assert stats["server"]["rejected"] == 1
+            assert stats["queue"]["rejected"] == 1
             assert stats["backpressure"]["queue_depth"] == 1
         finally:
             await server.shutdown(grace=0.0)
@@ -319,6 +319,10 @@ def test_metricsz_serves_prometheus_text():
                 "# TYPE repro_http_requests_total counter",
             ):
                 assert needle in text, needle
+            # No family repeats a count a ledger already exposes.
+            for gone in ("repro_steer_timeouts_total", "repro_steer_errors_total",
+                         "repro_http_admitted_total", "repro_http_rejected_total"):
+                assert gone not in text, gone
             # Every sample line parses as "<series> <float>".
             for line in text.splitlines():
                 if not line.startswith("#"):

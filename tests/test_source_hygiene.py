@@ -4,7 +4,10 @@ Two rules a linter would hold: no line is longer than 100 characters,
 and no module but a package's ``__init__`` (whose imports are its
 exports) imports a name at top level that it never uses.  A name counts
 as used when it is read anywhere in the module, string annotations and
-``__all__`` included.
+``__all__`` included.  A third is this package's own: no code branches
+on an exception's text (``"..." in str(exc)`` for a name an ``except``
+clause bound); an outcome worth telling apart gets its own exception
+class.
 """
 
 import ast
@@ -76,3 +79,28 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             unused[_rel(path)] = names
     assert unused == {}
+
+
+def _str_of(node, name):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "str"
+        and any(isinstance(arg, ast.Name) and arg.id == name for arg in node.args)
+    )
+
+
+def test_no_branch_reads_the_text_of_a_caught_exception():
+    found = []
+    for path in MODULES:
+        for handler in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+                continue
+            for node in ast.walk(handler):
+                if (
+                    isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                    and any(_str_of(side, handler.name) for side in [node.left, *node.comparators])
+                ):
+                    found.append(f"{_rel(path)}:{node.lineno}")
+    assert found == []

@@ -14,6 +14,10 @@ Patterns:
   at fleet-like depth.
 * ``store-pingpong`` — two processes handing items through two stores:
   the mailbox path under every simulated connection.
+* ``connection-pingpong`` — request/reply between two hosts over one
+  :class:`~repro.net.Connection` pair: the send path every fabric
+  message takes (schema pricing, link reservation, the delivery
+  timeout, the inbox hand-off and a bounded ``recv``).
 * ``interrupt-storm`` — parked processes interrupted and resumed: the
   tombstone path fault recovery leans on.
 * ``deep-horizon`` — hundreds of thousands of pre-scheduled timeouts
@@ -27,11 +31,14 @@ import time
 
 from benchmarks.conftest import run_once, write_json
 from repro.des import Environment, Interrupt, Store, Timeout
+from repro.net import Network
+from repro.steering.control import Ack, SetParam
 
 N_CHURN = 200_000
 N_FANOUT_PROCS = 1_000
 N_FANOUT_TICKS = 100
 N_PINGPONG = 50_000
+N_CONN_PINGPONG = 20_000
 N_INTERRUPTS = 20_000
 N_DEEP = 400_000
 DEEP_SPREAD_MS = 1_000_000
@@ -86,6 +93,31 @@ def bench_store_pingpong():
     return _timed(env)
 
 
+def bench_connection_pingpong():
+    env = Environment()
+    net = Network(env)
+    net.add_host("client")
+    net.add_host("server")
+    net.add_link("client", "server", latency=0.002, bandwidth=10e6 / 8)
+    listener = net.host("server").listen(9000)
+
+    def server():
+        conn = yield from listener.accept()
+        for _ in range(N_CONN_PINGPONG):
+            cmd = yield from conn.recv(timeout=5.0)
+            conn.send(Ack(cmd.seq, True, "SetParam", result=cmd.value))
+
+    def client():
+        conn = yield from net.host("client").connect("server", 9000)
+        for i in range(N_CONN_PINGPONG):
+            conn.send(SetParam("miscibility", 0.5, seq=i, sender="client"))
+            yield from conn.recv(timeout=5.0)
+
+    env.process(server())
+    env.process(client())
+    return _timed(env)
+
+
 def bench_interrupt_storm():
     env = Environment()
 
@@ -124,6 +156,7 @@ SCENARIOS = {
     "timer-churn": bench_timer_churn,
     "timer-fanout": bench_timer_fanout,
     "store-pingpong": bench_store_pingpong,
+    "connection-pingpong": bench_connection_pingpong,
     "interrupt-storm": bench_interrupt_storm,
     "deep-horizon": bench_deep_horizon,
 }
@@ -134,6 +167,7 @@ FLOORS = {
     "timer-churn": 100_000,
     "timer-fanout": 100_000,
     "store-pingpong": 80_000,
+    "connection-pingpong": 20_000,
     "interrupt-storm": 50_000,
     "deep-horizon": 25_000,
 }

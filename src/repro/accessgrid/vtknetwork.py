@@ -119,5 +119,6 @@ class VicViewer:
         env = self.host.env
         link = renderer.host.network.link(self.host.name, renderer.host.name)
         deliver_at = link.reserve(128, env.now)
-        ev = env.timeout(deliver_at - env.now)
-        ev.callbacks.append(lambda _e: renderer.event_mailbox.put_nowait(dict(event)))
+        env.timeout(deliver_at - env.now, dict(event)).callbacks.append(
+            renderer.event_mailbox.deliver
+        )

@@ -76,6 +76,14 @@ class Store:
         else:
             self.items.append(item)
 
+    def deliver(self, event: Event) -> None:
+        """Event callback: :meth:`put_nowait` the event's value.
+
+        A message in flight is a timeout carrying the message, with this
+        bound method as its one callback — no closure per message.
+        """
+        self.put_nowait(event._value)
+
     def get(self) -> StoreGet:
         ev = StoreGet(self)
         self._get_waiters.append(ev)

@@ -20,19 +20,24 @@ from repro.errors import (
     HostUnreachable,
     TimeoutExpired,
 )
-from repro.wire.codec import approx_size
+from repro.wire.codec import SCHEMA_SIZERS, approx_size
 
 
 def wire_size(payload: Any, size: Optional[int] = None) -> int:
     """The simulated wire size of one send: the one place a send is sized.
 
     Middleware messages are Python objects; their size is either supplied
-    explicitly (cost-model numbers), the length of a byte buffer, or
+    explicitly (cost-model numbers), priced from the schema of their exact
+    type (:data:`~repro.wire.codec.SCHEMA_SIZERS`: the OGSA envelope and
+    the steering control messages), the length of a byte buffer, or
     estimated by the codec's :func:`~repro.wire.codec.approx_size` (exact
     for codec types, a reasonable envelope for dataclass messages).
     """
     if size is not None:
         return int(size)
+    sizer = SCHEMA_SIZERS.get(type(payload))
+    if sizer is not None:
+        return sizer(payload)
     if isinstance(payload, (bytes, bytearray, memoryview)):
         return len(payload)
     return approx_size(payload)
@@ -56,19 +61,28 @@ UNREACHABLE_GRACE = 3.0
 
 
 class Connection:
-    """One endpoint of an established duplex channel."""
+    """One endpoint of an established duplex channel.
+
+    It holds the directed :class:`~repro.net.network.Link` its messages
+    cross, resolved once by :func:`open_connection`, and its peer inbox's
+    delivery callback: a send looks nothing up.
+    """
 
     __slots__ = (
-        "host", "peer_host", "port", "inbox", "peer", "closed",
-        "bytes_sent", "messages_sent",
-    )
+        "host", "peer_host", "port", "env", "network", "link", "inbox", "peer",
+        "_peer_deliver", "closed", "bytes_sent", "messages_sent",
+    )  # fmt: skip
 
-    def __init__(self, host, peer_host, port: int) -> None:
+    def __init__(self, host, peer_host, port: int, link) -> None:
         self.host = host
         self.peer_host = peer_host
         self.port = port
-        self.inbox = Mailbox(host.env)
+        self.env = host.env
+        self.network = host.network
+        self.link = link
+        self.inbox = Mailbox(self.env)
         self.peer: Optional["Connection"] = None  # set by _pair
+        self._peer_deliver = None
         self.closed = False
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -77,6 +91,8 @@ class Connection:
     def _pair(a: "Connection", b: "Connection") -> None:
         a.peer = b
         b.peer = a
+        a._peer_deliver = b.inbox.deliver
+        b._peer_deliver = a.inbox.deliver
 
     # -- sending -----------------------------------------------------------
 
@@ -87,18 +103,20 @@ class Connection:
         A message sent into a partition is lost on the dark WAN.  The
         sender does not learn (TCP would buffer and retry until its own
         timers fire); the receiver's recv timeout is the failure signal,
-        exactly as on a real flaky wide-area link.
+        exactly as on a real flaky wide-area link.  Reachability is
+        checked on every send, but only a fabric with a partition or an
+        isolated host pays for the check.
         """
-        env = self.host.env
-        network = self.host.network
-        src, dst = self.host.name, self.peer_host.name
-        if not network.reachable(src, dst):
+        network = self.network
+        if (network._partitions or network._isolated) and not network.reachable(
+            self.host.name, self.peer_host.name
+        ):
             network.dropped_messages += 1
             return None
-        deliver_at = network.link(src, dst).reserve(size, env.now)
-        peer_inbox = self.peer.inbox
-        ev = env.timeout(deliver_at - env.now)
-        ev.callbacks.append(lambda _ev: peer_inbox.put_nowait(item))
+        env = self.env
+        now = env.now
+        deliver_at = self.link.reserve(size, now)
+        env.timeout(deliver_at - now, item).callbacks.append(self._peer_deliver)
         return deliver_at
 
     def send(self, payload: Any, size: Optional[int] = None) -> float:
@@ -114,7 +132,7 @@ class Connection:
         size = wire_size(payload, size)
         deliver_at = self._deliver(payload, size)
         if deliver_at is None:
-            return self.host.env.now
+            return self.env.now
         self.bytes_sent += size
         self.messages_sent += 1
         return deliver_at
@@ -263,8 +281,8 @@ def open_connection(src_host, dst_name: str, port: int, timeout: Optional[float]
     if listener is None:
         raise ConnectionRefused(f"nothing listening on {dst_name}:{port}")
 
-    local = Connection(src_host, dst_host, port)
-    remote = Connection(dst_host, src_host, port)
+    local = Connection(src_host, dst_host, port, fwd)
+    remote = Connection(dst_host, src_host, port, rev)
     Connection._pair(local, remote)
     listener._enqueue(remote)
     return local

@@ -70,8 +70,7 @@ class MulticastGroup:
             link.bytes_carried += size
             link.transfers += 1
             delay = (sent_at - env.now) + link.latency
-            ev = env.timeout(delay)
-            ev.callbacks.append(lambda _ev, b=box: b.put_nowait(payload))
+            env.timeout(delay, payload).callbacks.append(box.deliver)
 
 
 class UnicastBridge:
@@ -111,8 +110,13 @@ class UnicastBridge:
         # Unicast hop to the bridge, then native multicast out.
         link = self.group.network.link(host.name, self.bridge_host.name)
         deliver_at = link.reserve(size, env.now)
-        ev = env.timeout(deliver_at - env.now)
-        ev.callbacks.append(lambda _ev: self.group.send(self.bridge_host, payload, size))
+        env.timeout(deliver_at - env.now, (payload, size)).callbacks.append(self._relay_up)
+
+    def _relay_up(self, event) -> None:
+        """Delivery callback of :meth:`send_from`'s unicast hop: the bridge
+        multicasts the ``(payload, size)`` the event carries."""
+        payload, size = event._value
+        self.group.send(self.bridge_host, payload, size)
 
     def _relay_loop(self):
         env = self.bridge_host.env
@@ -122,10 +126,9 @@ class UnicastBridge:
             size = wire_size(payload)
             self.relayed_packets += 1
             # Full unicast fan-out: one serialized transfer per bridged host.
-            # The payload is bound per callback: the next group packet
+            # Each delivery carries its payload: the next group packet
             # rebinds ``payload`` before this delivery fires.
             for name, box in list(self._bridged.items()):
                 link = network.link(self.bridge_host.name, name)
                 deliver_at = link.reserve(size, env.now)
-                ev = env.timeout(deliver_at - env.now)
-                ev.callbacks.append(lambda _ev, b=box, p=payload: b.put_nowait(p))
+                env.timeout(deliver_at - env.now, payload).callbacks.append(box.deliver)

@@ -208,10 +208,18 @@ class Network:
     def add_link(
         self, a: str, b: str, latency: float, bandwidth: float
     ) -> tuple[Link, Link]:
-        """Create the directed link pair between two known hosts."""
+        """Create the directed link pair between two known hosts.
+
+        A pair that already has a link (added, or made by :meth:`link`)
+        is refused: an open connection holds its link, and would keep
+        sending over a replaced one.  Degrade a link to change it.
+        """
         for name in (a, b):
             if name not in self.hosts:
                 raise NetworkError(f"add_link references unknown host {name!r}")
+        for key in ((a, b), (b, a)):
+            if key in self._links:
+                raise NetworkError(f"{key[0]} -> {key[1]} already has a link")
         fwd = Link(a, b, latency, bandwidth)
         rev = Link(b, a, latency, bandwidth)
         self._links[(a, b)] = fwd

@@ -13,6 +13,7 @@ from functools import partial
 from typing import Any
 
 from repro.errors import ProtocolError
+from repro.wire.codec import SCHEMA_SIZERS, fields_sizer
 from repro.wire.fields import decode_tagged, encode_tagged
 
 
@@ -101,3 +102,6 @@ _TAGGED = {"tag": "_kind", "error": ProtocolError, "what": "steering message"}
 #: dataclass -> wire dict with a ``_kind`` discriminator, and back
 encode_message = partial(encode_tagged, _STEERING, **_TAGGED)
 decode_message = partial(decode_tagged, _STEERING, **_TAGGED)
+
+#: each message is priced from its schema: field names once, values per send
+SCHEMA_SIZERS.update((cls, fields_sizer(cls)) for cls in _STEERING.values())

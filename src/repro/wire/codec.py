@@ -20,7 +20,8 @@ order and never convert.
 from __future__ import annotations
 
 import struct
-from typing import Any
+from dataclasses import fields
+from typing import Any, Callable
 
 import numpy as np
 
@@ -269,9 +270,10 @@ def approx_size(value: Any) -> int:
     """Wire-size estimate that never fails.
 
     Used by the network layer to charge link time for payloads that
-    travel as Python objects — once per message, so a steering op pays
-    it four times.  Equal to :func:`approx_size_reference` on every
-    value, but dispatches on ``type(value)``: fixed-size scalars are one
+    travel as Python objects and have no schema sizer (see
+    :data:`SCHEMA_SIZERS`), and by those sizers for a message's nested
+    values.  Equal to :func:`approx_size_reference` on every value, but
+    dispatches on ``type(value)``: fixed-size scalars are one
     dict lookup, and an exact ``str`` / ``dict`` / ``list`` / ``tuple`` /
     ``ndarray`` or a dataclass-like message is sized in one loop over its
     items that recurses only into nested containers.  Subclasses and
@@ -317,6 +319,54 @@ def approx_size(value: Any) -> int:
         else:
             total += approx_size(v)
     return total
+
+
+#: exact message type -> its schema sizer: the size of its fixed layout
+#: (struct headers, key or field names) costed once, plus the values that
+#: can change, sized at every call.  :func:`repro.net.channel.wire_size`
+#: looks a payload's exact type up here before it falls back to
+#: :func:`approx_size`.  Each sizer equals :func:`approx_size_reference`
+#: on every instance (the tests hold it to that), and, as there, nothing is
+#: remembered per object.
+SCHEMA_SIZERS: dict[type, Callable[[Any], int]] = {}
+
+
+#: a field missing from an instance's ``__dict__``
+_ABSENT = object()
+
+
+def fields_sizer(cls: type) -> Callable[[Any], int]:
+    """The schema sizer of a dataclass message type.
+
+    Its layout — 21 (object envelope and struct header) plus the field
+    names — is costed once from :func:`dataclasses.fields`; a call sizes
+    only the field values.  An instance whose attributes are not exactly
+    its fields is sized by the reference chain.
+    """
+    names = tuple(f.name for f in fields(cls))
+    layout = 21 + sum(approx_size_reference(name) for name in names)
+    count = len(names)
+
+    def size(msg: Any) -> int:
+        inner = msg.__dict__
+        if len(inner) != count:
+            return approx_size_reference(msg)
+        total = layout
+        for name in names:
+            v = inner.get(name, _ABSENT)
+            tv = type(v)
+            fixed = _FIXED_SIZE.get(tv)
+            if fixed is not None:
+                total += fixed
+            elif tv is str:
+                total += 5 + (len(v) if v.isascii() else len(v.encode("utf-8")))
+            elif v is _ABSENT:
+                return approx_size_reference(msg)
+            else:
+                total += approx_size(v)
+        return total
+
+    return size
 
 
 def describe(value: Any) -> str:

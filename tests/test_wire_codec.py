@@ -1,6 +1,7 @@
 """Codec unit + property tests: round-trips in both byte orders."""
 
 import enum
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodecError
+from repro.net.channel import wire_size
+from repro.ogsa.soap import ENVELOPE_NS, Envelope, envelope
+from repro.steering import control
 from repro.wire import coerce_array, decode, describe, encode
-from repro.wire.codec import approx_size, approx_size_reference
+from repro.wire.codec import SCHEMA_SIZERS, approx_size, approx_size_reference
 
 
 @pytest.mark.parametrize("bo", ["<", ">"])
@@ -241,3 +245,80 @@ def test_approx_size_sees_a_message_mutate():
     before = approx_size(msg)
     msg.value = "a considerably longer value"
     assert approx_size(msg) == approx_size_reference(msg) > before
+
+
+# -- schema sizes: each schema-priced message == the isinstance chain --------
+
+_texts = st.text(max_size=12) | st.text(alphabet="abcxyz_", max_size=12)
+_CONTROL = sorted(control._STEERING.values(), key=lambda cls: cls.__name__)
+
+
+@st.composite
+def _control_messages(draw):
+    cls = draw(st.sampled_from(_CONTROL))
+    return cls(**{f.name: draw(_texts | _any_value) for f in fields(cls)})
+
+
+@st.composite
+def _envelopes(draw):
+    body = draw(st.dictionaries(_keys, _any_value, max_size=4))
+    fault = draw(st.just("") | _texts | _any_value)
+    return envelope(draw(_texts), draw(_texts), body, fault=fault)
+
+
+def test_every_steering_message_and_the_envelope_are_schema_priced():
+    assert type(envelope("s", "op")) is Envelope
+    assert {*_CONTROL, Envelope} <= set(SCHEMA_SIZERS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(msg=_control_messages() | _envelopes())
+def test_property_schema_size_equals_reference_chain(msg):
+    assert SCHEMA_SIZERS[type(msg)](msg) == approx_size_reference(msg)
+    assert wire_size(msg) == approx_size_reference(msg)
+
+
+def _relaid_envelopes():
+    """Envelopes whose layout changed after they were built."""
+    extra = envelope("s", "op", {"x": 1})
+    extra["trace"] = "abc"
+    lost = envelope("s", "op")
+    del lost["fault"]
+    lost["faults"] = ""
+    headless = envelope("s", "op")
+    headless["header"] = ["s", "op"]
+    renamed = envelope("s", "op")
+    del renamed["header"]["operation"]
+    renamed["header"]["op"] = "op"
+    foreign_ns = envelope("s", "op")
+    foreign_ns["ns"] = "".join(ENVELOPE_NS)  # an equal string, another object
+    moved_ns = envelope("s", "op")
+    moved_ns["ns"] = "repro-ogsa/2.0-draft"
+    return [extra, lost, headless, renamed, foreign_ns, moved_ns]
+
+
+def _relaid_messages():
+    """Control messages whose attributes are not exactly their fields."""
+    extra = control.Ack(3, True, "Stop")
+    extra.note = "late"
+    swapped = control.SetParam("g", 1.5)
+    del swapped.sender
+    swapped.origin = "somewhere"
+    return [extra, swapped]
+
+
+@pytest.mark.parametrize("msg", _relaid_envelopes() + _relaid_messages())
+def test_a_relaid_schema_message_is_sized_by_the_reference_chain(msg):
+    assert SCHEMA_SIZERS[type(msg)](msg) == approx_size_reference(msg)
+
+
+def test_a_schema_priced_message_is_resized_at_every_send():
+    ack = control.Ack(3, True, "GetStatus")
+    env = envelope("s", "invoke", {"name": "g"})
+    before = wire_size(ack), wire_size(env)
+    ack.result = {"step": 7, "observables": {"ä": 0.5}}
+    env["body"]["value"] = "a considerably longer value"
+    env["header"]["operation"] = "invoke-again"
+    after = wire_size(ack), wire_size(env)
+    assert after == (approx_size_reference(ack), approx_size_reference(env))
+    assert after[0] > before[0] and after[1] > before[1]

@@ -25,6 +25,12 @@ Patterns:
   heap pays its O(log n) cache-hostile sift per event.  No workload in
   the repo comes within 100x of this depth; the number is what to beat
   if one ever does (DESIGN.md "Event queue").
+
+The two ping-pong patterns also report messages/sec: a delivery that
+finds its receiver parked resumes it in the delivery's own event, so
+events per message differ by path (one per ``Connection`` message, two
+per ``put``/``get`` hand-off), and messages/sec is the rate to compare
+across kernel changes.
 """
 
 import time
@@ -161,6 +167,12 @@ SCENARIOS = {
     "deep-horizon": bench_deep_horizon,
 }
 
+#: items handed over per run, for the patterns that pass messages
+MESSAGES = {
+    "store-pingpong": 2 * N_PINGPONG,
+    "connection-pingpong": 2 * N_CONN_PINGPONG,
+}
+
 #: conservative events/sec floors — a CI box is allowed to be ~10x
 #: slower than a dev laptop, but an accidental O(n) in the kernel is not
 FLOORS = {
@@ -177,9 +189,10 @@ def test_kernel_throughput(benchmark, reporter):
     results = run_once(benchmark, lambda: {name: fn() for name, fn in SCENARIOS.items()})
     reporter.table(
         "KERNEL: DES engine throughput per hot pattern",
-        ["pattern", "events", "wall (ms)", "events/s"],
+        ["pattern", "events", "wall (ms)", "events/s", "messages/s"],
         [
-            [name, events, f"{wall * 1e3:.1f}", f"{events / wall:,.0f}"]
+            [name, events, f"{wall * 1e3:.1f}", f"{events / wall:,.0f}",
+             f"{MESSAGES[name] / wall:,.0f}" if name in MESSAGES else "-"]
             for name, (events, wall) in results.items()
         ],
     )
@@ -193,6 +206,11 @@ def test_kernel_throughput(benchmark, reporter):
                 "events": events,
                 "wall_seconds": wall,
                 "events_per_sec": events / wall,
+                **(
+                    {"messages": MESSAGES[name], "messages_per_sec": MESSAGES[name] / wall}
+                    if name in MESSAGES
+                    else {}
+                ),
             }
             for name, (events, wall) in results.items()
         },

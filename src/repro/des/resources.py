@@ -7,20 +7,11 @@ capacity (CPU slots on a simulated host, graphics pipes on the viz engine).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Any, Optional
 
 from repro.des.core import TIMED_OUT, Environment, Event
 from repro.errors import SimulationError
-
-
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.item = item
 
 
 class StoreGet(Event):
@@ -31,80 +22,71 @@ class StoreGet(Event):
 
 
 class Store:
-    """FIFO item buffer with optional capacity.
+    """Unbounded FIFO item buffer.
 
-    ``put(item)`` and ``get()`` return events; processes yield them.  With
-    infinite capacity (the default) puts succeed immediately, which is the
-    common case for message mailboxes; a sender that will not wait on the
-    put calls ``put_nowait(item)`` and schedules nothing.
+    ``get()`` returns an event a process yields; a getter waits only
+    while ``items`` is empty.  An item is handed over one of two ways:
+
+    * :meth:`deliver` — a message arriving, as a kernel callback: a
+      parked getter takes the item and resumes inside the delivery's
+      own step, so a delivered message costs one kernel event.
+    * :meth:`put_nowait` — called from a running process: a parked
+      getter's event is queued, and it resumes in a later step (running
+      another process from inside this one would be re-entrant).
     """
 
-    __slots__ = ("env", "capacity", "items", "_put_waiters", "_get_waiters")
+    __slots__ = ("env", "items", "_get_waiters")
 
-    def __init__(self, env: Environment, capacity: float = math.inf) -> None:
-        if capacity <= 0:
-            raise SimulationError("store capacity must be positive")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
         self.items: deque = deque()
-        self._put_waiters: deque[StorePut] = deque()
         self._get_waiters: deque[StoreGet] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        ev = StorePut(self, item)
-        self._put_waiters.append(ev)
-        self._dispatch()
-        return ev
+    def put(self, item: Any) -> Event:
+        """:meth:`put_nowait`, plus an already-succeeded event to yield.
+
+        The event is queued before the getter the item serves.
+        """
+        done = Event(self.env).succeed()
+        self.put_nowait(item)
+        return done
 
     def put_nowait(self, item: Any) -> None:
-        """Event-free put for fire-and-forget deliveries.
-
-        Same item order and same served getter as :meth:`put`, minus the
-        :class:`StorePut` event — which a sender that never yields it
-        only pays the kernel to pop.  A bounded store that is full (or
-        already has parked putters) cannot take the item now, so it
-        queues an ordinary ``put``.
-        """
-        if self._put_waiters or len(self.items) >= self.capacity:
-            self.put(item)
-        elif self._get_waiters:
-            # a getter only waits while ``items`` is empty
+        """Event-free put: a parked getter is served by a queued event."""
+        if self._get_waiters:
             self._get_waiters.popleft().succeed(item)
         else:
             self.items.append(item)
 
     def deliver(self, event: Event) -> None:
-        """Event callback: :meth:`put_nowait` the event's value.
+        """Event callback: hand the event's value over in place.
 
         A message in flight is a timeout carrying the message, with this
-        bound method as its one callback — no closure per message.
+        bound method as its one callback — no closure per message.  A
+        parked getter gets the item and its callbacks run now, in the
+        delivery's step, not in a second event queued behind it.
         """
-        self.put_nowait(event._value)
+        if not self._get_waiters:
+            self.items.append(event._value)
+            return
+        get = self._get_waiters.popleft()
+        get._ok = True
+        get._value = event._value
+        callbacks = get.callbacks
+        get.callbacks = None
+        for cb in callbacks:
+            cb(get)
 
     def get(self) -> StoreGet:
         ev = StoreGet(self)
-        self._get_waiters.append(ev)
-        self._dispatch()
+        if self.items:
+            ev.succeed(self.items.popleft())
+        else:
+            self._get_waiters.append(ev)
         return ev
-
-    def _dispatch(self) -> None:
-        # Admit queued puts while there is room.
-        while self._put_waiters and len(self.items) < self.capacity:
-            put = self._put_waiters.popleft()
-            self.items.append(put.item)
-            put.succeed()
-        # Serve queued gets while items are available.
-        while self._get_waiters and self.items:
-            get = self._get_waiters.popleft()
-            get.succeed(self.items.popleft())
-            # A completed get may free room for a parked put.
-            while self._put_waiters and len(self.items) < self.capacity:
-                put = self._put_waiters.popleft()
-                self.items.append(put.item)
-                put.succeed()
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-suspending get: ``(True, item)`` or ``(False, None)``.
@@ -113,9 +95,7 @@ class Store:
         block; it polls its mailbox and walks away if nothing is there).
         """
         if self.items:
-            item = self.items.popleft()
-            self._dispatch()
-            return True, item
+            return True, self.items.popleft()
         return False, None
 
 
@@ -196,11 +176,12 @@ class Mailbox(Store):
             # already served gives its item back to the head of the box.
             if race is not get:
                 race.cancel()
-            if get.triggered:
-                self.items.appendleft(get._value)
-                self._dispatch()
-            else:
+            if not get.triggered:
                 self._get_waiters.remove(get)
+            elif self._get_waiters:  # then ``items`` is empty
+                self._get_waiters.popleft().succeed(get._value)
+            else:
+                self.items.appendleft(get._value)
             raise
         if item is not TIMED_OUT:
             return True, item

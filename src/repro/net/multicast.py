@@ -23,27 +23,34 @@ class MulticastGroup:
     The sender pays a single uplink serialization (the defining economy of
     multicast); each receiver then sees its own link latency.  Hosts with
     ``multicast=False`` or a multicast-blocking firewall cannot join
-    natively and must go through a :class:`UnicastBridge`.
+    natively and must go through a :class:`UnicastBridge`, which is a
+    member itself: the group hands it each packet with its size and
+    sender.
     """
 
     def __init__(self, network: Network, address: str) -> None:
         self.network = network
         self.address = address
-        self._members: dict[str, Mailbox] = {}
+        #: host name -> its Mailbox, or the UnicastBridge that host runs
+        self._members: dict[str, Any] = {}
         self.packets_sent = 0
         self.bytes_sent = 0
 
-    def join(self, host: Host) -> Mailbox:
-        """Subscribe ``host``; returns the mailbox receiving group traffic."""
+    def _admit(self, host: Host) -> None:
         if not host.multicast or not host.firewall.allow_multicast:
             raise NetworkError(
                 f"{host.name} has no native multicast; use a UnicastBridge"
             )
-        if host.name in self._members:
-            return self._members[host.name]
-        box = Mailbox(host.env)
-        self._members[host.name] = box
-        return box
+
+    def join(self, host: Host) -> Mailbox:
+        """Subscribe ``host``; returns the mailbox receiving group traffic."""
+        self._admit(host)
+        member = self._members.get(host.name)
+        if member is None:
+            member = self._members[host.name] = Mailbox(host.env)
+        elif type(member) is UnicastBridge:
+            raise NetworkError(f"{host.name} is a bridge of {self.address}")
+        return member
 
     def leave(self, host: Host) -> None:
         self._members.pop(host.name, None)
@@ -61,7 +68,7 @@ class MulticastGroup:
         # One uplink serialization on the sender's side...
         uplink = self.network.link(src.name, src.name)
         sent_at = env.now + size / uplink.bandwidth
-        for name, box in list(self._members.items()):
+        for name, member in list(self._members.items()):
             if name == src.name:
                 continue
             # ...then per-receiver propagation latency (replication is done
@@ -70,25 +77,34 @@ class MulticastGroup:
             link.bytes_carried += size
             link.transfers += 1
             delay = (sent_at - env.now) + link.latency
-            env.timeout(delay, payload).callbacks.append(box.deliver)
+            if type(member) is UnicastBridge:
+                packet = (payload, size, src.name)
+                env.timeout(delay, packet).callbacks.append(member._relay)
+            else:
+                env.timeout(delay, payload).callbacks.append(member.deliver)
 
 
 class UnicastBridge:
     """Relays group traffic to/from hosts without native multicast.
 
-    The bridge host joins the group natively and forwards every packet to
-    each bridged host over plain unicast — paying full per-receiver
-    bandwidth, which is exactly why bridges scale worse than multicast
-    (and why the bench for FIG4 can show the difference).
+    The bridge host is a native member of the group and forwards every
+    packet to each bridged host over plain unicast — paying full
+    per-receiver bandwidth, which is exactly why bridges scale worse than
+    multicast (and why the bench for FIG4 can show the difference).  A
+    packet keeps the size its sender gave on every hop, and a bridged
+    sender's packet reaches the group and the other bridged hosts, never
+    the sender again.
     """
 
     def __init__(self, group: MulticastGroup, bridge_host: Host) -> None:
+        group._admit(bridge_host)
+        if bridge_host.name in group._members:
+            raise NetworkError(f"{bridge_host.name} is already in {group.address}")
         self.group = group
         self.bridge_host = bridge_host
-        self._uplink_box = group.join(bridge_host)
         self._bridged: dict[str, Mailbox] = {}
         self.relayed_packets = 0
-        self._proc = bridge_host.env.process(self._relay_loop())
+        group._members[bridge_host.name] = self
 
     def attach(self, host: Host) -> Mailbox:
         """Bridge ``host`` into the group; returns its receive mailbox."""
@@ -110,25 +126,26 @@ class UnicastBridge:
         # Unicast hop to the bridge, then native multicast out.
         link = self.group.network.link(host.name, self.bridge_host.name)
         deliver_at = link.reserve(size, env.now)
-        env.timeout(deliver_at - env.now, (payload, size)).callbacks.append(self._relay_up)
+        packet = (payload, size, host.name)
+        env.timeout(deliver_at - env.now, packet).callbacks.append(self._relay_up)
 
     def _relay_up(self, event) -> None:
         """Delivery callback of :meth:`send_from`'s unicast hop: the bridge
-        multicasts the ``(payload, size)`` the event carries."""
-        payload, size = event._value
+        multicasts the packet, then relays it to the other bridged hosts."""
+        payload, size, _sender = event._value
         self.group.send(self.bridge_host, payload, size)
+        self._relay(event)
 
-    def _relay_loop(self):
+    def _relay(self, event) -> None:
+        """Delivery callback of a ``(payload, size, sender)`` packet at the
+        bridge: one unicast transfer to each bridged host but its sender."""
+        payload, size, sender = event._value
         env = self.bridge_host.env
         network = self.group.network
-        while True:
-            payload = yield self._uplink_box.get()
-            size = wire_size(payload)
-            self.relayed_packets += 1
-            # Full unicast fan-out: one serialized transfer per bridged host.
-            # Each delivery carries its payload: the next group packet
-            # rebinds ``payload`` before this delivery fires.
-            for name, box in list(self._bridged.items()):
-                link = network.link(self.bridge_host.name, name)
-                deliver_at = link.reserve(size, env.now)
-                env.timeout(deliver_at - env.now, payload).callbacks.append(box.deliver)
+        self.relayed_packets += 1
+        for name, box in list(self._bridged.items()):
+            if name == sender:
+                continue
+            link = network.link(self.bridge_host.name, name)
+            deliver_at = link.reserve(size, env.now)
+            env.timeout(deliver_at - env.now, payload).callbacks.append(box.deliver)

@@ -254,27 +254,6 @@ def test_store_get_blocks_until_put():
     assert out == [(7.0, "x")]
 
 
-def test_store_capacity_backpressure():
-    env = Environment()
-    times = []
-
-    def producer(store):
-        for i in range(3):
-            yield store.put(i)
-            times.append(env.now)
-
-    def consumer(store):
-        yield env.timeout(10)
-        yield store.get()
-
-    store = Store(env, capacity=2)
-    env.process(producer(store))
-    env.process(consumer(store))
-    env.run()
-    # first two puts at t=0, third only after the consumer frees a slot
-    assert times == [0.0, 0.0, 10.0]
-
-
 def test_store_try_get():
     env = Environment()
     store = Store(env)
@@ -326,23 +305,50 @@ def test_put_nowait_interleaves_with_put():
     assert list(store.items) == [0, 1, 2, 3]
 
 
-def test_put_nowait_on_a_full_bounded_store_waits_its_turn():
+@pytest.mark.parametrize("timeout", [None, 5.0])
+def test_a_delivery_resumes_a_parked_receiver_inside_its_own_step(timeout):
     env = Environment()
-    store = Store(env, capacity=1)
-    store.put_nowait("a")  # room: no event
-    assert env.pending == 0
-    store.put_nowait("b")  # full: a parked put
-    store.put_nowait("c")  # behind the parked put, not past it
-    assert list(store.items) == ["a"] and len(store._put_waiters) == 2
-    out = []
+    box = Mailbox(env)
+    got = []
 
-    def drain():
-        for _ in range(3):
-            out.append((yield store.get()))
+    def receiver():
+        got.append((yield from box.recv(timeout)))
+        yield env.event()  # stay parked: the process ends no event
 
-    env.process(drain())
-    env.run()
-    assert out == ["a", "b", "c"]
+    env.process(receiver())
+    env.run(until=0.5)
+    env.timeout(0.5, "msg").callbacks.append(box.deliver)
+    before = env.events_processed
+    env.step()
+    # one event for the message: the receiver ran in the delivery's step
+    assert got == [(True, "msg")] and env.events_processed == before + 1
+    assert not box._get_waiters and len(box) == 0
+
+
+def test_put_nowait_from_a_running_process_resumes_the_receiver_later():
+    env = Environment()
+    box = Mailbox(env)
+    log = []
+
+    def receiver():
+        log.append((yield box.get()))
+        yield env.event()
+
+    def sender():
+        yield env.timeout(1.0)
+        box.put_nowait("msg")
+        log.append("sent")
+        yield env.event()
+
+    env.process(receiver())
+    env.process(sender())
+    env.run(until=0.5)
+    before = env.events_processed
+    env.step()  # the sender's timeout: the receiver's get is only queued
+    assert log == ["sent"] and env.events_processed == before + 1
+    env.step()  # the get, at the same instant
+    assert log == ["sent", "msg"] and env.events_processed == before + 2
+    assert env.now == 1.0
 
 
 def test_mailbox_recv_with_timeout_expires():

@@ -472,6 +472,81 @@ def test_bridge_send_from_unicast_site():
     assert got["payload"] == b"cave-view"
 
 
+def _bridged_group():
+    """A bridge, a native member ``m1`` and bridged ``nat1``..``nat3``,
+    each listening on its mailbox; returns what each one received."""
+    env = Environment()
+    net = Network(env)
+    for name in ("bridge", "m1"):
+        net.add_host(name)
+    for name in ("nat1", "nat2", "nat3"):
+        net.add_host(name, multicast=False, firewall=Firewall.closed())
+    group = MulticastGroup(net, "233.0.0.5")
+    bridge = UnicastBridge(group, net.host("bridge"))
+    boxes = {"m1": group.join(net.host("m1"))}
+    for name in ("nat1", "nat2", "nat3"):
+        boxes[name] = bridge.attach(net.host(name))
+    got = {name: [] for name in boxes}
+
+    def listen(name):
+        while True:
+            got[name].append((yield boxes[name].get()))
+
+    for name in boxes:
+        env.process(listen(name))
+    return env, net, group, bridge, got
+
+
+def test_a_bridged_hosts_packet_reaches_every_other_member_once():
+    env, net, _group, bridge, got = _bridged_group()
+    env.timeout(0.01).callbacks.append(
+        lambda _ev: bridge.send_from(net.host("nat1"), b"cave-view", size=500)
+    )
+    env.run()
+    assert got == {"m1": [b"cave-view"], "nat1": [], "nat2": [b"cave-view"],
+                   "nat3": [b"cave-view"]}
+    # priced at its sender's size on the bridge -> host hop
+    assert net.link("bridge", "nat2").bytes_carried == 500
+    assert net.link("bridge", "nat1").transfers == 0
+
+
+def test_a_native_packet_reaches_every_bridged_host_once():
+    env, net, group, _bridge, got = _bridged_group()
+    env.timeout(0.01).callbacks.append(
+        lambda _ev: group.send(net.host("m1"), b"frame", size=800)
+    )
+    env.run()
+    assert got == {"m1": [], "nat1": [b"frame"], "nat2": [b"frame"], "nat3": [b"frame"]}
+
+
+def test_the_bridge_relays_a_packet_at_the_size_its_sender_gave():
+    env = Environment()
+    net = Network(env)
+    net.add_host("src")
+    net.add_host("bridge")
+    net.add_host("cave", multicast=False, firewall=Firewall.closed())
+    group = MulticastGroup(net, "233.0.0.6")
+    group.join(net.host("src"))
+    bridge = UnicastBridge(group, net.host("bridge"))
+    bridge.attach(net.host("cave"))
+    group.send(net.host("src"), b"video", size=2000)
+    env.run()
+    assert net.link("src", "bridge").bytes_carried == 2000
+    assert net.link("bridge", "cave").bytes_carried == 2000
+
+
+def test_a_bridge_host_is_not_also_a_plain_member():
+    env = Environment()
+    net = Network(env)
+    net.add_host("bridge")
+    group = MulticastGroup(net, "233.0.0.7")
+    UnicastBridge(group, net.host("bridge"))
+    with pytest.raises(NetworkError):
+        group.join(net.host("bridge"))
+    with pytest.raises(NetworkError):
+        UnicastBridge(group, net.host("bridge"))
+
+
 def test_sync_pipe():
     pipe = SyncPipe()
     a, b = pipe.ends()

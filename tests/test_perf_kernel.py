@@ -8,7 +8,7 @@ import pytest
 
 from repro.des import AllOf, Environment, Event, Interrupt, Mailbox, Store, Timeout
 from repro.des.core import First, Process
-from repro.des.resources import ResourceRequest, StoreGet, StorePut
+from repro.des.resources import ResourceRequest, StoreGet
 from repro.errors import ReproError, SimulationError
 from repro.perf import load_bench, peak_rss_bytes, write_bench
 
@@ -146,8 +146,7 @@ def test_pending_failures_is_a_deque():
 
 
 @pytest.mark.parametrize(
-    "cls", [Event, Timeout, Process, First, AllOf, Store, Mailbox, StorePut,
-            StoreGet, ResourceRequest]
+    "cls", [Event, Timeout, Process, First, AllOf, Store, Mailbox, StoreGet, ResourceRequest]
 )
 def test_kernel_classes_have_no_instance_dict(cls):
     # __slots__ everywhere on the per-event classes: instance dicts are

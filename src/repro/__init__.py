@@ -7,7 +7,7 @@ Subpackage map (see DESIGN.md for the full inventory):
   Grid fabric: discrete-event kernel, WAN topology, typed wire codec.
 * :mod:`repro.steering` -- the paper's core contribution: application
   instrumentation, steering clients, collaborative sessions with
-  master-token roles, low-latency control-state server, migration.
+  master-token roles, low-latency control-state server.
 * :mod:`repro.visit` -- the VISIT toolkit (simulation-as-client,
   timeout-bounded operations, vbroker multiplexer).
 * :mod:`repro.unicore` -- three-tier UNICORE middleware plus the VISIT

@@ -60,8 +60,17 @@ class MulticastGroup:
         return sorted(self._members)
 
     def send(self, src: Host, payload: Any, size: Optional[int] = None) -> None:
-        """Multicast ``payload`` from ``src`` to all members (except src)."""
+        """Multicast ``payload`` from ``src`` to all members (except src).
+
+        A bridge host's own packet also goes out to its bridged hosts."""
         size = wire_size(payload, size)
+        self._fan_out(src, payload, size)
+        own = self._members.get(src.name)
+        if type(own) is UnicastBridge:
+            own._forward(payload, size, src.name)
+
+    def _fan_out(self, src: Host, payload: Any, size: int) -> None:
+        """One native multicast from ``src`` to every other member."""
         env = src.env
         self.packets_sent += 1
         self.bytes_sent += size
@@ -132,14 +141,17 @@ class UnicastBridge:
     def _relay_up(self, event) -> None:
         """Delivery callback of :meth:`send_from`'s unicast hop: the bridge
         multicasts the packet, then relays it to the other bridged hosts."""
-        payload, size, _sender = event._value
-        self.group.send(self.bridge_host, payload, size)
-        self._relay(event)
+        payload, size, sender = event._value
+        self.group._fan_out(self.bridge_host, payload, size)
+        self._forward(payload, size, sender)
 
     def _relay(self, event) -> None:
         """Delivery callback of a ``(payload, size, sender)`` packet at the
-        bridge: one unicast transfer to each bridged host but its sender."""
-        payload, size, sender = event._value
+        bridge."""
+        self._forward(*event._value)
+
+    def _forward(self, payload: Any, size: int, sender: str) -> None:
+        """One unicast transfer to each bridged host but ``sender``."""
         env = self.bridge_host.env
         network = self.group.network
         self.relayed_packets += 1

@@ -4,12 +4,14 @@ Section 2.4: "RealityGrid is developing the ability to migrate both
 computation and visualization within a session without any disturbance or
 intervention on the part of the participating clients."
 
-Computation migration lives in :mod:`repro.steering.migration`; this
-module migrates the *service* side: a deployed instance moves to another
-container, and the handle resolver is re-pointed so clients that resolve
-the same GSH find the new location.  Clients holding an open connection
-to the old container re-resolve on their next bind — the GSH/GSR
-indirection is exactly what makes this safe.
+This module migrates the *service* side: a deployed instance moves to
+another container, and the handle resolver is re-pointed so clients that
+resolve the same GSH find the new location.  Clients holding an open
+connection to the old container re-resolve on their next bind — the
+GSH/GSR indirection is exactly what makes this safe.  A lost compute
+host is answered by relaunching the session instead (``retry`` in
+:mod:`repro.chaos.recovery`): a session's length is its op schedule, so
+a relaunch from step 0 costs it no time.
 """
 
 from __future__ import annotations

@@ -7,14 +7,14 @@ actually orchestrate the details of the steering" (section 2.2).
 The service fronts one :class:`~repro.steering.api.SteeredApplication`
 over a duplex control link (typically a network connection to the
 machine the simulation runs on).  A pump process continuously ingests
-acks / status / samples from the application; invocations that need an
+acks and status reports from the application; invocations that need an
 answer wait on per-sequence futures with a timeout, so a dead application
 faults the *service call*, never the container.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.des import TIMED_OUT
 from repro.errors import OgsaError
@@ -22,11 +22,9 @@ from repro.ogsa.service import GridService, operation
 from repro.steering.api import pump
 from repro.steering.control import (
     Ack,
-    CheckpointCmd,
     GetStatus,
     Pause,
     Resume,
-    SampleMsg,
     SetParam,
     StatusReport,
     Stop,
@@ -49,9 +47,6 @@ class SteeringService(GridService):
         self._seq = 0
         #: seq -> (des Event, wants_status)
         self._waiters: dict[int, Any] = {}
-        self.last_status: Optional[StatusReport] = None
-        self.latest_sample: Optional[SampleMsg] = None
-        self.samples_seen = 0
         self.service_data["application"] = application_name
         self.service_data["steered_parameters"] = []
 
@@ -73,7 +68,6 @@ class SteeringService(GridService):
                 entry[0].succeed(msg)
             return msg.ok and msg.command == "Stop"
         if isinstance(msg, StatusReport):
-            self.last_status = msg
             self.service_data["steered_parameters"] = sorted(msg.parameters)
             # Status replies also answer pending GetStatus waiters.
             for seq, entry in list(self._waiters.items()):
@@ -81,9 +75,6 @@ class SteeringService(GridService):
                     del self._waiters[seq]
                     if not entry[0].triggered:
                         entry[0].succeed(msg)
-        elif isinstance(msg, SampleMsg):
-            self.latest_sample = msg
-            self.samples_seen += 1
         return False
 
     def _command(self, msg, wants_status: bool = False):
@@ -129,14 +120,6 @@ class SteeringService(GridService):
         return ack.ok
 
     @operation
-    def checkpoint(self):
-        """Generator -> checkpoint id held at the application."""
-        ack = yield from self._command(CheckpointCmd())
-        if not ack.ok:
-            raise OgsaError(f"checkpoint failed: {ack.error}")
-        return ack.result
-
-    @operation
     def get_status(self):
         """Generator -> dict form of the application's StatusReport."""
         report = yield from self._command(GetStatus(), wants_status=True)
@@ -147,11 +130,3 @@ class SteeringService(GridService):
             "parameters": report.parameters,
             "paused": report.paused,
         }
-
-    @operation
-    def latest_sample_meta(self) -> dict:
-        """Sequence/step of the newest sample (data flows via the viz
-        service, not through steering calls)."""
-        if self.latest_sample is None:
-            return {"seq": 0, "step": -1}
-        return {"seq": self.latest_sample.seq, "step": self.latest_sample.step}

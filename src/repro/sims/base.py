@@ -4,8 +4,7 @@ UNICORE's selling point — "it does not require any modifications of the
 applications" (section 3.1) — and VISIT's — instrument with a lean API —
 both rely on the application exposing a uniform surface: step forward,
 report observables, expose named steerable parameters, emit samples for
-the visualization, checkpoint/restore (the latter also powers
-RealityGrid's mid-session migration, section 2.4).
+the visualization, checkpoint/restore.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ class Simulation(abc.ABC):
     def sample(self) -> dict[str, Any]:
         """The data-space emitted for visualization ("samples", section 2.1)."""
 
-    # -- checkpoint / migration -------------------------------------------------
+    # -- checkpoint / restore ---------------------------------------------------
 
     def checkpoint(self) -> dict[str, Any]:
-        """Serializable full state (migration needs an exact restart)."""
+        """Serializable full state (a restore is an exact restart)."""
         raise SteeringError(f"{type(self).__name__} does not support checkpointing")
 
     def restore(self, state: dict[str, Any]) -> None:

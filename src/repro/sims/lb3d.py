@@ -31,7 +31,7 @@ from weakref import WeakValueDictionary
 
 import numpy as np
 
-from repro.errors import SteeringError
+from repro.errors import ReproError, SteeringError
 from repro.sims.base import Simulation
 
 # D3Q19 velocity set and weights.
@@ -130,8 +130,10 @@ class LatticeBoltzmann3D(Simulation):
     g:
         Inter-component coupling (the steered "miscibility").  Empirically
         on this discretization the mixture stays miscible below g ~ 1.5
-        and demixes above g ~ 2.0 (rho0 = 1, tau = 1); values above 4.5
-        are numerically unstable and rejected.
+        and demixes above g ~ 2.0 (rho0 = 1, tau = 1).  g outside
+        [0, 4.5] is rejected; inside it a large g can still diverge (on a
+        6³ lattice the populations overflow at step 297 for g = 3.5, 117
+        for 4.0 and 36 for 4.5), and :meth:`sample` then raises.
     tau:
         BGK relaxation time (same for both components).
     seed:
@@ -292,7 +294,7 @@ class LatticeBoltzmann3D(Simulation):
     def _validate_g(value: float) -> None:
         if not 0.0 <= value <= 4.5:
             raise SteeringError(
-                f"coupling g={value} outside the numerically stable range [0, 4.5]"
+                f"coupling g={value} outside the accepted range [0, 4.5]"
             )
 
     def set_parameter(self, name: str, value: Any) -> None:
@@ -316,13 +318,17 @@ class LatticeBoltzmann3D(Simulation):
         return out
 
     def sample(self) -> dict[str, Any]:
-        """Emit the order-parameter field — what the viz isosurfaces."""
-        return {
-            "step": self.step_count,
-            "order_parameter": self.order_parameter().astype(np.float32),
-        }
+        """Emit the order-parameter field — what the viz isosurfaces.
 
-    # -- checkpoint / migration ---------------------------------------------------
+        A lattice that has diverged raises here, where the session reads
+        it, instead of shipping a field of NaNs.
+        """
+        phi = self.order_parameter()
+        if not np.isfinite(phi).all():
+            raise ReproError(f"LB3D diverged by step {self.step_count} at g={self.g}")
+        return {"step": self.step_count, "order_parameter": phi.astype(np.float32)}
+
+    # -- checkpoint / restore -----------------------------------------------------
 
     def checkpoint(self) -> dict[str, Any]:
         return {

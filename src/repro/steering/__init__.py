@@ -11,17 +11,11 @@ On top of the per-application surface sit the *collaborative* pieces
 master-token passing, and the low-latency control-state server that
 "collects and redistributes the control data" (view angles, cutting-plane
 parameters) outside the heavyweight middleware path.
-
-Mid-session migration of the computation (section 2.4: "RealityGrid is
-developing the ability to migrate both computation and visualization
-within a session without any disturbance") is implemented over the
-checkpoint/restore surface.
 """
 
 from repro.steering.params import ParameterDef, ParameterRegistry
 from repro.steering.control import (
     Ack,
-    CheckpointCmd,
     GetStatus,
     Pause,
     Resume,
@@ -36,7 +30,6 @@ from repro.steering.api import SteeredApplication
 from repro.steering.client import SteeringClient
 from repro.steering.session import CollaborativeSession
 from repro.steering.collab import ControlStateServer
-from repro.steering.migration import migrate_simulation
 from repro.steering.runner import steered_app_process
 from repro.steering.orchestrator import (
     RealityGridOrchestrator,
@@ -50,7 +43,6 @@ __all__ = [
     "Pause",
     "Resume",
     "Stop",
-    "CheckpointCmd",
     "GetStatus",
     "Ack",
     "StatusReport",
@@ -61,7 +53,6 @@ __all__ = [
     "SteeringClient",
     "CollaborativeSession",
     "ControlStateServer",
-    "migrate_simulation",
     "steered_app_process",
     "RealityGridOrchestrator",
     "make_outbound_app_factory",

@@ -21,7 +21,6 @@ from typing import Any, Callable, Optional
 from repro.errors import SteeringError
 from repro.steering.control import (
     Ack,
-    CheckpointCmd,
     GetStatus,
     Pause,
     Resume,
@@ -31,7 +30,6 @@ from repro.steering.control import (
     Stop,
 )
 from repro.steering.params import ParameterDef, ParameterRegistry
-from repro.util.ids import IdAllocator
 
 
 #: seconds between the poll rounds of a service pump (:func:`pump`)
@@ -217,8 +215,6 @@ class SteeredApplication:
         self.commands_applied = 0
         self.samples_emitted = 0
         self._sample_seq = 0
-        self._ckpt_ids = IdAllocator(f"{name}-ckpt")
-        self.checkpoints: dict[str, dict] = {}
 
         overrides = {d.name: d for d in (param_defs or [])}
         for pname in sim.steerable_parameters():
@@ -250,11 +246,6 @@ class SteeredApplication:
             sim.step()
             self._owed -= 1
         return sim
-
-    @sim.setter
-    def sim(self, replacement) -> None:
-        self.sim  # the old simulation is handed back settled
-        self._sim = replacement
 
     def owe_step(self) -> bool:
         """Record one simulation step as owed; True when a sample is due
@@ -308,14 +299,6 @@ class SteeredApplication:
         elif isinstance(msg, Stop):
             self.stopped = True
             link.send(Ack(msg.seq, True, "Stop"))
-        elif isinstance(msg, CheckpointCmd):
-            try:
-                ckpt_id = self._ckpt_ids.next()
-                self.checkpoints[ckpt_id] = self.sim.checkpoint()
-                link.send(Ack(msg.seq, True, "CheckpointCmd", result=ckpt_id))
-            except SteeringError as exc:
-                link.send(Ack(msg.seq, False, "CheckpointCmd", error=str(exc)))
-                return 0
         elif isinstance(msg, GetStatus):
             link.send(self.status())
         else:

@@ -13,7 +13,6 @@ from typing import Any, Optional
 from repro.errors import SteeringError
 from repro.steering.control import (
     Ack,
-    CheckpointCmd,
     GetStatus,
     Pause,
     Resume,
@@ -56,9 +55,6 @@ class SteeringClient:
 
     def stop(self) -> int:
         return self._send(Stop())
-
-    def request_checkpoint(self) -> int:
-        return self._send(CheckpointCmd())
 
     def request_status(self) -> int:
         return self._send(GetStatus())

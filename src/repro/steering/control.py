@@ -46,14 +46,6 @@ class Stop:
 
 
 @dataclass
-class CheckpointCmd:
-    """Request a checkpoint; the ack carries its id (migration input)."""
-
-    seq: int = 0
-    sender: str = ""
-
-
-@dataclass
 class GetStatus:
     seq: int = 0
     sender: str = ""
@@ -93,7 +85,7 @@ class SampleMsg:
     source: str = ""
 
 
-COMMAND_TYPES = (SetParam, Pause, Resume, Stop, CheckpointCmd, GetStatus)
+COMMAND_TYPES = (SetParam, Pause, Resume, Stop, GetStatus)
 
 #: the steering messages by their ``_kind`` tag
 _STEERING = {cls.__name__: cls for cls in (*COMMAND_TYPES, Ack, StatusReport, SampleMsg)}

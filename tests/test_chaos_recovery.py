@@ -33,7 +33,7 @@ from repro.chaos import (
 )
 from repro.errors import ChaosError, OgsaError
 from repro.fleet import BrokerPool, FleetDriver
-from repro.fleet.spec import ScenarioSpec
+from repro.fleet.spec import ScenarioSpec, paper_suite
 from repro.load import AdmissionController, TraceArrivals
 from test_behaviour_table import COMPOUND, QUEUE_LIMIT, chaos_cell
 
@@ -87,6 +87,46 @@ def test_site_outage_requeues_and_sessions_recover_elsewhere():
     cancelled = [t for t in driver.telemetry.sessions.values()
                  if t.failure and "site-outage" in t.failure]
     assert len(cancelled) == rec["impacted"]
+
+
+def _paper_world(outage):
+    """Eight paper-suite sessions, one every 0.2 s, over two sites; with
+    ``outage``, site 0 goes dark for 5 s at 4.0 s, about half the
+    undisturbed makespan (8.9 s)."""
+    driver = FleetDriver(n_sites=2)
+    ctl = AdmissionController(driver, queue_limit=256)
+    world = ChaosHarness(driver, ctl)
+    if outage:
+        world.install(FaultSchedule([SiteOutage(at=4.0, site=0, duration=5.0)]))
+    report = ctl.run(TraceArrivals([0.2 * i for i in range(8)], suite=paper_suite(),
+                                   prefix="ps"))
+    return driver, world.verdict(report)
+
+
+def test_a_retried_session_runs_exactly_as_long_as_its_undisturbed_twin():
+    # Why a lost compute host is answered by a relaunch, not by restoring
+    # a checkpoint: a session lasts its op schedule (n_ops x cadence plus
+    # round trips, 6.5 s here), not its sim's step budget (16 s), so
+    # rerunning the sim from step 0 costs the retry no time.  "Exactly"
+    # is to a millisecond (one step's compute is 50 ms): float time at
+    # another offset moves it by microseconds.
+    spec = paper_suite()[0]
+    twin, _ = _paper_world(outage=False)
+    driver, verdict = _paper_world(outage=True)
+    rec = verdict["recovery"]
+    assert rec["impacted"] >= 2 and rec["recovered_via"]["retry"] == rec["impacted"]
+    retried = {
+        name: tel.session_time
+        for name, tel in driver.telemetry.sessions.items()
+        if root_name(name) != name
+    }
+    assert len({root_name(name).rsplit("-", 1)[1] for name in retried}) >= 2  # two app kinds
+    assert all(tel.completed for tel in twin.telemetry.sessions.values())
+    for name, took in retried.items():
+        assert driver.telemetry.sessions[name].completed
+        assert took < spec.duration + 1.0 < spec.steps * spec.compute_time
+        assert took == pytest.approx(twin.telemetry.sessions[root_name(name)].session_time,
+                                     abs=1e-3), name
 
 
 def test_abandon_policy_gives_up_instead_of_requeueing():

@@ -1,9 +1,11 @@
 """FleetDriver integration: small fleets through the full fabric."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ReproError
 from repro.fleet import FleetDriver, FleetReport, ScenarioSpec, fleet_of
+from repro.unicore.njs import JobStatus
 
 
 def _small_fleet(n=3, **overrides):
@@ -197,3 +199,18 @@ def test_run_is_single_shot():
     assert not driver.active
     assert driver.env.now == now
     assert driver.report().to_dict() == first.to_dict()
+
+
+def test_a_diverged_lattice_fails_its_unicore_task_and_its_session():
+    # g = 4.5 is accepted, and on the fleet's 6³ lattice it overflows at
+    # step 36; the steer overrides keep the session from lowering it.
+    spec = ScenarioSpec(name="boom", sim="lb3d", sim_args={"g": 4.5}, participants=1,
+                        duration=3.0)
+    driver = FleetDriver([spec], n_sites=1)
+    driver.steer_requests["boom"] = [4.5, 4.5]
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = driver.run()
+    (job,) = driver.sites[0].njs.jobs.values()
+    assert job.status is JobStatus.FAILED
+    assert job.error == "task 'run' failed: ReproError: LB3D diverged by step 36 at g=4.5"
+    assert report.completed == 0

@@ -1,6 +1,8 @@
 """Simulated-network tests: latency/bandwidth model, firewalls, multicast."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.errors import (
@@ -545,6 +547,89 @@ def test_a_bridge_host_is_not_also_a_plain_member():
         group.join(net.host("bridge"))
     with pytest.raises(NetworkError):
         UnicastBridge(group, net.host("bridge"))
+
+
+NATIVE, BRIDGED = ("m0", "m1", "m2"), ("n0", "n1", "n2")
+
+#: one step of a group's life: membership changes, and sends from a
+#: native member, the bridge host or a bridged host (``i`` picks one of
+#: the current ones; ``size`` is what the sender gives)
+group_ops = st.one_of(
+    st.tuples(st.sampled_from(["join", "leave"]), st.sampled_from(NATIVE)),
+    st.tuples(st.sampled_from(["attach", "detach"]), st.sampled_from(BRIDGED)),
+    st.tuples(
+        st.sampled_from(["native", "bridge", "bridged"]),
+        st.integers(0, 2),
+        st.integers(1, 5000),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(group_ops, max_size=14))
+# the bridge host's own packet: before, it reached m1 but never n1
+@example(ops=[("join", "m1"), ("attach", "n1"), ("bridge", 0, 100)])
+def test_every_packet_reaches_every_other_current_member_exactly_once(ops):
+    env = Environment()
+    net = Network(env)
+    for name in ("bridge", *NATIVE):
+        net.add_host(name)
+    for name in BRIDGED:
+        net.add_host(name, multicast=False, firewall=Firewall.closed())
+    for k, name in enumerate(NATIVE + BRIDGED):
+        net.add_link("bridge", name, latency=0.002 * (k + 1), bandwidth=1e6 * (k + 1))
+    group = MulticastGroup(net, "233.0.0.9")
+    bridge = UnicastBridge(group, net.host("bridge"))
+    natives, bridged = {}, {}  # current member -> its mailbox
+    expected = {}  # id(link) -> bytes it must have carried
+
+    def carry(src, dst, size):
+        link = net.link(src, dst)
+        expected[id(link)] = expected.get(id(link), 0) + size
+
+    for n, op in enumerate(ops):
+        kind = op[0]
+        if kind == "join":
+            natives[op[1]] = group.join(net.host(op[1]))
+        elif kind == "leave":
+            group.leave(net.host(op[1]))
+            natives.pop(op[1], None)
+        elif kind == "attach":
+            bridged[op[1]] = bridge.attach(net.host(op[1]))
+        elif kind == "detach":
+            bridge.detach(net.host(op[1]))
+            bridged.pop(op[1], None)
+        else:
+            _, i, size = op
+            if kind == "bridge":
+                sender = "bridge"
+                group.send(net.host(sender), n, size=size)
+            else:
+                pool = sorted(natives if kind == "native" else bridged)
+                if not pool:
+                    continue
+                sender = pool[i % len(pool)]
+                if kind == "native":
+                    group.send(net.host(sender), n, size=size)
+                else:
+                    bridge.send_from(net.host(sender), n, size=size)
+            env.run()
+            # the native multicast leaves the bridge host (or the sender),
+            # and the bridge relays to each bridged host by unicast
+            origin = sender if kind == "native" else "bridge"
+            if kind == "bridged":
+                carry(sender, "bridge", size)
+            for name in ["bridge", *natives]:
+                if name != origin:
+                    carry(origin, name, size)
+            for name in bridged:
+                if name != sender:
+                    carry("bridge", name, size)
+            for name, box in {**natives, **bridged}.items():
+                assert list(box.items) == ([] if name == sender else [n]), (name, n)
+                box.items.clear()
+    carried = {id(link): link.bytes_carried for link in net.links() if link.bytes_carried}
+    assert carried == expected
 
 
 def test_sync_pipe():

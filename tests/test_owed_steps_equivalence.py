@@ -23,14 +23,12 @@ from repro.net import SyncPipe
 from repro.sims.base import Simulation
 from repro.steering import SteeredApplication, steered_app_process
 from repro.steering.control import (
-    CheckpointCmd,
     GetStatus,
     Pause,
     Resume,
     SetParam,
     Stop,
 )
-from repro.steering.migration import migrate_simulation
 from repro.viz import Renderer
 
 MAX_STEPS = 24
@@ -75,19 +73,11 @@ def play(loop, kind, seed, sample_interval, compute_time, ops, cut):
     app.attach_control(control.a)
     app.attach_sample_sink(sink.a)
     proc = env.process(loop(env, app, compute_time=compute_time, max_steps=MAX_STEPS))
-    migrations = []
 
     def steerer():
         for seq, (delay, op) in enumerate(ops):
             yield env.timeout(delay)
-            if op == "migrate":
-                try:
-                    migrate_simulation(app, lambda: make_sim(kind, seed=seed + 1))
-                    migrations.append("ok")
-                except SteeringError as exc:
-                    migrations.append(str(exc))
-            else:
-                control.b.send(dataclasses.replace(op, seq=seq))
+            control.b.send(dataclasses.replace(op, seq=seq))
         control.b.send(Resume(seq=len(ops)))  # a paused loop never ends
 
     env.process(steerer())
@@ -107,8 +97,6 @@ def play(loop, kind, seed, sample_interval, compute_time, ops, cut):
         "at_end": state_of(app.sim),
         "replies": drained(control.b),
         "samples": drained(sink.b),
-        "checkpoints": freeze(app.checkpoints),
-        "migrations": migrations,
         "samples_emitted": app.samples_emitted,
         "commands_applied": app.commands_applied,
         "returned": returned,
@@ -126,9 +114,7 @@ def commands(kind):
             SetParam(spec.steer_param, float("nan")),
         ]
     )
-    other = st.sampled_from(
-        [GetStatus(), Pause(), Resume(), CheckpointCmd(), Stop(), "migrate"]
-    )
+    other = st.sampled_from([GetStatus(), Pause(), Resume(), Stop()])
     return st.one_of(good, bad, other, other)
 
 
@@ -205,18 +191,6 @@ def test_a_finished_process_owes_nothing():
     # Read through a reference held outside the app: steps 9 and 10 fall
     # after the last sample, and only the loop's final settle runs them.
     assert sim.step_count == 10
-
-
-def test_assigning_a_replacement_settles_the_old_simulation_first():
-    old, new = Brittle(), Brittle()
-    old.broken = new.broken = False
-    app = SteeredApplication(old, sample_interval=9)
-    for _ in range(3):
-        assert not app.owe_step()
-    assert old.step_count == 0  # owed, not run
-    app.sim = new
-    assert (old.step_count, new.step_count) == (3, 0)
-    assert app.sim is new and new.step_count == 0
 
 
 def test_step_once_and_run_step_through_the_same_property():

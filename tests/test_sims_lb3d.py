@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SteeringError
+from repro.errors import ReproError, SteeringError
+from repro.fleet.spec import paper_suite
 from repro.sims import LatticeBoltzmann3D
 
 
@@ -55,6 +56,19 @@ def test_sample_contains_field():
     assert s["step"] == 2
     assert s["order_parameter"].shape == (8, 8, 8)
     assert s["order_parameter"].dtype == np.float32
+
+
+@pytest.mark.parametrize("g, first_bad_step", [(3.5, 297), (4.0, 117), (4.5, 36)])
+def test_a_diverged_lattice_refuses_its_sample(g, first_bad_step):
+    # The paper suite's LB3D session (6³) at an accepted g that overflows.
+    sim = paper_suite()[0].make_sim()
+    sim.set_parameter("g", g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sim.run(first_bad_step - 1)
+        assert np.isfinite(sim.sample()["order_parameter"]).all()
+        sim.step()
+        with pytest.raises(ReproError, match=f"step {first_bad_step} at g={g}"):
+            sim.sample()
 
 
 def test_observables_keys():

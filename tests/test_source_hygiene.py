@@ -7,15 +7,27 @@ as used when it is read anywhere in the module, string annotations and
 ``__all__`` included.  A third is this package's own: no code branches
 on an exception's text (``"..." in str(exc)`` for a name an ``except``
 clause bound); an outcome worth telling apart gets its own exception
-class.
+class.  A fourth is too: every ``@operation`` of a service is named as
+the op of some ``invoke(…, "op")`` or ``envelope(…, "op")`` call, or is
+listed below with the reason it stays though nothing names it.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
 MAX_LINE = 100
+#: where an operation can be named by a caller
+CALLERS = ("src", "examples", "bench", "benchmarks", "tests")
+#: service operations that no call names, and why each stays
+UNNAMED_OPERATIONS = {
+    "destroy": "OGSI GridService lifetime: explicit destruction, in every portType",
+    "lookup": "registry portType; chaos recovery and its invariants call it in-process",
+    "pause": "a steering verb of the control protocol (SteeringClient sends Pause)",
+    "resume": "the steering verb that undoes pause",
+}
 
 
 def _rel(path):
@@ -104,3 +116,41 @@ def test_no_branch_reads_the_text_of_a_caught_exception():
                 ):
                     found.append(f"{_rel(path)}:{node.lineno}")
     assert found == []
+
+
+def _operations():
+    """Each ``@operation`` method name of a class in ``src/repro`` -> one
+    place it is defined."""
+    ops = {}
+    for path in MODULES:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "operation" for d in item.decorator_list
+                ):
+                    ops.setdefault(item.name, f"{_rel(path)}:{item.lineno}")
+    return ops
+
+
+def _named_operations():
+    """Every string literal passed as the op (second argument) of an
+    ``invoke`` or ``envelope`` call."""
+    named = set()
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call) or len(node.args) < 2:
+                    continue
+                func, op = node.func, node.args[1]
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("invoke", "envelope") and isinstance(op, ast.Constant):
+                    named.add(op.value)
+    return named
+
+
+def test_every_service_operation_is_named_by_a_caller_or_listed():
+    named = _named_operations()
+    unnamed = {op: where for op, where in _operations().items() if op not in named}
+    assert sorted(unnamed) == sorted(UNNAMED_OPERATIONS), unnamed

@@ -6,10 +6,11 @@ Subpackage map (see DESIGN.md for the full inventory):
 * :mod:`repro.des` / :mod:`repro.net` / :mod:`repro.wire` -- the simulated
   Grid fabric: discrete-event kernel, WAN topology, typed wire codec.
 * :mod:`repro.steering` -- the paper's core contribution: application
-  instrumentation, steering clients, collaborative sessions with
-  master-token roles, low-latency control-state server.
+  instrumentation, the control protocol, steering clients, the OGSA-era
+  orchestrator.
 * :mod:`repro.visit` -- the VISIT toolkit (simulation-as-client,
-  timeout-bounded operations, vbroker multiplexer).
+  timeout-bounded operations, vbroker multiplexer, the master token every
+  shared session passes).
 * :mod:`repro.unicore` -- three-tier UNICORE middleware plus the VISIT
   proxy extension that tunnels steering through the single gateway port.
 * :mod:`repro.ogsa` -- OGSI::Lite hosting environment, registry, the OGSA
@@ -18,8 +19,8 @@ Subpackage map (see DESIGN.md for the full inventory):
   collaborative parameter-synchronized sessions.
 * :mod:`repro.accessgrid` -- venues, media streams, vnc, VizServer.
 * :mod:`repro.sims` -- LB3D, PEPC, building climatization, crowd flow.
-* :mod:`repro.viz` -- isosurface/cutplane/glyph/volume extraction, a
-  software rasterizer, framebuffer delta/RLE compression.
+* :mod:`repro.viz` -- isosurface and cut-plane extraction, a software
+  rasterizer, framebuffer delta/RLE compression.
 * :mod:`repro.parallel` -- the space-filling-curve domain decomposition
   behind PEPC's per-processor tree domains.
 * :mod:`repro.workloads` -- 2003-era network profiles, feedback-loop cost
@@ -63,6 +64,10 @@ __all__ = [
     "fleet",
     "load",
     "chaos",
+    "campaign",
+    "live",
+    "obs",
+    "perf",
     "util",
     "errors",
 ]

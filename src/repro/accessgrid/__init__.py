@@ -21,7 +21,6 @@ from repro.accessgrid.venue import VenueServer, Venue, AppSession
 from repro.accessgrid.media import MediaProducer, MediaReceiver
 from repro.accessgrid.vnc import VncServer, VncClient
 from repro.accessgrid.vizserver import VizServerSession
-from repro.accessgrid.vtknetwork import VicViewer, VtkNetworkRenderer
 from repro.accessgrid.node import AGNode
 
 __all__ = [
@@ -33,7 +32,5 @@ __all__ = [
     "VncServer",
     "VncClient",
     "VizServerSession",
-    "VtkNetworkRenderer",
-    "VicViewer",
     "AGNode",
 ]

@@ -107,10 +107,19 @@ class VizServerSession:
                 conn.send({"op": "denied", "error": str(exc)})
                 continue
             if isinstance(request, _Join):
-                site = request.site
-                self._token.join(site, conn)
-                self._last_frames[site] = None
-                conn.send({"op": "joined", "control": self.control_holder == site})
+                # One site per connection and one connection per site: a
+                # second join would strand or steal a member's token.
+                if site is not None:
+                    conn.send({"op": "denied", "error": f"already joined as {site!r}"})
+                elif request.site in self._token.members:
+                    conn.send({"op": "denied", "error": f"site {request.site!r} already joined"})
+                else:
+                    site = request.site
+                    self._token.join(site, conn)
+                    self._last_frames[site] = None
+                    conn.send({"op": "joined", "control": self.control_holder == site})
+            elif site is None:
+                conn.send({"op": "denied", "error": "not joined"})
             elif site != self.control_holder:
                 conn.send({"op": "denied", "error": f"control held by {self.control_holder!r}"})
             elif isinstance(request, _MoveCamera):
@@ -163,13 +172,14 @@ class VizServerClient:
         self.has_control = False
 
     def join(self):
+        """Generator -> bool: attach; False if the session denied the join."""
         self._conn = yield from self.host.connect(
             self.server_host, self.port, timeout=self.timeout
         )
         self._conn.send({"op": "join", "site": self.site}, size=128)
         reply = yield from self._recv_op({"joined"})
         self.has_control = bool(reply.get("control"))
-        return True
+        return reply.get("op") == "joined"
 
     def _recv_op(self, ops: set):
         """Generator: next control reply, buffering frames seen meanwhile."""

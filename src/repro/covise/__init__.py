@@ -37,7 +37,6 @@ from repro.covise.stdmodules import (
     RendererModule,
 )
 from repro.covise.collab import CollaborativeCovise
-from repro.covise.tracer import LinesData, TracerModule, VectorField3D
 
 __all__ = [
     "DataObject",
@@ -57,7 +56,4 @@ __all__ = [
     "Collect",
     "RendererModule",
     "CollaborativeCovise",
-    "TracerModule",
-    "VectorField3D",
-    "LinesData",
 ]

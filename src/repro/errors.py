@@ -61,10 +61,6 @@ class VisitError(ReproError):
     """VISIT toolkit error that is not a timeout or codec problem."""
 
 
-class NotMaster(VisitError):
-    """A non-master collaborator attempted to steer through the vbroker."""
-
-
 class UnicoreError(ReproError):
     """UNICORE middleware failure (job rejected, consignment failed...)."""
 

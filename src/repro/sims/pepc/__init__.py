@@ -18,7 +18,6 @@ from repro.sims.pepc.force import direct_field, direct_force, tree_field, intera
 from repro.sims.pepc.integrator import PlasmaSim, beam_on_sphere_setup
 from repro.sims.pepc.domain import assign_domains
 from repro.sims.pepc.diagnostics import kinetic_energy, total_momentum, tree_stats
-from repro.sims.pepc.meshdiag import DiagnosticMesh
 
 __all__ = [
     "Octree",
@@ -33,5 +32,4 @@ __all__ = [
     "kinetic_energy",
     "total_momentum",
     "tree_stats",
-    "DiagnosticMesh",
 ]

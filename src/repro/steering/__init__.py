@@ -6,11 +6,9 @@ samples for visualization, and polls for control messages at points it
 chooses (so steering can never preempt the simulation, matching both the
 RealityGrid API and VISIT's simulation-initiates-everything rule).
 
-On top of the per-application surface sit the *collaborative* pieces
-(sections 2.4, 3.3, 4): a session with master/observer roles and
-master-token passing, and the low-latency control-state server that
-"collects and redistributes the control data" (view angles, cutting-plane
-parameters) outside the heavyweight middleware path.
+Who may steer a shared session (sections 2.4, 3.3, 4) is one rule, the
+master token of :mod:`repro.visit.token`, which the vbroker, the UNICORE
+VISIT proxy and the shared VizServer session apply.
 """
 
 from repro.steering.params import ParameterDef, ParameterRegistry
@@ -28,8 +26,6 @@ from repro.steering.control import (
 )
 from repro.steering.api import SteeredApplication
 from repro.steering.client import SteeringClient
-from repro.steering.session import CollaborativeSession
-from repro.steering.collab import ControlStateServer
 from repro.steering.runner import steered_app_process
 from repro.steering.orchestrator import (
     RealityGridOrchestrator,
@@ -51,8 +47,6 @@ __all__ = [
     "decode_message",
     "SteeredApplication",
     "SteeringClient",
-    "CollaborativeSession",
-    "ControlStateServer",
     "steered_app_process",
     "RealityGridOrchestrator",
     "make_outbound_app_factory",

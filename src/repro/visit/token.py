@@ -1,9 +1,11 @@
 """The master token of a collaborative session (section 3.3).
 
 "Receive-requests are only sent to a 'master' visualization ... The
-master-role can be moved".  The vbroker, the UNICORE extension's VISIT
-proxy, :class:`~repro.steering.CollaborativeSession` and the shared
-VizServer session all apply this one rule.
+master-role can be moved".  Three sessions apply this one rule: the
+vbroker (:class:`~repro.visit.vbroker.VBroker`), the UNICORE extension's
+VISIT proxy (:class:`~repro.unicore.visit_ext.VisitProxyServer`) and the
+shared VizServer session
+(:class:`~repro.accessgrid.vizserver.VizServerSession`).
 """
 
 from __future__ import annotations

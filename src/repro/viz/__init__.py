@@ -1,11 +1,10 @@
 """Visualization substrate.
 
 Stands in for the paper's AVS/Express, vtk, COVISE rendering and SGI
-OpenGL VizServer stack: geometry extraction (isosurfaces, cutting planes,
-particle glyphs), a software rasterizer producing framebuffers, and the
-framebuffer delta/RLE compression that makes VizServer-style remote
-rendering cheap on the wire ("only compressed bitmaps need to be sent",
-section 2.4).
+OpenGL VizServer stack: geometry extraction (isosurfaces, cutting planes),
+a software rasterizer producing framebuffers, and the framebuffer
+delta/RLE compression that makes VizServer-style remote rendering cheap
+on the wire ("only compressed bitmaps need to be sent", section 2.4).
 """
 
 from repro.viz.framebuffer import FrameBuffer
@@ -20,8 +19,6 @@ from repro.viz.compress import (
 from repro.viz.render import Camera, Renderer
 from repro.viz.isosurface import isosurface
 from repro.viz.cutplane import cut_plane, axis_slice
-from repro.viz.glyphs import particle_points, diamond_glyphs, vector_glyphs, TimeHistory
-from repro.viz.volume import volume_render
 from repro.viz.scene import Geometry, SceneGraph, SceneNode, Avatar
 
 __all__ = [
@@ -37,11 +34,6 @@ __all__ = [
     "isosurface",
     "cut_plane",
     "axis_slice",
-    "particle_points",
-    "diamond_glyphs",
-    "vector_glyphs",
-    "TimeHistory",
-    "volume_render",
     "Geometry",
     "SceneGraph",
     "SceneNode",

@@ -117,6 +117,79 @@ def test_vizserver_pass_control_to_unknown_site_denied():
     assert result["holder"] == "s0"
 
 
+def _raw_site(net, host, frames, replies):
+    """Generator: connect ``host`` to the hub's VizServer, send ``frames``
+    one by one, record each reply, then close."""
+    conn = yield from net.host(host).connect("hub", 7010, timeout=1.0)
+    for frame in frames:
+        conn.send(frame, size=128)
+        replies.append((yield from conn.recv(timeout=1.0))["op"])
+    conn.close()
+
+
+def test_vizserver_second_join_on_one_connection_is_denied():
+    """A connection that joins as alpha and then as beta must not leave
+    alpha holding control after it closes."""
+    env, net = world(2)
+    session = VizServerSession(net.host("hub"), 7010, width=16, height=12)
+    session.start()
+    first, later = [], []
+
+    def scenario():
+        joins = [{"op": "join", "site": "alpha"}, {"op": "join", "site": "beta"}]
+        yield from _raw_site(net, "s0", joins, first)
+        yield env.timeout(1.0)
+        gamma = VizServerClient(net.host("s1"), "hub", 7010, "gamma")
+        later.append((yield from gamma.join()))
+        later.append(gamma.has_control)
+
+    env.process(scenario())
+    env.run(until=10.0)
+    assert first == ["joined", "denied"]
+    assert later == [True, True]
+    assert session.control_holder == "gamma"
+
+
+def test_vizserver_join_under_a_taken_name_is_denied():
+    """A second connection joining under a member's name neither takes
+    its control nor, when it closes, detaches the live member."""
+    env, net = world(2)
+    session = VizServerSession(net.host("hub"), 7010, width=16, height=12)
+    session.start()
+    alpha = VizServerClient(net.host("s0"), "hub", 7010, "alpha")
+    impostor = []
+    result = {}
+
+    def scenario():
+        yield from alpha.join()
+        yield from _raw_site(net, "s1", [{"op": "join", "site": "alpha"}], impostor)
+        yield env.timeout(1.0)
+        result["holder"] = session.control_holder
+        yield from session.render_and_stream()
+        yield env.timeout(1.0)
+        result["frames"] = alpha.drain_frames()
+        result["steer"] = yield from alpha.move_camera(Camera(eye=np.array([1.0, -2.0, 0.0])))
+
+    env.process(scenario())
+    env.run(until=10.0)
+    assert impostor == ["denied"]
+    assert result == {"holder": "alpha", "frames": 1, "steer": True}
+
+
+def test_vizserver_unjoined_connection_cannot_steer():
+    env, net = world(1)
+    session = VizServerSession(net.host("hub"), 7010, width=16, height=12)
+    session.start()
+    eye = session.renderer.camera.eye.copy()
+    replies = []
+    state = {"eye": [5.0, 5.0, 5.0], "target": [0.0, 0.0, 0.0], "up": [0.0, 0.0, 1.0],
+             "fov_deg": 45.0}
+    env.process(_raw_site(net, "s0", [{"op": "move_camera", "state": state}], replies))
+    env.run(until=5.0)
+    assert replies == ["denied"]
+    np.testing.assert_array_equal(session.renderer.camera.eye, eye)
+
+
 def test_venue_media_group_membership_follows_enter_leave():
     env, net = world(2)
     server = VenueServer(net, net.host("hub"))

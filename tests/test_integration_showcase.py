@@ -13,13 +13,7 @@ from repro.ogsa import (
     SteeringService,
 )
 from repro.sims import LatticeBoltzmann3D
-from repro.sims.pepc import PlasmaSim, beam_on_sphere_setup
-from repro.steering import (
-    CollaborativeSession,
-    SteeredApplication,
-    SteeringClient,
-    steered_app_process,
-)
+from repro.steering import SteeredApplication, steered_app_process
 from repro.unicore import (
     AbstractJobObject,
     Certificate,
@@ -126,19 +120,16 @@ def test_unicore_launched_simulation_steered_through_ogsa():
 
 
 def test_visit_sample_feeds_covise_pipeline():
-    """PEPC ships its sample over VISIT; the visualization side feeds the
-    field into a COVISE map whose renderer produces actual pixels."""
+    """LB3D ships its sample over VISIT; the visualization side feeds the
+    order-parameter field into a COVISE map whose renderer produces
+    actual pixels."""
     env = Environment()
     net = Network(env)
     net.add_host("sim-host")
     net.add_host("viz-host")
     net.add_link("sim-host", "viz-host", latency=0.002, bandwidth=100e6 / 8)
 
-    from repro.sims.pepc.meshdiag import DiagnosticMesh
-
-    sim = PlasmaSim(setup=beam_on_sphere_setup(n_plasma=96, n_beam=16, seed=4),
-                    theta=0.6)
-    mesh = DiagnosticMesh(lo=(-4, -2, -2), hi=(2, 2, 2), shape=(10, 10, 10))
+    sim = LatticeBoltzmann3D(shape=(10, 10, 10), g=1.2, seed=4)
 
     server = VisitServer(net.host("viz-host"), 6000, password="pw")
     server.start()
@@ -148,14 +139,14 @@ def test_visit_sample_feeds_covise_pipeline():
         yield from client.connect(timeout=1.0)
         for _ in range(4):
             yield env.timeout(0.1)
-            sim.step()
-            yield from client.send(1, {"rho": mesh.charge_density(sim)})
+            sim.run(20)
+            yield from client.send(1, {"phi": sim.sample()["order_parameter"]})
 
     env.process(simulation())
     env.run(until=5.0)
 
     # The visualization host builds a COVISE map over the received field.
-    latest = server.latest(1)["rho"]
+    latest = server.latest(1)["phi"]
     editor = MapEditor(net)
     editor.add_source("read", "viz-host", lambda: latest)
     editor.add("IsoSurface", "iso", "viz-host", level=float(latest.mean()))
@@ -170,99 +161,4 @@ def test_visit_sample_feeds_covise_pipeline():
     env.run(until=10.0)
     frame = editor.controller.output_object("render", "frame")
     assert frame.pixels.shape == (120, 160, 3)
-    assert (frame.pixels.sum(axis=2) > 0).any()  # the plasma is visible
-
-
-def test_collaborative_session_over_real_network_links():
-    """The steering-core CollaborativeSession with participants on
-    separate hosts: fan-out consistency + master handover survive real
-    link latency."""
-    env = Environment()
-    net = Network(env)
-    for h in ("hpc", "hub", "site-a", "site-b"):
-        net.add_host(h)
-    net.add_link("hpc", "hub", latency=0.005, bandwidth=100e6 / 8)
-    net.add_link("hub", "site-a", latency=0.02, bandwidth=10e6 / 8)
-    net.add_link("hub", "site-b", latency=0.04, bandwidth=10e6 / 8)
-
-    sim = LatticeBoltzmann3D(shape=(6, 6, 6), g=0.5, seed=2)
-    app = SteeredApplication(sim, name="lb3d", sample_interval=2)
-    wired = {}
-
-    def wire():
-        lst = net.host("hub").listen(7001)
-
-        def accept():
-            conn = yield from lst.accept()
-            wired["app_side"] = conn
-
-        env.process(accept())
-        conn = yield from net.host("hpc").connect("hub", 7001)
-        app.attach_control(conn)
-        app.attach_sample_sink(conn)
-
-    env.process(wire())
-
-    clients = {}
-    session_holder = {}
-
-    def hub():
-        while "app_side" not in wired:
-            yield env.timeout(0.01)
-        session = CollaborativeSession(wired["app_side"])
-        session_holder["s"] = session
-        listeners = {name: net.host("hub").listen(port)
-                     for name, port in (("site-a", 7100), ("site-b", 7101))}
-        for name, lst in listeners.items():
-            conn = yield from lst.accept()
-            session.join(name, conn)
-        while True:
-            session.pump()
-            yield env.timeout(0.01)
-
-    def participant(name, port):
-        conn = yield from net.host(name).connect("hub", port)
-        clients[name] = SteeringClient(conn, name=name)
-
-    env.process(hub())
-    env.process(participant("site-a", 7100))
-    env.process(participant("site-b", 7101))
-    env.process(steered_app_process(env, app, compute_time=0.05))
-    outcome = {}
-
-    def scenario():
-        while len(clients) < 2:
-            yield env.timeout(0.05)
-        yield env.timeout(2.0)
-        # The observer tries to steer: rejected.
-        seq_b = clients["site-b"].set_parameter("g", 0.1)
-        # The master steers: applied.
-        seq_a = clients["site-a"].set_parameter("g", 2.0)
-        yield env.timeout(1.0)
-        clients["site-a"].drain()
-        clients["site-b"].drain()
-        outcome["a_ack"] = clients["site-a"].ack_for(seq_a)
-        outcome["b_ack"] = clients["site-b"].ack_for(seq_b)
-        # Master handover, then the former observer steers successfully.
-        session_holder["s"].pass_master("site-a", "site-b")
-        seq_b2 = clients["site-b"].set_parameter("g", 3.0)
-        yield env.timeout(1.0)
-        clients["site-b"].drain()
-        outcome["b_ack2"] = clients["site-b"].ack_for(seq_b2)
-        clients["site-a"].drain()
-        outcome["samples"] = (
-            [s.seq for s in clients["site-a"].samples],
-            [s.seq for s in clients["site-b"].samples],
-        )
-
-    env.process(scenario())
-    env.run(until=10.0)
-    assert outcome["a_ack"].ok
-    assert not outcome["b_ack"].ok and "observer" in outcome["b_ack"].error
-    assert outcome["b_ack2"].ok
-    assert app.sim.g == 3.0
-    a_seqs, b_seqs = outcome["samples"]
-    # Both sites saw the same sample stream (possibly offset by latency).
-    common = min(len(a_seqs), len(b_seqs))
-    assert common > 5
-    assert a_seqs[:common] == b_seqs[:common]
+    assert (frame.pixels.sum(axis=2) > 0).any()  # the demixing interface is visible

@@ -9,7 +9,13 @@ on an exception's text (``"..." in str(exc)`` for a name an ``except``
 clause bound); an outcome worth telling apart gets its own exception
 class.  A fourth is too: every ``@operation`` of a service is named as
 the op of some ``invoke(…, "op")`` or ``envelope(…, "op")`` call, or is
-listed below with the reason it stays though nothing names it.
+listed below with the reason it stays though nothing names it.  A fifth
+holds every module but an ``__init__`` to a reader outside ``tests/``
+(``src``, ``examples``, ``bench``, ``benchmarks`` or the two table
+tests), or to a listed reason: a reader imports the module or a name it
+defines, and a package ``__init__`` reads a name only where its own code
+uses it, not where it re-exports it.  Last, ``repro.__all__`` names
+exactly the subpackages and modules on disk.
 """
 
 import ast
@@ -27,6 +33,15 @@ UNNAMED_OPERATIONS = {
     "lookup": "registry portType; chaos recovery and its invariants call it in-process",
     "pause": "a steering verb of the control protocol (SteeringClient sends Pause)",
     "resume": "the steering verb that undoes pause",
+}
+#: outside ``tests/``, where a module of ``src/repro`` can be read
+READERS = ("src", "examples", "bench", "benchmarks")
+#: the two tests that run the paper's and the fabric's tables count as readers too
+TABLE_TESTS = ("tests/test_paper_table.py", "tests/test_behaviour_table.py")
+#: modules that nothing outside ``tests/`` reads, and why each stays
+UNREAD_MODULES = {
+    "repro.campaign.__main__": "`python -m repro.campaign` runs it (CI's campaign jobs)",
+    "repro.live.__main__": "`python -m repro.live` runs it (CI's live job)",
 }
 
 
@@ -154,3 +169,83 @@ def test_every_service_operation_is_named_by_a_caller_or_listed():
     named = _named_operations()
     unnamed = {op: where for op, where in _operations().items() if op not in named}
     assert sorted(unnamed) == sorted(UNNAMED_OPERATIONS), unnamed
+
+
+def _dotted(path):
+    """``src/repro/a/b.py`` -> ``repro.a.b``; a package's ``__init__`` -> the package."""
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+PACKAGE_MODULES = {_dotted(path): path for path in MODULES}
+
+
+def _defining_module(module, name):
+    """The non-``__init__`` module that ``from module import name`` reads,
+    following a package's re-exports; None for a package or a name an
+    ``__init__`` defines itself."""
+    submodule = PACKAGE_MODULES.get(f"{module}.{name}")
+    if submodule is not None:
+        return None if submodule.name == "__init__.py" else f"{module}.{name}"
+    path = PACKAGE_MODULES.get(module)
+    if path is None:
+        return None
+    if path.name != "__init__.py":
+        return module
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    return _defining_module(node.module, alias.name)
+    return None
+
+
+def _modules_read_by(path):
+    """The non-``__init__`` modules of ``src/repro`` the file at ``path``
+    imports, or imports a name of.  A package ``__init__`` reads a name
+    only where its own code uses it, not where it re-exports it."""
+    tree = ast.parse(path.read_text())
+    used = None
+    if path.name == "__init__.py" and SRC in path.parents:
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            read.update(
+                _defining_module(node.module, alias.name)
+                for alias in node.names
+                if used is None or (alias.asname or alias.name) in used
+            )
+    return read
+
+
+def test_every_module_has_a_reader_outside_the_tests_or_is_listed():
+    readers = [path for top in READERS for path in sorted((ROOT / top).rglob("*.py"))]
+    read = set()
+    for path in readers + [ROOT / table for table in TABLE_TESTS]:
+        read |= _modules_read_by(path)
+    unread = {
+        module: _rel(path)
+        for module, path in PACKAGE_MODULES.items()
+        if path.name != "__init__.py" and module not in read
+    }
+    wrong = set(unread).symmetric_difference(UNREAD_MODULES)
+    assert wrong == set(), {module: unread.get(module, "listed, but read") for module in wrong}
+
+
+def test_package_all_names_every_subpackage_and_module_on_disk():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    on_disk = [
+        path.stem
+        for path in SRC.iterdir()
+        if (path / "__init__.py").is_file() or (path.suffix == ".py" and path.stem != "__init__")
+    ]
+    assert sorted(exported) == sorted(on_disk)

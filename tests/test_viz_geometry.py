@@ -1,4 +1,4 @@
-"""Isosurface, cutplane, glyph and volume tests."""
+"""Isosurface and cutplane tests."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.viz import (
-    TimeHistory,
-    axis_slice,
-    cut_plane,
-    diamond_glyphs,
-    isosurface,
-    particle_points,
-    vector_glyphs,
-    volume_render,
-)
+from repro.viz import axis_slice, cut_plane, isosurface
 from repro.viz.cutplane import trilinear_sample
-from repro.viz.glyphs import domain_boxes, processor_colors
 from repro.viz.isosurface import surface_area
 
 
@@ -123,83 +113,6 @@ def test_cut_plane_validation():
         cut_plane(field, np.zeros(3), np.zeros(3))
     with pytest.raises(ReproError):
         cut_plane(field, np.zeros(3), np.array([1.0, 0, 0]), resolution=1)
-
-
-def test_particle_points_and_colors():
-    pts = np.random.default_rng(0).random((10, 3))
-    proc = np.arange(10)
-    positions, colors = particle_points(pts, proc)
-    assert positions.shape == (10, 3)
-    assert colors.shape == (10, 3)
-    # processors 0 and 8 wrap to the same palette entry
-    np.testing.assert_array_equal(colors[0], colors[8])
-
-
-def test_processor_colors_wrap():
-    cols = processor_colors(np.array([0, 8, 16]))
-    assert np.all(cols[0] == cols[1]) and np.all(cols[1] == cols[2])
-
-
-def test_diamond_glyphs_counts():
-    pts = np.zeros((3, 3))
-    verts, faces = diamond_glyphs(pts, size=0.1)
-    assert verts.shape == (18, 3)
-    assert faces.shape == (24, 3)
-    assert faces.max() == 17
-
-
-def test_diamond_glyphs_empty():
-    verts, faces = diamond_glyphs(np.zeros((0, 3)))
-    assert len(verts) == 0 and len(faces) == 0
-
-
-def test_vector_glyphs():
-    pos = np.zeros((2, 3))
-    vel = np.array([[1.0, 0, 0], [0, 2.0, 0]])
-    segs = vector_glyphs(pos, vel, scale=0.5)
-    np.testing.assert_array_equal(segs[0, 1], [0.5, 0, 0])
-    np.testing.assert_array_equal(segs[1, 1], [0, 1.0, 0])
-
-
-def test_domain_boxes():
-    bounds = np.array([[[0, 0, 0], [1, 1, 1]], [[1, 0, 0], [2, 1, 1]]], dtype=float)
-    segs = domain_boxes(bounds)
-    assert segs.shape == (24, 2, 3)
-    lengths = np.linalg.norm(segs[:, 1] - segs[:, 0], axis=1)
-    np.testing.assert_allclose(lengths, 1.0)
-
-
-def test_time_history_trails():
-    hist = TimeHistory(depth=3)
-    assert hist.trails().shape == (0, 2, 3)
-    for t in range(4):
-        hist.push(np.full((5, 3), float(t)))
-    assert len(hist) == 3  # rolling window
-    trails = hist.trails()
-    assert trails.shape == (10, 2, 3)
-
-
-def test_time_history_rejects_count_change():
-    hist = TimeHistory()
-    hist.push(np.zeros((4, 3)))
-    with pytest.raises(ReproError):
-        hist.push(np.zeros((5, 3)))
-
-
-def test_volume_render_shape_and_signal():
-    field = sphere_field(16)
-    img = volume_render(-field, axis=2)  # positive inside the sphere
-    assert img.shape == (16, 16, 3)
-    center = img[8, 8].astype(int).sum()
-    corner = img[0, 0].astype(int).sum()
-    assert center != corner  # the sphere is visible
-
-
-def test_volume_render_validation():
-    with pytest.raises(ReproError):
-        volume_render(np.zeros((4, 4)))
-    with pytest.raises(ReproError):
-        volume_render(np.zeros((4, 4, 4)), axis=5)
 
 
 @settings(max_examples=15, deadline=None)

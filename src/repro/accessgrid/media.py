@@ -9,9 +9,7 @@ FIG4 bench its media-plane numbers.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.net.multicast import MulticastGroup, UnicastBridge
+from repro.net.multicast import MulticastGroup
 from repro.util.stats import RunningStats
 
 
@@ -25,14 +23,12 @@ class MediaProducer:
         fps: float = 25.0,
         frame_bytes: int = 8_000,
         name: str = "vic",
-        bridge: Optional[UnicastBridge] = None,
     ) -> None:
         self.host = host
         self.group = group
         self.fps = fps
         self.frame_bytes = frame_bytes
         self.name = name
-        self.bridge = bridge
         self.frames_sent = 0
         self.stopped = False
 
@@ -47,10 +43,7 @@ class MediaProducer:
         interval = 1.0 / self.fps
         while not self.stopped:
             payload = {"src": self.name, "seq": self.frames_sent, "t": env.now}
-            if self.bridge is not None:
-                self.bridge.send_from(self.host, payload, size=self.frame_bytes)
-            else:
-                self.group.send(self.host, payload, size=self.frame_bytes)
+            self.group.send(self.host, payload, size=self.frame_bytes)
             self.frames_sent += 1
             yield env.timeout(interval)
 

@@ -17,9 +17,9 @@ from repro.errors import NetworkError, VenueError
 class AGNode:
     """One site's presence in the Access Grid."""
 
-    def __init__(self, host, site_name: Optional[str] = None) -> None:
+    def __init__(self, host) -> None:
         self.host = host
-        self.site_name = site_name or host.name
+        self.site_name = host.name
         self.venue: Optional[Venue] = None
         self.video_receiver: Optional[MediaReceiver] = None
         self.bridged = False

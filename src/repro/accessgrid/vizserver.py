@@ -157,16 +157,18 @@ class VizServerSession:
         return ntris
 
 
+#: seconds a client waits to connect, and for each reply
+CLIENT_TIMEOUT = 10.0
+
+
 class VizServerClient:
     """A site attached to a shared VizServer session."""
 
-    def __init__(self, host, server_host: str, port: int, site: str,
-                 timeout: float = 10.0) -> None:
+    def __init__(self, host, server_host: str, port: int, site: str) -> None:
         self.host = host
         self.server_host = server_host
         self.port = port
         self.site = site
-        self.timeout = timeout
         self._conn = None
         self.frames_received = 0
         self.has_control = False
@@ -174,7 +176,7 @@ class VizServerClient:
     def join(self):
         """Generator -> bool: attach; False if the session denied the join."""
         self._conn = yield from self.host.connect(
-            self.server_host, self.port, timeout=self.timeout
+            self.server_host, self.port, timeout=CLIENT_TIMEOUT
         )
         self._conn.send({"op": "join", "site": self.site}, size=128)
         reply = yield from self._recv_op({"joined"})
@@ -184,7 +186,7 @@ class VizServerClient:
     def _recv_op(self, ops: set):
         """Generator: next control reply, buffering frames seen meanwhile."""
         while True:
-            reply = yield from self._conn.recv(timeout=self.timeout)
+            reply = yield from self._conn.recv(timeout=CLIENT_TIMEOUT)
             if isinstance(reply, dict) and reply.get("op") == "frame":
                 self.frames_received += 1
                 continue

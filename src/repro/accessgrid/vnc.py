@@ -78,15 +78,17 @@ class VncServer:
                 conn.send({"op": "input_ack"})
 
 
+#: seconds a client waits to connect, and for each reply
+CLIENT_TIMEOUT = 10.0
+
+
 class VncClient:
     """One remote viewer/controller of a shared desktop."""
 
-    def __init__(self, host, server_host: str, port: int,
-                 timeout: float = 10.0) -> None:
+    def __init__(self, host, server_host: str, port: int) -> None:
         self.host = host
         self.server_host = server_host
         self.port = port
-        self.timeout = timeout
         self._conn = None
         self.local_fb: Optional[FrameBuffer] = None
         self._last: Optional[FrameBuffer] = None
@@ -94,7 +96,7 @@ class VncClient:
 
     def connect(self):
         self._conn = yield from self.host.connect(
-            self.server_host, self.port, timeout=self.timeout
+            self.server_host, self.port, timeout=CLIENT_TIMEOUT
         )
         return True
 
@@ -103,7 +105,7 @@ class VncClient:
         if self._conn is None:
             raise VenueError("vnc client is not connected")
         self._conn.send({"op": "update_request"}, size=64)
-        reply = yield from self._conn.recv(timeout=self.timeout)
+        reply = yield from self._conn.recv(timeout=CLIENT_TIMEOUT)
         fb = decompress_frame(reply["frame"], previous=self._last)
         self._last = fb.copy()
         self.local_fb = fb
@@ -115,7 +117,7 @@ class VncClient:
         if self._conn is None:
             raise VenueError("vnc client is not connected")
         self._conn.send({"op": "input", "event": dict(event)}, size=128)
-        reply = yield from self._conn.recv(timeout=self.timeout)
+        reply = yield from self._conn.recv(timeout=CLIENT_TIMEOUT)
         return reply.get("op") == "input_ack"
 
     def close(self) -> None:

@@ -77,9 +77,6 @@ class Controller:
         self._module(name)
         return self._placement[name]
 
-    def modules(self) -> list[str]:
-        return sorted(self._modules)
-
     def topology_order(self) -> list[str]:
         """Dependency order of the module network."""
         deps: dict[str, set[str]] = {name: set() for name in self._modules}

@@ -49,7 +49,7 @@ from repro.fleet.telemetry import FleetTelemetry
 from repro.net import Firewall
 from repro.obs import Observability
 from repro.ogsa import HandleResolver, OgsaSteeringClient, OgsiLiteContainer
-from repro.ogsa.registry import RegistryService
+from repro.ogsa.registry import REGISTRY_ID, RegistryService
 from repro.steering.orchestrator import (
     RealityGridOrchestrator,
     make_outbound_app_factory,
@@ -195,7 +195,7 @@ class FleetDriver:
         njs.start()
 
         container = OgsiLiteContainer(svc, CONTAINER_PORT)
-        registry = FederatedRegistry("registry", shards=self.shards)
+        registry = FederatedRegistry(REGISTRY_ID, shards=self.shards)
         container.deploy(registry)
         container.start()
         return FleetSite(

@@ -22,7 +22,7 @@ import zlib
 from typing import Optional
 
 from repro.errors import OgsaError
-from repro.ogsa.registry import RegistryService
+from repro.ogsa.registry import REGISTRY_ID, RegistryService
 from repro.ogsa.service import GridService, operation
 
 
@@ -73,7 +73,7 @@ class FederatedRegistry(GridService):
 
     def __init__(
         self,
-        service_id: str = "registry",
+        service_id: str = REGISTRY_ID,
         shards: int | list[RegistryService] = 4,
     ) -> None:
         super().__init__(service_id)

@@ -21,6 +21,7 @@ from typing import Optional
 from repro.errors import LiveError
 from repro.fleet.spec import SIM_KINDS
 from repro.live.http import HttpError, Response, encode_request, json_body, read_response
+from repro.util.stats import percentile
 
 
 async def request(
@@ -44,13 +45,6 @@ async def request(
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-
-
-def _percentile(sorted_values: list, q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[idx]
 
 
 class StressClient:
@@ -155,6 +149,9 @@ class StressClient:
             key = str(r["status"])
             by_status[key] = by_status.get(key, 0) + 1
         latencies = sorted(r["latency"] for r in self.results)
+        p50, p90, p99 = (
+            [percentile(latencies, q) for q in (50, 90, 99)] if latencies else [0.0] * 3
+        )
         n = len(self.results)
         return {
             "requests": n,
@@ -165,9 +162,9 @@ class StressClient:
             "admitted": by_status.get("202", 0),
             "rejected": by_status.get("429", 0),
             "errors": by_status.get("0", 0),
-            "latency_p50": _percentile(latencies, 0.50),
-            "latency_p90": _percentile(latencies, 0.90),
-            "latency_p99": _percentile(latencies, 0.99),
+            "latency_p50": p50,
+            "latency_p90": p90,
+            "latency_p99": p99,
             "latency_max": latencies[-1] if latencies else 0.0,
             "seed": self.seed,
         }

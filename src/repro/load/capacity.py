@@ -190,14 +190,9 @@ class CapacityLedger:
         }
 
     @classmethod
-    def for_driver(
-        cls, driver, container_slots: int = 8, vbroker_slots: int = 8
-    ) -> "CapacityLedger":
+    def for_driver(cls, driver, container_slots: int = 8) -> "CapacityLedger":
         """A ledger covering every site the driver currently has."""
         ledger = cls()
         for site in driver.sites:
-            ledger.register_site(
-                site.index,
-                capacity_of(site, container_slots=container_slots, vbroker_slots=vbroker_slots),
-            )
+            ledger.register_site(site.index, capacity_of(site, container_slots=container_slots))
         return ledger

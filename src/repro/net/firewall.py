@@ -69,10 +69,10 @@ class Firewall:
         return cls(open_ports=None, allow_multicast=True)
 
     @classmethod
-    def single_port(cls, port: int, allow_multicast: bool = False) -> "Firewall":
+    def single_port(cls, port: int) -> "Firewall":
         """The HPC-centre policy UNICORE was designed for: one gateway
         port open, no multicast."""
-        return cls(open_ports={port}, allow_multicast=allow_multicast)
+        return cls(open_ports={port}, allow_multicast=False)
 
     @classmethod
     def closed(cls) -> "Firewall":

@@ -163,25 +163,21 @@ class Network:
     """Topology container and link-lookup/routing authority.
 
     Hosts without an explicit link between them communicate over an
-    implicit default link (``default_latency`` / ``default_bandwidth``),
+    implicit default link (``DEFAULT_LATENCY`` / ``DEFAULT_BANDWIDTH``),
     so scenario builders only need to profile the interesting paths.
     """
 
     #: Delay for host-local (loopback) traffic.
     LOOPBACK_LATENCY = 10e-6
     LOOPBACK_BANDWIDTH = 10e9 / 8  # 10 Gbit/s in bytes/s
+    #: The implicit link between hosts no profile connects: 50 ms, 10 Mbit/s.
+    DEFAULT_LATENCY = 0.050
+    DEFAULT_BANDWIDTH = 10e6 / 8
 
-    def __init__(
-        self,
-        env: Environment,
-        default_latency: float = 0.050,
-        default_bandwidth: float = 10e6 / 8,
-    ) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
         self.hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
-        self.default_latency = default_latency
-        self.default_bandwidth = default_bandwidth
         self.connect_attempts = 0
         #: host pairs with no connectivity (WAN partition between sites)
         self._partitions: set[frozenset] = set()
@@ -241,7 +237,7 @@ class Network:
         if src == dst:
             made = Link(src, dst, self.LOOPBACK_LATENCY, self.LOOPBACK_BANDWIDTH)
         else:
-            made = Link(src, dst, self.default_latency, self.default_bandwidth)
+            made = Link(src, dst, self.DEFAULT_LATENCY, self.DEFAULT_BANDWIDTH)
         self._links[key] = made
         return made
 

@@ -226,8 +226,10 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Gauge:
         return self._register(Gauge(name, help, tuple(labels)))
 
-    def histogram(self, name: str, help: str = "", labels: tuple[str, ...] = ()) -> Histogram:
-        return self._register(Histogram(name, help, tuple(labels)))
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        """An unlabelled histogram: every one the fabric observes is a
+        whole-run latency."""
+        return self._register(Histogram(name, help, ()))
 
     def get(self, name: str) -> Optional[_Family]:
         return self._families.get(name)

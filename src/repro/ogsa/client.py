@@ -13,24 +13,19 @@ from typing import Optional
 from repro.errors import ServiceNotFound
 from repro.ogsa.container import ServiceConnection
 from repro.ogsa.handles import GridServiceHandle, HandleResolver
+from repro.ogsa.registry import REGISTRY_ID
 
 
 class OgsaSteeringClient:
     """High-level steering client over the service fabric."""
 
     def __init__(
-        self,
-        host,
-        resolver: HandleResolver,
-        registry_host: str,
-        registry_port: int,
-        registry_id: str = "registry",
-        timeout: float = 30.0,
+        self, host, resolver: HandleResolver, registry_host: str, registry_port: int
     ) -> None:
         self.host = host
         self.resolver = resolver
-        self.registry_addr = (registry_host, registry_port, registry_id)
-        self.timeout = timeout
+        self.registry_host = registry_host
+        self.registry_port = registry_port
         self._registry_conn: Optional[ServiceConnection] = None
         self._bound: dict[str, tuple[ServiceConnection, str]] = {}
 
@@ -38,10 +33,7 @@ class OgsaSteeringClient:
 
     def _registry(self):
         if self._registry_conn is None:
-            conn = ServiceConnection(
-                self.host, self.registry_addr[0], self.registry_addr[1],
-                timeout=self.timeout,
-            )
+            conn = ServiceConnection(self.host, self.registry_host, self.registry_port)
             yield from conn.open()
             self._registry_conn = conn
         return self._registry_conn
@@ -49,9 +41,7 @@ class OgsaSteeringClient:
     def find_services(self, **query):
         """Generator -> list of {handle, metadata} from the registry."""
         reg = yield from self._registry()
-        result = yield from reg.invoke(
-            self.registry_addr[2], "find", query=dict(query)
-        )
+        result = yield from reg.invoke(REGISTRY_ID, "find", query=dict(query))
         return result
 
     # -- binding ---------------------------------------------------------------
@@ -60,7 +50,7 @@ class OgsaSteeringClient:
         """Generator: resolve + connect a service; returns its local name."""
         handle = GridServiceHandle.parse(handle_str)
         ref = self.resolver.resolve(handle)
-        conn = ServiceConnection(self.host, ref.host, ref.port, timeout=self.timeout)
+        conn = ServiceConnection(self.host, ref.host, ref.port)
         yield from conn.open()
         self._bound[handle_str] = (conn, handle.service_id)
         return handle_str

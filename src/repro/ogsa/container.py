@@ -172,21 +172,23 @@ class OgsiLiteContainer:
             self._reply(conn, envelope(service_id, op, body={"result": result}))
 
 
+#: seconds a service connection waits to connect, and for each reply
+SERVICE_TIMEOUT = 30.0
+
+
 class ServiceConnection:
     """Client-side helper: invoke operations on services in one container."""
 
-    def __init__(self, host, container_host: str, port: int,
-                 timeout: float = 30.0) -> None:
+    def __init__(self, host, container_host: str, port: int) -> None:
         self.host = host
         self.container_host = container_host
         self.port = port
-        self.timeout = timeout
         self._conn = None
 
     def open(self):
         """Generator: establish the connection."""
         self._conn = yield from self.host.connect(
-            self.container_host, self.port, timeout=self.timeout
+            self.container_host, self.port, timeout=SERVICE_TIMEOUT
         )
         return self
 
@@ -201,10 +203,10 @@ class ServiceConnection:
             raise OgsaError("service connection is not open")
         self._conn.send(envelope(service_id, op, body=args))
         try:
-            reply = yield from self._conn.recv(timeout=self.timeout)
+            reply = yield from self._conn.recv(timeout=SERVICE_TIMEOUT)
         except TimeoutExpired:
             raise OgsaTimeout(
-                f"invoke {service_id}.{op} timed out after {self.timeout}s"
+                f"invoke {service_id}.{op} timed out after {SERVICE_TIMEOUT}s"
             ) from None
         _sid, _op, body, fault = open_envelope(reply)
         if fault:

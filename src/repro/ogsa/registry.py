@@ -25,10 +25,14 @@ from repro.ogsa.service import GridService, operation
 _EMPTY: frozenset = frozenset()
 
 
+#: the service id a registry is published under, in every container
+REGISTRY_ID = "registry"
+
+
 class RegistryService(GridService):
     """A GridService whose state is the published-services table."""
 
-    def __init__(self, service_id: str = "registry") -> None:
+    def __init__(self, service_id: str = REGISTRY_ID) -> None:
         super().__init__(service_id)
         self._entries: dict[str, dict] = {}
         #: inverted index over hashable metadata pairs

@@ -21,21 +21,21 @@ from repro.steering.control import SampleMsg
 from repro.viz import Camera, Renderer, compress_frame, isosurface
 
 
+#: pixels of every frame the service renders
+FRAME_WIDTH = 320
+FRAME_HEIGHT = 240
+
+
 class VisualizationService(GridService):
     """Grid service wrapping a renderer fed by simulation samples."""
 
     def __init__(
-        self,
-        service_id: str,
-        sample_link,
-        field_key: str = "order_parameter",
-        width: int = 320,
-        height: int = 240,
+        self, service_id: str, sample_link, field_key: str = "order_parameter"
     ) -> None:
         super().__init__(service_id)
         self.sample_link = sample_link
         self.field_key = field_key
-        self.renderer = Renderer(width, height)
+        self.renderer = Renderer(FRAME_WIDTH, FRAME_HEIGHT)
         self.iso_level = 0.0
         self.latest_field: Optional[np.ndarray] = None
         self.latest_step = -1
@@ -45,7 +45,7 @@ class VisualizationService(GridService):
         self.on_frame = None
         self._prev_frame = None
         self.service_data["field"] = field_key
-        self.service_data["viewport"] = [width, height]
+        self.service_data["viewport"] = [FRAME_WIDTH, FRAME_HEIGHT]
 
     def attached(self, container, now: float) -> None:
         super().attached(container, now)

@@ -99,7 +99,6 @@ def morton_partition(
     nranks: int,
     lo: np.ndarray,
     hi: np.ndarray,
-    bits: int = 16,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Assign points to ranks by contiguous Morton-key ranges.
 
@@ -108,7 +107,7 @@ def morton_partition(
     ``r`` in key order.  This is the PEPC-style SFC decomposition: spatial
     locality within a rank, near-equal counts across ranks.
     """
-    keys = morton_key(positions, lo, hi, bits)
+    keys = morton_key(positions, lo, hi)
     order = np.argsort(keys, kind="stable")
     n = len(order)
     owner = np.empty(n, dtype=np.int64)

@@ -85,6 +85,10 @@ class _GridPlan:
 #: shape -> plan, for as long as a simulation of that shape is alive
 _PLANS: WeakValueDictionary[tuple[int, int, int], _GridPlan] = WeakValueDictionary()
 
+#: the comfort band (°C) of :meth:`BuildingClimate.comfort_fraction`
+COMFORT_LO = 20.0
+COMFORT_HI = 24.0
+
 
 class BuildingClimate(Simulation):
     """Temperature field of an exhibition hall under steerable ventilation.
@@ -253,10 +257,10 @@ class BuildingClimate(Simulation):
         T = self.temperature
         return float(np.add.reduce(T, axis=None) / T.size)
 
-    def comfort_fraction(self, lo: float = 20.0, hi: float = 24.0) -> float:
+    def comfort_fraction(self) -> float:
         """Fraction of occupied volume (z < half) within the comfort band."""
         occupied = self.temperature[:, :, : self.shape[2] // 2]
-        ok = (occupied >= lo) & (occupied <= hi)
+        ok = (occupied >= COMFORT_LO) & (occupied <= COMFORT_HI)
         # an exact integer count over a correctly rounded division, as mean
         return np.count_nonzero(ok) / ok.size
 

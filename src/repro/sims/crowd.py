@@ -21,6 +21,9 @@ import numpy as np
 from repro.errors import SteeringError
 from repro.sims.base import Simulation
 
+#: metres from an exhibit within which an agent counts as at it
+EXHIBIT_RADIUS = 4.0
+
 
 class CrowdSim(Simulation):
     """Agents visiting exhibits on a rectangular floor.
@@ -140,12 +143,12 @@ class CrowdSim(Simulation):
 
     # -- diagnostics -------------------------------------------------------
 
-    def occupancy(self, radius: float = 4.0) -> np.ndarray:
-        """Fraction of agents within ``radius`` of each exhibit."""
+    def occupancy(self) -> np.ndarray:
+        """Fraction of agents within :data:`EXHIBIT_RADIUS` of each exhibit."""
         d = np.linalg.norm(
             self.positions[:, None, :] - self.exhibits[None, :, :], axis=2
         )
-        return (d < radius).mean(axis=0)
+        return (d < EXHIBIT_RADIUS).mean(axis=0)
 
     # -- steering surface ------------------------------------------------------
 

@@ -17,7 +17,7 @@ from repro.sims.pepc.tree import Octree, build_octree
 from repro.sims.pepc.force import direct_field, direct_force, tree_field, interaction_energy
 from repro.sims.pepc.integrator import PlasmaSim, beam_on_sphere_setup
 from repro.sims.pepc.domain import assign_domains
-from repro.sims.pepc.diagnostics import kinetic_energy, total_momentum, tree_stats
+from repro.sims.pepc.diagnostics import kinetic_energy, tree_stats
 
 __all__ = [
     "Octree",
@@ -30,6 +30,5 @@ __all__ = [
     "beam_on_sphere_setup",
     "assign_domains",
     "kinetic_energy",
-    "total_momentum",
     "tree_stats",
 ]

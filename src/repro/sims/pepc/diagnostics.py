@@ -1,4 +1,4 @@
-"""Diagnostics for the plasma simulation: energies, momentum, tree stats."""
+"""Diagnostics for the plasma simulation: energies, tree stats."""
 
 from __future__ import annotations
 
@@ -10,10 +10,6 @@ from repro.sims.pepc.tree import Octree
 def kinetic_energy(velocities: np.ndarray, masses: np.ndarray) -> float:
     v2 = np.einsum("ij,ij->i", velocities, velocities)
     return float(0.5 * np.sum(np.asarray(masses) * v2))
-
-
-def total_momentum(velocities: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    return np.asarray(masses)[:, None].T @ np.asarray(velocities)
 
 
 def temperature_proxy(velocities: np.ndarray, masses: np.ndarray) -> float:

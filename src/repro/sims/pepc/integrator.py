@@ -19,13 +19,15 @@ from repro.sims.pepc.domain import assign_domains
 from repro.sims.pepc.force import direct_force, tree_field
 from repro.sims.pepc.tree import build_octree
 
+#: the plasma sphere's radius, the beam's start distance along -x and its speed
+SPHERE_RADIUS = 1.0
+BEAM_OFFSET = 3.0
+BEAM_SPEED = 1.5
+
 
 def beam_on_sphere_setup(
     n_plasma: int = 512,
     n_beam: int = 64,
-    sphere_radius: float = 1.0,
-    beam_offset: float = 3.0,
-    beam_speed: float = 1.5,
     seed: int = 7,
 ) -> dict[str, np.ndarray]:
     """Initial conditions: neutral plasma sphere + incoming charged beam.
@@ -38,18 +40,18 @@ def beam_on_sphere_setup(
     # Uniform-in-sphere sampling via normalized Gaussians * r^(1/3).
     g = rng.standard_normal((n_plasma, 3))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    r = sphere_radius * rng.random(n_plasma) ** (1.0 / 3.0)
+    r = SPHERE_RADIUS * rng.random(n_plasma) ** (1.0 / 3.0)
     plasma_pos = g * r[:, None]
     plasma_q = np.ones(n_plasma)
     plasma_q[: n_plasma // 2] = -1.0
     plasma_v = 0.05 * rng.standard_normal((n_plasma, 3))
 
     beam_pos = np.empty((n_beam, 3))
-    beam_pos[:, 0] = -beam_offset - 0.5 * rng.random(n_beam)
+    beam_pos[:, 0] = -BEAM_OFFSET - 0.5 * rng.random(n_beam)
     beam_pos[:, 1:] = 0.1 * rng.standard_normal((n_beam, 2))
     beam_q = -np.ones(n_beam)
     beam_v = np.zeros((n_beam, 3))
-    beam_v[:, 0] = beam_speed
+    beam_v[:, 0] = BEAM_SPEED
 
     return {
         "positions": np.concatenate([plasma_pos, beam_pos]),

@@ -48,14 +48,12 @@ class RealityGridOrchestrator:
         resolver,
         control_port: int = 7001,
         sample_port: int = 7002,
-        field_key: str = "order_parameter",
     ) -> None:
         self.unicore = unicore_client
         self.container = container
         self.resolver = resolver
         self.control_port = control_port
         self.sample_port = sample_port
-        self.field_key = field_key
         self.job_id: Optional[str] = None
         self.handles: dict[str, str] = {}
         #: per-sample callback ``cb(step)`` handed to the deployed
@@ -69,7 +67,6 @@ class RealityGridOrchestrator:
         vsite: str,
         arguments: Optional[dict] = None,
         job_name: str = "realitygrid",
-        registry_id: str = "registry",
     ):
         """Generator: run the whole orchestration; resolves to the
         published handle strings ``{"steering": gsh, "viz": gsh}``.
@@ -79,6 +76,7 @@ class RealityGridOrchestrator:
         contract the RealityGrid API imposes on instrumented codes.
         """
         from repro.ogsa.container import ServiceConnection
+        from repro.ogsa.registry import REGISTRY_ID
         from repro.ogsa.steering_service import SteeringService
         from repro.ogsa.viz_service import VisualizationService
         from repro.unicore.ajo import AbstractJobObject, ExecuteTask
@@ -103,7 +101,7 @@ class RealityGridOrchestrator:
 
         # 3. Deploy + publish the services.
         steer = SteeringService(f"steer-{job_name}", control_conn, application_name=application)
-        viz = VisualizationService(f"viz-{job_name}", sample_conn, field_key=self.field_key)
+        viz = VisualizationService(f"viz-{job_name}", sample_conn)
         if self.on_viz_frame is not None:
             viz.on_frame = self.on_viz_frame
         steer_ref = self.container.deploy(steer)
@@ -116,12 +114,12 @@ class RealityGridOrchestrator:
         )
         yield from reg_conn.open()
         yield from reg_conn.invoke(
-            registry_id, "publish", handle=str(steer_ref.handle),
+            REGISTRY_ID, "publish", handle=str(steer_ref.handle),
             metadata={"type": "steering", "application": application,
                       "job": self.job_id},
         )
         yield from reg_conn.invoke(
-            registry_id, "publish", handle=str(viz_ref.handle),
+            REGISTRY_ID, "publish", handle=str(viz_ref.handle),
             metadata={"type": "viz-steering", "application": application,
                       "job": self.job_id},
         )

@@ -15,22 +15,20 @@ from repro.unicore.njs import JobStatus
 from repro.unicore.security import UserIdentity
 
 
+#: seconds a client waits to connect, and for each gateway reply
+REQUEST_TIMEOUT = 30.0
+
+
 class UnicoreClient:
     """A user's client session against one gateway."""
 
     def __init__(
-        self,
-        host,
-        identity: UserIdentity,
-        gateway_host: str,
-        gateway_port: int,
-        request_timeout: float = 30.0,
+        self, host, identity: UserIdentity, gateway_host: str, gateway_port: int
     ) -> None:
         self.host = host
         self.identity = identity
         self.gateway_host = gateway_host
         self.gateway_port = gateway_port
-        self.request_timeout = request_timeout
         self._conn = None
         self.authenticated = False
 
@@ -39,12 +37,12 @@ class UnicoreClient:
     def connect(self):
         """Generator -> bool: open + authenticate the gateway session."""
         conn = yield from self.host.connect(
-            self.gateway_host, self.gateway_port, timeout=self.request_timeout
+            self.gateway_host, self.gateway_port, timeout=REQUEST_TIMEOUT
         )
         conn.send(
             {"op": "auth", "certificate": self.identity.certificate.__dict__}
         )
-        reply = yield from conn.recv(timeout=self.request_timeout)
+        reply = yield from conn.recv(timeout=REQUEST_TIMEOUT)
         if not reply.get("ok"):
             conn.close()
             raise UnicoreError(f"sign-on failed: {reply.get('error')}")
@@ -63,7 +61,7 @@ class UnicoreClient:
         if not self.authenticated or self._conn is None or self._conn.closed:
             raise UnicoreError("client is not connected; call connect() first")
         self._conn.send(msg)
-        reply = yield from self._conn.recv(timeout=self.request_timeout)
+        reply = yield from self._conn.recv(timeout=REQUEST_TIMEOUT)
         return reply
 
     # -- job operations ------------------------------------------------------------

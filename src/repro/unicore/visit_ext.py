@@ -48,8 +48,8 @@ class VisitProxyServer(VisitService):
 
     name = "visit-proxy"
 
-    def __init__(self, host, port: int, password: str, byteorder: str = "<") -> None:
-        super().__init__(host, port, password, byteorder)
+    def __init__(self, host, port: int, password: str) -> None:
+        super().__init__(host, port, password)
         #: every DataSend from the simulation, in order: (time, tag, payload)
         self.outbox: list[tuple[float, int, Any]] = []
         #: simulation receive-requests awaiting a master response

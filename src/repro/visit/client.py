@@ -87,14 +87,13 @@ class VisitClient:
 
     # -- data operations -----------------------------------------------------
 
-    def send(self, tag: int, payload: Any, timeout: Optional[float] = None):
+    def send(self, tag: int, payload: Any):
         """Generator -> bool.  Push data to the visualization.
 
         Sending is buffered by the transport and never waits on the
         network; the only failure mode is "not connected", which returns
         False immediately — zero cost to the simulation.
         """
-        del timeout  # sends cannot block in this transport; kept for API parity
         if not self.connected or self._conn is None or self._conn.closed:
             self.stats["sends_dropped"] += 1
             return False

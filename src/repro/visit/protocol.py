@@ -83,6 +83,11 @@ def await_response(conn, seq: int, deadline: Optional[float]):
             return msg
 
 
+#: the byte order every VISIT server writes; a client picks its own, and
+#: each end's decoder reads either
+SERVER_BYTEORDER = "<"
+
+
 class VisitService:
     """The server end of a VISIT connection, under the visualization
     server, the vbroker and the UNICORE extension's proxy.
@@ -97,11 +102,10 @@ class VisitService:
 
     name = "visualization"
 
-    def __init__(self, host, port: int, password: str, byteorder: str = "<") -> None:
+    def __init__(self, host, port: int, password: str) -> None:
         self.host = host
         self.port = port
         self.password = password
-        self.byteorder = byteorder
         #: a crashed server: it still authenticates, then never answers
         self.dead = False
         self.clients_served = 0
@@ -113,7 +117,7 @@ class VisitService:
         self._listener = self.host.serve(self.port, self._serve)
 
     def _send(self, conn, msg) -> None:
-        conn.send(encode_visit(msg, self.byteorder))
+        conn.send(encode_visit(msg, SERVER_BYTEORDER))
 
     def _serve(self, conn):
         try:

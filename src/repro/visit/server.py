@@ -38,12 +38,11 @@ class VisitServer(VisitService):
         port: int,
         password: str,
         name: str = "visualization",
-        byteorder: str = "<",
         response_delay: float = 0.0,
         ack_sends: bool = False,
         convert_arrays_to: Optional[str] = None,
     ) -> None:
-        super().__init__(host, port, password, byteorder)
+        super().__init__(host, port, password)
         self.name = name
         #: artificial processing delay per request (the "slow viz" knob)
         self.response_delay = response_delay

@@ -19,8 +19,12 @@ from typing import Optional
 
 from repro.errors import ChannelClosed, ProtocolError, VisitError
 from repro.visit.messages import DataRequest, DataResponse, DataSend
-from repro.visit.protocol import VisitService, await_response, open_visit
+from repro.visit.protocol import SERVER_BYTEORDER, VisitService, await_response, open_visit
 from repro.visit.token import MasterToken
+
+
+#: seconds the broker waits for the master's answer to a receive-request
+REQUEST_TIMEOUT = 2.0
 
 
 class VBroker(VisitService):
@@ -28,16 +32,8 @@ class VBroker(VisitService):
 
     name = "vbroker"
 
-    def __init__(
-        self,
-        host,
-        port: int,
-        password: str,
-        byteorder: str = "<",
-        request_timeout: float = 2.0,
-    ) -> None:
-        super().__init__(host, port, password, byteorder)
-        self.request_timeout = request_timeout
+    def __init__(self, host, port: int, password: str) -> None:
+        super().__init__(host, port, password)
         #: participating visualizations (name -> connection) and the master
         self._token = MasterToken()
         self.fanout_messages = 0
@@ -51,7 +47,7 @@ class VBroker(VisitService):
             raise VisitError(f"visualization {name!r} already participating")
         conn = yield from open_visit(
             self.host, server_host, port, self.password, f"vbroker:{name}",
-            self.byteorder, timeout=5.0,
+            SERVER_BYTEORDER, timeout=5.0,
         )
         self._token.join(name, conn)
         return conn
@@ -126,7 +122,7 @@ class VBroker(VisitService):
                 request.tag, request.seq, False, reason="no master visualization"
             )
         self._send(conn, request)
-        deadline = self.host.env.now + self.request_timeout
+        deadline = self.host.env.now + REQUEST_TIMEOUT
         try:
             reply = yield from await_response(conn, request.seq, deadline)
         except (ChannelClosed, ProtocolError):

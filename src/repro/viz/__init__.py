@@ -19,7 +19,7 @@ from repro.viz.compress import (
 from repro.viz.render import Camera, Renderer
 from repro.viz.isosurface import isosurface
 from repro.viz.cutplane import cut_plane, axis_slice
-from repro.viz.scene import Geometry, SceneGraph, SceneNode, Avatar
+from repro.viz.scene import Geometry, SceneGraph, SceneNode
 
 __all__ = [
     "FrameBuffer",
@@ -37,5 +37,4 @@ __all__ = [
     "Geometry",
     "SceneGraph",
     "SceneNode",
-    "Avatar",
 ]

@@ -1,7 +1,7 @@
 """Software rasterizer: camera projection + z-buffered primitives.
 
 Stands in for the graphics pipes of the visual supercomputer.  It renders
-points, lines and triangles into a :class:`FrameBuffer` with perspective
+points and triangles into a :class:`FrameBuffer` with perspective
 projection and a z-buffer.  Point splatting is fully vectorized (particle
 clouds are the dominant workload — PEPC ships hundreds of thousands of
 particles); triangles rasterize per-face with a vectorized barycentric
@@ -130,8 +130,8 @@ class Renderer:
 
     # -- points ------------------------------------------------------------
 
-    def draw_points(self, points: np.ndarray, colors=None, size: int = 1) -> int:
-        """Splat points; returns how many were visible."""
+    def draw_points(self, points: np.ndarray, colors=None) -> int:
+        """Splat points, one pixel each; returns how many were visible."""
         if len(points) == 0:
             return 0
         xy, depth = self.camera.project(points, self.fb.width, self.fb.height)
@@ -149,34 +149,14 @@ class Renderer:
             if len(cols) == 1:
                 cols = np.repeat(cols, len(points), axis=0)
             cols = cols[ok]
-        count = 0
-        for dx in range(-(size - 1), size):
-            for dy in range(-(size - 1), size):
-                x = np.clip(px[:, 0] + dx, 0, self.fb.width - 1)
-                y = np.clip(px[:, 1] + dy, 0, self.fb.height - 1)
-                # z-test: sort far-to-near so the nearest point wins ties
-                order = np.argsort(-dz, kind="stable")
-                xs, ys, zs, cs = x[order], y[order], dz[order], cols[order]
-                win = zs <= self.fb.depth[ys, xs]
-                self.fb.depth[ys[win], xs[win]] = zs[win]
-                self.fb.color[ys[win], xs[win]] = cs[win]
-                count = int(np.sum(win))
+        # z-test: sort far-to-near so the nearest point wins ties
+        order = np.argsort(-dz, kind="stable")
+        xs, ys, zs, cs = px[order, 0], px[order, 1], dz[order], cols[order]
+        win = zs <= self.fb.depth[ys, xs]
+        self.fb.depth[ys[win], xs[win]] = zs[win]
+        self.fb.color[ys[win], xs[win]] = cs[win]
         self.primitives_drawn += len(px)
-        return count
-
-    # -- lines --------------------------------------------------------------
-
-    def draw_lines(self, segments: np.ndarray, color=(255, 255, 255)) -> None:
-        """Draw ``(N, 2, 3)`` world-space segments, sampled per pixel-length."""
-        segments = np.asarray(segments, dtype=np.float64)
-        if segments.ndim != 3 or segments.shape[1:] != (2, 3):
-            raise ReproError("segments must be (N, 2, 3)")
-        for a, b in segments:
-            steps = 24
-            t = np.linspace(0.0, 1.0, steps)[:, None]
-            pts = a[None, :] * (1 - t) + b[None, :] * t
-            self.draw_points(pts, colors=np.asarray(color, dtype=np.uint8))
-        self.primitives_drawn += len(segments)
+        return int(np.sum(win))
 
     # -- triangles ------------------------------------------------------------
 
@@ -242,8 +222,6 @@ class Renderer:
         kind = geometry.kind
         if kind == "points":
             self.draw_points(geometry.vertices, colors=geometry.colors)
-        elif kind == "lines":
-            self.draw_lines(geometry.vertices.reshape(-1, 2, 3), color=geometry.base_color)
         elif kind == "triangles":
             self.draw_triangles(geometry.vertices, geometry.faces, color=geometry.base_color)
         else:

@@ -1,18 +1,18 @@
-"""Scene graph with local replication and avatars.
+"""Scene graph with local replication.
 
 Section 4.2's conclusion is architectural: "typical distributed virtual
 environments work with local scene graphs using local graphics hardware
 for rendering", with remote participants shown as avatars whose position
 updates tolerate latency.  This module provides that local scene graph:
-named nodes with transforms and geometry, a content hash + dirty tracking
-so collaborative sessions can sync *parameters* instead of content, and
-avatar nodes for the participants.
+named nodes with transforms and geometry, and a content hash + dirty
+tracking so collaborative sessions can sync *parameters* instead of
+content.  No row or example draws an avatar, so none is modelled.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -22,12 +22,11 @@ from repro.errors import ReproError
 
 @dataclass
 class Geometry:
-    """Renderable geometry: points, lines or triangles.
+    """Renderable geometry: points or triangles.
 
-    ``vertices`` is ``(N, 3)``; for ``lines`` it is interpreted pairwise;
-    ``faces`` indexes triangles.  ``nbytes`` is what streaming this
-    content over the wire would cost — the quantity VizServer avoids
-    shipping.
+    ``vertices`` is ``(N, 3)``; ``faces`` indexes triangles.  ``nbytes``
+    is what streaming this content over the wire would cost — the
+    quantity VizServer avoids shipping.
     """
 
     kind: str
@@ -37,7 +36,7 @@ class Geometry:
     base_color: tuple = (200, 200, 255)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("points", "lines", "triangles"):
+        if self.kind not in ("points", "triangles"):
             raise ReproError(f"unknown geometry kind {self.kind!r}")
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
         if self.kind == "triangles" and self.faces is None:
@@ -81,26 +80,12 @@ class SceneNode:
             yield from child.walk()
 
 
-@dataclass
-class Avatar:
-    """A remote participant's presence: site name + head position/gaze."""
-
-    site: str
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gaze: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-
-    def update(self, position, gaze) -> None:
-        self.position = np.asarray(position, dtype=np.float64)
-        self.gaze = np.asarray(gaze, dtype=np.float64)
-
-
 class SceneGraph:
-    """The local scene: content nodes plus avatar overlays."""
+    """The local scene: a tree of named content nodes."""
 
     def __init__(self) -> None:
         self.root = SceneNode("root")
         self._index: dict[str, SceneNode] = {"root": self.root}
-        self.avatars: dict[str, Avatar] = {}
         self.version = 0
 
     def add_node(
@@ -144,18 +129,6 @@ class SceneGraph:
             self._index.pop(child.name, None)
         self.version += 1
 
-    # -- collaborative presence ------------------------------------------------
-
-    def upsert_avatar(self, site: str, position, gaze) -> Avatar:
-        av = self.avatars.get(site)
-        if av is None:
-            av = self.avatars[site] = Avatar(site)
-        av.update(position, gaze)
-        return av
-
-    def drop_avatar(self, site: str) -> None:
-        self.avatars.pop(site, None)
-
     # -- content accounting -----------------------------------------------------
 
     def total_geometry_bytes(self) -> int:
@@ -184,11 +157,7 @@ class SceneGraph:
         return h.hexdigest()
 
     def render_into(self, renderer) -> None:
-        """Draw all visible geometry plus avatar markers."""
+        """Draw all visible geometry."""
         for node in self.root.walk():
             if node.geometry is not None and node.visible:
                 renderer.render_geometry(node.geometry)
-        for av in self.avatars.values():
-            renderer.draw_points(
-                av.position[None, :], colors=np.array([[255, 255, 0]], dtype=np.uint8), size=2
-            )

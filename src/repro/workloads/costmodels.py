@@ -75,7 +75,7 @@ class FeedbackLoopModel:
             profile, raw_frame_bytes, include_render
         )["total"]
 
-    def local_loop_time(self, include_render: bool = True) -> float:
+    def local_loop_time(self) -> float:
         """Local scene graph: render + display only; avatar updates ride
         asynchronously and do not gate the frame."""
-        return (self.render_time if include_render else 0.0) + self.display_time
+        return self.render_time + self.display_time

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: bytes of each leg of :meth:`NetProfile.round_trip`: a small request, a small reply
+ROUND_TRIP_BYTES = 64
+
 
 @dataclass(frozen=True)
 class NetProfile:
@@ -24,8 +27,8 @@ class NetProfile:
         """Unloaded delivery time for a message of ``nbytes``."""
         return self.latency + nbytes / self.bandwidth
 
-    def round_trip(self, request_bytes: float = 64, reply_bytes: float = 64) -> float:
-        return self.one_way(request_bytes) + self.one_way(reply_bytes)
+    def round_trip(self) -> float:
+        return self.one_way(ROUND_TRIP_BYTES) + self.one_way(ROUND_TRIP_BYTES)
 
 
 LAN = NetProfile("lan", 0.0002, 1e9 / 8)

@@ -109,7 +109,6 @@ def test_renderer_empty_inputs_are_noops():
     r = Renderer(16, 16)
     assert r.draw_points(np.zeros((0, 3))) == 0
     r.draw_triangles(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.intp))
-    r.draw_lines(np.zeros((0, 2, 3)))
     assert (r.fb.color == 0).all()
 
 

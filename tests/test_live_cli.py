@@ -3,6 +3,7 @@
 import pytest
 
 from repro.live.cli import build_parser, cmd_replay, cmd_serve, cmd_stress, main
+from repro.live.client import StressClient
 from repro.live.trace import TraceRecorder, load_trace
 
 
@@ -39,3 +40,15 @@ def test_replay_of_a_trace_with_a_mistyped_config_is_a_clean_error(tmp_path, cap
     TraceRecorder(path, config={"seed": "x"}).close(sim=1.0, wall=1.0)
     assert main(["replay", str(path)]) == 2
     assert "header config: seed must be an int" in capsys.readouterr().err
+
+
+def test_stress_report_quantiles_interpolate_and_an_empty_run_reads_zero():
+    client = StressClient("127.0.0.1", 1)
+    empty = client.report(1.0)
+    assert (empty["latency_p50"], empty["latency_p99"], empty["latency_max"]) == (0.0, 0.0, 0.0)
+    client.results = [{"status": 202, "latency": t} for t in (0.4, 0.1, 0.3, 0.2)]
+    report = client.report(1.0)
+    assert report["latency_p50"] == pytest.approx(0.25)
+    assert report["latency_p90"] == pytest.approx(0.37)
+    assert report["latency_p99"] == pytest.approx(0.397)
+    assert report["latency_max"] == 0.4

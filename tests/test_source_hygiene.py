@@ -14,8 +14,10 @@ holds every module but an ``__init__`` to a reader outside ``tests/``
 (``src``, ``examples``, ``bench``, ``benchmarks`` or the two table
 tests), or to a listed reason: a reader imports the module or a name it
 defines, and a package ``__init__`` reads a name only where its own code
-uses it, not where it re-exports it.  Last, ``repro.__all__`` names
-exactly the subpackages and modules on disk.
+uses it, not where it re-exports it.  A sixth holds every defaulted
+parameter of a public function or method to a setter, or to a listed
+reason: a value no caller sets is a constant.  Last, ``repro.__all__``
+names exactly the subpackages and modules on disk.
 """
 
 import ast
@@ -25,7 +27,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
 MAX_LINE = 100
-#: where an operation can be named by a caller
+#: where an operation can be named, or a parameter set, by a caller
 CALLERS = ("src", "examples", "bench", "benchmarks", "tests")
 #: service operations that no call names, and why each stays
 UNNAMED_OPERATIONS = {
@@ -43,6 +45,13 @@ UNREAD_MODULES = {
     "repro.campaign.__main__": "`python -m repro.campaign` runs it (CI's campaign jobs)",
     "repro.live.__main__": "`python -m repro.live` runs it (CI's live job)",
 }
+#: defaulted parameters of public callables that no call sets by name, and why each stays
+UNSET_PARAMETERS = {
+    "SearchRunner(archive_path)": "`campaign search run --archive` sets it through a "
+    "variable, `runner_cls(spec, store, **execution)`, which no name matches",
+    "StressClient(timeout)": "a deployment setting (DESIGN.md \"What stays, even idle\")",
+}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _rel(path):
@@ -249,3 +258,130 @@ def test_package_all_names_every_subpackage_and_module_on_disk():
         if (path / "__init__.py").is_file() or (path.suffix == ".py" and path.stem != "__init__")
     ]
     assert sorted(exported) == sorted(on_disk)
+
+
+def _callee(node):
+    """The name a call is made through: ``f`` of ``f(…)`` and of ``x.f(…)``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _public_callables():
+    """``(path, class name or None, def)`` for each public function and
+    each public method (``__init__`` included) of a public class in
+    ``src/repro``, and each class name -> the names of its bases."""
+    found, bases = [], {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {_callee(base) for base in node.bases} - {None}
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                found.append((path, None, node))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found += [
+                    (path, node.name, item) for item in node.body if isinstance(item, FUNCTIONS)
+                ]
+    return [item for item in found if item[2].name == "__init__" or item[2].name[0] != "_"], bases
+
+
+def _setters():
+    """Each callee name -> every call in ``CALLERS`` made through it, as
+    ``(innermost enclosing class, call)``; every name read other than as a
+    callee; and every attribute assigned on an object other than ``self``."""
+    calls, read, assigned = {}, set(), set()
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            enclosing = {}
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    enclosing.update((id(node), cls.name) for node in ast.walk(cls))
+            callees = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    callees.add(id(node.func))
+                    calls.setdefault(_callee(node.func), []).append(
+                        (enclosing.get(id(node)), node)
+                    )
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if id(node) not in callees:
+                        read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                        assigned.add(node.attr)
+    return calls, read, assigned
+
+
+def _family(cls, bases):
+    """``cls``'s descendants, and its ancestors, by class name."""
+    down, up = set(), set()
+    while True:
+        lower = {name for name, its in bases.items() if its & (down | {cls})}
+        upper = set().union(*(bases.get(name, set()) for name in up | {cls}))
+        if lower <= down and upper <= up:
+            return down, up
+        down |= lower
+        up |= upper
+
+
+def _sets(call, index, param):
+    """Whether ``call`` can set ``param``, the ``index``-th positional
+    argument (None: keyword-only): by keyword, through ``**``, or by
+    position, which a ``*`` argument reaches whatever its place."""
+    if any(keyword.arg in (param, None) for keyword in call.keywords):
+        return True
+    return index is not None and any(
+        isinstance(arg, ast.Starred) or i >= index for i, arg in enumerate(call.args)
+    )
+
+
+def _unset_parameters():
+    """Each defaulted parameter of a public callable that no call in
+    ``CALLERS`` can set -> where it is defined.  A function or method is
+    called by its name, and one whose name is read as a value (a callback,
+    a table entry) counts as set; a class by its name or a descendant's,
+    by ``super().__init__`` in a descendant, or by ``cls(…)`` in its own
+    line.  An attribute of the parameter's name assigned on any object
+    but ``self`` sets it too.  Matching by name alone, a collision can only
+    hide a knob, never flag one that is in use."""
+    calls, read, assigned = _setters()
+    callables, bases = _public_callables()
+    unset = {}
+    for path, cls, fn in callables:
+        if fn.name == "__init__":
+            label = cls
+            down, up = _family(cls, bases)
+            hits = [call for name in down | {cls} for _, call in calls.get(name, ())]
+            hits += [call for inside, call in calls.get("__init__", ()) if inside in down]
+            hits += [call for inside, call in calls.get("cls", ()) if inside in down | up | {cls}]
+        elif fn.name in read:
+            continue
+        else:
+            label = fn.name if cls is None else f"{cls}.{fn.name}"
+            hits = [call for _, call in calls.get(fn.name, ())]
+        static = any(_callee(d) == "staticmethod" for d in fn.decorator_list)
+        offset = 0 if cls is None or static else 1
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        defaulted = [(i - offset, arg.arg) for i, arg in enumerate(positional) if i >= first]
+        defaulted += [
+            (None, arg.arg)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None
+        ]
+        for index, param in defaulted:
+            if param not in assigned and not any(_sets(call, index, param) for call in hits):
+                unset[f"{label}({param})"] = f"{_rel(path)}:{fn.lineno}"
+    return unset
+
+
+def test_every_defaulted_parameter_has_a_setter_or_is_listed():
+    unset = _unset_parameters()
+    wrong = set(unset).symmetric_difference(UNSET_PARAMETERS)
+    assert wrong == set(), {label: unset.get(label, "listed, but set") for label in wrong}

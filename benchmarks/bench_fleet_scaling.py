@@ -12,6 +12,7 @@ Also regenerated here: the registry inverted index vs the naive linear
 scan at fleet-scale handle counts (the `find` every admission issues).
 """
 
+import math
 import os
 import time
 
@@ -26,6 +27,10 @@ from repro.perf.gate import FLEET_STAGGER, run_fleet
 FLEET_SIZES = tuple(
     sorted(int(s) for s in os.environ.get("FLEET_SIZES", "1,8,32,128,512,1024").split(","))
 )
+
+
+def _ms(x: float) -> str:
+    return "-" if math.isnan(x) else f"{x * 1e3:.1f}"
 
 
 def _run_fleet(n_sessions: int):
@@ -45,7 +50,11 @@ def test_fleet_scaling(benchmark, reporter):
     events = sum(ev for _rep, ev, _rss in raw.values())
     rows = []
     for n, (rep, _ev, rss) in raw.items():
-        rows.append(rep.summary_row() + [f"{rep.wall_seconds:.2f}", f"{rss / 1e6:.0f}"])
+        rows.append([
+            rep.n_sessions, rep.completed, rep.ops,
+            *(_ms(x) for x in (rep.steer_p50, rep.steer_p90, rep.steer_p99, rep.admit_p90)),
+            f"{rep.makespan:.1f}", f"{rep.wall_seconds:.2f}", f"{rss / 1e6:.0f}",
+        ])
     reporter.table(
         "FLEET: N concurrent sessions on the sc03 showfloor fabric "
         "(full UNICORE+OGSA workflow each)",

@@ -37,36 +37,22 @@ class AGNode:
         """
         if self.venue is not None:
             raise VenueError(f"{self.site_name!r} is already in a venue")
+        if not self.can_multicast and bridge_host is None:
+            raise NetworkError(
+                f"{self.site_name!r} has no native multicast; pass a "
+                "bridge_host to enter()"
+            )
         info = venue.enter(self)
         self.venue = venue
         if self.can_multicast:
             box = venue.video.join(self.host)
         else:
-            if bridge_host is None:
-                venue.exit(self)
-                self.venue = None
-                raise NetworkError(
-                    f"{self.site_name!r} has no native multicast; pass a "
-                    "bridge_host to enter()"
-                )
             bridge = venue.ensure_bridge(bridge_host)
             box = bridge.attach(self.host)
             self.bridged = True
         self.video_receiver = MediaReceiver(self.host, box, name=self.site_name)
         self.video_receiver.start()
         return info
-
-    def leave(self) -> None:
-        if self.venue is None:
-            raise VenueError(f"{self.site_name!r} is not in a venue")
-        if self.bridged and self.venue.bridge is not None:
-            self.venue.bridge.detach(self.host)
-        elif self.can_multicast:
-            self.venue.video.leave(self.host)
-        self.venue.exit(self)
-        self.venue = None
-        self.video_receiver = None
-        self.bridged = False
 
     def join_app(self, session_id: str):
         if self.venue is None:

@@ -54,26 +54,11 @@ class Venue:
             "app_sessions": sorted(self._app_sessions),
         }
 
-    def exit(self, node) -> None:
-        if node.site_name not in self._occupants:
-            raise VenueError(f"{node.site_name!r} is not in {self.name!r}")
-        del self._occupants[node.site_name]
-        for session in self._app_sessions.values():
-            if node.site_name in session.participants:
-                session.participants.remove(node.site_name)
-
-    def occupants(self) -> list[str]:
-        return sorted(self._occupants)
-
     # -- bridges (for firewalled / NAT / no-multicast sites) ------------------
 
     def ensure_bridge(self, bridge_host) -> UnicastBridge:
         if self._bridge is None:
             self._bridge = UnicastBridge(self.video, bridge_host)
-        return self._bridge
-
-    @property
-    def bridge(self) -> Optional[UnicastBridge]:
         return self._bridge
 
     # -- shared applications -----------------------------------------------------
@@ -96,9 +81,6 @@ class Venue:
             session.participants.append(site_name)
         return session
 
-    def app_sessions(self) -> list[AppSession]:
-        return [self._app_sessions[k] for k in sorted(self._app_sessions)]
-
 
 class VenueServer:
     """Hosts the venues; one per collaboration community."""
@@ -115,12 +97,3 @@ class VenueServer:
         venue = Venue(self, name)
         self._venues[name] = venue
         return venue
-
-    def venue(self, name: str) -> Venue:
-        v = self._venues.get(name)
-        if v is None:
-            raise VenueError(f"no venue {name!r}")
-        return v
-
-    def venues(self) -> list[str]:
-        return sorted(self._venues)

@@ -119,8 +119,3 @@ class VncClient:
         self._conn.send({"op": "input", "event": dict(event)}, size=128)
         reply = yield from self._conn.recv(timeout=CLIENT_TIMEOUT)
         return reply.get("op") == "input_ack"
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None

@@ -16,10 +16,11 @@ this package explores their **cross product** (the grid) and the
   parameter paths, lowering any assignment to the same seeded
   :class:`CellSpec` machinery the grid uses;
 * :mod:`repro.campaign.search` — the seeded, resumable adaptive search:
-  pluggable :class:`SearchStrategy` (random / evolutionary / successive
-  halving), a scalar :class:`Objective` with :class:`Constraint`
-  penalties, the :class:`SearchRunner` loop and the byte-deterministic
-  :class:`SearchArchive` with frozen cliff-cell export;
+  the :class:`SearchStrategy` protocol with one strategy, evolutionary
+  (a spec naming another kind is refused), a scalar :class:`Objective`
+  with :class:`Constraint` penalties, the :class:`SearchRunner` loop and
+  the byte-deterministic :class:`SearchArchive` with frozen cliff-cell
+  export;
 * :mod:`repro.campaign.axes` — builders turning axis points into live
   suites, arrival processes, fault schedules and policies;
 * :mod:`repro.campaign.runner` — :func:`run_cell` (one isolated world
@@ -61,7 +62,6 @@ from repro.campaign.matrix import MatrixReport
 from repro.campaign.presets import (
     PRESETS,
     SEARCH_PRESETS,
-    cliff_hunt,
     cliff_smoke,
     nightly,
     preset,
@@ -74,13 +74,11 @@ from repro.campaign.search import (
     Evaluation,
     EvolutionaryStrategy,
     Objective,
-    RandomStrategy,
     STRATEGIES,
     SearchArchive,
     SearchRunner,
     SearchSpec,
     SearchStrategy,
-    SuccessiveHalvingStrategy,
     make_strategy,
 )
 from repro.campaign.space import ParamRange, ParamSpace
@@ -110,7 +108,6 @@ __all__ = [
     "PRESETS",
     "ParamRange",
     "ParamSpace",
-    "RandomStrategy",
     "ResultStore",
     "SEARCH_PRESETS",
     "SPEC_VERSION",
@@ -119,9 +116,7 @@ __all__ = [
     "SearchRunner",
     "SearchSpec",
     "SearchStrategy",
-    "SuccessiveHalvingStrategy",
     "Supervisor",
-    "cliff_hunt",
     "cliff_smoke",
     "derive_seed",
     "make_strategy",

@@ -5,9 +5,8 @@ Subcommands::
     run     --preset smoke | --spec FILE [shared flags]
             [--seed S] [--per-cell] [--bench-out PATH]
     resume  --store PATH [shared flags]
-    report  --store PATH [--per-cell] [--json]
-            [--html PATH [--baseline STORE] [--drift-threshold T]]
-    diff    STORE_A STORE_B [--marginal-threshold T]
+    report  --store PATH [--per-cell] [--json] [--html PATH]
+    diff    STORE_A STORE_B
     search  run     --preset cliff-smoke | --spec FILE [shared flags]
                     [--seed S] [--archive PATH]
     search  resume  --store PATH [shared flags] [--archive PATH]
@@ -283,18 +282,10 @@ def _matrix_of(store: ResultStore) -> MatrixReport:
 def cmd_report(args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
     matrix = _matrix_of(store)
-    if args.baseline is not None and args.html is None:
-        raise CampaignError("--baseline requires --html")
     if args.html is not None:
         from repro.campaign.dashboard import write_html
 
-        baseline = None
-        if args.baseline is not None:
-            baseline = _matrix_of(ResultStore(args.baseline))
-        path = write_html(
-            args.html, matrix, baseline=baseline,
-            drift_threshold=args.drift_threshold,
-        )
+        path = write_html(args.html, matrix)
         print(f"dashboard written to {path}")
     if args.json:
         print(json.dumps(matrix.to_dict(), indent=2, sort_keys=True))
@@ -312,12 +303,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     print(MatrixReport.render_diff(diff))
     failed = bool(diff["changed"] or diff["only_self"]
                   or diff["only_other"])
-    if args.marginal_threshold is not None:
-        drift = matrices[0].diff_marginals(
-            matrices[1], threshold=args.marginal_threshold
-        )
-        print(MatrixReport.render_marginals(drift))
-        failed = failed or bool(drift["exceeded"] or drift["missing"])
     return 1 if failed else 0
 
 
@@ -440,12 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the MatrixReport as JSON")
     report.add_argument("--html", default=None,
                         help="write a self-contained HTML dashboard here")
-    report.add_argument("--baseline", default=None,
-                        help="baseline store for the dashboard's "
-                             "marginal-drift table (needs --html)")
-    report.add_argument("--drift-threshold", type=float, default=0.05,
-                        help="drift fraction highlighted in the "
-                             "dashboard (default 0.05)")
     report.set_defaults(func=cmd_report)
 
     diff = sub.add_parser(
@@ -453,11 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff.add_argument("store_a")
     diff.add_argument("store_b")
-    diff.add_argument(
-        "--marginal-threshold", type=float, default=None,
-        help="also gate per-axis marginal drift (normalised fraction); "
-             "exit 1 when any marginal drifts beyond it",
-    )
     diff.set_defaults(func=cmd_diff)
 
     search = sub.add_parser(

@@ -11,12 +11,10 @@ and anyone can open the file from disk:
   their failure reason and attempt count, plus cells that never ran);
 * a goodput vs. steer-p90 scatter of every cell with the pareto front
   drawn through the non-dominated ones;
-* per-axis marginal tables (the same numbers ``render`` prints);
-* when a baseline store is given, the marginal drift table from
-  :meth:`MatrixReport.diff_marginals`, drifted rows highlighted.
+* per-axis marginal tables (the same numbers ``render`` prints).
 
 Everything is a pure function of the deterministic ``MatrixReport``
-content (plus the optional baseline), so two same-seed campaigns render
+content, so two same-seed campaigns render
 byte-identical dashboards — the artifact itself is diffable.
 """
 
@@ -24,12 +22,13 @@ from __future__ import annotations
 
 import html
 import math
-from typing import Optional
 
 from repro.campaign.matrix import MatrixReport
 from repro.campaign.spec import AXES
 from repro.util import journal
 
+#: ``tr.drift`` styles no row any more; it stays so every page keeps the
+#: bytes it had when a baseline drift table existed
 _CSS = """
 body { font: 14px/1.5 -apple-system, 'Segoe UI', sans-serif;
        margin: 2em auto; max-width: 72em; color: #1a1a2e; }
@@ -49,8 +48,7 @@ svg { border: 1px solid #ccd; background: #fcfcff; }
 
 
 def _fmt(x, pct: bool = False) -> str:
-    """Table cell text: '-' for NaN, percents for fractions, 'inf' for
-    the drift of a latency series that appeared or vanished."""
+    """Table cell text: '-' for NaN, percents for fractions."""
     if isinstance(x, float):
         if math.isnan(x):
             return "-"
@@ -285,42 +283,7 @@ def _cells_table(matrix: MatrixReport, front_ids: set) -> str:
     )
 
 
-def _drift_table(
-    matrix: MatrixReport, baseline: MatrixReport, threshold: float
-) -> str:
-    drift = matrix.diff_marginals(baseline, threshold=threshold)
-    rows = [
-        ("drift", [
-            f"{m['axis']}:{m['point']}",
-            f"point only in {'this run' if m['only'] == 'self' else 'baseline'}",
-        ])
-        for m in drift["missing"]
-    ]
-    for e in drift["entries"]:
-        flagged = e["drift"] > threshold or math.isinf(e["drift"])
-        pct = e["metric"] == "goodput"
-        rows.append(("drift" if flagged else "", [
-            f"{e['axis']}:{e['point']}", e["metric"],
-            _fmt(e["other"], pct=pct), _fmt(e["self"], pct=pct),
-            _fmt(e["drift"]),
-        ]))
-    return (
-        f"<h2>drift vs. baseline (threshold {threshold:g})</h2>"
-        f'<p class="note">{len(drift["exceeded"])} exceeded, '
-        f'{len(drift["missing"])} missing of {len(drift["entries"])} '
-        "comparisons; red rows exceed the threshold.</p>"
-        + _table(
-            ("marginal", "metric", "baseline", "this run", "drift"), rows,
-            names=(0, 1),
-        )
-    )
-
-
-def render_html(
-    matrix: MatrixReport,
-    baseline: Optional[MatrixReport] = None,
-    drift_threshold: float = 0.05,
-) -> str:
+def render_html(matrix: MatrixReport) -> str:
     """The dashboard page as one HTML string."""
     front_ids = {row["cell_id"] for row in matrix.pareto()}
     sections = [
@@ -329,18 +292,14 @@ def render_html(
         "<h2>goodput vs. steer p90</h2>",
         _scatter(matrix.cells, front_ids),
         _marginal_tables(matrix),
+        _cells_table(matrix, front_ids),
     ]
-    if baseline is not None:
-        sections.append(_drift_table(matrix, baseline, drift_threshold))
-    sections.append(_cells_table(matrix, front_ids))
     return _page(f"campaign {matrix.campaign!r} seed {matrix.seed}", sections)
 
 
-def write_html(path, matrix, baseline=None, drift_threshold: float = 0.05):
+def write_html(path, matrix):
     """Render and write the dashboard; returns the path."""
-    return journal.replace(
-        path, render_html(matrix, baseline=baseline, drift_threshold=drift_threshold)
-    )
+    return journal.replace(path, render_html(matrix))
 
 
 # -- the search dashboard -----------------------------------------------------

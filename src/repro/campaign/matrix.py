@@ -26,28 +26,6 @@ from repro.fleet.report import _ms, _s
 from repro.util.stats import P2Quantile, RunningStats
 
 
-def _drift(metric: str, a: float, b: float) -> float:
-    """Normalised drift between two marginal metric values.
-
-    ``goodput`` is already a fraction, so its drift is the absolute
-    difference; everything else (latencies, violation counts) compares
-    relative to the *other* run's value.  NaN on both sides is no drift
-    (no samples on either run); NaN on one side is infinite drift — a
-    latency series appearing or vanishing is always worth flagging.
-    """
-    a_nan = isinstance(a, float) and math.isnan(a)
-    b_nan = isinstance(b, float) and math.isnan(b)
-    if a_nan and b_nan:
-        return 0.0
-    if a_nan or b_nan:
-        return math.inf
-    if metric == "goodput":
-        return abs(a - b)
-    if a == b:
-        return 0.0
-    return abs(a - b) / max(abs(b), 1.0)
-
-
 def _p2(samples: list, q: float) -> float:
     """Percentile of pooled reservoir samples via the streaming P²
     estimator (q in [0, 100]); NaN when no samples."""
@@ -432,83 +410,6 @@ class MatrixReport:
             "changed": changed,
             "identical": identical,
         }
-
-    #: marginal metrics gated by diff_marginals, with how each drift is
-    #: normalised so one threshold applies across all of them:
-    #: fractions compare absolutely, latencies and counts relatively
-    MARGINAL_METRICS = ("goodput", "steer_p90_ms", "wait_p90_s", "violations")
-
-    def diff_marginals(self, other: "MatrixReport",
-                       threshold: float = 0.0) -> dict:
-        """Per-axis **marginal drift** against another run.
-
-        Cell-level :meth:`diff` catches any deterministic change, but a
-        nightly that reruns a campaign with an intentionally different
-        seed (or a grown axis) needs a softer question: did the *shape*
-        of the results move?  For every axis point present in both
-        reports this compares the marginal aggregates on
-        :data:`MARGINAL_METRICS`, normalising each delta to a fraction —
-        ``goodput`` absolutely (it already is one), latencies and
-        violation counts relative to the other run — so a single
-        ``threshold`` gates them all.  Entries whose drift exceeds the
-        threshold land in ``exceeded``; points present on one side only
-        land in ``missing`` (and should fail the gate too: a vanished
-        marginal is the largest drift of all).
-        """
-        if threshold < 0:
-            raise CampaignError(
-                f"marginal drift threshold must be >= 0, got {threshold}"
-            )
-        entries = []
-        missing = []
-        for axis in AXES:
-            mine = {n: agg.to_dict()
-                    for n, agg in self.marginals[axis].items()}
-            theirs = {n: agg.to_dict()
-                      for n, agg in other.marginals[axis].items()}
-            for name in sorted(set(mine) ^ set(theirs)):
-                side = "self" if name in mine else "other"
-                missing.append({"axis": axis, "point": name, "only": side})
-            for name in sorted(set(mine) & set(theirs)):
-                a, b = mine[name], theirs[name]
-                for metric in self.MARGINAL_METRICS:
-                    va, vb = a[metric], b[metric]
-                    entries.append({
-                        "axis": axis,
-                        "point": name,
-                        "metric": metric,
-                        "self": va,
-                        "other": vb,
-                        "drift": _drift(metric, va, vb),
-                    })
-        exceeded = [e for e in entries if e["drift"] > threshold]
-        return {
-            "threshold": threshold,
-            "entries": entries,
-            "exceeded": exceeded,
-            "missing": missing,
-        }
-
-    @staticmethod
-    def render_marginals(drift: dict) -> str:
-        lines = [
-            f"marginal drift vs threshold {drift['threshold']:g}: "
-            f"{len(drift['exceeded'])} exceeded, "
-            f"{len(drift['missing'])} missing "
-            f"({len(drift['entries'])} comparisons)"
-        ]
-        for m in drift["missing"]:
-            lines.append(
-                f"  {m['axis']}:{m['point']} only in "
-                f"{'A' if m['only'] == 'self' else 'B'}"
-            )
-        for e in drift["exceeded"]:
-            lines.append(
-                f"  {e['axis']}:{e['point']} {e['metric']} "
-                f"{e['other']:g} -> {e['self']:g} "
-                f"(drift {e['drift']:.3f})"
-            )
-        return "\n".join(lines)
 
     @staticmethod
     def render_diff(diff: dict) -> str:

@@ -12,8 +12,7 @@
 Search presets (:data:`SEARCH_PRESETS`) are the adaptive counterparts:
 instead of a grid they declare a :class:`~repro.campaign.search
 .SearchSpec` over a continuous :class:`~repro.campaign.space.ParamSpace`
-— ``cliff-smoke`` sized for CI, ``cliff-hunt`` for a real overnight
-cliff expedition.
+— ``cliff-smoke``, sized for CI.
 
 Presets are functions so every call returns a fresh, independently
 mutable spec (callers may override the seed).
@@ -162,41 +161,7 @@ def cliff_smoke(seed: int = 23) -> SearchSpec:
     )
 
 
-def cliff_hunt(seed: int = 4003) -> SearchSpec:
-    """The overnight expedition: flash-crowd traffic, wide fault ranges."""
-    space = ParamSpace(
-        name="cliff-hunt",
-        scenario=AxisPoint("paper-mix", {"suite": "paper", **_SESSION_SHAPE}),
-        arrival=AxisPoint("flash", {"kind": "flash", "base_rate": 1.0}),
-        faults=AxisPoint("random", {"random": {}}),
-        policy=AxisPoint("least-loaded", {"placement": "least-loaded"}),
-        ranges=[
-            ParamRange("arrival.base_rate", 0.3, 3.0, log=True),
-            ParamRange("arrival.burst_rate", 2.0, 16.0, log=True),
-            ParamRange("arrival.burst_at", 1.0, 8.0),
-            ParamRange("arrival.burst_duration", 0.5, 5.0),
-            ParamRange("faults.random.n_faults", 1, 8, kind="int"),
-            ParamRange("faults.random.window", 0.2, 1.0),
-            ParamRange("faults.random.duration_scale", 0.25, 4.0, log=True),
-        ],
-        base={"n_sites": 3, "queue_slots": 2, "queue_limit": 12,
-              "horizon": 12.0},
-    )
-    return SearchSpec(
-        name="cliff-hunt",
-        seed=seed,
-        space=space,
-        strategy=EvolutionaryStrategy(elites=4, immigrant_rate=0.25),
-        objective=Objective(
-            metric="goodput", goal="min",
-            constraints=(Constraint("sessions", lo=8.0, weight=0.2),),
-        ),
-        generations=6,
-        population=8,
-    )
-
-
-SEARCH_PRESETS = {"cliff-smoke": cliff_smoke, "cliff-hunt": cliff_hunt}
+SEARCH_PRESETS = {"cliff-smoke": cliff_smoke}
 
 
 def search_preset(name: str, seed: int | None = None) -> SearchSpec:

@@ -46,7 +46,7 @@ from typing import Callable, ClassVar, Optional, Protocol, Sequence, runtime_che
 from repro.campaign.matrix import cell_row
 from repro.campaign.runner import CellExecutor
 from repro.campaign.supervise import zero_stats
-from repro.campaign.space import ParamSpace, assignment_digest, validate_path
+from repro.campaign.space import ParamSpace, assignment_digest
 from repro.campaign.spec import (
     SPEC_VERSION,
     CellSpec,
@@ -156,15 +156,11 @@ class Objective:
         if isinstance(value, float) and math.isnan(value):
             # A NaN metric (e.g. steer p90 of a cell that steered
             # nothing) carries no signal — score it as uninteresting.
-            return self.worst_case()
+            return WORST_SCORE
         loss = float(value) if self.goal == "min" else -float(value)
         for constraint in self.constraints:
             loss += constraint.penalty(row)
         return loss
-
-    def worst_case(self) -> float:
-        """The pessimal loss, assigned to quarantined proposals."""
-        return WORST_SCORE
 
     to_dict = to_fields
     from_dict = classmethod(from_fields)
@@ -252,19 +248,6 @@ def _avoid_quarantined(
 
 
 @dataclass(frozen=True)
-class RandomStrategy:
-    """Uniform random sampling — the baseline every search must beat."""
-
-    kind: ClassVar[str] = "random"
-
-    def propose(self, space, history, rng, count) -> list[dict]:
-        proposals = [space.sample(rng) for _ in range(count)]
-        return _avoid_quarantined(space, history, rng, proposals)
-
-    to_dict = to_fields
-
-
-@dataclass(frozen=True)
 class EvolutionaryStrategy:
     """Elite selection + per-dimension crossover + gaussian mutation.
 
@@ -315,71 +298,8 @@ class EvolutionaryStrategy:
     to_dict = to_fields
 
 
-@dataclass(frozen=True)
-class SuccessiveHalvingStrategy:
-    """Cheap-first screening: brackets of rungs at escalating budget.
-
-    Generation ``g`` is rung ``g % rungs`` of its bracket.  Rung 0
-    samples ``count`` fresh configs at ``budget_lo``; each later rung
-    keeps the top ``count // eta**rung`` survivors of the previous rung
-    and re-evaluates them at an ``eta``-times larger budget (capped at
-    ``budget_hi``).  The budget rides the assignment itself under
-    ``budget_path`` — an ordinary dotted path (default
-    ``base.horizon``, i.e. survivors earn longer simulated runs), so an
-    escalated re-evaluation is just *another cell* with its own derived
-    seed, settled and archived like any other.
-    """
-
-    kind: ClassVar[str] = "halving"
-    budget_path: str = "base.horizon"
-    budget_lo: float = 4.0
-    budget_hi: float = 16.0
-    eta: int = 2
-    rungs: int = 3
-
-    def __post_init__(self) -> None:
-        validate_path(self.budget_path)
-        if not 0 < self.budget_lo <= self.budget_hi:
-            raise CampaignError(
-                "halving needs 0 < budget_lo <= budget_hi"
-            )
-        if self.eta < 2:
-            raise CampaignError("halving eta must be >= 2")
-        if self.rungs < 2:
-            raise CampaignError("halving needs >= 2 rungs per bracket")
-
-    def propose(self, space, history, rng, count) -> list[dict]:
-        generation = history[-1].generation + 1 if history else 0
-        rung = generation % self.rungs
-        if rung:
-            survivors = _ranked(
-                ev for ev in history if ev.generation == generation - 1
-            )
-            keep = max(1, count // self.eta**rung)
-            budget = min(self.budget_lo * self.eta**rung, self.budget_hi)
-            proposals = []
-            for ev in survivors[:keep]:
-                assignment = dict(ev.assignment)
-                assignment[self.budget_path] = budget
-                proposals.append(assignment)
-            if proposals:
-                return _avoid_quarantined(space, history, rng, proposals)
-            # the whole previous rung quarantined: reseed the bracket
-        proposals = []
-        for _ in range(count):
-            assignment = space.sample(rng)
-            assignment[self.budget_path] = self.budget_lo
-            proposals.append(assignment)
-        return _avoid_quarantined(space, history, rng, proposals)
-
-    to_dict = to_fields
-
-
 #: strategy kind -> class, the wire-format registry
-STRATEGIES = {
-    cls.kind: cls
-    for cls in (RandomStrategy, EvolutionaryStrategy, SuccessiveHalvingStrategy)
-}
+STRATEGIES = {EvolutionaryStrategy.kind: EvolutionaryStrategy}
 
 
 def make_strategy(doc) -> SearchStrategy:
@@ -404,7 +324,7 @@ class SearchSpec:
 
     name: str
     space: ParamSpace
-    strategy: object = field(default_factory=RandomStrategy)
+    strategy: object
     objective: Objective = field(default_factory=Objective)
     generations: int = 4
     population: int = 8
@@ -485,7 +405,7 @@ class SearchArchive:
 
     def best(self, top: int = 1) -> list[Evaluation]:
         """The ``top`` lowest-loss non-quarantined evaluations, deduped
-        by cell (a halving survivor appears once, at its best rung)."""
+        by cell (a re-proposed assignment appears once)."""
         seen = set()
         out = []
         for ev in _ranked(self.evaluations):
@@ -702,7 +622,7 @@ class SearchRunner(CellExecutor):
             gen_best = math.inf
             for assignment, cell in zip(proposals, cells):
                 if cell.cell_id in quarantined:
-                    score, poisoned = objective.worst_case(), True
+                    score, poisoned = WORST_SCORE, True
                 else:
                     record = by_id.get(cell.cell_id)
                     if record is None:

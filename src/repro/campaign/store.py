@@ -157,10 +157,6 @@ class ResultStore:
 
     # -- reading -------------------------------------------------------------
 
-    @property
-    def header(self) -> Optional[dict]:
-        return self._header
-
     def spec(self):
         """Rebuild the spec a store was recorded under.
 
@@ -184,10 +180,6 @@ class ResultStore:
 
     def quarantine_records(self) -> list[dict]:
         return list(self._records["quarantine"])
-
-    def completed_ids(self) -> set:
-        """Ids of cells that finished and produced a result record."""
-        return {rec["cell_id"] for rec in self._records["cell"]}
 
     def quarantined_ids(self) -> set:
         """Ids of cells the supervisor gave up on (known poison)."""

@@ -236,17 +236,6 @@ class FaultSchedule:
         decorated = sorted((fault.at, i, fault) for i, fault in enumerate(self._faults))
         return iter(fault for _, _, fault in decorated)
 
-    def __len__(self) -> int:
-        return len(self._faults)
-
-    @property
-    def horizon(self) -> float:
-        """When the last fault window closes (0.0 for an empty schedule)."""
-        return max((f.at + (f.duration or 0.0) for f in self._faults), default=0.0)
-
-    def describe(self) -> list[str]:
-        return [f.describe() for f in self]
-
     # -- seeded generation -------------------------------------------------
 
     @classmethod

@@ -29,8 +29,6 @@ from repro.covise.modules import Module, PipelineError
 from repro.covise.controller import Controller
 from repro.covise.mapeditor import MapEditor
 from repro.covise.stdmodules import (
-    Collect,
-    Colors,
     CuttingPlaneModule,
     IsoSurfaceModule,
     ReadSim,
@@ -52,8 +50,6 @@ __all__ = [
     "ReadSim",
     "CuttingPlaneModule",
     "IsoSurfaceModule",
-    "Colors",
-    "Collect",
     "RendererModule",
     "CollaborativeCovise",
 ]

@@ -73,10 +73,6 @@ class Controller:
             raise PipelineError(f"unknown module {name!r}")
         return mod
 
-    def placement(self, name: str) -> str:
-        self._module(name)
-        return self._placement[name]
-
     def topology_order(self) -> list[str]:
         """Dependency order of the module network."""
         deps: dict[str, set[str]] = {name: set() for name in self._modules}

@@ -1,20 +1,17 @@
-"""Request brokers: inter-host data transfer with platform conversion.
+"""Request brokers: inter-host data transfer.
 
 "Request brokers on each participating host take care of data management,
 efficient data transfer and conversion between different platforms ...
 Between heterogeneous hardware platform[s] data type conversion is done
 by the request brokers which is thus invisible for the application
-modules" (section 4.5).
+modules" (section 4.5).  Every host here runs one platform, so a replica
+is a copy: no conversion is reproduced.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Optional
 
-import numpy as np
-
-from repro.covise.dataobj import DataObject, UniformScalarField
 from repro.covise.datamgr import SharedDataSpace
 from repro.errors import CoviseError
 
@@ -23,20 +20,12 @@ class RequestBroker:
     """Moves data objects between hosts' shared data spaces.
 
     Transfers cost virtual time on the network link; same-host handoffs
-    are free (that is what the SDS is for).  ``platform_dtype`` models a
-    heterogeneous receiving platform: scalar fields are converted on
-    arrival without any module noticing.
+    are free (that is what the SDS is for).
     """
 
-    def __init__(
-        self,
-        network,
-        spaces: dict[str, SharedDataSpace],
-        platform_dtype: Optional[dict[str, str]] = None,
-    ) -> None:
+    def __init__(self, network, spaces: dict[str, SharedDataSpace]) -> None:
         self.network = network
         self.spaces = spaces
-        self.platform_dtype = platform_dtype or {}
         self.transfers = 0
         self.bytes_transferred = 0
 
@@ -49,8 +38,10 @@ class RequestBroker:
     def transfer(self, obj_name: str, src_host: str, dst_host: str):
         """Generator: replicate an object into the destination SDS.
 
-        Resolves to the (possibly converted) replica.  Same-host transfer
-        returns the original object untouched and costs nothing.
+        Resolves to the replica.  Names are unique and objects are
+        written once, so a replica the destination already holds is kept.
+        Same-host transfer returns the original object untouched and
+        costs nothing.
         """
         src = self.space(src_host)
         obj = src.get(obj_name)
@@ -61,20 +52,8 @@ class RequestBroker:
         link = self.network.link(src_host, dst_host)
         deliver_at = link.reserve(obj.nbytes, env.now)
         yield env.timeout(max(0.0, deliver_at - env.now))
-        replica = self._convert_for(dst_host, copy.deepcopy(obj))
-        if dst.exists(replica.name):
-            dst.delete(replica.name)  # refresh a stale replica
-        dst.put(replica, creator=f"crb:{src_host}")
+        if not dst.exists(obj.name):
+            dst.put(copy.deepcopy(obj), creator=f"crb:{src_host}")
         self.transfers += 1
         self.bytes_transferred += obj.nbytes
-        return replica
-
-    def _convert_for(self, dst_host: str, obj: DataObject) -> DataObject:
-        dtype = self.platform_dtype.get(dst_host)
-        if dtype is None:
-            return obj
-        if isinstance(obj, UniformScalarField):
-            converted = obj.convert(np.dtype(dtype))
-            converted.creator = obj.creator
-            return converted
-        return obj
+        return dst.get(obj.name)

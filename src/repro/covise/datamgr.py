@@ -49,15 +49,3 @@ class SharedDataSpace:
 
     def exists(self, name: str) -> bool:
         return name in self._objects
-
-    def delete(self, name: str) -> None:
-        obj = self._objects.pop(name, None)
-        if obj is None:
-            raise CoviseError(f"no object {name!r} in SDS of {self.host_name}")
-        self.bytes_stored -= obj.nbytes
-
-    def names(self) -> list[str]:
-        return sorted(self._objects)
-
-    def __len__(self) -> int:
-        return len(self._objects)

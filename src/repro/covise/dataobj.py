@@ -59,14 +59,6 @@ class UniformScalarField(DataObject):
     def nbytes(self) -> int:
         return self.field.nbytes
 
-    def convert(self, dtype) -> "UniformScalarField":
-        """Platform/precision conversion (done by request brokers,
-        invisible to modules)."""
-        out = UniformScalarField(self.name, self.field.astype(dtype),
-                                 self.spacing, self.origin)
-        out.attributes = dict(self.attributes)
-        return out
-
 
 class ScalarField2D(DataObject):
     """A 2D scalar patch (a cutting-plane result)."""

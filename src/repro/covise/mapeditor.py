@@ -14,8 +14,6 @@ from typing import Callable
 from repro.covise.controller import Controller
 from repro.covise.modules import Module, PipelineError
 from repro.covise.stdmodules import (
-    Collect,
-    Colors,
     CuttingPlaneModule,
     IsoSurfaceModule,
     ReadSim,
@@ -26,8 +24,6 @@ from repro.covise.stdmodules import (
 _KINDS: dict[str, type] = {
     "CuttingPlane": CuttingPlaneModule,
     "IsoSurface": IsoSurfaceModule,
-    "Colors": Colors,
-    "Collect": Collect,
     "Renderer": RendererModule,
 }
 

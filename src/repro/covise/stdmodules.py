@@ -1,9 +1,8 @@
 """Standard COVISE modules: the application categories of section 4.5.
 
-ReadSim -> (CuttingPlane | IsoSurface) -> Colors -> Collect -> Renderer —
-the classic simulation post-processing chain, with compute costs that
-scale with data volume so the feedback-loop benches see realistic
-pipelines.
+ReadSim -> (CuttingPlane | IsoSurface) -> Renderer — the classic
+simulation post-processing chain, with compute costs that scale with
+data volume so the feedback-loop benches see realistic pipelines.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from typing import Callable
 import numpy as np
 
 from repro.covise.dataobj import (
-    DataObject,
     ImageData,
     PolygonData,
     ScalarField2D,
@@ -99,43 +97,6 @@ class IsoSurfaceModule(Module):
     def cost(self, inputs) -> float:
         field = inputs["field"]
         return 0.003 + field.nbytes * 5e-9
-
-
-class Colors(Module):
-    """Maps a 2D scalar patch to an RGB image (blue -> red ramp)."""
-
-    INPUT_PORTS = ("plane",)
-    OUTPUT_PORTS = ("image",)
-    PARAMS = {"vmin": None, "vmax": None}
-
-    def run(self, inputs, sds):
-        plane = inputs["plane"]
-        if not isinstance(plane, ScalarField2D):
-            raise PipelineError(f"{self.name!r}: input must be a 2D field")
-        v = plane.values
-        vmin = self.params["vmin"] if self.params["vmin"] is not None else float(v.min())
-        vmax = self.params["vmax"] if self.params["vmax"] is not None else float(v.max())
-        if vmax <= vmin:
-            vmax = vmin + 1.0
-        t = np.clip((v - vmin) / (vmax - vmin), 0.0, 1.0)
-        pixels = np.stack(
-            [t * 255, 40 * np.ones_like(t), (1 - t) * 255], axis=-1
-        ).astype(np.uint8)
-        return {"image": ImageData(sds.unique_name("img"), pixels)}
-
-
-class Collect(Module):
-    """Gathers a surface + image into one renderable group object."""
-
-    INPUT_PORTS = ("surface", "image")
-    OUTPUT_PORTS = ("group",)
-
-    def run(self, inputs, sds):
-        group = DataObject(sds.unique_name("group"))
-        group.set_attribute("surface", inputs["surface"].name)
-        group.set_attribute("image", inputs["image"].name)
-        group.parts = (inputs["surface"], inputs["image"])  # type: ignore[attr-defined]
-        return {"group": group}
 
 
 class RendererModule(Module):

@@ -82,16 +82,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        if self._value is _PENDING:
-            raise SimulationError("event value not yet available")
-        return bool(self._ok)
-
-    @property
     def value(self) -> Any:
         if self._value is _PENDING:
             raise SimulationError("event value not yet available")
@@ -119,7 +109,7 @@ class Event:
         state = (
             "pending"
             if not self.triggered
-            else ("processed" if self.processed else "triggered")
+            else ("processed" if self.callbacks is None else "triggered")
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 

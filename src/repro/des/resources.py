@@ -42,9 +42,6 @@ class Store:
         self.items: deque = deque()
         self._get_waiters: deque[StoreGet] = deque()
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def put(self, item: Any) -> Event:
         """:meth:`put_nowait`, plus an already-succeeded event to yield.
 
@@ -123,10 +120,6 @@ class Resource:
         self.capacity = capacity
         self.users: list[ResourceRequest] = []
         self._queue: deque[ResourceRequest] = deque()
-
-    @property
-    def count(self) -> int:
-        return len(self.users)
 
     def request(self) -> ResourceRequest:
         req = ResourceRequest(self)

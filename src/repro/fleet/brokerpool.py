@@ -96,9 +96,6 @@ class BrokerPool:
             raise VisitError(f"session {session!r} has no broker placement")
         return self.brokers[idx]
 
-    def live_brokers(self) -> list[int]:
-        return [i for i, b in enumerate(self.brokers) if b.alive]
-
     def sessions_on(self, idx: int) -> list[str]:
         return sorted(s for s, b in self._placement.items() if b == idx)
 
@@ -119,9 +116,6 @@ class BrokerPool:
 
     def release(self, session: str) -> None:
         self._placement.pop(session, None)
-
-    def placements(self) -> dict[str, int]:
-        return dict(self._placement)
 
     # -- participants ------------------------------------------------------
 

@@ -249,19 +249,6 @@ class FleetReport:
             **({"load": self.queue.to_dict()} if self.queue else {}),
         }
 
-    def summary_row(self) -> list:
-        """One bench-table row: the scaling series across fleet sizes."""
-        return [
-            self.n_sessions,
-            self.completed,
-            self.ops,
-            _ms(self.steer_p50),
-            _ms(self.steer_p90),
-            _ms(self.steer_p99),
-            _ms(self.admit_p90),
-            f"{self.makespan:.1f}",
-        ]
-
     def render(self, per_session: bool = False) -> str:
         lines = [
             f"fleet: {self.completed}/{self.n_sessions} sessions completed, "

@@ -42,7 +42,7 @@ def _add_fabric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--queue-slots", type=int, default=None)
     p.add_argument("--queue-limit", type=int, default=None)
     p.add_argument("--placement", default=None,
-                   choices=("least-loaded", "locality", "p2c"))
+                   choices=("least-loaded", "p2c"))
     p.add_argument("--autoscale", action="store_true")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--duration", type=float, default=None,

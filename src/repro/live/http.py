@@ -21,7 +21,7 @@ import asyncio
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import urlsplit
 
 from repro.errors import LiveError
 
@@ -73,10 +73,6 @@ class Request:
     @property
     def path(self) -> str:
         return urlsplit(self.target).path
-
-    @property
-    def query(self) -> dict[str, str]:
-        return dict(parse_qsl(urlsplit(self.target).query))
 
     @property
     def keep_alive(self) -> bool:

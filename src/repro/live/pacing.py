@@ -16,8 +16,7 @@ still leaves due events behind — the paced analogue of a missed frame
 deadline.  ``rate`` is sim-seconds per wall-second: ``1.0`` is real
 time, ``10.0`` a 10x fast-forward, and ``None`` switches to **turbo**
 (as fast as possible, in bounded batches that still yield to the event
-loop so HTTP handlers stay live).  :meth:`set_rate` flips between the
-modes mid-run and re-anchors cleanly.
+loop so HTTP handlers stay live).
 
 Externally injected work (an HTTP handler calling
 ``controller.offer(...)`` between ticks) lands on the kernel heap
@@ -105,14 +104,6 @@ class PacedRunner:
     def stop(self) -> None:
         """Ask :meth:`run` to return after the current tick."""
         self._stopping = True
-        self.kick()
-
-    def set_rate(self, rate: Optional[float]) -> None:
-        """Switch pacing rate (or to turbo with ``None``), re-anchoring
-        so the new rate applies from *now* rather than replaying the
-        past at the new speed."""
-        self.rate = _check_rate(rate)
-        self._rebase()
         self.kick()
 
     def _rebase(self) -> None:

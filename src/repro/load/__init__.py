@@ -15,7 +15,7 @@ what happens when sessions **arrive** rather than being scheduled:
   and explicit reject-on-full backpressure, dispatching into
   :meth:`~repro.fleet.driver.FleetDriver.admit`;
 * :mod:`repro.load.placement` — pluggable site-selection policies
-  (least-loaded, locality-affine, power-of-two-choices);
+  (least-loaded, power-of-two-choices);
 * :mod:`repro.load.autoscale` — the :class:`ReactiveAutoscaler` growing
   and draining service sites (and registry shards) on queue depth;
 * :mod:`repro.load.slo` — SLO classes, goodput accounting and the
@@ -41,7 +41,6 @@ from repro.load.arrivals import (
 from repro.load.capacity import CapacityLedger, SiteCapacity, capacity_of
 from repro.load.placement import (
     LeastLoaded,
-    LocalityAffine,
     PlacementPolicy,
     PowerOfTwoChoices,
     make_policy,
@@ -70,7 +69,6 @@ __all__ = [
     "CapacityLedger",
     "PlacementPolicy",
     "LeastLoaded",
-    "LocalityAffine",
     "PowerOfTwoChoices",
     "make_policy",
     "SloClass",

@@ -62,15 +62,6 @@ class ArrivalProcess:
         for i, at in enumerate(self.times()):
             yield at, self.spec_at(i)
 
-    # -- analysis helpers --------------------------------------------------
-
-    def count(self) -> int:
-        """Arrivals over the horizon (consumes a fresh iterator)."""
-        return sum(1 for _ in self.times())
-
-    def offered_rate(self) -> float:
-        return self.count() / self.horizon
-
 
 class PoissonArrivals(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate`` per virtual second."""
@@ -282,11 +273,6 @@ class RecordedArrivals(ArrivalProcess):
             horizon = entries[-1][0] + 1e-9
         super().__init__(horizon)
         self.entries = entries
-
-    def times(self) -> Iterator[float]:
-        for at, _ in self.entries:
-            if at < self.horizon:
-                yield at
 
     def __iter__(self) -> Iterator[tuple[float, ScenarioSpec]]:
         for at, spec in self.entries:

@@ -137,10 +137,6 @@ class CapacityLedger:
 
     # -- queries -----------------------------------------------------------
 
-    def slots(self, index: int) -> int:
-        self._check(index)
-        return self._slots[index]
-
     def inflight(self, index: int) -> int:
         self._check(index)
         return self._inflight[index]
@@ -158,27 +154,12 @@ class CapacityLedger:
     def active_sites(self) -> list[int]:
         return [i for i in self.sites() if i not in self._drained and i not in self._failed]
 
-    def drained_sites(self) -> list[int]:
-        return sorted(self._drained)
-
     def sites_with_room(self) -> list[int]:
         return [i for i in self.sites() if self.free(i) > 0]
 
     @property
-    def total_slots(self) -> int:
-        """Slots on active (non-drained) sites."""
-        return sum(self._slots[i] for i in self.active_sites())
-
-    @property
     def total_inflight(self) -> int:
         return sum(self._inflight.values())
-
-    @property
-    def utilization(self) -> float:
-        total = self.total_slots
-        if total == 0:
-            return 1.0
-        return self.total_inflight / total
 
     def snapshot(self) -> dict[int, tuple[int, int, bool]]:
         """site -> (inflight, slots, unplaceable) for reports and

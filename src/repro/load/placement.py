@@ -9,7 +9,6 @@ deterministic given their seed, like everything else in the DES.
 from __future__ import annotations
 
 import random
-import zlib
 from typing import Optional
 
 from repro.errors import LoadError
@@ -38,31 +37,6 @@ class LeastLoaded(PlacementPolicy):
         return max(room, key=lambda i: (ledger.free(i), -i))
 
 
-class LocalityAffine(PlacementPolicy):
-    """Prefer the session's *home* site (stable hash of its link
-    profile), falling back to least-loaded when home is full.
-
-    Sessions on the same link class land together — the pattern of users
-    steering from the same campus — at the cost of hotter homes.
-    """
-
-    def __init__(self) -> None:
-        self._fallback = LeastLoaded()
-
-    def home(self, spec, ledger: CapacityLedger) -> Optional[int]:
-        active = ledger.active_sites()
-        if not active:
-            return None
-        key = zlib.crc32(spec.profile.encode("utf-8"))
-        return active[key % len(active)]
-
-    def choose(self, spec, ledger: CapacityLedger) -> Optional[int]:
-        home = self.home(spec, ledger)
-        if home is not None and ledger.free(home) > 0:
-            return home
-        return self._fallback.choose(spec, ledger)
-
-
 class PowerOfTwoChoices(PlacementPolicy):
     """Sample two random sites with room, take the less loaded.
 
@@ -87,7 +61,6 @@ class PowerOfTwoChoices(PlacementPolicy):
 
 POLICIES = {
     "least-loaded": LeastLoaded,
-    "locality": LocalityAffine,
     "p2c": PowerOfTwoChoices,
 }
 

@@ -74,15 +74,6 @@ class SloScorecard:
             return math.nan
         return self.completed_in_slo / self.horizon
 
-    def to_dict(self) -> dict:
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "completed_in_slo": self.completed_in_slo,
-            "goodput_per_s": self.goodput,
-            "by_class": self.by_class,
-        }
-
     def render(self) -> str:
         lines = [
             f"goodput: {self.completed_in_slo}/{self.offered} offered "

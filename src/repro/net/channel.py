@@ -176,10 +176,6 @@ class Connection:
         """Put a consumed arrival back at the head of the inbox."""
         self.inbox.items.appendleft(item)
 
-    def pending(self) -> int:
-        """Number of already-delivered, unread messages."""
-        return len(self.inbox)
-
     # -- teardown -----------------------------------------------------------
 
     def close(self) -> None:
@@ -221,9 +217,6 @@ class Listener:
     def open(self) -> bool:
         """True while this listener holds its port on its host."""
         return self.host.listeners.get(self.port) is self
-
-    def try_accept(self) -> tuple[bool, Optional[Connection]]:
-        return self._backlog.try_get()
 
     def close(self) -> None:
         self.host.close_port(self.port)

@@ -59,10 +59,6 @@ class Firewall:
             self.open_ports, self.allow_multicast = self._pre_lockdown
             self._pre_lockdown = None
 
-    @property
-    def locked_down(self) -> bool:
-        return self._pre_lockdown is not None
-
     @classmethod
     def open(cls) -> "Firewall":
         """No restrictions at all."""

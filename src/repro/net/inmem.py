@@ -17,12 +17,9 @@ class SyncEndpoint:
     def __init__(self) -> None:
         self._rx: deque = deque()
         self._peer: Optional["SyncEndpoint"] = None
-        self.closed = False
         self.bytes_sent = 0
 
     def send(self, payload: Any, size: Optional[int] = None) -> None:
-        if self.closed or self._peer is None or self._peer.closed:
-            raise ConnectionError("pipe closed")
         if size is None and isinstance(payload, (bytes, bytearray)):
             size = len(payload)
         self.bytes_sent += size or 0
@@ -34,23 +31,6 @@ class SyncEndpoint:
             return True, self._rx.popleft()
         return False, None
 
-    def recv(self) -> Any:
-        """Receive, raising ``LookupError`` if nothing is queued.
-
-        In a synchronous pipe "blocking" is meaningless; a missing message
-        is a test bug, so fail loudly.
-        """
-        ok, item = self.poll()
-        if not ok:
-            raise LookupError("recv on empty SyncEndpoint")
-        return item
-
-    def pending(self) -> int:
-        return len(self._rx)
-
-    def close(self) -> None:
-        self.closed = True
-
 
 class SyncPipe:
     """A pair of connected synchronous endpoints."""
@@ -60,6 +40,3 @@ class SyncPipe:
         self.b = SyncEndpoint()
         self.a._peer = self.b
         self.b._peer = self.a
-
-    def ends(self) -> Tuple[SyncEndpoint, SyncEndpoint]:
-        return self.a, self.b

@@ -52,13 +52,6 @@ class MulticastGroup:
             raise NetworkError(f"{host.name} is a bridge of {self.address}")
         return member
 
-    def leave(self, host: Host) -> None:
-        self._members.pop(host.name, None)
-
-    @property
-    def members(self) -> list[str]:
-        return sorted(self._members)
-
     def send(self, src: Host, payload: Any, size: Optional[int] = None) -> None:
         """Multicast ``payload`` from ``src`` to all members (except src).
 
@@ -67,7 +60,7 @@ class MulticastGroup:
         self._fan_out(src, payload, size)
         own = self._members.get(src.name)
         if type(own) is UnicastBridge:
-            own._forward(payload, size, src.name)
+            own._forward(payload, size)
 
     def _fan_out(self, src: Host, payload: Any, size: int) -> None:
         """One native multicast from ``src`` to every other member."""
@@ -87,22 +80,20 @@ class MulticastGroup:
             link.transfers += 1
             delay = (sent_at - env.now) + link.latency
             if type(member) is UnicastBridge:
-                packet = (payload, size, src.name)
-                env.timeout(delay, packet).callbacks.append(member._relay)
+                env.timeout(delay, (payload, size)).callbacks.append(member._relay)
             else:
                 env.timeout(delay, payload).callbacks.append(member.deliver)
 
 
 class UnicastBridge:
-    """Relays group traffic to/from hosts without native multicast.
+    """Relays group traffic to hosts without native multicast.
 
     The bridge host is a native member of the group and forwards every
     packet to each bridged host over plain unicast — paying full
     per-receiver bandwidth, which is exactly why bridges scale worse than
     multicast (and why the bench for FIG4 can show the difference).  A
-    packet keeps the size its sender gave on every hop, and a bridged
-    sender's packet reaches the group and the other bridged hosts, never
-    the sender again.
+    packet keeps the size its sender gave on every hop.  Bridged hosts
+    only receive: no host sends from behind a bridge.
     """
 
     def __init__(self, group: MulticastGroup, bridge_host: Host) -> None:
@@ -123,41 +114,16 @@ class UnicastBridge:
         self._bridged[host.name] = box
         return box
 
-    def detach(self, host: Host) -> None:
-        self._bridged.pop(host.name, None)
-
-    def send_from(self, host: Host, payload: Any, size: Optional[int] = None) -> None:
-        """Send into the group on behalf of a bridged (unicast-only) host."""
-        if host.name not in self._bridged:
-            raise NetworkError(f"{host.name} is not attached to this bridge")
-        size = wire_size(payload, size)
-        env = host.env
-        # Unicast hop to the bridge, then native multicast out.
-        link = self.group.network.link(host.name, self.bridge_host.name)
-        deliver_at = link.reserve(size, env.now)
-        packet = (payload, size, host.name)
-        env.timeout(deliver_at - env.now, packet).callbacks.append(self._relay_up)
-
-    def _relay_up(self, event) -> None:
-        """Delivery callback of :meth:`send_from`'s unicast hop: the bridge
-        multicasts the packet, then relays it to the other bridged hosts."""
-        payload, size, sender = event._value
-        self.group._fan_out(self.bridge_host, payload, size)
-        self._forward(payload, size, sender)
-
     def _relay(self, event) -> None:
-        """Delivery callback of a ``(payload, size, sender)`` packet at the
-        bridge."""
+        """Delivery callback of a ``(payload, size)`` packet at the bridge."""
         self._forward(*event._value)
 
-    def _forward(self, payload: Any, size: int, sender: str) -> None:
-        """One unicast transfer to each bridged host but ``sender``."""
+    def _forward(self, payload: Any, size: int) -> None:
+        """One unicast transfer to each bridged host."""
         env = self.bridge_host.env
         network = self.group.network
         self.relayed_packets += 1
-        for name, box in list(self._bridged.items()):
-            if name == sender:
-                continue
+        for name, box in self._bridged.items():
             link = network.link(self.bridge_host.name, name)
             deliver_at = link.reserve(size, env.now)
             env.timeout(deliver_at - env.now, payload).callbacks.append(box.deliver)

@@ -62,11 +62,6 @@ class Link:
         self.latency = self.base_latency
         self.bandwidth = self.base_bandwidth
 
-    @property
-    def degraded(self) -> bool:
-        return (self.latency != self.base_latency
-                or self.bandwidth != self.base_bandwidth)
-
     def reserve(self, nbytes: int, now: float) -> float:
         """Reserve the link for a transfer; return the *delivery* time."""
         start = max(now, self._free_at)
@@ -281,12 +276,6 @@ class Network:
             return False
         return frozenset((src, dst)) not in self._partitions
 
-    def partitions(self) -> list[tuple[str, str]]:
-        return sorted(tuple(sorted(p)) for p in self._partitions)
-
-    def isolated_hosts(self) -> list[str]:
-        return sorted(self._isolated)
-
     def links_of(self, name: str) -> list[Link]:
         """Every existing link touching a host (both directions)."""
         return [
@@ -296,9 +285,6 @@ class Network:
 
     # -- accounting --------------------------------------------------------
 
-    def total_bytes(self) -> int:
-        return sum(link.bytes_carried for link in self._links.values())
-
     def bytes_between(self, a: str, b: str) -> int:
         """Bytes carried in both directions between two hosts."""
         total = 0
@@ -306,6 +292,3 @@ class Network:
             if key in self._links:
                 total += self._links[key].bytes_carried
         return total
-
-    def links(self) -> list[Link]:
-        return list(self._links.values())

@@ -124,9 +124,6 @@ class Counter(_Family):
             )
         self.series[key] = float(total)
 
-    def value(self, **labels) -> float:
-        return float(self.series.get(self._key(labels), 0.0))
-
     def _expose_series(self, key: tuple) -> list[str]:
         return [f"{self.name}{self._labels_str(key)} {_fmt(self.series[key])}"]
 
@@ -148,9 +145,6 @@ class Gauge(_Family):
 
     def dec(self, **labels) -> None:
         self.inc(-1.0, **labels)
-
-    def value(self, **labels) -> float:
-        return float(self.series.get(self._key(labels), 0.0))
 
     def _expose_series(self, key: tuple) -> list[str]:
         return [f"{self.name}{self._labels_str(key)} {_fmt(self.series[key])}"]

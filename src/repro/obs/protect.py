@@ -249,12 +249,3 @@ class BackpressureSignal:
             if lag > p:
                 p = lag
         return p
-
-    def snapshot(self) -> dict:
-        return {
-            "pressure": self.pressure(),
-            "queue_depth": self.controller.queue_depth,
-            "queue_limit": self.controller.queue_limit,
-            "behind": self.runner.behind if self.runner is not None else 0.0,
-            "behind_limit": self.behind_limit,
-        }

@@ -186,9 +186,6 @@ class Tracer:
             "by_name": dict(sorted(by_name.items())),
         }
 
-    def find(self, name: str) -> list[Span]:
-        return [s for s in self.spans if s.name == name]
-
     def ancestry(self, span: Span) -> list[Span]:
         """The parent chain from ``span`` up to its root, inclusive."""
         by_id = {s.span_id: s for s in self.spans}

@@ -73,9 +73,6 @@ class OgsaSteeringClient:
         result = yield from self.bind(handle_str)
         return result
 
-    def bound(self) -> list[str]:
-        return sorted(self._bound)
-
     # -- invocation -----------------------------------------------------------------
 
     def invoke(self, handle_str: str, op: str, **args):

@@ -55,9 +55,6 @@ class HandleResolver:
     def bind(self, ref: GridServiceReference) -> None:
         self._bindings[ref.handle] = ref
 
-    def unbind(self, handle: GridServiceHandle) -> None:
-        self._bindings.pop(handle, None)
-
     def handles(self) -> list[GridServiceHandle]:
         """Every currently-bound handle (registry-rebuild enumeration)."""
         return list(self._bindings)

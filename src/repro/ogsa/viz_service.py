@@ -70,11 +70,6 @@ class VisualizationService(GridService):
         return True
 
     @operation
-    def set_iso_level(self, level: float) -> bool:
-        self.iso_level = float(level)
-        return True
-
-    @operation
     def render_frame(self) -> dict:
         """Render the newest sample; returns the compressed frame.
 

@@ -4,7 +4,7 @@ UNICORE's selling point — "it does not require any modifications of the
 applications" (section 3.1) — and VISIT's — instrument with a lean API —
 both rely on the application exposing a uniform surface: step forward,
 report observables, expose named steerable parameters, emit samples for
-the visualization, checkpoint/restore.
+the visualization, and a checkpoint of the full state.
 """
 
 from __future__ import annotations
@@ -59,11 +59,8 @@ class Simulation(abc.ABC):
     def sample(self) -> dict[str, Any]:
         """The data-space emitted for visualization ("samples", section 2.1)."""
 
-    # -- checkpoint / restore ---------------------------------------------------
+    # -- checkpoint -------------------------------------------------------------
 
     def checkpoint(self) -> dict[str, Any]:
-        """Serializable full state (a restore is an exact restart)."""
-        raise SteeringError(f"{type(self).__name__} does not support checkpointing")
-
-    def restore(self, state: dict[str, Any]) -> None:
+        """The full state as plain values: what a state digest hashes."""
         raise SteeringError(f"{type(self).__name__} does not support checkpointing")

@@ -318,18 +318,3 @@ class BuildingClimate(Simulation):
             "time": self.time,
             "step_count": self.step_count,
         }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        if tuple(state["shape"]) != self.shape:
-            raise SteeringError("checkpoint grid shape mismatch")
-        temperature = np.array(state["temperature"], dtype=np.float64)
-        if temperature.shape != self.shape:
-            raise SteeringError(
-                f"temperature must have shape {self.shape}, got {temperature.shape}"
-            )
-        self.temperature = temperature
-        self.vent_speed = state["vent_speed"]
-        self.vent_temperature = state["vent_temperature"]
-        self.heat_load = state["heat_load"]
-        self.time = state["time"]
-        self.step_count = state["step_count"]

@@ -196,12 +196,3 @@ class CrowdSim(Simulation):
             "step_count": self.step_count,
             "rng_state": self.rng.bit_generator.state,
         }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.positions = state["positions"].copy()
-        self.goal = state["goal"].copy()
-        self.dwell = state["dwell"].copy()
-        self.attractiveness = state["attractiveness"].copy()
-        self.time = state["time"]
-        self.step_count = state["step_count"]
-        self.rng.bit_generator.state = state["rng_state"]

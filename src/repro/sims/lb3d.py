@@ -170,37 +170,11 @@ class LatticeBoltzmann3D(Simulation):
         rho[1] = 0.5 * rho0 * (1.0 - noise[0] + 0.2 * noise[1])
         # Equilibrium at rest: with u = 0 the velocity bracket is exactly
         # 1.0, so f_i = rho * w_i.  Populations of red (0) and blue (1) are
-        # one (2, 19, N) block; f_r / f_b are views of its halves.
+        # one (2, 19, N) block.
         self._pop = rho.reshape(2, 1, -1) * _W[:, None]
         self._plan: _LatticePlan | None = None  # bound on the first step
 
     # -- physics ------------------------------------------------------------
-
-    @property
-    def f_r(self) -> np.ndarray:
-        """Red populations ``(19, X, Y, Z)`` — a view, writable in place."""
-        return self._pop[0].reshape((_Q,) + self.shape)
-
-    @f_r.setter
-    def f_r(self, value: np.ndarray) -> None:
-        self._pop[0] = self._as_populations(value)
-
-    @property
-    def f_b(self) -> np.ndarray:
-        """Blue populations ``(19, X, Y, Z)`` — a view, writable in place."""
-        return self._pop[1].reshape((_Q,) + self.shape)
-
-    @f_b.setter
-    def f_b(self, value: np.ndarray) -> None:
-        self._pop[1] = self._as_populations(value)
-
-    def _as_populations(self, value: Any) -> np.ndarray:
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != (_Q,) + self.shape:
-            raise SteeringError(
-                f"populations must have shape {(_Q,) + self.shape}, got {value.shape}"
-            )
-        return value.reshape(_Q, -1)
 
     def advance(self) -> None:
         w = self._plan
@@ -328,7 +302,7 @@ class LatticeBoltzmann3D(Simulation):
             raise ReproError(f"LB3D diverged by step {self.step_count} at g={self.g}")
         return {"step": self.step_count, "order_parameter": phi.astype(np.float32)}
 
-    # -- checkpoint / restore -----------------------------------------------------
+    # -- checkpoint -----------------------------------------------------------
 
     def checkpoint(self) -> dict[str, Any]:
         return {
@@ -338,19 +312,6 @@ class LatticeBoltzmann3D(Simulation):
             "rho0": self.rho0,
             "time": self.time,
             "step_count": self.step_count,
-            "f_r": self.f_r.copy(),
-            "f_b": self.f_b.copy(),
+            "f_r": self._pop[0].reshape((_Q,) + self.shape).copy(),
+            "f_b": self._pop[1].reshape((_Q,) + self.shape).copy(),
         }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        if tuple(state["shape"]) != self.shape:
-            raise SteeringError("checkpoint lattice shape mismatch")
-        f_r = self._as_populations(state["f_r"])
-        f_b = self._as_populations(state["f_b"])
-        self.g = state["g"]
-        self.tau = state["tau"]
-        self.rho0 = state["rho0"]
-        self.time = state["time"]
-        self.step_count = state["step_count"]
-        self._pop[0] = f_r
-        self._pop[1] = f_b

@@ -14,10 +14,10 @@ diagnostics.
 """
 
 from repro.sims.pepc.tree import Octree, build_octree
-from repro.sims.pepc.force import direct_field, direct_force, tree_field, interaction_energy
+from repro.sims.pepc.force import direct_field, direct_force, tree_field
 from repro.sims.pepc.integrator import PlasmaSim, beam_on_sphere_setup
 from repro.sims.pepc.domain import assign_domains
-from repro.sims.pepc.diagnostics import kinetic_energy, tree_stats
+from repro.sims.pepc.diagnostics import kinetic_energy
 
 __all__ = [
     "Octree",
@@ -25,10 +25,8 @@ __all__ = [
     "direct_field",
     "direct_force",
     "tree_field",
-    "interaction_energy",
     "PlasmaSim",
     "beam_on_sphere_setup",
     "assign_domains",
     "kinetic_energy",
-    "tree_stats",
 ]

@@ -154,8 +154,3 @@ def tree_field(
             for child in node.children:
                 stack.append((child, near))
     return E, phi, stats
-
-
-def interaction_energy(phi: np.ndarray, charges: np.ndarray) -> float:
-    """Total electrostatic energy U = 1/2 sum_i q_i phi_i."""
-    return float(0.5 * np.sum(np.asarray(charges) * np.asarray(phi)))

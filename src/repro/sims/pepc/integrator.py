@@ -262,18 +262,3 @@ class PlasmaSim(Simulation):
             "laser_direction": self.laser_direction.copy(),
             "damping": self.damping,
         }
-
-    def restore(self, state: dict[str, Any]) -> None:
-        self.positions = state["positions"].copy()
-        self.velocities = state["velocities"].copy()
-        self.base_charges = state["base_charges"].copy()
-        self.masses = state["masses"].copy()
-        self.is_beam = state["is_beam"].copy()
-        self.time = state["time"]
-        self.step_count = state["step_count"]
-        self.beam_charge_scale = state["beam_charge_scale"]
-        self.beam_direction = state["beam_direction"].copy()
-        self.laser_intensity = state["laser_intensity"]
-        self.laser_direction = state["laser_direction"].copy()
-        self.damping = state["damping"]
-        self._accel = self._compute_accel()

@@ -355,22 +355,3 @@ class SteeredApplication:
             if self.sim.step_count % self.sample_interval == 0:
                 self.emit_sample()
         return True
-
-    def run(self, max_steps: int) -> int:
-        """Run until stopped or ``max_steps`` simulation steps advanced.
-
-        Note that a paused application still polls its control links (that
-        is how it can be resumed).
-        """
-        advanced = 0
-        while advanced < max_steps:
-            before = self.sim.step_count
-            if not self.step_once():
-                break
-            if self.sim.step_count > before:
-                advanced += 1
-            elif self.paused:
-                # Paused and nothing to do: in the synchronous harness the
-                # caller decides when to poll again.
-                break
-        return advanced

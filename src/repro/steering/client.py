@@ -13,13 +13,9 @@ from typing import Any, Optional
 from repro.errors import SteeringError
 from repro.steering.control import (
     Ack,
-    GetStatus,
-    Pause,
-    Resume,
     SampleMsg,
     SetParam,
     StatusReport,
-    Stop,
 )
 
 
@@ -47,18 +43,6 @@ class SteeringClient:
     def set_parameter(self, name: str, value: Any) -> int:
         return self._send(SetParam(name=name, value=value))
 
-    def pause(self) -> int:
-        return self._send(Pause())
-
-    def resume(self) -> int:
-        return self._send(Resume())
-
-    def stop(self) -> int:
-        return self._send(Stop())
-
-    def request_status(self) -> int:
-        return self._send(GetStatus())
-
     # -- incoming traffic ------------------------------------------------------
 
     def drain(self) -> int:
@@ -82,6 +66,3 @@ class SteeringClient:
 
     def ack_for(self, seq: int) -> Optional[Ack]:
         return self.acks.get(seq)
-
-    def latest_sample(self) -> Optional[SampleMsg]:
-        return self.samples[-1] if self.samples else None

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.errors import SteeringError
-
 # The ogsa/unicore imports happen inside the methods: the steering package
 # must stay importable on its own (ogsa's services import steering.control,
 # so eager imports here would be circular).
@@ -127,13 +125,6 @@ class RealityGridOrchestrator:
         self.handles = {"steering": str(steer_ref.handle),
                         "viz": str(viz_ref.handle)}
         return dict(self.handles)
-
-    def job_status(self, vsite: str):
-        """Generator -> (JobStatus, task states) for the launched job."""
-        if self.job_id is None:
-            raise SteeringError("no job launched yet")
-        result = yield from self.unicore.status(vsite, self.job_id)
-        return result
 
 
 def make_outbound_app_factory(

@@ -119,12 +119,5 @@ class ParameterRegistry:
             # refused the value before assigning anything
             raise SteeringError(f"{name}: cannot apply {value!r:.80}: {exc}") from exc
 
-    def snapshot(self) -> dict[str, Any]:
-        """Current values of every registered parameter."""
-        return {n: self._getters[n]() for n in sorted(self._defs)}
-
-    def __len__(self) -> int:
-        return len(self._defs)
-
     def __contains__(self, name: str) -> bool:
         return name in self._defs

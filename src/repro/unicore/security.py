@@ -40,19 +40,12 @@ class UserIdentity:
     certificate: Certificate
     xlogin: str
 
-    @property
-    def name(self) -> str:
-        return self.certificate.subject
-
 
 class TrustStore:
     """The set of CA issuers a gateway/NJS accepts."""
 
     def __init__(self, trusted_issuers: set[str] | None = None) -> None:
         self.trusted_issuers = set(trusted_issuers or ())
-
-    def trust(self, issuer: str) -> None:
-        self.trusted_issuers.add(issuer)
 
     def authenticate(self, cert: Certificate) -> str:
         """Returns the authenticated subject or raises."""

@@ -24,12 +24,3 @@ class USpace:
             raise UnicoreError(
                 f"no file {filename!r} in USpace of {self.job_id}"
             ) from None
-
-    def exists(self, filename: str) -> bool:
-        return filename in self._files
-
-    def listing(self) -> list[str]:
-        return sorted(self._files)
-
-    def total_bytes(self) -> int:
-        return sum(len(v) for v in self._files.values())

@@ -60,16 +60,9 @@ class VisitProxyServer(VisitService):
 
     # -- collaboration roles ---------------------------------------------------
 
-    @property
-    def master(self) -> Optional[str]:
-        return self._token.holder
-
     def pass_master(self, to_name: str) -> None:
         if not self._token.pass_to(to_name):
             raise UnicoreError(f"unknown participant {to_name!r}")
-
-    def participants(self) -> list[str]:
-        return list(self._token.members)
 
     # -- simulation-facing VISIT service -------------------------------------------
 

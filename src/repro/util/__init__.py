@@ -1,7 +1,7 @@
 """Small shared utilities: id generation, statistics, and the
 append-only JSONL journal (:mod:`repro.util.journal`)."""
 
-from repro.util.ids import IdAllocator, token_hex
+from repro.util.ids import IdAllocator
 from repro.util.stats import (
     P2Quantile,
     ReservoirSample,
@@ -11,7 +11,6 @@ from repro.util.stats import (
 
 __all__ = [
     "IdAllocator",
-    "token_hex",
     "RunningStats",
     "P2Quantile",
     "ReservoirSample",

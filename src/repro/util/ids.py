@@ -9,7 +9,6 @@ and test assertions can name the ids they expect.
 from __future__ import annotations
 
 import itertools
-import random
 
 
 class IdAllocator:
@@ -28,15 +27,3 @@ class IdAllocator:
     def next(self) -> str:
         """Return the next identifier in this namespace."""
         return f"{self.prefix}-{next(self._counter)}"
-
-    def __call__(self) -> str:
-        return self.next()
-
-
-def token_hex(rng: random.Random, nbytes: int = 8) -> str:
-    """Deterministic stand-in for :func:`secrets.token_hex`.
-
-    Uses the caller's seeded ``random.Random`` so that security tokens in
-    the simulated middleware are reproducible across runs.
-    """
-    return "".join(f"{rng.randrange(256):02x}" for _ in range(nbytes))

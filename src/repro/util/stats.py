@@ -40,10 +40,6 @@ class RunningStats:
         if x > self.max:
             self.max = x
 
-    def extend(self, xs) -> None:
-        for x in xs:
-            self.add(x)
-
     def state(self) -> dict:
         """JSON-able snapshot of the accumulator.
 
@@ -104,18 +100,10 @@ class RunningStats:
     def mean(self) -> float:
         return self._mean if self.n else math.nan
 
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RunningStats(n={self.n}, mean={self.mean:.6g}, "
-            f"stdev={self.stdev:.6g}, min={self.min:.6g}, max={self.max:.6g})"
+            f"min={self.min:.6g}, max={self.max:.6g})"
         )
 
 
@@ -235,10 +223,6 @@ class ReservoirSample:
         if j < self.capacity:
             self._items[j] = float(x)
 
-    def extend(self, xs) -> None:
-        for x in xs:
-            self.add(x)
-
     def merge(self, other: "ReservoirSample") -> "ReservoirSample":
         """Weighted union with another reservoir, in place; returns self."""
         if other.n == 0:
@@ -282,7 +266,3 @@ class ReservoirSample:
         seeded stream) — the exportable half of the reservoir, used to
         re-estimate percentiles after a cross-process merge."""
         return tuple(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-

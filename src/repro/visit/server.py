@@ -8,9 +8,7 @@ requests" (section 3.2).  The server owns:
 * *received*: per-tag stores of data the simulation pushed, with an
   optional ``on_data`` callback into the visualization pipeline;
 * transparent data conversion — the codec already returns native byte
-  order, and ``convert_arrays_to`` optionally downcasts received arrays
-  (e.g. float64 -> float32 for the renderer) so the simulation never
-  converts anything.
+  order, so the simulation never converts anything.
 
 ``response_delay`` and ``dead`` simulate the slow / crashed visualization
 whose harmlessness to the simulation is VISIT's core claim.
@@ -21,10 +19,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Callable, Optional
 
-import numpy as np
-
-from repro.errors import VisitError
-from repro.wire.codec import coerce_array
 from repro.visit.messages import DataResponse, DataSend
 from repro.visit.protocol import VisitService
 
@@ -40,7 +34,6 @@ class VisitServer(VisitService):
         name: str = "visualization",
         response_delay: float = 0.0,
         ack_sends: bool = False,
-        convert_arrays_to: Optional[str] = None,
     ) -> None:
         super().__init__(host, port, password)
         self.name = name
@@ -49,7 +42,6 @@ class VisitServer(VisitService):
         #: echo a DataResponse for every DataSend (the blocking baseline
         #: protocol needs acknowledgements; plain VISIT never acks sends)
         self.ack_sends = ack_sends
-        self.convert_arrays_to = convert_arrays_to
         self.providers: dict[int, Callable[[], Any]] = {}
         self.received: dict[int, list] = defaultdict(list)
         self.on_data: Optional[Callable[[int, Any], None]] = None
@@ -60,12 +52,6 @@ class VisitServer(VisitService):
         """Register the data source answering requests for ``tag``."""
         self.providers[tag] = provider
 
-    def latest(self, tag: int) -> Any:
-        items = self.received.get(tag)
-        if not items:
-            raise VisitError(f"no data received under tag {tag}")
-        return items[-1]
-
     def kill(self) -> None:
         """Simulate a crash: stop answering anything."""
         self.dead = True
@@ -74,10 +60,9 @@ class VisitServer(VisitService):
 
     def _answer(self, conn, msg):
         if isinstance(msg, DataSend):
-            payload = self._convert(msg.payload)
-            self.received[msg.tag].append(payload)
+            self.received[msg.tag].append(msg.payload)
             if self.on_data is not None:
-                self.on_data(msg.tag, payload)
+                self.on_data(msg.tag, msg.payload)
             if not self.ack_sends:
                 return
         if self.response_delay > 0:
@@ -90,18 +75,3 @@ class VisitServer(VisitService):
         else:
             reply = DataResponse(msg.tag, msg.seq, True, payload=provider())
         self._send(conn, reply)
-
-    # -- conversion --------------------------------------------------------------
-
-    def _convert(self, payload: Any) -> Any:
-        """Server-side precision conversion (the simulation never converts)."""
-        if self.convert_arrays_to is None:
-            return payload
-        target = self.convert_arrays_to
-        if isinstance(payload, np.ndarray):
-            return coerce_array(payload, target)
-        if isinstance(payload, dict):
-            return {k: self._convert(v) for k, v in payload.items()}
-        if isinstance(payload, list):
-            return [self._convert(v) for v in payload]
-        return payload

@@ -71,10 +71,6 @@ class VBroker(VisitService):
     def master(self) -> Optional[str]:
         return self._token.holder
 
-    def pass_master(self, to_name: str) -> None:
-        if not self._token.pass_to(to_name):
-            raise VisitError(f"unknown visualization {to_name!r}")
-
     def participants(self) -> list[str]:
         return list(self._token.members)
 

@@ -18,7 +18,7 @@ from repro.viz.compress import (
 )
 from repro.viz.render import Camera, Renderer
 from repro.viz.isosurface import isosurface
-from repro.viz.cutplane import cut_plane, axis_slice
+from repro.viz.cutplane import cut_plane
 from repro.viz.scene import Geometry, SceneGraph, SceneNode
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Renderer",
     "isosurface",
     "cut_plane",
-    "axis_slice",
     "Geometry",
     "SceneGraph",
     "SceneNode",

@@ -115,8 +115,3 @@ def decompress_frame(blob: bytes, previous: FrameBuffer | None = None) -> FrameB
     else:
         raise CodecError(f"bad frame magic {magic!r}")
     return fb
-
-
-def compression_ratio(fb: FrameBuffer, previous: FrameBuffer | None = None) -> float:
-    """Raw bytes / compressed bytes for this frame."""
-    return fb.nbytes / max(1, len(compress_frame(fb, previous)))

@@ -3,7 +3,7 @@
 The COVISE post-processing feedback loop of section 4.3 is driven by
 "modifying parameters of a visualization tool such as a cutting plane
 position".  ``cut_plane`` samples an arbitrary plane with trilinear
-interpolation; ``axis_slice`` is the cheap axis-aligned special case.
+interpolation.
 """
 
 from __future__ import annotations
@@ -11,19 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ReproError
-
-
-def axis_slice(field: np.ndarray, axis: int, position: float) -> np.ndarray:
-    """Slice a 3D field normal to ``axis`` at fractional ``position`` [0, 1]."""
-    field = np.asarray(field)
-    if field.ndim != 3:
-        raise ReproError("axis_slice needs a 3D field")
-    if not 0 <= axis <= 2:
-        raise ReproError("axis must be 0, 1 or 2")
-    if not 0.0 <= position <= 1.0:
-        raise ReproError("position must be in [0, 1]")
-    idx = int(round(position * (field.shape[axis] - 1)))
-    return np.take(field, idx, axis=axis).copy()
 
 
 def trilinear_sample(field: np.ndarray, points: np.ndarray) -> np.ndarray:

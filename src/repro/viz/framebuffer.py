@@ -33,19 +33,5 @@ class FrameBuffer:
         fb.depth[:] = self.depth
         return fb
 
-    def changed_fraction(self, other: "FrameBuffer") -> float:
-        """Fraction of pixels differing from ``other`` (for delta stats)."""
-        if (other.width, other.height) != (self.width, self.height):
-            raise ReproError("framebuffer size mismatch")
-        return float(np.mean(np.any(self.color != other.color, axis=2)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FrameBuffer)
-            and self.width == other.width
-            and self.height == other.height
-            and bool(np.array_equal(self.color, other.color))
-        )
-
     def __repr__(self) -> str:
         return f"FrameBuffer({self.width}x{self.height})"

@@ -149,12 +149,3 @@ def isosurface(
     vertices = all_tris.reshape(-1, 3) * spacing_arr + origin_arr
     faces = np.arange(vertices.shape[0], dtype=np.intp).reshape(-1, 3)
     return vertices, faces
-
-
-def surface_area(vertices: np.ndarray, faces: np.ndarray) -> float:
-    """Total area of a triangle mesh (used as a physics-free sanity probe)."""
-    if len(faces) == 0:
-        return 0.0
-    tri = vertices[faces]
-    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    return float(0.5 * np.linalg.norm(cross, axis=1).sum())

@@ -11,7 +11,6 @@ content.  No row or example draws an avatar, so none is modelled.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -41,23 +40,6 @@ class Geometry:
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
         if self.kind == "triangles" and self.faces is None:
             raise ReproError("triangle geometry needs faces")
-
-    @property
-    def nbytes(self) -> int:
-        total = self.vertices.nbytes
-        if self.faces is not None:
-            total += self.faces.nbytes
-        if self.colors is not None:
-            total += self.colors.nbytes
-        return total
-
-    def content_hash(self) -> str:
-        h = hashlib.sha1()
-        h.update(self.kind.encode())
-        h.update(np.ascontiguousarray(self.vertices).tobytes())
-        if self.faces is not None:
-            h.update(np.ascontiguousarray(self.faces).tobytes())
-        return h.hexdigest()
 
 
 class SceneNode:
@@ -115,46 +97,7 @@ class SceneGraph:
         except KeyError:
             raise ReproError(f"unknown scene node {name!r}") from None
 
-    def remove_node(self, name: str) -> None:
-        if name == "root":
-            raise ReproError("cannot remove the root")
-        node = self._index.pop(name, None)
-        if node is None:
-            raise ReproError(f"unknown scene node {name!r}")
-        for candidate in self.root.walk():
-            if node in candidate.children:
-                candidate.children.remove(node)
-                break
-        for child in node.walk():
-            self._index.pop(child.name, None)
-        self.version += 1
-
     # -- content accounting -----------------------------------------------------
-
-    def total_geometry_bytes(self) -> int:
-        """Wire cost of streaming the full scene content (the anti-pattern
-        sections 4.2/4.6 argue against for large data)."""
-        return sum(
-            n.geometry.nbytes
-            for n in self.root.walk()
-            if n.geometry is not None and n.visible
-        )
-
-    def content_hash(self) -> str:
-        """Order-independent digest of all node content.
-
-        Two sites whose scene graphs were built from the same synchronized
-        parameters must agree on this digest — the FIG4 consistency check.
-        """
-        digests = sorted(
-            f"{n.name}:{n.geometry.content_hash()}"
-            for n in self.root.walk()
-            if n.geometry is not None
-        )
-        h = hashlib.sha1()
-        for d in digests:
-            h.update(d.encode())
-        return h.hexdigest()
 
     def render_into(self, renderer) -> None:
         """Draw all visible geometry."""

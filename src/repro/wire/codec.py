@@ -378,16 +378,3 @@ def describe(value: Any) -> str:
     if isinstance(value, (list, tuple)):
         return f"list[{len(value)}]"
     return type(value).__name__
-
-
-def coerce_array(arr: np.ndarray, dtype) -> np.ndarray:
-    """Precision / integer-float conversion, VISIT-server style.
-
-    The server converts received data to whatever the *visualization*
-    requested (e.g. float64 simulation data down to float32 for the
-    renderer) so the simulation never spends cycles on it.
-    """
-    target = np.dtype(dtype)
-    if target.newbyteorder("=") not in _ARRAY_CODES:
-        raise CodecError(f"unsupported target dtype {target}")
-    return arr.astype(target, copy=False)

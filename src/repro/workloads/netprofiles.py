@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: bytes of each leg of :meth:`NetProfile.round_trip`: a small request, a small reply
-ROUND_TRIP_BYTES = 64
-
 
 @dataclass(frozen=True)
 class NetProfile:
@@ -26,9 +23,6 @@ class NetProfile:
     def one_way(self, nbytes: float) -> float:
         """Unloaded delivery time for a message of ``nbytes``."""
         return self.latency + nbytes / self.bandwidth
-
-    def round_trip(self) -> float:
-        return self.one_way(ROUND_TRIP_BYTES) + self.one_way(ROUND_TRIP_BYTES)
 
 
 LAN = NetProfile("lan", 0.0002, 1e9 / 8)

@@ -40,3 +40,19 @@ def eager_app_process(
             app.emit_sample()
         steps += 1
     return steps
+
+
+def run_steps(app: SteeredApplication, max_steps: int) -> int:
+    """The synchronous harness loop: step until stopped or ``max_steps``
+    simulation steps advanced.  A paused application with nothing to do
+    returns; the caller decides when to poll again."""
+    advanced = 0
+    while advanced < max_steps:
+        before = app.sim.step_count
+        if not app.step_once():
+            break
+        if app.sim.step_count > before:
+            advanced += 1
+        elif app.paused:
+            break
+    return advanced

@@ -190,30 +190,14 @@ def test_vizserver_unjoined_connection_cannot_steer():
     np.testing.assert_array_equal(session.renderer.camera.eye, eye)
 
 
-def test_venue_media_group_membership_follows_enter_leave():
-    env, net = world(2)
-    server = VenueServer(net, net.host("hub"))
-    venue = server.create_venue("v")
-    n0 = AGNode(net.host("s0"))
-    n1 = AGNode(net.host("s1"))
-    n0.enter(venue)
-    n1.enter(venue)
-    assert set(venue.video.members) == {"s0", "s1"}
-    n0.leave()
-    assert venue.video.members == ["s1"]
-    # Re-entry works after leaving.
-    n0.enter(venue)
-    assert set(venue.video.members) == {"s0", "s1"}
-
-
 def test_venue_server_multiple_venues_isolated():
     env, net = world(2)
     server = VenueServer(net, net.host("hub"))
     v1 = server.create_venue("physics")
     v2 = server.create_venue("engineering")
-    assert server.venues() == ["engineering", "physics"]
     n = AGNode(net.host("s0"))
-    n.enter(v1)
-    assert v1.occupants() == ["s0"] and v2.occupants() == []
+    info = n.enter(v1)
+    assert info["video"] == "physics/video" and v2.video.address == "engineering/video"
+    assert list(v1._occupants) == ["s0"] and not v2._occupants
     with pytest.raises(VenueError):
-        server.venue("nope")
+        server.create_venue("physics")

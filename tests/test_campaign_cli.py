@@ -24,6 +24,7 @@ import pytest
 from repro.campaign import (
     AxisPoint,
     CampaignSpec,
+    EvolutionaryStrategy,
     ParamRange,
     ParamSpace,
     ResultStore,
@@ -61,6 +62,7 @@ def search_spec():
     """One generation of two proposals."""
     return SearchSpec(
         name="codes-search", seed=3, generations=1, population=2,
+        strategy=EvolutionaryStrategy(),
         space=ParamSpace(
             name="codes-search", scenario=_SCENARIO,
             arrival=AxisPoint("poisson", {"kind": "poisson", "rate": 2.0}),

@@ -120,7 +120,7 @@ def test_resume_runs_exactly_the_incomplete_cells(reference, tmp_path):
     path.write_text("\n".join(ref_lines[:3]) + "\n" + ref_lines[3][:25])
     store = ResultStore(path)
     assert store.dropped_lines == 1
-    done = set(store.completed_ids())
+    done = {rec["cell_id"] for rec in store.cell_records()}
     assert len(done) == 2
     runner = CampaignRunner(tiny_campaign(), store, workers=1)
     matrix = runner.run()
@@ -194,73 +194,22 @@ def test_cli_run_report_diff_round_trip(reference, tmp_path, capsys):
                      ]) == 2
 
 
-def test_marginal_drift_is_zero_against_itself(reference):
-    _, matrix = reference
-    drift = matrix.diff_marginals(matrix)
-    assert drift["exceeded"] == [] and drift["missing"] == []
-    assert all(e["drift"] == 0.0 for e in drift["entries"])
-    from repro.errors import CampaignError
-    with pytest.raises(CampaignError, match=">= 0"):
-        matrix.diff_marginals(matrix, threshold=-0.1)
-
-
-def test_marginal_drift_flags_moved_and_missing_points(reference):
-    store, matrix = reference
-    spec = store.spec()
-    # Perturb every trace-arrival cell's completion count: the arrivals
-    # marginal for "trace" moves while "poisson" stays put.
-    records = [json.loads(dumps(rec)) for rec in store.cell_records()]
-    for rec in records:
-        if "/trace/" in rec["cell_id"]:
-            rec["report"]["completed"] = 0
-    moved = MatrixReport.from_records(records, spec=spec)
-    drift = matrix.diff_marginals(moved, threshold=0.05)
-    flagged = {(e["axis"], e["point"], e["metric"]) for e in drift["exceeded"]}
-    assert ("arrival", "trace", "goodput") in flagged
-    assert not any(point == "poisson" for _, point, _ in flagged)
-    # A loose threshold swallows the same drift.
-    loose = matrix.diff_marginals(moved, threshold=1.0)
-    assert not any(e["metric"] == "goodput" for e in loose["exceeded"])
-
-    # Dropping every crash cell erases a faults marginal entirely
-    # (no spec: nothing re-seeds the empty point on the other side).
-    kept = [rec for rec in records if "/crash/" not in rec["cell_id"]]
-    shrunk = MatrixReport.from_records(kept)
-    gone = matrix.diff_marginals(shrunk)
-    assert {"axis": "faults", "point": "crash", "only": "self"} in gone["missing"]
-    rendered = MatrixReport.render_marginals(gone)
-    assert "faults:crash only in A" in rendered
-
-
-def test_cli_diff_marginal_threshold_gate(reference, tmp_path, capsys):
-    store = str(reference[0].path)
-    assert cli_main(["diff", store, store, "--marginal-threshold", "0.1"]) == 0
-    out = capsys.readouterr().out
-    assert "marginal drift vs threshold 0.1" in out
-    assert "0 exceeded, 0 missing" in out
-
-
 def test_html_dashboard_renders_and_is_deterministic(reference, tmp_path,
                                                      capsys):
     from repro.campaign.dashboard import render_html
 
     store, matrix = reference
-    page = render_html(matrix, baseline=matrix, drift_threshold=0.05)
+    page = render_html(matrix)
     assert page.startswith("<!DOCTYPE html>")
     assert "<script" not in page  # fully static artifact
-    assert "<svg" in page and "drift vs. baseline" in page
+    assert "<svg" in page
     for cell in matrix.cells:
         assert cell["cell_id"] in page
-    assert render_html(matrix, baseline=matrix) == page  # byte-stable
+    assert render_html(matrix) == page  # byte-stable
 
     out_path = tmp_path / "dash.html"
     assert cli_main([
         "report", "--store", str(store.path), "--html", str(out_path),
-        "--baseline", str(store.path),
     ]) == 0
     assert "dashboard written" in capsys.readouterr().out
     assert out_path.read_text() == page
-    # --baseline without --html is a clean usage error.
-    assert cli_main([
-        "report", "--store", str(store.path), "--baseline", str(store.path),
-    ]) == 2

@@ -38,11 +38,9 @@ from repro.campaign.search import (
     Constraint,
     EvolutionaryStrategy,
     Objective,
-    RandomStrategy,
     SearchArchive,
     SearchRunner,
     SearchSpec,
-    SuccessiveHalvingStrategy,
     default_archive_path,
     make_strategy,
 )
@@ -210,43 +208,17 @@ def test_objective_scores_and_constraints():
 
 def test_strategies_are_deterministic_pure_functions():
     space = tiny_space()
-    for strategy in (
-        RandomStrategy(),
-        EvolutionaryStrategy(elites=2),
-        SuccessiveHalvingStrategy(budget_lo=3.0, budget_hi=12.0),
-    ):
-        a = strategy.propose(space, (), random.Random(99), 4)
-        b = strategy.propose(space, (), random.Random(99), 4)
-        assert a == b and len(a) == 4
-        assert make_strategy(strategy.to_dict()).to_dict() == \
-            strategy.to_dict()
+    strategy = EvolutionaryStrategy(elites=2)
+    a = strategy.propose(space, (), random.Random(99), 4)
+    b = strategy.propose(space, (), random.Random(99), 4)
+    assert a == b and len(a) == 4
+    assert make_strategy(strategy.to_dict()).to_dict() == strategy.to_dict()
+    # any kind but evolutionary is unknown
+    for kind in ("gradient-descent", "random", "halving"):
+        with pytest.raises(CampaignError):
+            make_strategy({"kind": kind})
     with pytest.raises(CampaignError):
-        make_strategy({"kind": "gradient-descent"})
-    with pytest.raises(CampaignError):
-        make_strategy({"kind": "random", "bogus": 1})
-
-
-def test_halving_stamps_budgets_and_promotes_survivors():
-    from repro.campaign.search import Evaluation
-
-    space = tiny_space()
-    strategy = SuccessiveHalvingStrategy(
-        budget_path="base.horizon", budget_lo=3.0, budget_hi=12.0,
-        eta=2, rungs=2,
-    )
-    rung0 = strategy.propose(space, (), random.Random(1), 4)
-    assert all(a["base.horizon"] == 3.0 for a in rung0)
-    history = [
-        Evaluation(generation=0, assignment=a, cell_id=f"c{i}",
-                   seed=i, score=float(i))
-        for i, a in enumerate(rung0)
-    ]
-    rung1 = strategy.propose(space, tuple(history), random.Random(2), 4)
-    # top 4 // 2 survivors, re-proposed at the doubled budget
-    assert len(rung1) == 2
-    assert all(a["base.horizon"] == 6.0 for a in rung1)
-    assert [a["arrival.rate"] for a in rung1] == \
-        [rung0[0]["arrival.rate"], rung0[1]["arrival.rate"]]
+        make_strategy({"kind": "evolutionary", "bogus": 1})
 
 
 def test_quarantined_assignments_are_never_reproposed():
@@ -265,13 +237,9 @@ def test_quarantined_assignments_are_never_reproposed():
     poison = {"faults.random.n_faults": 1}
     history = (Evaluation(generation=0, assignment=poison, cell_id="p",
                           seed=0, score=WORST_SCORE, quarantined=True),)
-    for strategy in (RandomStrategy(), EvolutionaryStrategy(elites=1)):
-        proposals = strategy.propose(space, history, random.Random(5), 8)
-        assert len(proposals) == 8
-        assert all(
-            assignment_digest(a) != assignment_digest(poison)
-            for a in proposals
-        )
+    proposals = EvolutionaryStrategy(elites=1).propose(space, history, random.Random(5), 8)
+    assert len(proposals) == 8
+    assert all(assignment_digest(a) != assignment_digest(poison) for a in proposals)
 
 
 # -- the search loop ----------------------------------------------------------
@@ -308,9 +276,9 @@ def test_supervised_parallel_search_is_byte_identical(reference, tmp_path):
     assert dumps(archive.export(top=2)) == dumps(ref_archive.export(top=2))
     assert dumps(strip_perf(store.cell_records())) == \
         dumps(strip_perf(ref_store.cell_records()))
-    assert metrics.get("campaign_search_generations_total").value() == 2
-    assert metrics.get("campaign_search_evaluations_total").value() == 4
-    assert metrics.get("campaign_search_best_objective").value() == \
+    assert metrics.get("campaign_search_generations_total").series.get((), 0.0) == 2
+    assert metrics.get("campaign_search_evaluations_total").series.get((), 0.0) == 4
+    assert metrics.get("campaign_search_best_objective").series.get((), 0.0) == \
         archive.best(1)[0].score
 
 

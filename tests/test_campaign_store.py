@@ -46,7 +46,7 @@ def test_header_then_cells_atomic_no_tmp_left(tmp_path):
     assert json.loads(lines[1])["cell_id"] == "s/a/f/p"
     # Reload sees the same state.
     again = ResultStore(path)
-    assert again.completed_ids() == {"s/a/f/p"}
+    assert {rec["cell_id"] for rec in again.cell_records()} == {"s/a/f/p"}
     assert again.spec().to_dict() == tiny_spec().to_dict()
 
 
@@ -72,10 +72,10 @@ def test_torn_trailing_line_is_dropped_and_rerunnable(tmp_path):
     path.write_text(path.read_text() + '{"kind": "cell", "cell_id": "thr')
     survivor = ResultStore(path)
     assert survivor.dropped_lines == 1
-    assert survivor.completed_ids() == {"one", "two"}
+    assert {rec["cell_id"] for rec in survivor.cell_records()} == {"one", "two"}
     # The store stays writable: the torn cell simply reruns.
     survivor.append(cell_record("three"))
-    assert ResultStore(path).completed_ids() == {"one", "two", "three"}
+    assert {rec["cell_id"] for rec in ResultStore(path).cell_records()} == {"one", "two", "three"}
 
 
 def test_corrupt_interior_line_is_refused(tmp_path):
@@ -128,7 +128,7 @@ def test_quarantine_records_round_trip_and_settle(tmp_path):
     store.ensure_header(tiny_spec())
     store.append(cell_record("good"))
     store.append_quarantine(quarantine_record("poison"))
-    assert store.completed_ids() == {"good"}
+    assert {rec["cell_id"] for rec in store.cell_records()} == {"good"}
     assert store.quarantined_ids() == {"poison"}
     assert store.settled_ids() == {"good", "poison"}
     assert len(store) == 1  # quarantines are not results

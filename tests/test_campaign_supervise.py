@@ -146,10 +146,10 @@ def test_sigkill_mid_cell_is_retried_to_the_same_grid(
     assert dumps(strip_perf(store.cell_records())) == \
         dumps(strip_perf(ref_store.cell_records()))
     assert dumps(matrix.to_dict()) == dumps(ref_matrix.to_dict())
-    assert metrics.get("campaign_worker_restarts_total").value() == 1
-    assert metrics.get("campaign_cell_retries_total").value() == 1
-    assert metrics.get("campaign_cells_quarantined_total").value() == 0
-    assert metrics.get("campaign_cells_inflight").value() == 0
+    assert metrics.get("campaign_worker_restarts_total").series.get((), 0.0) == 1
+    assert metrics.get("campaign_cell_retries_total").series.get((), 0.0) == 1
+    assert metrics.get("campaign_cells_quarantined_total").series.get((), 0.0) == 0
+    assert metrics.get("campaign_cells_inflight").series.get((), 0.0) == 0
 
 
 def test_hung_cell_is_killed_quarantined_and_skipped_on_resume(

@@ -62,13 +62,15 @@ def fabric(driver, ctl, pool):
     """Everything a fault can hold, as comparable data."""
     net = driver.net
     return {
-        "isolated": net.isolated_hosts(),
-        "partitions": net.partitions(),
+        "isolated": sorted(net._isolated),
+        "partitions": sorted(tuple(sorted(p)) for p in net._partitions),
         "links": {key: (link.latency, link.bandwidth) for key, link in net._links.items()},
         "containers": [site.container.alive for site in driver.sites],
         "brokers": [broker.alive for broker in pool.brokers],
         "failed": [ctl.ledger.is_failed(i) for i in ctl.ledger.sites()],
-        "locked": sorted(name for name, host in net.hosts.items() if host.firewall.locked_down),
+        "locked": sorted(
+            name for name, host in net.hosts.items() if host.firewall._pre_lockdown is not None
+        ),
         "ports": {name: sorted(host.listeners) for name, host in net.hosts.items()},
     }
 

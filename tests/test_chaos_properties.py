@@ -67,7 +67,7 @@ def test_property_random_chaos_never_breaks_invariants(
 ):
     report, verdict, schedule = _chaos_run(fault_seed, arrival_seed, n_faults)
     assert verdict["invariant_violations"] == 0, "\n".join(
-        verdict["violations"] + schedule.describe()
+        verdict["violations"] + [fault.describe() for fault in schedule]
     )
     # Conservation at the report level too: every offer is accounted.
     q = report.queue
@@ -91,7 +91,7 @@ def test_property_same_seed_reproduces_byte_for_byte(
             {
                 "report": report.to_dict(),
                 "verdict": verdict,
-                "schedule": schedule.describe(),
+                "schedule": [fault.describe() for fault in schedule],
             },
             sort_keys=True,
         )

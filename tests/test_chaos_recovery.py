@@ -249,7 +249,7 @@ def test_master_vbroker_crash_fails_sessions_over_to_live_brokers():
     assert verdict["recovery"]["broker_failovers"] >= 1
     assert pool.failovers >= 1
     # Every re-placed session sits on a live broker now.
-    for session, idx in pool.placements().items():
+    for session, idx in pool._placement.items():
         assert pool.brokers[idx].alive
     # Steering was never disturbed (the OGSA path is broker-independent;
     # the failover protects the collaborative fan-out).
@@ -281,7 +281,7 @@ def test_rebuild_registry_restores_find_after_total_loss():
     driver, ctl, world = _world(n_sites=2)
     done = driver.admit(_proto(name="keeper", duration=2.0))
     driver.env.run(until=30.0)
-    assert done.ok
+    assert done._ok
     reg = driver.sites[0].registry
     assert len(reg.find({"application": "keeper"})) == 2
     # Lose every shard, then rebuild from the containers.
@@ -327,7 +327,7 @@ def test_rebuild_after_migration_keeps_canonical_handles():
     driver, ctl, world = _world(n_sites=2)
     done = driver.admit(_proto(name="mover", duration=2.0, ), site=0)
     driver.env.run(until=30.0)
-    assert done.ok
+    assert done._ok
     migrate_service(
         "steer-mover", driver.sites[0].container,
         driver.sites[1].container, driver.resolver,

@@ -186,7 +186,7 @@ def test_a_beaten_deadline_is_popped_but_runs_nothing_and_is_not_counted():
     race = env.first(env.timeout(1, value="x"), 9)
     env.run(until=1)
     # the race resolved in the event's own step: no event of its own
-    assert race.processed and race.value == "x"
+    assert (race.callbacks is None) and race.value == "x"
     assert (env.events_processed, env.pending) == (1, 1)
     env.run()
     # the cancelled deadline still moved the clock to its instant
@@ -198,7 +198,7 @@ def test_first_over_a_processed_event_is_decided_at_once():
     done = env.timeout(0, value="v")
     env.run()
     race = env.first(done, 5)
-    assert race.processed and race.value == "v"
+    assert (race.callbacks is None) and race.value == "v"
     assert env.pending == 0  # no deadline was scheduled
 
 
@@ -322,7 +322,7 @@ def test_a_delivery_resumes_a_parked_receiver_inside_its_own_step(timeout):
     env.step()
     # one event for the message: the receiver ran in the delivery's step
     assert got == [(True, "msg")] and env.events_processed == before + 1
-    assert not box._get_waiters and len(box) == 0
+    assert not box._get_waiters and len(box.items) == 0
 
 
 def test_put_nowait_from_a_running_process_resumes_the_receiver_later():
@@ -364,7 +364,7 @@ def test_mailbox_recv_with_timeout_expires():
     # The withdrawn get must not steal a later item.
     box.put("late")
     env.run()
-    assert len(box) == 1
+    assert len(box.items) == 1
 
 
 def test_mailbox_recv_gets_item_before_timeout():
@@ -397,7 +397,7 @@ def test_mailbox_recv_takes_an_item_served_earlier_in_the_deadlines_instant():
     p = env.process(_receiver(box, 2))
     env.run()
     assert p.value == (True, "early", 2.0)
-    assert len(box) == 0
+    assert len(box.items) == 0
 
 
 def test_mailbox_recv_leaves_an_item_delivered_after_its_deadline_fired():

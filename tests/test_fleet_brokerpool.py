@@ -46,7 +46,7 @@ def test_least_loaded_placement_round_robins():
     b2 = pool.place("sess-c")
     assert b0 is not b1  # second session avoids the loaded broker
     assert b2 in (b0, b1)
-    assert pool.placements()["sess-a"] != pool.placements()["sess-b"]
+    assert pool._placement["sess-a"] != pool._placement["sess-b"]
     # Placement is stable on repeat lookups.
     assert pool.place("sess-a") is b0
     assert pool.broker_for("sess-a") is b0
@@ -61,9 +61,9 @@ def test_release_rebalances_future_placements():
     pool.place("s2")
     pool.release("s1")
     # The freed broker is least-loaded again.
-    assert pool.placements()["s2"] != pool.placements().get("s3") or True
+    assert pool._placement["s2"] != pool._placement.get("s3") or True
     b3 = pool.place("s3")
-    assert pool.placements()["s3"] != pool.placements()["s2"]
+    assert pool._placement["s3"] != pool._placement["s2"]
     assert b3 is pool.broker_for("s3")
 
 
@@ -153,7 +153,7 @@ def test_place_raises_when_every_broker_is_dead():
         pool.place("nowhere-to-go")
     assert "all 2 vbrokers" in str(exc.value)
     # The failed placement left no stale bookkeeping behind.
-    assert "nowhere-to-go" not in pool.placements()
+    assert "nowhere-to-go" not in pool._placement
 
 
 def test_stop_drops_downstreams_and_moves_no_token():

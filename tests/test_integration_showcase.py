@@ -146,7 +146,7 @@ def test_visit_sample_feeds_covise_pipeline():
     env.run(until=5.0)
 
     # The visualization host builds a COVISE map over the received field.
-    latest = server.latest(1)["phi"]
+    latest = server.received[1][-1]["phi"]
     editor = MapEditor(net)
     editor.add_source("read", "viz-host", lambda: latest)
     editor.add("IsoSurface", "iso", "viz-host", level=float(latest.mean()))

@@ -38,7 +38,6 @@ def test_request_roundtrip_through_the_wire():
     request = _frame(wire, read_request)
     assert request.method == "POST"
     assert request.path == "/sessions"
-    assert request.query == {"x": "1"}
     assert request.headers["host"] == "example"
     assert request.json() == {"participants": 2, "sim": "building"}
     assert request.keep_alive

@@ -85,24 +85,6 @@ def test_injected_work_wakes_an_idle_runner():
     assert len(hits) == 3
 
 
-def test_set_rate_switches_to_turbo_mid_run():
-    env = Environment()
-    hits: list = []
-    env.process(_ticker(env, 10.0, 5, hits))
-    runner = PacedRunner(env, rate=1.0, max_tick=0.01)
-
-    async def go():
-        task = asyncio.create_task(runner.run(until=50.0))
-        await asyncio.sleep(0.05)  # real time: no 10s tick fires yet
-        assert hits == []
-        runner.set_rate(None)
-        await task
-
-    asyncio.run(go())
-    assert hits == [10.0, 20.0, 30.0, 40.0, 50.0]
-    assert env.now == 50.0
-
-
 def test_run_is_not_reentrant():
     env = Environment()
     runner = PacedRunner(env, rate=None)

@@ -89,7 +89,7 @@ def test_load_roundtrip_and_arrival_process(tmp_path):
     assert trace.horizon == 12.0
     proc = trace.arrival_process()
     assert isinstance(proc, RecordedArrivals)
-    assert list(proc.times()) == [0.0, 1.0, 2.0]
+    assert [at for at, _ in proc] == [0.0, 1.0, 2.0]
 
 
 def test_unsealed_trace_horizon_hugs_the_last_arrival(tmp_path):

@@ -42,7 +42,7 @@ def test_drain_and_reopen_semantics():
     assert led.is_drained(1)
     assert led.free(1) == 0  # drained sites never have room
     assert led.sites_with_room() == [0]
-    assert led.active_sites() == [0] and led.drained_sites() == [1]
+    assert led.active_sites() == [0] and led.snapshot()[1] == (1, 2, True)
     with pytest.raises(LoadError):
         led.acquire(1)
     # The running session still releases cleanly after the drain.
@@ -52,19 +52,17 @@ def test_drain_and_reopen_semantics():
     assert led.free(1) == 2
 
 
-def test_totals_and_utilization():
+def test_totals_and_snapshot():
     led = CapacityLedger()
     led.register_site(0, 2)
     led.register_site(1, 4)
     led.acquire(0)
     led.acquire(1)
     led.acquire(1)
-    assert led.total_slots == 6
     assert led.total_inflight == 3
-    assert led.utilization == pytest.approx(0.5)
     led.drain(1)
-    # Drained slots leave the denominator; its sessions still count.
-    assert led.total_slots == 2
+    # A drained site's sessions still count.
+    assert led.total_inflight == 3
     assert led.snapshot() == {0: (1, 2, False), 1: (2, 4, True)}
 
 
@@ -75,4 +73,4 @@ def test_capacity_of_reads_the_fabric():
     assert cap.slots == 3  # the container is the tightest layer here
     led = CapacityLedger.for_driver(driver, container_slots=3)
     assert led.sites() == [0]
-    assert led.slots(0) == 3
+    assert led.snapshot()[0] == (0, 3, False)

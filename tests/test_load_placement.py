@@ -1,4 +1,4 @@
-"""Placement policies: least-loaded, locality-affine, power-of-two."""
+"""Placement policies: least-loaded and power-of-two."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.fleet.spec import ScenarioSpec
 from repro.load import (
     CapacityLedger,
     LeastLoaded,
-    LocalityAffine,
     PowerOfTwoChoices,
     make_policy,
 )
@@ -42,22 +41,6 @@ def test_least_loaded_skips_drained_sites():
     assert LeastLoaded().choose(SPEC, led) == 1
 
 
-def test_locality_affine_prefers_home_until_full():
-    led = _ledger((1, 1, 1))
-    pol = LocalityAffine()
-    home = pol.home(SPEC, led)
-    assert pol.choose(SPEC, led) == home
-    led.acquire(home)
-    # Home full: falls back to the least-loaded other site.
-    fallback = pol.choose(SPEC, led)
-    assert fallback is not None and fallback != home
-    # Different profiles may hash to different homes, deterministically.
-    other = ScenarioSpec(name="t", profile="transatlantic", participants=1)
-    assert pol.home(other, _ledger((1, 1, 1))) == pol.home(
-        other, _ledger((1, 1, 1))
-    )
-
-
 def test_power_of_two_is_seeded_and_respects_room():
     led = _ledger((3, 3, 3))
     led.acquire(0)
@@ -84,7 +67,7 @@ def test_power_of_two_is_seeded_and_respects_room():
 def _copy(led):
     out = CapacityLedger()
     for i in led.sites():
-        out.register_site(i, led.slots(i))
+        out.register_site(i, led.snapshot()[i][1])
         for _ in range(led.inflight(i)):
             out.acquire(i)
     return out
@@ -103,7 +86,7 @@ def test_power_of_two_prefers_less_loaded_of_the_pair():
 
 def test_make_policy_registry():
     assert isinstance(make_policy("least-loaded"), LeastLoaded)
-    assert isinstance(make_policy("locality"), LocalityAffine)
     assert isinstance(make_policy("p2c", seed=9), PowerOfTwoChoices)
-    with pytest.raises(LoadError):
-        make_policy("random-forest")
+    for retired in ("locality", "random-forest"):
+        with pytest.raises(LoadError):
+            make_policy(retired)

@@ -39,6 +39,10 @@ from repro.obs import (
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
+def _spans(tracer, name):
+    return [span for span in tracer.spans if span.name == name]
+
+
 def _obs_fleet(tracing=True, quota=None, seed=7, rate=0.4):
     obs = Observability(tracing=tracing, metrics=True, breakers=True,
                         quota=quota)
@@ -57,9 +61,9 @@ def test_every_steer_op_parents_back_to_its_admit_span():
     obs, _ctl, report = _obs_fleet()
     tracer = obs.tracer
     assert report.completed > 0
-    ops = tracer.find("steer-op")
+    ops = _spans(tracer, "steer-op")
     assert ops, "the fleet steered nothing"
-    admit_ids = {s.span_id for s in tracer.find("admit")}
+    admit_ids = {s.span_id for s in _spans(tracer, "admit")}
     for op in ops:
         chain = tracer.ancestry(op)
         assert any(s.span_id in admit_ids for s in chain), (
@@ -77,17 +81,17 @@ def test_span_tree_shape_and_outcomes():
     n = report.completed + report.failed
     assert counts["session"] == counts["admit"] == counts["connect"] == n
     # Each session root closed with its outcome.
-    for root in tracer.find("session"):
+    for root in _spans(tracer, "session"):
         assert root.end is not None
         assert root.attrs["outcome"] in ("complete", "fail", "cancel")
-    for admit in tracer.find("admit"):
+    for admit in _spans(tracer, "admit"):
         assert admit.attrs["outcome"] == "admitted"
     # Viz frames land as instant events on the session roots.
-    frames = sum(len(root.events) for root in tracer.find("session"))
+    frames = sum(len(root.events) for root in _spans(tracer, "session"))
     assert frames > 0
     assert all(
         name == "viz-frame"
-        for root in tracer.find("session")
+        for root in _spans(tracer, "session")
         for name, _, _ in root.events
     )
 
@@ -173,7 +177,7 @@ def test_batch_fleets_get_synthetic_admit_spans():
     obs = Observability(tracing=True)
     driver = FleetDriver(fleet_of(2, stagger=0.2), n_sites=2, obs=obs)
     driver.run(wall_seconds=None)
-    admits = obs.tracer.find("admit")
+    admits = _spans(obs.tracer, "admit")
     assert len(admits) == 2
     assert all(a.attrs.get("mode") == "batch" for a in admits)
     assert all(a.end == a.start for a in admits)
@@ -319,7 +323,7 @@ def test_quota_sheds_only_the_noisy_tenant():
         queue.admitted + queue.rejected + queue.abandoned + ctl.queue_depth
     )
     # Rejected offers got a traced verdict.
-    rejects = obs.tracer.find("reject")
+    rejects = _spans(obs.tracer, "reject")
     assert len(rejects) == queue.rejected
     assert {s.attrs["reason"] for s in rejects} <= {"quota", "queue-full"}
 
@@ -353,7 +357,7 @@ def test_backpressure_blends_queue_and_pacing_lag():
     FakeRunner.behind = 0.0
     sig2 = BackpressureSignal(FakeCtl(), runner=FakeRunner(), behind_limit=1.0)
     assert sig2.pressure() == pytest.approx(3 / 12)
-    assert 0.0 <= sig2.snapshot()["pressure"] <= 1.0
+    assert 0.0 <= sig2.pressure() <= 1.0
 
 
 def test_autoscaler_grows_on_pressure_alone():

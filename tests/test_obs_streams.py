@@ -125,7 +125,8 @@ def test_worlds_emit_every_span_name(observed):
     modes = {
         span.attrs.get("mode", "queued")
         for obs in observed.values()
-        for span in obs.tracer.find("admit")
+        for span in obs.tracer.spans
+        if span.name == "admit"
     }
     assert modes == {"queued", "batch"}
 

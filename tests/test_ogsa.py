@@ -246,6 +246,42 @@ def test_steering_service_set_param_and_status():
     assert result["status"]["step"] > 0
 
 
+def test_pause_resume_and_destroy_by_name_on_a_running_session():
+    """The listed operations nothing else invokes, through ``invoke(…, op)``:
+    a paused application advances no step, ``resume`` restarts it, and a
+    destroyed service reads as expired and is refused."""
+    env, net, app, container, resolver, _, _ = steering_grid()
+    steer = container._services["steer-lb3d"]
+    result = {}
+
+    def advanced(seconds):
+        before = app.sim.step_count
+        yield env.timeout(seconds)
+        return app.sim.step_count - before
+
+    def user():
+        conn = ServiceConnection(net.host("client"), "server", 8000)
+        yield from conn.open()
+        result["running"] = yield from advanced(0.5)
+        result["paused"] = yield from conn.invoke("steer-lb3d", "pause")
+        result["while_paused"] = yield from advanced(1.0)
+        result["resumed"] = yield from conn.invoke("steer-lb3d", "resume")
+        result["after_resume"] = yield from advanced(1.0)
+        result["destroyed"] = yield from conn.invoke("steer-lb3d", "destroy")
+        result["expired"] = steer.expired(env.now)
+        with pytest.raises(OgsaError, match="no such service"):
+            yield from conn.invoke("steer-lb3d", "get_status")
+        result["refused"] = True
+
+    env.process(user())
+    env.run(until=10.0)
+    assert result["running"] > 0
+    assert result["paused"] is True and result["while_paused"] == 0
+    assert result["resumed"] is True and result["after_resume"] > 0
+    assert result["destroyed"] is True and result["expired"]
+    assert result["refused"]
+
+
 def test_viz_service_renders_compressed_frames():
     env, net, app, container, resolver, (_, ref_v), _ = steering_grid()
     result = {}
@@ -257,7 +293,6 @@ def test_viz_service_renders_compressed_frames():
         yield from conn.invoke(
             "viz-lb3d", "set_view", eye=[0.0, -3.0, 0.0], target=[0.0, 0.0, 0.0]
         )
-        yield from conn.invoke("viz-lb3d", "set_iso_level", level=0.0)
         frame_info = yield from conn.invoke("viz-lb3d", "render_frame")
         result["frame"] = frame_info
 

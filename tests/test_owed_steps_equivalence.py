@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_runner import eager_app_process
+from reference_runner import eager_app_process, run_steps
 from repro.des import Environment
 from repro.errors import ReproError, SteeringError
 from repro.fleet.spec import SIM_KINDS, ScenarioSpec, make_sim
@@ -88,8 +88,8 @@ def play(loop, kind, seed, sample_interval, compute_time, ops, cut):
 
     def drained(end):
         out = []
-        while end.pending():
-            out.append(freeze(end.recv()))
+        while end._rx:
+            out.append(freeze(end.poll()[1]))
         return out
 
     return {
@@ -200,7 +200,7 @@ def test_step_once_and_run_step_through_the_same_property():
     app.owe_step()
     assert app.step_once()
     assert sim.step_count == 2  # the owed step, then step_once's own
-    assert app.run(3) == 3
+    assert run_steps(app, 3) == 3
     assert sim.step_count == 5
     assert app.samples_emitted == 2  # after steps 2 and 4
 

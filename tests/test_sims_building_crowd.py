@@ -60,18 +60,6 @@ def test_building_parameter_validation():
         BuildingClimate(shape=(2, 2, 2))
 
 
-def test_building_checkpoint_roundtrip():
-    sim = BuildingClimate(shape=(12, 8, 6))
-    sim.run(20)
-    state = sim.checkpoint()
-    sim.run(10)
-    expected = sim.temperature.copy()
-    sim2 = BuildingClimate(shape=(12, 8, 6), seed=99)
-    sim2.restore(state)
-    sim2.run(10)
-    np.testing.assert_array_equal(sim2.temperature, expected)
-
-
 def test_building_sample_and_observables():
     sim = BuildingClimate(shape=(12, 8, 6))
     sim.run(3)
@@ -121,18 +109,6 @@ def test_crowd_parameter_validation():
         sim.set_parameter("speed", 2.0)
     with pytest.raises(SteeringError):
         CrowdSim(n_agents=0)
-
-
-def test_crowd_checkpoint_restores_rng_exactly():
-    sim = CrowdSim(n_agents=50, seed=5)
-    sim.run(10)
-    state = sim.checkpoint()
-    sim.run(10)
-    expected = sim.positions.copy()
-    sim2 = CrowdSim(n_agents=50, seed=77)
-    sim2.restore(state)
-    sim2.run(10)
-    np.testing.assert_array_equal(sim2.positions, expected)
 
 
 def test_crowd_sample_and_observables():

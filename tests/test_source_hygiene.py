@@ -16,12 +16,20 @@ tests), or to a listed reason: a reader imports the module or a name it
 defines, and a package ``__init__`` reads a name only where its own code
 uses it, not where it re-exports it.  A sixth holds every defaulted
 parameter of a public function or method to a setter, or to a listed
-reason: a value no caller sets is a constant.  Last, ``repro.__all__``
-names exactly the subpackages and modules on disk.
+reason: a value no caller sets is a constant.  ``repro.__all__`` names
+exactly the subpackages and modules on disk.  Last, two checks keep
+``benchmarks/reach.py`` honest without running it: its matcher maps
+each entered code object of a fixture module to the right key, and
+every entry of its ``IDLE`` table names a definition that exists and
+carries one of the five reasons (safety code naming a test that exists).
 """
 
 import ast
+import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -31,10 +39,7 @@ MAX_LINE = 100
 CALLERS = ("src", "examples", "bench", "benchmarks", "tests")
 #: service operations that no call names, and why each stays
 UNNAMED_OPERATIONS = {
-    "destroy": "OGSI GridService lifetime: explicit destruction, in every portType",
     "lookup": "registry portType; chaos recovery and its invariants call it in-process",
-    "pause": "a steering verb of the control protocol (SteeringClient sends Pause)",
-    "resume": "the steering verb that undoes pause",
 }
 #: outside ``tests/``, where a module of ``src/repro`` can be read
 READERS = ("src", "examples", "bench", "benchmarks")
@@ -385,3 +390,109 @@ def test_every_defaulted_parameter_has_a_setter_or_is_listed():
     unset = _unset_parameters()
     wrong = set(unset).symmetric_difference(UNSET_PARAMETERS)
     assert wrong == set(), {label: unset.get(label, "listed, but set") for label in wrong}
+
+
+# -- benchmarks/reach.py: every function held to a caller that runs ---------
+
+REACH_FIXTURE = '''\
+import asyncio
+import functools
+
+
+def deco(fn):
+    @functools.wraps(fn)
+    def wrapper(*args):
+        return fn(*args)
+
+    return wrapper
+
+
+@deco
+def decorated(x):
+    return x + 1
+
+
+def outer():
+    def inner():
+        return 2
+
+    return inner()
+
+
+async def waiting():
+    await asyncio.sleep(0)
+    return [n for n in range(2)]
+
+
+class Box:
+    def __init__(self):
+        self._v = 0
+
+    @property
+    def value(self):
+        return self._v
+
+    @value.setter
+    def value(self, v):
+        self._v = v
+
+
+def never():
+    return 0
+
+
+decorated(1)
+outer()
+asyncio.run(waiting())
+box = Box()
+box.value = box.value + 1
+(lambda: 0)()
+'''
+
+
+def _reach():
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "benchmarks" / "reach.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reach_matches_each_entered_code_object_to_its_definition(tmp_path):
+    reach = _reach()
+    code, hook, log = tmp_path / "code", tmp_path / "hook", tmp_path / "log"
+    for d in (code, hook, log):
+        d.mkdir()
+    (code / "fixture.py").write_text(REACH_FIXTURE)
+    (hook / "sitecustomize.py").write_text(
+        reach.HOOK.format(root=str(code) + os.sep, log=str(log))
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(hook), str(code)])}
+    subprocess.run([sys.executable, "-c", "import fixture"], env=env, check=True, timeout=120)
+    defs = {"fixture.py": reach.definitions("fixture.py", REACH_FIXTURE)}
+    entered = reach.entered_keys(reach.read_logs(log), defs)
+    assert entered == {
+        "fixture.py:deco",
+        "fixture.py:deco.<locals>.wrapper",
+        "fixture.py:decorated",
+        "fixture.py:outer",
+        "fixture.py:outer.<locals>.inner",
+        "fixture.py:waiting",
+        "fixture.py:Box.__init__",
+        "fixture.py:Box.value",
+        "fixture.py:Box.value#2",
+    }
+    assert set(defs["fixture.py"].values()) - entered == {"fixture.py:never"}
+
+
+def test_every_idle_entry_names_a_definition_and_carries_a_reason():
+    reach = _reach()
+    keys = {key for found in reach.source_definitions(SRC).values() for key in found.values()}
+    assert set(reach.IDLE) - keys == set()
+    reasons = (reach.SAFETY, reach.ROUTE, reach.STUB, reach.TEST_REFERENCE, reach.PROTOCOL)
+    for key, reason in reach.IDLE.items():
+        assert reason.startswith(reasons), key
+        if reason.startswith(reach.SAFETY):
+            # safety code names the tier-1 test that enters it
+            path, test = reason.split(": ", 1)[1].split("::")
+            tree = ast.parse((ROOT / path).read_text())
+            assert test in {fn.name for fn in tree.body if isinstance(fn, FUNCTIONS)}, key

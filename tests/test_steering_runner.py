@@ -6,8 +6,11 @@ from repro.des import Environment
 from repro.net import SyncPipe
 from repro.sims import LatticeBoltzmann3D
 from repro.steering import (
+    Pause,
+    Resume,
     SteeredApplication,
     SteeringClient,
+    Stop,
     steered_app_process,
 )
 
@@ -54,12 +57,12 @@ def test_runner_pause_resume_under_virtual_time():
 
     def steerer():
         yield env.timeout(0.55)
-        client.pause()
+        client._send(Pause())
         yield env.timeout(2.0)
         paused_steps = app.sim.step_count
-        client.resume()
+        client._send(Resume())
         yield env.timeout(1.0)
-        client.stop()
+        client._send(Stop())
         return paused_steps
 
     p = env.process(steerer())
@@ -79,7 +82,7 @@ def test_runner_stop_ends_loop_promptly():
 
     def steerer():
         yield env.timeout(0.35)
-        client.stop()
+        client._send(Stop())
 
     env.process(steerer())
     steps = env.run(until=proc)

@@ -114,9 +114,6 @@ def test_uspace_basics():
     u = USpace("job-1")
     u.write("a.dat", b"123")
     assert u.read("a.dat") == b"123"
-    assert u.exists("a.dat") and not u.exists("b.dat")
-    assert u.listing() == ["a.dat"]
-    assert u.total_bytes() == 3
     with pytest.raises(UnicoreError):
         u.read("missing")
     with pytest.raises(UnicoreError):

@@ -167,7 +167,7 @@ def test_collaboration_master_only_steering_in_proxy():
     # Steering answers switched with the master role.
     assert "from-alice" in answers and "from-bob" in answers
     assert answers.index("from-alice") < answers.index("from-bob")
-    assert proxy.participants() == ["alice", "bob"]
+    assert list(proxy._token.members) == ["alice", "bob"]
 
 
 def test_unauthenticated_poll_rejected():
@@ -240,5 +240,5 @@ def test_malformed_poll_responses_refused_and_the_proxy_lives():
     env.run()
     assert [r["ok"] for r in replies] == [False] * (len(hostile) + 1) + [True]
     assert all("malformed" in r["error"] for r in replies[:-1])
-    assert proxy.master == "mallory"
+    assert proxy._token.holder == "mallory"
     assert answers == [(True, 9)]

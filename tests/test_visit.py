@@ -191,13 +191,11 @@ def test_stale_response_skipped_after_timeout():
     assert client.stats["requests_ok"] == 1
 
 
-def test_server_side_precision_conversion():
-    """float64 arrays from the simulation arrive float32 at the renderer
-    without the simulation doing any conversion."""
+def test_server_side_byte_order_conversion():
+    """Big-endian float64 arrays from the simulation arrive in native byte
+    order at the renderer without the simulation doing any conversion."""
     env, net = grid()
-    server = VisitServer(
-        net.host("viz.juelich.de"), 5000, password="pw", convert_arrays_to="float32"
-    )
+    server = VisitServer(net.host("viz.juelich.de"), 5000, password="pw")
     server.start()
     client = VisitClient(
         net.host("sim.juelich.de"), "viz.juelich.de", 5000, "pw", byteorder=">"
@@ -209,9 +207,9 @@ def test_server_side_precision_conversion():
 
     env.process(sim())
     env.run()
-    got = server.latest(TAG_PARTICLES)
-    assert got["pos"].dtype == np.float32
-    np.testing.assert_allclose(got["pos"], np.linspace(0, 1, 8), rtol=1e-6)
+    got = server.received[TAG_PARTICLES][-1]
+    assert got["pos"].dtype == np.dtype("=f8")
+    np.testing.assert_array_equal(got["pos"], np.linspace(0, 1, 8))
 
 
 def test_send_before_connect_is_cheap_noop():
@@ -250,7 +248,7 @@ def test_vbroker_fanout_and_master_only_steering():
         yield from client.send(TAG_PARTICLES, np.arange(5, dtype=np.int32))
         ok, val = yield from client.request(TAG_PARAMS, timeout=2.0)
         result["first"] = (ok, val)
-        broker.pass_master("viz-b")
+        assert broker._token.pass_to("viz-b")
         ok, val = yield from client.request(TAG_PARAMS, timeout=2.0)
         result["second"] = (ok, val)
 

@@ -15,7 +15,6 @@ from repro.viz import (
     rle_decode,
     rle_encode,
 )
-from repro.viz.compress import compression_ratio
 
 
 def test_framebuffer_basics():
@@ -30,14 +29,6 @@ def test_framebuffer_basics():
 def test_framebuffer_invalid_size():
     with pytest.raises(ReproError):
         FrameBuffer(0, 5)
-
-
-def test_changed_fraction():
-    a = FrameBuffer(10, 10)
-    b = a.copy()
-    assert a.changed_fraction(b) == 0.0
-    b.color[:5] = 255
-    assert a.changed_fraction(b) == pytest.approx(0.5)
 
 
 def test_rle_roundtrip_simple():
@@ -84,7 +75,7 @@ def test_full_frame_roundtrip():
     rng = np.random.default_rng(0)
     fb.color[:] = rng.integers(0, 256, fb.color.shape, dtype=np.uint8)
     out = decompress_frame(compress_frame(fb))
-    assert out == fb
+    assert np.array_equal(out.color, fb.color)
 
 
 def test_delta_frame_roundtrip():
@@ -95,7 +86,7 @@ def test_delta_frame_roundtrip():
     cur.color[4:8, 4:8] = 200
     blob = compress_frame(cur, previous=prev)
     out = decompress_frame(blob, previous=prev)
-    assert out == cur
+    assert np.array_equal(out.color, cur.color)
 
 
 def test_delta_frame_much_smaller_when_static():
@@ -131,7 +122,7 @@ def test_bad_magic():
 def test_compression_ratio_static_scene_high():
     prev = FrameBuffer(64, 64)
     cur = prev.copy()
-    assert compression_ratio(cur, prev) > 100
+    assert cur.nbytes / len(compress_frame(cur, prev)) > 100
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,7 +141,7 @@ def test_property_frame_roundtrip(w, h, seed):
     rng = np.random.default_rng(seed)
     fb = FrameBuffer(w, h)
     fb.color[:] = rng.integers(0, 256, fb.color.shape, dtype=np.uint8)
-    assert decompress_frame(compress_frame(fb)) == fb
+    assert np.array_equal(decompress_frame(compress_frame(fb)).color, fb.color)
     prev = FrameBuffer(w, h)
     prev.color[:] = rng.integers(0, 256, prev.color.shape, dtype=np.uint8)
-    assert decompress_frame(compress_frame(fb, prev), prev) == fb
+    assert np.array_equal(decompress_frame(compress_frame(fb, prev), prev).color, fb.color)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.viz import axis_slice, cut_plane, isosurface
+from repro.viz import cut_plane, isosurface
 from repro.viz.cutplane import trilinear_sample
-from repro.viz.isosurface import surface_area
 
 
 def sphere_field(n=24, radius=0.35):
@@ -24,7 +23,9 @@ def test_isosurface_sphere_area():
     spacing = (1.0 / (n - 1),) * 3
     verts, faces = isosurface(field, level=0.0, spacing=spacing)
     assert len(faces) > 0
-    area = surface_area(verts, faces)
+    tri = verts[faces]
+    cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    area = 0.5 * np.linalg.norm(cross, axis=1).sum()
     expected = 4.0 * np.pi * 0.35**2
     assert area == pytest.approx(expected, rel=0.15)
 
@@ -59,22 +60,6 @@ def test_isosurface_scales_with_resolution():
     small = isosurface(sphere_field(12), 0.0)[1]
     large = isosurface(sphere_field(32), 0.0)[1]
     assert len(large) > 3 * len(small)
-
-
-def test_axis_slice_picks_plane():
-    field = np.arange(27, dtype=float).reshape(3, 3, 3)
-    sl = axis_slice(field, axis=0, position=1.0)
-    np.testing.assert_array_equal(sl, field[2])
-    sl = axis_slice(field, axis=2, position=0.0)
-    np.testing.assert_array_equal(sl, field[:, :, 0])
-
-
-def test_axis_slice_validation():
-    field = np.zeros((3, 3, 3))
-    with pytest.raises(ReproError):
-        axis_slice(field, 3, 0.5)
-    with pytest.raises(ReproError):
-        axis_slice(field, 0, 1.5)
 
 
 def test_trilinear_sample_exact_at_nodes():

@@ -12,7 +12,7 @@ from repro.errors import CodecError
 from repro.net.channel import wire_size
 from repro.ogsa.soap import ENVELOPE_NS, Envelope, envelope
 from repro.steering import control
-from repro.wire import coerce_array, decode, describe, encode
+from repro.wire import decode, describe, encode
 from repro.wire.codec import SCHEMA_SIZERS, approx_size, approx_size_reference
 
 
@@ -120,19 +120,6 @@ def test_describe():
     assert describe({"b": 1, "a": 2}) == "struct{a,b}"
     assert describe([1, 2]) == "list[2]"
     assert describe(1.0) == "float"
-
-
-def test_coerce_array_precision():
-    arr = np.linspace(0, 1, 5, dtype=np.float64)
-    out = coerce_array(arr, np.float32)
-    assert out.dtype == np.float32
-    ints = coerce_array(np.array([1.9, 2.1]), np.int32)
-    assert ints.dtype == np.int32
-
-
-def test_coerce_array_bad_target():
-    with pytest.raises(CodecError):
-        coerce_array(np.zeros(3), np.complex128)
 
 
 # -- property tests -----------------------------------------------------------

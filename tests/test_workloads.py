@@ -19,7 +19,7 @@ def test_profile_one_way_and_rtt():
     assert SUPERJANET.one_way(0) == pytest.approx(0.008)
     # 1 MB at 155 Mbit/s ~ 51.6 ms + 8 ms
     assert SUPERJANET.one_way(1_000_000) == pytest.approx(0.0596, rel=0.02)
-    assert LAN.round_trip() < 0.001
+    assert LAN.one_way(64) + LAN.one_way(64) < 0.001
 
 
 def test_remote_loop_breaks_vr_budget_on_wan_even_without_render():

@@ -1,7 +1,8 @@
 """LIVE — the real-time control plane under seeded open-loop stress.
 
 Three numbers summarise whether "live" is viable on top of the DES
-fabric, and all three land in ``BENCH_live.json``:
+fabric, and all three land in ``BENCH_live.json`` beside the saturation
+sweep and the slow-reader probe below:
 
 * **requests/s** — HTTP round trips the single-threaded asyncio server
   sustains while the paced kernel runs underneath;
@@ -12,14 +13,37 @@ fabric, and all three land in ``BENCH_live.json``:
   mode versus ``Environment.run()`` raw: the price of batching and
   event-loop yields, which bounds how far behind a paced server can
   fall before catch-up accounting fires.
+
+The **saturation sweep** finds the knee with the client out of the
+server's process: the server runs in this process, and ``python -m
+repro.live stress`` in a child offers one request kind at rising
+open-loop rates, a fresh server per step.  A step is *sustained* when
+every request is answered, the answered rate is at least
+:data:`SUSTAINED_SHARE` of the schedule's own rate and the p99 is inside
+:data:`SUSTAINED_P99` (the paper's ~100 ms human-latency budget).  Per
+kind it records the highest sustained answered rate and the p99 there,
+and the first step past it.  Each request opens its own connection, and
+the client is one single-threaded process too, so the knee is the
+pair's, not the server's alone.
+
+The **slow-reader probe** pipelines requests on one connection without
+reading the answers: the server must stop reading that connection once
+its write buffer is full, and keep answering another client meanwhile.
 """
 
 import asyncio
+import json
+import os
+import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from benchmarks.conftest import run_once, write_json
 from repro.des.core import Environment
-from repro.live.client import StressClient
+from repro.live.client import KINDS, StressClient, request
+from repro.live.http import encode_request
 from repro.live.pacing import PacedRunner
 from repro.live.server import LiveServer
 
@@ -27,6 +51,19 @@ from repro.live.server import LiveServer
 OVERHEAD_EVENTS = 50_000
 STRESS_RATE = 40.0
 STRESS_SECONDS = 2.0
+
+#: offered requests/s, each step run until a kind's first unsustained one
+SWEEP_RATES = (250, 500, 1000, 1500, 2000, 3000, 4000)
+SWEEP_SECONDS = 2.0
+SMOKE_RATES = (50, 200)
+SMOKE_SECONDS = 0.5
+SUSTAINED_SHARE = 0.9
+SUSTAINED_P99 = 0.1
+#: a session the ``get`` and ``steer`` steps aim at, running all step long
+SWEEP_TARGET = {"sim": "building", "participants": 1, "duration": 1e4}
+#: request pairs the slow reader pipelines: ~4 KiB metrics page + a 404,
+#: ~7 MB of answers, past a loopback socket's default buffers
+SLOW_PAIRS = 1500
 
 
 def _tick_workload(env: Environment, n_procs: int, steps: int):
@@ -81,7 +118,113 @@ def _stress():
     return asyncio.run(go())
 
 
-def _payload(report, stats, raw_wall, paced_wall, events):
+async def _stress_child(port: int, kind: str, rate: float, seconds: float) -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+    argv = [sys.executable, "-m", "repro.live", "stress", "--port", str(port),
+            "--kind", kind, "--rate", str(rate), "--duration", str(seconds), "--json"]
+    if kind in ("get", "steer"):
+        argv += ["--session", json.dumps(SWEEP_TARGET)]
+    child = await asyncio.create_subprocess_exec(
+        *argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    out, err = await child.communicate()
+    if not out.strip():
+        raise AssertionError(f"stress child ({kind} at {rate}/s) printed no report: {err!r}")
+    return json.loads(out)
+
+
+def _step(report: dict, seconds: float) -> dict:
+    """One step's numbers; the schedule's own count sets the offered
+    rate, so a client that falls behind its plan is not sustained."""
+    planned = report["requests"] / seconds
+    answered = (report["requests"] - report["errors"]) / report["wall_seconds"]
+    return {
+        "offered_rps": report["offered_rps"],
+        "planned_rps": planned,
+        "answered_rps": answered,
+        "p99_ms": report["latency_p99"] * 1e3,
+        "errors": report["errors"],
+        "by_status": report["by_status"],
+        "sustained": (
+            report["errors"] == 0
+            and answered >= SUSTAINED_SHARE * planned
+            and report["latency_p99"] <= SUSTAINED_P99
+        ),
+    }
+
+
+def _sweep(rates=SWEEP_RATES, seconds=SWEEP_SECONDS):
+    """Per request kind: every step run, the last sustained, the knee."""
+
+    async def step(kind, rate):
+        server = LiveServer(config={"rate": 10.0, "seed": 0})
+        await server.start()
+        try:
+            return _step(await _stress_child(server.port, kind, rate, seconds), seconds)
+        finally:
+            await server.shutdown(grace=0.0)
+
+    kinds = {}
+    for kind in sorted(KINDS):
+        steps = []
+        for rate in rates:
+            steps.append(asyncio.run(step(kind, rate)))
+            if not steps[-1]["sustained"]:
+                break
+        held = [s for s in steps if s["sustained"]]
+        kinds[kind] = {
+            "max_sustained_rps": held[-1]["answered_rps"] if held else 0.0,
+            "p99_ms_at_knee": held[-1]["p99_ms"] if held else None,
+            "first_unsustained": None if steps[-1]["sustained"] else steps[-1],
+            "steps": steps,
+        }
+    return {"seconds_per_step": seconds, "kinds": kinds}
+
+
+def _slow_reader(pairs=SLOW_PAIRS):
+    """One client pipelines without reading while another asks /healthz."""
+    wire = b"".join(
+        encode_request("GET", "/metricsz") + encode_request("GET", f"/sessions/ghost-{i}")
+        for i in range(pairs)
+    )
+
+    async def go():
+        server = LiveServer(config={"rate": None, "seed": 0})
+        await server.start()
+        sock = socket.socket()
+        # a small receive window, so the server's answers back up fast
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect((server.host, server.port))
+        sock.setblocking(False)
+        reader, writer = await asyncio.open_connection(sock=sock)
+        try:
+            writer.write(wire)
+            served = -1
+            while served != server.stats["requests"]:  # until the server stops reading
+                served = server.stats["requests"]
+                await asyncio.sleep(0.2)
+            t0 = time.perf_counter()
+            health = await request(server.host, server.port, "GET", "/healthz")
+            healthz = time.perf_counter() - t0
+            writer.write_eof()
+            data = await asyncio.wait_for(reader.read(), 60.0)
+        finally:
+            writer.close()
+            await server.shutdown(grace=0.0)
+        return {
+            "pipelined": 2 * pairs,
+            "served_while_stalled": served,
+            "answered": data.count(b"HTTP/1.1 "),
+            "healthz_status": health.status,
+            "healthz_ms_while_stalled": healthz * 1e3,
+        }
+
+    return asyncio.run(go())
+
+
+def _payload(report, stats, raw_wall, paced_wall, events, sweep, slow):
     pacing = stats["pacing"]
     return {
         "requests_per_sec": report["achieved_rps"],
@@ -105,7 +248,30 @@ def _payload(report, stats, raw_wall, paced_wall, events):
             "stepping_wall": pacing["stepping_wall"],
             "events": pacing["events"],
         },
+        "saturation": sweep,
+        "slow_reader": slow,
     }
+
+
+def _sweep_rows(sweep):
+    rows = []
+    for kind, row in sweep["kinds"].items():
+        past = row["first_unsustained"]
+        rows.append([
+            kind,
+            f"{row['max_sustained_rps']:.0f}",
+            "-" if row["p99_ms_at_knee"] is None else f"{row['p99_ms_at_knee']:.1f}",
+            "-" if past is None else f"{past['offered_rps']:.0f}",
+        ])
+    return rows
+
+
+def _check_slow_reader(slow):
+    # the server stopped reading the stalled connection, kept answering
+    # the other one, then answered every request it had been sent
+    assert slow["served_while_stalled"] < slow["pipelined"]
+    assert slow["healthz_status"] == 200
+    assert slow["answered"] == slow["pipelined"]
 
 
 def test_live_control_plane(benchmark, reporter):
@@ -113,6 +279,7 @@ def test_live_control_plane(benchmark, reporter):
         return _stress(), _paced_overhead()
 
     (report, stats), (raw_wall, paced_wall, events) = run_once(benchmark, both)
+    sweep, slow = _sweep(), _slow_reader()
     ratio = paced_wall / raw_wall if raw_wall > 0 else 0.0
     reporter.table(
         f"LIVE: control plane under stress (seed {report['seed']}, "
@@ -127,11 +294,17 @@ def test_live_control_plane(benchmark, reporter):
             ["server catchups", stats["pacing"]["catchups"]],
         ],
     )
+    reporter.table(
+        f"LIVE: saturation sweep, client in a child ({SWEEP_SECONDS:.0f}s per step)",
+        ["kind", "max sustained rps", "p99 there (ms)", "first unsustained offer"],
+        _sweep_rows(sweep),
+    )
     assert report["errors"] == 0
     assert report["requests"] > 0
+    _check_slow_reader(slow)
     write_json(
         "BENCH_live.json",
-        _payload(report, stats, raw_wall, paced_wall, events),
+        _payload(report, stats, raw_wall, paced_wall, events, sweep, slow),
         wall_seconds=report["wall_seconds"] + raw_wall + paced_wall,
         events=stats["pacing"]["events"] + 2 * events,
     )
@@ -141,6 +314,13 @@ def test_live_smoke(reporter):
     """CI smoke: stress the server, measure pacing overhead, gate sanity."""
     report, stats = _stress()
     raw_wall, paced_wall, events = _paced_overhead()
+    sweep = _sweep(SMOKE_RATES, SMOKE_SECONDS)
+    slow = _slow_reader()
+    reporter.table(
+        f"LIVE smoke: saturation sweep ({SMOKE_SECONDS}s per step)",
+        ["kind", "max sustained rps", "p99 there (ms)", "first unsustained offer"],
+        _sweep_rows(sweep),
+    )
     reporter.note(
         f"LIVE smoke: {report['requests']} requests "
         f"({report['achieved_rps']:.1f} rps, {report['admitted']} admitted, "
@@ -156,9 +336,13 @@ def test_live_smoke(reporter):
     # Turbo pacing may cost a few x raw stepping (yields + batching),
     # but an order of magnitude means the runner is broken.
     assert paced_wall < 10 * raw_wall + 0.5
+    # every kind is answered at the sweep's lightest step
+    for kind, row in sweep["kinds"].items():
+        assert row["steps"][0]["errors"] == 0, kind
+    _check_slow_reader(slow)
     write_json(
         "BENCH_live.json",
-        _payload(report, stats, raw_wall, paced_wall, events),
+        _payload(report, stats, raw_wall, paced_wall, events, sweep, slow),
         wall_seconds=report["wall_seconds"] + raw_wall + paced_wall,
         events=stats["pacing"]["events"] + 2 * events,
     )

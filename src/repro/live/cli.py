@@ -7,7 +7,7 @@ Subcommands::
     record  --trace FILE [same as serve]  (serve that *requires* a trace)
     replay  TRACE [--workers N] [--store PATH] [--check] [--json]
     stress  --port P [--host H] [--rate RPS] [--duration S] [--seed S]
-            [--steer-every N] [--json]
+            [--kind post|get|steer|stats] [--steer-every N] [--json]
 
 ``serve`` runs the control plane against the wall clock until the
 duration elapses (or SIGINT/SIGTERM), then drains gracefully.  ``replay
@@ -26,7 +26,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.errors import LiveError, ReproError
-from repro.live.client import StressClient
+from repro.live.client import KINDS, StressClient
 from repro.live.replay import matrix_digest, replay_trace
 from repro.live.server import DEFAULT_CONFIG, LiveServer
 
@@ -141,7 +141,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
         args.host, args.port,
         rate=args.rate, duration=args.duration, seed=args.seed,
         session=json.loads(args.session) if args.session else None,
-        steer_every=args.steer_every,
+        steer_every=args.steer_every, kind=args.kind,
     )
     report = asyncio.run(client.run())
     if args.json:
@@ -192,6 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=10.0, help="offered requests/second")
     p.add_argument("--duration", type=float, default=3.0, help="wall seconds")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kind", default="post", choices=sorted(KINDS),
+                   help="what each request asks: offer a session (default), GET it, "
+                        "steer it, or GET /statsz")
     p.add_argument("--steer-every", type=int, default=0,
                    help="steer every N-th admitted session")
     p.add_argument("--session", default=None,

@@ -8,7 +8,10 @@ server is coping (open loop — the whole point is to observe admission
 backpressure, not to be polite), mixes session shapes from the same
 seeded RNG, and aggregates status codes and request latencies into a
 JSON-able report for ``python -m repro.live stress`` and
-``benchmarks/bench_live.py``.
+``benchmarks/bench_live.py``.  One run offers one request kind
+(:data:`KINDS`): session offers by default, or a GET of a session, a
+steer of it or a ``/statsz`` probe, each aimed at the one session the
+client offers before its schedule starts.
 """
 
 from __future__ import annotations
@@ -22,6 +25,15 @@ from repro.errors import LiveError
 from repro.fleet.spec import SIM_KINDS
 from repro.live.http import HttpError, Response, encode_request, json_body, read_response
 from repro.util.stats import percentile
+
+#: what one offer of each kind asks for; ``{name}`` is the session the
+#: client offers before a ``get`` or ``steer`` schedule starts
+KINDS = {
+    "post": ("POST", "/sessions"),
+    "get": ("GET", "/sessions/{name}"),
+    "steer": ("POST", "/sessions/{name}/steer"),
+    "stats": ("GET", "/statsz"),
+}
 
 
 async def request(
@@ -60,9 +72,12 @@ class StressClient:
         session: Optional[dict] = None,
         steer_every: int = 0,
         timeout: float = 30.0,
+        kind: str = "post",
     ) -> None:
         if rate <= 0 or duration <= 0:
             raise LiveError("stress rate and duration must be > 0")
+        if kind not in KINDS:
+            raise LiveError(f"unknown stress kind {kind!r} (one of {sorted(KINDS)})")
         self.host = host
         self.port = port
         self.rate = float(rate)
@@ -73,6 +88,9 @@ class StressClient:
         #: after every N-th accepted session, fire one steer at it
         self.steer_every = int(steer_every)
         self.timeout = timeout
+        self.kind = kind
+        #: the session a ``get`` or ``steer`` schedule aims at
+        self.target: Optional[str] = None
         self.results: list[dict] = []
 
     def _plan(self) -> list[tuple[float, dict]]:
@@ -95,15 +113,19 @@ class StressClient:
         delay = t0 + offset - perf_counter()
         if delay > 0:
             await asyncio.sleep(delay)
+        method, target = KINDS[self.kind]
+        if self.kind != "post":
+            target = target.format(name=self.target)
+            body = {"value": None} if self.kind == "steer" else None
         sent = perf_counter()
         outcome: dict = {"index": index, "offset": offset}
         try:
             response = await request(
-                self.host, self.port, "POST", "/sessions", body, timeout=self.timeout
+                self.host, self.port, method, target, body, timeout=self.timeout
             )
             outcome["status"] = response.status
             outcome["latency"] = perf_counter() - sent
-            doc = response.json()
+            doc = response.json() if self.kind == "post" else {}
             outcome["name"] = doc.get("name")
             if response.status == 429:
                 outcome["retry_after"] = response.headers.get("retry-after")
@@ -136,6 +158,13 @@ class StressClient:
                 f"stress plan is empty (rate {self.rate}, duration {self.duration}); "
                 "raise the rate or the duration"
             )
+        if self.kind in ("get", "steer"):
+            response = await request(
+                self.host, self.port, "POST", "/sessions", plan[0][1], timeout=self.timeout
+            )
+            if response.status != 202:
+                raise LiveError(f"the target session was refused: {response.status}")
+            self.target = response.json()["name"]
         t0 = perf_counter()
         await asyncio.gather(
             *(self._offer(offset, body, t0, i) for i, (offset, body) in enumerate(plan))
@@ -154,6 +183,7 @@ class StressClient:
         )
         n = len(self.results)
         return {
+            "kind": self.kind,
             "requests": n,
             "wall_seconds": wall,
             "offered_rps": self.rate,

@@ -1,12 +1,14 @@
-"""Minimal HTTP/1.1 over asyncio streams — stdlib only, sans-io core.
+"""Minimal HTTP/1.1 for asyncio — stdlib only, sans-io core.
 
 The live control plane needs exactly enough HTTP to speak JSON with
 curl, a browser and the seeded stress client: request/response framing
 with ``Content-Length`` bodies, keep-alive, and nothing else (no chunked
 transfer, no multipart, no TLS).  Rather than pull in a framework, the
-codec is ~200 lines split into a **pure** head parser/encoder — unit
-testable byte-for-byte without sockets — and two thin asyncio wrappers
-(:func:`read_request` / :func:`read_response`) that frame messages off a
+codec is ~330 lines split into a **pure** head parser/encoder — unit
+testable byte-for-byte without sockets — a sans-io
+:class:`RequestFramer` that the server's protocol feeds the bytes each
+``data_received`` delivers, and one asyncio wrapper for the client
+half (:func:`read_response`) that frames a response off a
 ``StreamReader``.
 
 Hard bounds (:data:`MAX_HEAD_BYTES`, :data:`MAX_BODY_BYTES`) make the
@@ -60,19 +62,35 @@ class HttpError(LiveError):
         self.detail = detail
 
 
+def _split_path(target: str) -> str:
+    """``urlsplit(target).path``, without ``urlsplit`` on a plain target.
+
+    ``urlsplit`` drops tabs and line feeds and reads a leading ``//`` as
+    an authority; only such a target takes it, and an authority it
+    refuses (``//[x``) is a 400.
+    """
+    if target.startswith("//") or "\t" in target or "\r" in target or "\n" in target:
+        try:
+            return urlsplit(target).path
+        except ValueError as exc:
+            raise HttpError(400, f"malformed request target: {exc}") from None
+    return target.partition("?")[0].partition("#")[0]
+
+
 @dataclass
 class Request:
-    """One parsed HTTP request (headers lower-cased, body raw bytes)."""
+    """One parsed HTTP request (headers lower-cased, body raw bytes);
+    ``path`` is the target's path, split once when it is built."""
 
     method: str
     target: str
     version: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    path: str = field(init=False)
 
-    @property
-    def path(self) -> str:
-        return urlsplit(self.target).path
+    def __post_init__(self) -> None:
+        self.path = _split_path(self.target)
 
     @property
     def keep_alive(self) -> bool:
@@ -233,40 +251,78 @@ def encode_request(
     return head + body
 
 
-# -- asyncio framing ---------------------------------------------------------
+# -- framing -----------------------------------------------------------------
 
 
-async def _read_head(reader: asyncio.StreamReader) -> Optional[bytes]:
-    try:
-        return await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial.strip():
-            return None  # clean EOF between requests
-        raise HttpError(400, "connection closed mid-head") from None
-    except asyncio.LimitOverrunError:
-        raise HttpError(431, f"head exceeds {MAX_HEAD_BYTES} bytes") from None
+class RequestFramer:
+    """Sans-io request framing: bytes in, whole requests out, in order.
 
+    :meth:`feed` appends what the socket delivered, :meth:`next_request`
+    takes the next complete request (``None`` until its last byte has
+    arrived), and :meth:`close` checks that the stream ended between
+    requests.  Each head is parsed once, when its blank line arrives.
+    The bounds are a ``StreamReader``'s with ``limit=MAX_HEAD_BYTES``: a
+    head whose blank line starts past :data:`MAX_HEAD_BYTES` is a 431,
+    as soon as the bytes held show it.
+    """
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Frame one request off the stream; None on clean EOF."""
-    head = await _read_head(reader)
-    if head is None:
-        return None
-    request = parse_request_head(head)
-    length = _body_length(request.headers, "request")
-    if length:
-        try:
-            request.body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise HttpError(400, "connection closed mid-body") from None
-    return request
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+        #: where the next search for the blank line starts
+        self._scan = 0
+        #: a request whose head is parsed and whose body is still owed
+        self._pending: Optional[Request] = None
+        self._length = 0
+
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def next_request(self) -> Optional[Request]:
+        """The next whole request, or None until more bytes arrive."""
+        buffer = self._buffer
+        request = self._pending
+        if request is None:
+            end = buffer.find(b"\r\n\r\n", self._scan)
+            if end < 0:
+                if len(buffer) > MAX_HEAD_BYTES + 3:
+                    raise HttpError(431, f"head exceeds {MAX_HEAD_BYTES} bytes")
+                self._scan = max(0, len(buffer) - 3)
+                return None
+            if end > MAX_HEAD_BYTES:
+                raise HttpError(431, f"head exceeds {MAX_HEAD_BYTES} bytes")
+            request = parse_request_head(bytes(buffer[: end + 4]))
+            del buffer[: end + 4]
+            self._scan = 0
+            length = _body_length(request.headers, "request")
+            if not length:
+                return request
+            self._pending, self._length = request, length
+        length = self._length
+        if len(buffer) < length:
+            return None
+        request.body = bytes(buffer[:length])
+        del buffer[:length]
+        self._pending = None
+        return request
+
+    def close(self) -> None:
+        """The stream ended: a 400 unless it ended between requests."""
+        if self._pending is not None:
+            raise HttpError(400, "connection closed mid-body")
+        if self._buffer.strip():
+            raise HttpError(400, "connection closed mid-head")
 
 
 async def read_response(reader: asyncio.StreamReader) -> Response:
     """Frame one response off the stream (client side)."""
-    head = await _read_head(reader)
-    if head is None:
-        raise HttpError(502, "connection closed before the response head")
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial.strip():
+            raise HttpError(502, "connection closed before the response head") from None
+        raise HttpError(400, "connection closed mid-head") from None
+    except asyncio.LimitOverrunError:
+        raise HttpError(431, f"head exceeds {MAX_HEAD_BYTES} bytes") from None
     response = parse_response_head(head)
     length = _body_length(response.headers, "response")
     if length:

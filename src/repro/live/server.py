@@ -41,14 +41,7 @@ from typing import Optional
 from repro.campaign.runner import build_world
 from repro.errors import LiveError, ReproError, SteeringError
 from repro.fleet.spec import ScenarioSpec, mint_spec
-from repro.live.http import (
-    MAX_HEAD_BYTES,
-    HttpError,
-    Request,
-    encode_response,
-    json_body,
-    read_request,
-)
+from repro.live.http import HttpError, Request, RequestFramer, encode_response, json_body
 from repro.live.pacing import PacedRunner
 from repro.live.trace import LiveConfig, TraceRecorder, live_config, replay_campaign
 from repro.load import ReactiveAutoscaler
@@ -202,9 +195,8 @@ class LiveServer:
         """Bind the socket and start the paced kernel."""
         if self._server is not None:
             raise LiveError("server already started")
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=MAX_HEAD_BYTES
-        )
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(lambda: _Connection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._run_task = asyncio.create_task(self.runner.run())
 
@@ -225,45 +217,7 @@ class LiveServer:
             self.obs.write_trace(self._trace_export)
         return drain
 
-    # -- connection handling ---------------------------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    self.stats["bad_requests"] += 1
-                    writer.write(
-                        encode_response(
-                            exc.status, json_body({"error": exc.detail}), keep_alive=False
-                        )
-                    )
-                    await writer.drain()
-                    return
-                if request is None:
-                    return
-                status, body, content_type, extra = self._route(request)
-                writer.write(
-                    encode_response(
-                        status,
-                        body,
-                        content_type=content_type,
-                        extra_headers=extra,
-                        keep_alive=request.keep_alive,
-                    )
-                )
-                await writer.drain()
-                if not request.keep_alive:
-                    return
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+    # -- routing ---------------------------------------------------------
 
     def _route(self, request: Request) -> tuple[int, bytes, str, list]:
         """Dispatch one request; synchronous on purpose — the DES world
@@ -478,3 +432,73 @@ class LiveServer:
                 "cancel_request", sim=self.driver.env.now, wall=time.time(), name=name
             )
         return 202, {"name": name, "state": "cancelling"}, []
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, served inside the transport's callbacks.
+
+    ``data_received`` frames the bytes, routes every request they
+    complete and writes each answer straight to the transport, in
+    order: no stream reader, no task per connection.  An answer that
+    fills the transport's buffer pauses writing, and reading with it;
+    ``resume_writing`` resumes both and serves the requests already
+    buffered.  A malformed message is answered with its status and ends
+    the connection, as does ``Connection: close`` (HTTP/1.0's default).
+    """
+
+    def __init__(self, server: LiveServer) -> None:
+        self.server = server
+        self.framer = RequestFramer()
+        self.transport: Optional[asyncio.Transport] = None
+        self.paused = False
+        self.eof = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self.framer.feed(data)
+        self._serve()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._serve()
+        return True  # half-open: the answers written above still go out
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.transport.resume_reading()
+        self._serve()
+
+    def _serve(self) -> None:
+        transport = self.transport
+        while not self.paused and not transport.is_closing():
+            try:
+                request = self.framer.next_request()
+                if request is None:
+                    if self.eof:
+                        self.framer.close()
+                        transport.close()
+                    return
+            except HttpError as exc:
+                self.server.stats["bad_requests"] += 1
+                body = json_body({"error": exc.detail})
+                transport.write(encode_response(exc.status, body, keep_alive=False))
+                transport.close()
+                return
+            status, body, content_type, extra = self.server._route(request)
+            transport.write(
+                encode_response(
+                    status,
+                    body,
+                    content_type=content_type,
+                    extra_headers=extra,
+                    keep_alive=request.keep_alive,
+                )
+            )
+            if not request.keep_alive:
+                transport.close()

@@ -3,25 +3,42 @@
 import asyncio
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.live import http
 from repro.live.http import (
     HttpError,
     Request,
+    RequestFramer,
     encode_request,
     encode_response,
     json_body,
     parse_request_head,
     parse_response_head,
-    read_request,
     read_response,
 )
 
 
-def _frame(data, fn):
-    """Run an async framer against a pre-fed StreamReader."""
+def _take(framer):
+    """Every whole request the framer holds, in order."""
+    requests = []
+    while (request := framer.next_request()) is not None:
+        requests.append(request)
+    return requests
+
+
+def _frame(data):
+    """Feed ``data`` to a framer in one piece, then end the stream."""
+    framer = RequestFramer()
+    framer.feed(data)
+    requests = _take(framer)
+    framer.close()
+    return requests
+
+
+def _read(data, fn):
+    """Run an async client-side framer against a pre-fed StreamReader."""
 
     async def go():
         reader = asyncio.StreamReader(limit=http.MAX_HEAD_BYTES)
@@ -35,7 +52,7 @@ def _frame(data, fn):
 def test_request_roundtrip_through_the_wire():
     body = json_body({"sim": "building", "participants": 2})
     wire = encode_request("POST", "/sessions?x=1", body, host="example")
-    request = _frame(wire, read_request)
+    [request] = _frame(wire)
     assert request.method == "POST"
     assert request.path == "/sessions"
     assert request.headers["host"] == "example"
@@ -47,7 +64,7 @@ def test_response_roundtrip_through_the_wire():
     wire = encode_response(
         429, json_body({"error": "full"}), extra_headers=[("Retry-After", "3")]
     )
-    response = _frame(wire, read_response)
+    response = _read(wire, read_response)
     assert response.status == 429
     assert response.reason == "Too Many Requests"
     assert response.headers["retry-after"] == "3"
@@ -120,8 +137,10 @@ def test_response_head_rejections():
 )
 def test_body_framing_rejections(headers, status):
     wire = b"POST /s HTTP/1.1\r\n" + headers + b"\r\n"
-    with pytest.raises(HttpError) as exc:
-        _frame(wire, read_request)
+    framer = RequestFramer()
+    framer.feed(wire)
+    with pytest.raises(HttpError) as exc:  # refused when the head completes
+        framer.next_request()
     assert exc.value.status == status
 
 
@@ -158,7 +177,7 @@ def test_conflicting_content_lengths_are_refused():
     assert exc.value.status == 400
     # a repeated identical value frames the message one way only
     same = b"POST /s HTTP/1.1\r\ncontent-length: 3\r\nContent-Length:3\r\n\r\nabc"
-    assert _frame(same, read_request).body == b"abc"
+    assert _frame(same)[0].body == b"abc"
 
 
 _HEADER_LINE = st.one_of(
@@ -195,34 +214,113 @@ def test_any_head_yields_a_request_or_an_http_error(head):
 
 
 def test_clean_eof_and_torn_messages():
-    assert _frame(b"", read_request) is None
+    assert _frame(b"") == []
+    assert _frame(b"\r\n") == []  # whitespace between requests, then EOF
     with pytest.raises(HttpError) as exc:  # closed mid-head
-        _frame(b"GET / HTTP/1.1\r\nHost:", read_request)
+        _frame(b"GET / HTTP/1.1\r\nHost:")
     assert exc.value.status == 400
+    assert "mid-head" in exc.value.detail
     torn = b"POST /s HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc"
     with pytest.raises(HttpError) as exc:  # closed mid-body
-        _frame(torn, read_request)
+        _frame(torn)
     assert exc.value.status == 400
+    assert "mid-body" in exc.value.detail
+    # a head torn across reads yields its request with its last byte
+    wire = encode_request("POST", "/s", b'{"a":1}')
+    framer = RequestFramer()
+    for i in range(len(wire) - 1):
+        framer.feed(wire[i : i + 1])
+        assert framer.next_request() is None
+    framer.feed(wire[-1:])
+    assert framer.next_request().json() == {"a": 1}
+    framer.close()
 
 
 def test_oversized_head_is_431():
     wire = b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * (http.MAX_HEAD_BYTES + 10)
+    framer = RequestFramer()
+    framer.feed(wire)
+    with pytest.raises(HttpError) as exc:  # no need to wait for the blank line
+        framer.next_request()
+    assert exc.value.status == 431
+    # the bound is a StreamReader's with limit=MAX_HEAD_BYTES: the blank
+    # line may start at MAX_HEAD_BYTES, not one byte later
+    line = b"GET / HTTP/1.1\r\nX-Pad: "
+    fits = line + b"a" * (http.MAX_HEAD_BYTES - len(line)) + b"\r\n\r\n"
+    assert _frame(fits)[0].headers["x-pad"]
     with pytest.raises(HttpError) as exc:
-        _frame(wire, read_request)
+        _frame(line + b"a" + fits[len(line) :])
     assert exc.value.status == 431
 
 
 def test_keep_alive_pipeline_frames_two_requests():
     wire = encode_request("GET", "/healthz") + encode_request("GET", "/statsz")
+    first, second = _frame(wire)
+    assert (first.path, second.path) == ("/healthz", "/statsz")
 
-    async def go():
-        reader = asyncio.StreamReader(limit=http.MAX_HEAD_BYTES)
-        reader.feed_data(wire)
-        reader.feed_eof()
-        first = await read_request(reader)
-        second = await read_request(reader)
-        third = await read_request(reader)
-        return first, second, third
 
-    first, second, third = asyncio.run(go())
-    assert (first.path, second.path, third) == ("/healthz", "/statsz", None)
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(min_codepoint=0, max_codepoint=127, exclude_characters=" ")))
+@example("a?b#c")
+@example("a#b?c")
+@example("s/x/steer?")
+@example("/host/healthz")
+@example("he\tal\nthz")
+@example("/[x")
+def test_path_is_split_once_as_urlsplit_splits_it(rest):
+    """Any origin-form target: ``Request.path`` is ``urlsplit``'s path,
+    and a target ``urlsplit`` refuses is a 400."""
+    from urllib.parse import urlsplit
+
+    target = "/" + rest
+    try:
+        expected = urlsplit(target).path
+    except ValueError:
+        with pytest.raises(HttpError) as exc:
+            parse_request_head(f"GET {target} HTTP/1.1\r\n\r\n".encode())
+        assert exc.value.status == 400
+        return
+    assert Request("GET", target, "HTTP/1.1").path == expected
+
+
+def _outcome(chunks):
+    """What a framer fed ``chunks`` then EOF yields: (requests, error)."""
+    framer = RequestFramer()
+    requests = []
+    try:
+        for chunk in chunks:
+            framer.feed(chunk)
+            while (request := framer.next_request()) is not None:
+                requests.append(request)
+        framer.close()
+    except HttpError as exc:
+        return requests, (exc.status, exc.detail)
+    return requests, None
+
+
+_PIECE = st.one_of(
+    st.builds(
+        encode_request,
+        st.sampled_from(["GET", "POST", "DELETE"]),
+        st.sampled_from(["/healthz", "/sessions?x=1", "//h/s"]),
+        st.binary(max_size=24),
+        keep_alive=st.booleans(),
+    ),
+    _HEAD,
+    st.sampled_from(
+        [
+            b"\r\n",
+            b"Content-Length: 3\r\n\r\nabc",
+            b"X-Pad: " + b"a" * (http.MAX_HEAD_BYTES - 20),
+        ]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PIECE, max_size=5), st.data())
+def test_any_cut_of_a_stream_frames_as_the_whole_stream(pieces, data):
+    stream = b"".join(pieces)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+    assert _outcome(chunks) == _outcome([stream])

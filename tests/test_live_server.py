@@ -466,3 +466,97 @@ def test_retry_after_wall_survives_infinite_patience_bound():
         server.controller.retry_after = lambda: _math.inf
         retry = server._retry_after_wall()  # must not OverflowError
         assert 1 <= retry <= RETRY_AFTER_CAP
+
+
+# -- flow control: one protocol per connection ---------------------------------
+
+
+def test_a_client_that_pipelines_without_reading_pauses_the_server(monkeypatch):
+    import re
+    import socket
+
+    from repro.live import server as live_server
+    from repro.live.http import encode_request
+
+    connections = []
+
+    class Watched(live_server._Connection):
+        def connection_made(self, transport):
+            connections.append(self)
+            super().connection_made(transport)
+
+    monkeypatch.setattr(live_server, "_Connection", Watched)
+    # each pair: a ~4 KiB metrics page, then a 404 that names its index
+    batch = 100
+    pairs = [
+        encode_request("GET", "/metricsz") + encode_request("GET", f"/sessions/ghost-{i}")
+        for i in range(20 * batch)
+    ]
+
+    async def go():
+        server = LiveServer(config={"rate": None, "seed": 0})
+        await server.start()
+        sock = socket.socket()
+        # a small receive window, so the server's answers back up fast
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect((server.host, server.port))
+        sock.setblocking(False)
+        reader, writer = await asyncio.open_connection(sock=sock)
+        try:
+            sent = 0
+            while not (connections and connections[0].paused) and sent < len(pairs):
+                writer.write(b"".join(pairs[sent : sent + batch]))
+                sent += batch
+                await asyncio.sleep(0.02)
+            conn = connections[0]
+            assert conn.paused, f"{sent} pipelined pairs never filled the server's buffer"
+            transport = conn.transport
+            held = (len(conn.framer._buffer), server.stats["requests"])
+            await asyncio.sleep(0.1)
+            # paused: nothing more read or served, buffers bounded
+            assert (len(conn.framer._buffer), server.stats["requests"]) == held
+            assert transport.get_write_buffer_size() < 128 * 1024
+            assert len(conn.framer._buffer) < 512 * 1024
+            writer.write_eof()
+            data = await asyncio.wait_for(reader.read(), 30.0)
+        finally:
+            writer.close()
+            await server.shutdown(grace=1.0)
+        return sent, data
+
+    sent, data = asyncio.run(go())
+    # reading again, the server answered every request, in order
+    assert data.count(b"HTTP/1.1 200 OK") == sent
+    ghosts = [int(i) for i in re.findall(rb"unknown session 'ghost-(\d+)'", data)]
+    assert ghosts == list(range(sent))
+
+
+def test_stress_client_offers_each_request_kind():
+    from repro.live.client import KINDS, StressClient
+
+    with pytest.raises(LiveError, match="unknown stress kind"):
+        StressClient("127.0.0.1", 1, kind="brew")
+
+    async def go():
+        server = LiveServer(config=dict(FAST))
+        await server.start()
+        try:
+            reports = {}
+            # offers last: its sessions would fill the sites a steer needs
+            for kind in ("get", "steer", "stats", "post"):
+                client = StressClient(
+                    server.host, server.port, rate=40.0, duration=0.25, seed=2, kind=kind,
+                    session={"sim": "building", "duration": 1e4},
+                )
+                reports[kind] = await client.run()
+        finally:
+            await server.shutdown(grace=0.0)
+        return reports
+
+    reports = asyncio.run(go())
+    assert set(reports) == set(KINDS)
+    for kind, report in reports.items():
+        assert report["kind"] == kind and report["requests"] > 0 and report["errors"] == 0
+    assert set(reports["get"]["by_status"]) == {"200"}
+    assert set(reports["stats"]["by_status"]) == {"200"}
+    assert set(reports["steer"]["by_status"]) == {"202"}

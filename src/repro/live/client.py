@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import asyncio
 import random
+import socket
 from time import perf_counter
-from typing import Optional
+from typing import Awaitable, Callable, Optional
 
 from repro.errors import LiveError
 from repro.fleet.spec import SIM_KINDS
@@ -34,6 +35,11 @@ KINDS = {
     "steer": ("POST", "/sessions/{name}/steer"),
     "stats": ("GET", "/statsz"),
 }
+
+#: request pairs :func:`pipeline_unread` sends: a ~4 KiB metrics page,
+#: then a 404 naming the pair's index; ~7 MB of answers, past a
+#: loopback socket's default buffers
+SLOW_PAIRS = 1500
 
 
 async def request(
@@ -57,6 +63,43 @@ async def request(
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def pipeline_unread(
+    host: str,
+    port: int,
+    served: Callable[[], int],
+    while_stalled: Callable[[], Awaitable[None]],
+) -> bytes:
+    """Pipeline :data:`SLOW_PAIRS` request pairs on one connection, read
+    nothing until the server stops serving it, then end the stream and
+    read every answer.
+
+    The flow-control probe of an in-process server: ``served()`` is its
+    request count, and it has stopped once that holds still for 0.2 s;
+    ``while_stalled()`` is awaited then.  The connection's receive
+    window is 4 KiB, so the answers back up into the server fast.
+    """
+    wire = b"".join(
+        encode_request("GET", "/metricsz") + encode_request("GET", f"/sessions/ghost-{i}")
+        for i in range(SLOW_PAIRS)
+    )
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.connect((host, port))
+    sock.setblocking(False)
+    reader, writer = await asyncio.open_connection(sock=sock)
+    try:
+        writer.write(wire)
+        count = -1
+        while count != served():
+            count = served()
+            await asyncio.sleep(0.2)
+        await while_stalled()
+        writer.write_eof()
+        return await asyncio.wait_for(reader.read(), 60.0)
+    finally:
+        writer.close()
 
 
 class StressClient:

@@ -62,21 +62,6 @@ class HttpError(LiveError):
         self.detail = detail
 
 
-def _split_path(target: str) -> str:
-    """``urlsplit(target).path``, without ``urlsplit`` on a plain target.
-
-    ``urlsplit`` drops tabs and line feeds and reads a leading ``//`` as
-    an authority; only such a target takes it, and an authority it
-    refuses (``//[x``) is a 400.
-    """
-    if target.startswith("//") or "\t" in target or "\r" in target or "\n" in target:
-        try:
-            return urlsplit(target).path
-        except ValueError as exc:
-            raise HttpError(400, f"malformed request target: {exc}") from None
-    return target.partition("?")[0].partition("#")[0]
-
-
 @dataclass
 class Request:
     """One parsed HTTP request (headers lower-cased, body raw bytes);
@@ -90,7 +75,10 @@ class Request:
     path: str = field(init=False)
 
     def __post_init__(self) -> None:
-        self.path = _split_path(self.target)
+        try:
+            self.path = urlsplit(self.target).path
+        except ValueError as exc:  # an authority it refuses: GET //[x
+            raise HttpError(400, f"malformed request target: {exc}") from None
 
     @property
     def keep_alive(self) -> bool:

@@ -442,8 +442,9 @@ class _Connection(asyncio.Protocol):
     order: no stream reader, no task per connection.  An answer that
     fills the transport's buffer pauses writing, and reading with it;
     ``resume_writing`` resumes both and serves the requests already
-    buffered.  A malformed message is answered with its status and ends
-    the connection, as does ``Connection: close`` (HTTP/1.0's default).
+    buffered; a failure there ends the connection.  A malformed message
+    is answered with its status and ends the connection, as does
+    ``Connection: close`` (HTTP/1.0's default).
     """
 
     def __init__(self, server: LiveServer) -> None:
@@ -472,7 +473,20 @@ class _Connection(asyncio.Protocol):
     def resume_writing(self) -> None:
         self.paused = False
         self.transport.resume_reading()
-        self._serve()
+        # served on the loop's next pass, not inside the transport's
+        # write callback: a close there, with its buffer empty, reports
+        # the connection lost twice (asyncio's _write_ready, 3.11)
+        asyncio.get_running_loop().call_soon(self._drain)
+
+    def _drain(self) -> None:
+        try:
+            self._serve()
+        except BaseException:
+            # the loop logs what a callback raises and would keep the
+            # connection, one request short: end it, as a failure in
+            # data_received does
+            self.transport.abort()
+            raise
 
     def _serve(self) -> None:
         transport = self.transport

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.errors import LiveError
-from repro.live.client import request
+from repro.live.client import SLOW_PAIRS, pipeline_unread, request
 from repro.live.replay import matrix_digest, replay_trace
 from repro.live.server import RETRY_AFTER_CAP, LiveServer
 from repro.live.trace import load_trace
@@ -471,64 +471,92 @@ def test_retry_after_wall_survives_infinite_patience_bound():
 # -- flow control: one protocol per connection ---------------------------------
 
 
-def test_a_client_that_pipelines_without_reading_pauses_the_server(monkeypatch):
-    import re
-    import socket
-
+def _watch(monkeypatch):
+    """Every server connection made from now on, and every error the
+    running loop's exception handler is given."""
     from repro.live import server as live_server
-    from repro.live.http import encode_request
 
-    connections = []
+    connections, errors = [], []
 
     class Watched(live_server._Connection):
         def connection_made(self, transport):
             connections.append(self)
+            asyncio.get_running_loop().set_exception_handler(lambda _, ctx: errors.append(ctx))
             super().connection_made(transport)
 
     monkeypatch.setattr(live_server, "_Connection", Watched)
-    # each pair: a ~4 KiB metrics page, then a 404 that names its index
-    batch = 100
-    pairs = [
-        encode_request("GET", "/metricsz") + encode_request("GET", f"/sessions/ghost-{i}")
-        for i in range(20 * batch)
-    ]
+    return connections, errors
+
+
+def test_a_client_that_pipelines_without_reading_pauses_the_server(monkeypatch):
+    import re
+
+    connections, errors = _watch(monkeypatch)
 
     async def go():
         server = LiveServer(config={"rate": None, "seed": 0})
         await server.start()
-        sock = socket.socket()
-        # a small receive window, so the server's answers back up fast
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        sock.connect((server.host, server.port))
-        sock.setblocking(False)
-        reader, writer = await asyncio.open_connection(sock=sock)
-        try:
-            sent = 0
-            while not (connections and connections[0].paused) and sent < len(pairs):
-                writer.write(b"".join(pairs[sent : sent + batch]))
-                sent += batch
-                await asyncio.sleep(0.02)
+
+        async def stalled():
             conn = connections[0]
-            assert conn.paused, f"{sent} pipelined pairs never filled the server's buffer"
-            transport = conn.transport
+            assert conn.paused, "the pipelined pairs never filled the server's buffer"
             held = (len(conn.framer._buffer), server.stats["requests"])
             await asyncio.sleep(0.1)
             # paused: nothing more read or served, buffers bounded
             assert (len(conn.framer._buffer), server.stats["requests"]) == held
-            assert transport.get_write_buffer_size() < 128 * 1024
+            assert conn.transport.get_write_buffer_size() < 128 * 1024
             assert len(conn.framer._buffer) < 512 * 1024
-            writer.write_eof()
-            data = await asyncio.wait_for(reader.read(), 30.0)
-        finally:
-            writer.close()
-            await server.shutdown(grace=1.0)
-        return sent, data
 
-    sent, data = asyncio.run(go())
+        try:
+            return await pipeline_unread(
+                server.host, server.port, lambda: server.stats["requests"], stalled
+            )
+        finally:
+            await server.shutdown(grace=1.0)
+
+    data = asyncio.run(go())
     # reading again, the server answered every request, in order
-    assert data.count(b"HTTP/1.1 200 OK") == sent
+    assert data.count(b"HTTP/1.1 200 OK") == SLOW_PAIRS
     ghosts = [int(i) for i in re.findall(rb"unknown session 'ghost-(\d+)'", data)]
-    assert ghosts == list(range(sent))
+    assert ghosts == list(range(SLOW_PAIRS))
+    assert errors == []
+
+
+def test_a_failure_on_resuming_ends_the_connection(monkeypatch):
+    connections, errors = _watch(monkeypatch)
+    calls = []
+
+    def boom(req):
+        calls.append(req.target)
+        raise RuntimeError("boom")
+
+    async def go():
+        server = LiveServer(config={"rate": None, "seed": 0})
+        await server.start()
+
+        async def stalled():
+            assert connections[0].paused
+            server._route = boom  # the next request routed, once reading resumes
+
+        try:
+            try:
+                await pipeline_unread(
+                    server.host, server.port, lambda: server.stats["requests"], stalled
+                )
+            except ConnectionResetError:
+                pass  # the abort found requests still unread
+            del server._route
+            health = await request(server.host, server.port, "GET", "/healthz")
+        finally:
+            await server.shutdown(grace=1.0)
+        return health
+
+    health = asyncio.run(go())
+    # one request failed; the connection ended there, answering no other
+    assert len(calls) == 1
+    assert connections[0].transport.is_closing()
+    assert [type(ctx.get("exception")) for ctx in errors] == [RuntimeError]
+    assert health.status == 200
 
 
 def test_stress_client_offers_each_request_kind():
